@@ -144,6 +144,12 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
 
 
 def _cmd_mc(args) -> int:
+    # Check every argument before any loading or fitting.
+    sweep = None
+    if args.sweep:
+        if args.sweep_out is None:
+            raise LoadError("--sweep requires --sweep-out FILE")
+        sweep = _parse_sweep(args.sweep)
     rates, index = _load_index(args)
     if rates is None:
         raise LoadError("mc needs --kind rate: the resampling error model "
@@ -152,14 +158,11 @@ def _cmd_mc(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     mc_config = MCConfig(di=args.di, m=args.m, seed=seed,
                          threshold=args.threshold, workers=args.workers)
-    fit = fit_singularity(index, config=config)
     mc = run_mc(rates, config, mc_config)
-    _emit(build_report(fit, index, source=_source_meta(args), mc=mc), args.out)
+    _emit(build_report(mc.direct, index, source=_source_meta(args), mc=mc), args.out)
 
-    if args.sweep:
-        if args.sweep_out is None:
-            raise LoadError("--sweep requires --sweep-out FILE")
-        rows = sweep_error(rates, config, _parse_sweep(args.sweep),
+    if sweep is not None:
+        rows = sweep_error(rates, config, sweep,
                            m=args.sweep_m or args.m, seed=seed, workers=args.workers)
         lines = ["di_pct,std_tc,std_alpha,std_c0,std_p0,sd_tc_rel_pct,sd_gamma_rel_pct"]
         for row in rows:

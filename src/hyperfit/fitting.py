@@ -8,18 +8,19 @@ unweighted, and report the root-mean-square residue
 The singular and double-exponential models are affine in (C0, p0) once
 their shape parameters are fixed, so initialization evaluates a coarse
 grid over the shape parameters with closed-form linear least squares at
-each node, then refines the best node with a bounded trust-region
-minimizer.  Everything is deterministic for a given configuration; grid
-ties are broken toward the smaller critical time.
+each node, then refines the best node with one projected
+Levenberg-Marquardt engine (``_lm``), the same one that refits every Monte
+Carlo generation.  Everything is deterministic for a given configuration;
+grid ties are broken toward the smaller critical time.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .models import DoubleExpParams, LinearParams, SingularityParams, evaluate
 from .series import Epoch, PriceIndexSeries, slice_window
@@ -47,7 +48,7 @@ class FitConfig:
     grid_b2: int = 48
     xtol: float = 1e-9                   # relative parameter change
     ftol: float = 1e-12                  # relative objective change
-    max_iter: int = 400                  # residual evaluations for the refiner
+    max_iter: int = 400                  # LM rounds of the refiner
     chi_divisor: str = "n"               # "n" or "n-k"
     pin_p0: bool = False                 # pin p0 to the observed ln P(t0)
     pin_b2: bool = False                 # pin b2 to 0 (linear limit)
@@ -79,7 +80,7 @@ class FitResult:
     chi: float
     residuals: np.ndarray
     converged: bool
-    iterations: int
+    iterations: int                      # LM rounds run; 0 for closed forms
     objective: float
     n_points: int
     n_free_params: int
@@ -96,7 +97,7 @@ def _chi_pair(ssr: float, n: int, k: int) -> tuple[float, float]:
 
 
 def _result(model, params, resid, n, k, divisor, converged, iterations, pinned=False):
-    ssr = float(resid @ resid)
+    ssr = float(_ssr(resid))
     chi_n, chi_nk = _chi_pair(ssr, n, k)
     return FitResult(
         model=model,
@@ -122,22 +123,104 @@ def _windowed(index: PriceIndexSeries, window) -> PriceIndexSeries:
     return slice_window(index, start, end)
 
 
-def _clip_inside(x0: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Nudge a seed strictly inside its box (trust-region refiners require it)."""
-    margin = 1e-12
-    with np.errstate(invalid="ignore"):
-        lo = np.where(np.isfinite(lb), lb + margin * np.maximum(np.abs(lb), 1.0), lb)
-        hi = np.where(np.isfinite(ub), ub - margin * np.maximum(np.abs(ub), 1.0), ub)
-    return np.clip(x0, lo, hi)
+def _ssr(resid: np.ndarray) -> np.ndarray:
+    """Sum of squared residuals along the last axis."""
+    return np.einsum("...k,...k->...", resid, resid)
+
+
+def _affine_ls(g: np.ndarray, p: np.ndarray, p0: float | None = None):
+    """Least squares of p on p0 + C0 g along the last axis of g.
+
+    Every output has g's leading shape: (c0, p0, ssr, usable).  With ``p0``
+    given only C0 is solved for.  Centred sums keep the solve accurate when
+    g is large against its spread.  Each row is reduced on its own, so a
+    row's result does not depend on the other rows.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if p0 is None:
+            g_mean = g.mean(axis=-1)
+            p_mean = p.mean()
+            gc = g - g_mean[..., None]
+            den = _ssr(gc)
+            c0 = np.einsum("...k,k->...", gc, p - p_mean) / den
+            p0 = p_mean - c0 * g_mean
+        else:
+            den = _ssr(g)
+            c0 = np.einsum("...k,k->...", g, p - p0) / den
+            p0 = np.full_like(c0, p0)
+        ssr = _ssr(p - (p0[..., None] + c0[..., None] * g))
+    return c0, p0, ssr, den > 0
 
 
 def _linear_ls(t: np.ndarray, p: np.ndarray, t0: float) -> tuple[float, float, np.ndarray]:
     """Closed-form OLS of p on (t - t0); returns (p0, c0, residuals)."""
     x = t - t0
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, p, rcond=None)
-    p0, c0 = float(coef[0]), float(coef[1])
+    c0, p0 = (float(v) for v in _affine_ls(x, p)[:2])
     return p0, c0, p - (p0 + c0 * x)
+
+
+def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
+    """Projected Levenberg-Marquardt over a batch of independent fits.
+
+    ``model(x, rows, with_jac)`` gives the residuals (data - model) of batch
+    rows ``rows`` at parameters x (len(rows), k) and, if asked, d(model)/dx.
+    Rows share vectorized evaluations but keep their own damping and stop
+    state, so a row's result does not depend on the batch.  A step is only
+    accepted when it does not raise the row's objective.
+
+    The box [lb, ub] is per coordinate (lb == ub pins one) and kept by
+    projection: a trial step is clipped onto it, and a coordinate on a bound
+    whose descent direction points out of the box is held for that step, so
+    it can leave the bound as soon as the data pull it back.  A row converges
+    when an accepted step moves every coordinate by less than xtol (relative
+    to |x| + 1) or lowers the objective by at most ftol relative.  Returns
+    (x, ssr, converged, rounds), rounds being the rounds each row ran.
+    """
+    m, k = x0.shape
+    x = np.clip(x0, lb, ub)
+    resid, _ = model(x, np.arange(m), False)
+    ssr = _ssr(resid)
+    lam = np.full(m, 1e-3)
+    converged = np.zeros(m, dtype=bool)
+    rounds = np.zeros(m, dtype=int)
+    eye = np.eye(k)
+
+    for _ in range(max_iter):
+        active = np.flatnonzero(~converged)
+        if active.size == 0:
+            break
+        rounds[active] += 1
+        xa = x[active]
+        r, jac = model(xa, active, True)
+        jtj = np.einsum("ijk,ijl->ikl", jac, jac)
+        jtr = np.einsum("ijk,ij->ik", jac, r)
+        free = ~(((xa <= lb) & (jtr <= 0.0)) | ((xa >= ub) & (jtr >= 0.0)))
+        diag = np.clip(np.einsum("ikk->ik", jtj), 1e-30, None)
+        a_mat = jtj + lam[active, None, None] * diag[:, None, :] * eye
+        a_mat = np.where(free[:, :, None] & free[:, None, :], a_mat, eye)
+        rhs = np.where(free, jtr, 0.0)
+        try:
+            delta = np.linalg.solve(a_mat, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            delta = np.einsum("ijk,ik->ij", np.linalg.pinv(a_mat), rhs)
+        trial = np.clip(xa + np.clip(delta, -50.0, 50.0), lb, ub)
+        r_new, _ = model(trial, active, False)
+        ssr_new = _ssr(r_new)
+        better = np.isfinite(ssr_new) & (ssr_new <= ssr[active])
+
+        step_small = np.max(np.abs(trial - xa) / (np.abs(xa) + 1.0), axis=1) < xtol
+        decrease_small = (ssr[active] - ssr_new) <= ftol * np.maximum(ssr_new, 1e-300)
+        done = better & (step_small | decrease_small)
+
+        upd = active[better]
+        x[upd] = trial[better]
+        ssr[upd] = ssr_new[better]
+        lam[upd] = np.maximum(lam[upd] * 0.3, 1e-12)
+        rej = active[~better]
+        lam[rej] = np.minimum(lam[rej] * 10.0, 1e15)
+        converged[active[done]] = True
+
+    return x, ssr, converged, rounds
 
 
 # ---------------------------------------------------------------------------
@@ -193,25 +276,70 @@ def _sing_basis(t: np.ndarray, t0: float, tc, alpha):
     return span / alpha * (ratio ** alpha - 1.0)
 
 
-def _sing_model_jac(x, t, t0, p_data, pinned_p0):
-    """Residuals (model - data) and Jacobian for the trust-region refiner."""
-    if pinned_p0 is None:
-        tc, alpha, c0, p0 = x
-    else:
-        tc, alpha, c0 = x
-        p0 = pinned_p0
+def _sing_residuals(x: np.ndarray, t: np.ndarray, t0: float, tc_lo: float,
+                    a_lo: float, p_data: np.ndarray, with_jac: bool):
+    """Residuals (data - model) and, optionally, d(model)/dx, per row of x.
+
+    x rows are (tc - tc_lo, alpha - a_lo, log C0, p0): the first two are
+    offsets above their lower bounds, which the engine keeps nonnegative,
+    and the log keeps C0 positive.
+    """
+    tc = tc_lo + x[:, 0]
+    alpha = a_lo + x[:, 1]
+    c0 = np.exp(x[:, 2])
+    p0 = x[:, 3]
     s0 = tc - t0
-    s = tc - t
-    ratio = s0 / s
-    f = ratio ** alpha
-    g = s0 / alpha * (f - 1.0)
-    resid = p0 + c0 * g - p_data
-    dg_dtc = ((1.0 + alpha) * f - alpha * f * ratio - 1.0) / alpha
-    dg_da = -(s0 / alpha ** 2) * (f - 1.0) + (s0 / alpha) * f * np.log(ratio)
-    cols = [c0 * dg_dtc, c0 * dg_da, g]
-    if pinned_p0 is None:
-        cols.append(np.ones_like(t))
-    return resid, np.column_stack(cols)
+    s = tc[:, None] - t[None, :]
+    log_ratio = np.log(s0[:, None] / s)
+    # Wild trial steps may overflow; they produce non-finite objectives and
+    # are rejected by the damping loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.exp(alpha[:, None] * log_ratio)
+        g = (s0 / alpha)[:, None] * (f - 1.0)
+        resid = p_data - (p0[:, None] + c0[:, None] * g)
+    if not with_jac:
+        return resid, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.exp(log_ratio)
+        dg_dtc = ((1.0 + alpha[:, None]) * f - alpha[:, None] * f * ratio - 1.0) / alpha[:, None]
+        dg_da = -(s0 / alpha ** 2)[:, None] * (f - 1.0) + (s0 / alpha)[:, None] * f * log_ratio
+        jac = np.empty(resid.shape + (4,))
+        jac[:, :, 0] = c0[:, None] * dg_dtc
+        jac[:, :, 1] = c0[:, None] * dg_da
+        jac[:, :, 2] = c0[:, None] * g                                # d/d log C0
+        jac[:, :, 3] = 1.0
+    return resid, jac
+
+
+def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float, float],
+                      seed: tuple[float, float, float, float], config: FitConfig,
+                      bounded_above: bool = True, pinned_p0: float | None = None):
+    """Singular-model fits of every row of p_data from one (tc, alpha, C0, p0) seed.
+
+    tc and alpha are held at or above the lower edges of ``tc_window`` and
+    ``config.alpha_bounds``, and with ``bounded_above`` at or below the upper
+    edges.  A given ``pinned_p0`` fixes p0.  Returns ((tc, alpha, c0, p0),
+    ssr, converged, rounds), one array entry per row.
+    """
+    t0 = float(t[0])
+    tc_lo, tc_hi = tc_window
+    a_lo, a_hi = config.alpha_bounds
+    lb = np.array([0.0, 0.0, -60.0, -np.inf])
+    ub = np.array([tc_hi - tc_lo, a_hi - a_lo, 60.0, np.inf])
+    if not bounded_above:
+        ub[:2] = np.inf
+    if pinned_p0 is not None:
+        lb[3] = ub[3] = pinned_p0
+    tc, alpha, c0, p0 = seed
+    x0 = np.tile([tc - tc_lo, alpha - a_lo, math.log(c0), p0], (p_data.shape[0], 1))
+
+    def model(x, rows, with_jac):
+        return _sing_residuals(x, t, t0, tc_lo, a_lo, p_data[rows], with_jac)
+
+    x, ssr, converged, rounds = _lm(model, x0, lb, ub, config.xtol, config.ftol,
+                                    config.max_iter)
+    params = (tc_lo + x[:, 0], a_lo + x[:, 1], np.exp(x[:, 2]), x[:, 3])
+    return params, ssr, converged, rounds
 
 
 def _sing_grid_seed(t, p, t0, tc_nodes, alpha_nodes, pinned_p0):
@@ -220,31 +348,10 @@ def _sing_grid_seed(t, p, t0, tc_nodes, alpha_nodes, pinned_p0):
     tc is the outer grid axis in ascending order, so the first minimum of
     the flattened objective (what argmin returns) is the smallest-tc tie.
     """
-    n = len(t)
     tc = tc_nodes[:, None, None]
     alpha = alpha_nodes[None, :, None]
     g = _sing_basis(t[None, None, :], t0, tc, alpha)  # (n_tc, n_alpha, n)
-
-    if pinned_p0 is None:
-        sg = g.sum(axis=2)
-        sgg = (g * g).sum(axis=2)
-        sy = p.sum()
-        sgy = g @ p
-        den = n * sgg - sg ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c0 = (n * sgy - sg * sy) / den
-            p0 = (sy - c0 * sg) / n
-        usable = den > 0
-    else:
-        q = p - pinned_p0
-        sgg = (g * g).sum(axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c0 = (g @ q) / sgg
-        p0 = np.full_like(c0, pinned_p0)
-        usable = sgg > 0
-
-    resid = p[None, None, :] - (p0[..., None] + c0[..., None] * g)
-    ssr = np.einsum("ijk,ijk->ij", resid, resid)
+    c0, p0, ssr, usable = _affine_ls(g, p, pinned_p0)
     feasible = usable & (c0 > 0) & np.isfinite(ssr)
     if feasible.any():
         masked = np.where(feasible, ssr, np.inf)
@@ -293,71 +400,36 @@ def fit_singularity(
     pinned = float(p[0]) if config.pin_p0 else None
     tc_s, a_s, c0_s, p0_s = _sing_grid_seed(t, p, t0, tc_nodes, alpha_nodes, pinned)
 
-    if pinned is None:
-        x0 = np.array([tc_s, a_s, max(c0_s, 1e-12), p0_s])
-        lb = np.array([tc_lo, a_lo, 1e-12, -np.inf])
-        ub = np.array([tc_hi, a_hi, np.inf, np.inf])
-    else:
-        x0 = np.array([tc_s, a_s, max(c0_s, 1e-12)])
-        lb = np.array([tc_lo, a_lo, 1e-12])
-        ub = np.array([tc_hi, a_hi, np.inf])
-    x0 = _clip_inside(x0, lb, ub)
-
-    res = least_squares(
-        lambda x: _sing_model_jac(x, t, t0, p, pinned)[0],
-        x0,
-        jac=lambda x: _sing_model_jac(x, t, t0, p, pinned)[1],
-        bounds=(lb, ub),
-        method="trf",
-        xtol=config.xtol,
-        ftol=config.ftol,
-        gtol=1e-12,
-        max_nfev=config.max_iter,
-        x_scale="jac",
-    )
-    if pinned is None:
-        tc, alpha, c0, p0 = res.x
-    else:
-        tc, alpha, c0 = res.x
-        p0 = pinned
-    params = SingularityParams(tc=float(tc), alpha=float(alpha), c0=float(c0),
-                               p0=float(p0), t0=t0)
+    (tc, alpha, c0, p0), _, converged, rounds = fit_singular_rows(
+        p[None, :], t, (tc_lo, tc_hi), (tc_s, a_s, c0_s, p0_s), config, pinned_p0=pinned)
+    params = SingularityParams(tc=float(tc[0]), alpha=float(alpha[0]), c0=float(c0[0]),
+                               p0=float(p0[0]), t0=t0)
     resid = p - evaluate(params, t)
     k = 3 if config.pin_p0 else 4
-    converged = bool(res.status > 0)
     return _result("singularity", params, resid, n, k, config.chi_divisor,
-                   converged, int(res.nfev), pinned=config.pin_p0)
+                   bool(converged[0]), int(rounds[0]), pinned=config.pin_p0)
 
 
 # ---------------------------------------------------------------------------
 # Double-exponential model
 # ---------------------------------------------------------------------------
 
-def _dexp_basis(b2: float, x: np.ndarray) -> np.ndarray:
-    """h(x) = expm1(b2 x) / b2, with the analytic b2 -> 0 limit h = x."""
-    if b2 == 0.0:
-        return x.astype(float)
-    b2x = b2 * x
-    if np.max(np.abs(b2x)) < 1e-8:
-        # Series expansion: avoids amplified rounding in expm1(b2 x)/b2
-        # derivatives downstream when b2 is tiny but nonzero.
-        return x * (1.0 + b2x / 2.0 + b2x * b2x / 6.0)
-    return np.expm1(b2x) / b2
+def _dexp_basis(b2: np.ndarray, x: np.ndarray):
+    """h = expm1(b2 x) / b2 and dh/db2 for a column of b2 values.
 
-
-def _dexp_model_jac(x_vec, x, p_data):
-    b2, c0, p0 = x_vec
+    Rows whose |b2 x| stays below 1e-8 use the series of the b2 -> 0 limit
+    (h = x exactly at b2 = 0), which avoids amplified rounding in
+    expm1(b2 x) / b2 and its derivative when b2 is tiny.
+    """
     b2x = b2 * x
-    if b2 == 0.0 or np.max(np.abs(b2x)) < 1e-8:
-        h = x * (1.0 + b2x / 2.0 + b2x * b2x / 6.0)
-        dh = x * x / 2.0 * (1.0 + 2.0 * b2x / 3.0)
-    else:
-        e = np.exp(b2x)
-        h = (e - 1.0) / b2
-        dh = (x * e - h) / b2
-    resid = p0 + c0 * h - p_data
-    jac = np.column_stack([c0 * dh, h, np.ones_like(x)])
-    return resid, jac
+    small = np.max(np.abs(b2x), axis=-1, keepdims=True) < 1e-8
+    b2_safe = np.where(small, 1.0, b2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        em1 = np.expm1(b2x)
+        h = np.where(small, x * (1.0 + b2x / 2.0 + b2x * b2x / 6.0), em1 / b2_safe)
+        dh = np.where(small, x * x / 2.0 * (1.0 + 2.0 * b2x / 3.0),
+                      (x * (em1 + 1.0) - h) / b2_safe)
+    return h, dh
 
 
 def fit_double_exp(
@@ -390,37 +462,25 @@ def fit_double_exp(
 
     b2_hi = config.b2_max if config.b2_max is not None else 20.0 / span
     b2_nodes = np.concatenate([[0.0], np.geomspace(1e-4 / span, b2_hi, config.grid_b2 - 1)])
-    best = (np.inf, 0.0, 0.0, float(p[0]))
-    for b2 in b2_nodes:
-        h = _dexp_basis(float(b2), x)
-        design = np.column_stack([np.ones_like(h), h])
-        coef, *_ = np.linalg.lstsq(design, p, rcond=None)
-        r = p - design @ coef
-        ssr = float(r @ r)
-        if ssr < best[0]:
-            best = (ssr, float(b2), float(coef[1]), float(coef[0]))
-    _, b2_s, c0_s, p0_s = best
+    c0_g, p0_g, ssr, _ = _affine_ls(_dexp_basis(b2_nodes[:, None], x)[0], p)
+    best = np.argmin(np.where(np.isfinite(ssr), ssr, np.inf))
 
+    def model(v, rows, with_jac):
+        h, dh = _dexp_basis(v[:, :1], x)
+        resid = p - (v[:, 2:] + v[:, 1:2] * h)
+        if not with_jac:
+            return resid, None
+        return resid, np.stack([v[:, 1:2] * dh, h, np.ones_like(h)], axis=-1)
+
+    x0 = np.array([[b2_nodes[best], c0_g[best], p0_g[best]]])
     lb = np.array([0.0, -np.inf, -np.inf])
     ub = np.array([b2_hi, np.inf, np.inf])
-    x0 = np.clip(np.array([b2_s, c0_s, p0_s]), lb, ub)
-    res = least_squares(
-        lambda v: _dexp_model_jac(v, x, p)[0],
-        x0,
-        jac=lambda v: _dexp_model_jac(v, x, p)[1],
-        bounds=(lb, ub),
-        method="trf",
-        xtol=config.xtol,
-        ftol=config.ftol,
-        gtol=1e-12,
-        max_nfev=config.max_iter,
-        x_scale="jac",
-    )
-    b2, c0, p0 = (float(v) for v in res.x)
+    v, _, converged, rounds = _lm(model, x0, lb, ub, config.xtol, config.ftol, config.max_iter)
+    b2, c0, p0 = (float(val) for val in v[0])
     params = DoubleExpParams(p0=p0, c0=c0, b2=b2, t0=t0)
     resid = p - evaluate(params, t)
     return _result("doubleexp", params, resid, n, 3, config.chi_divisor,
-                   bool(res.status > 0), int(res.nfev))
+                   bool(converged[0]), int(rounds[0]))
 
 
 # ---------------------------------------------------------------------------

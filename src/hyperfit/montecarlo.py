@@ -21,9 +21,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _stats
 
-from .fitting import FitConfig, FitError, fit_singularity, tc_search_window
+from .fitting import (
+    FitConfig,
+    FitError,
+    FitResult,
+    fit_singular_rows,
+    fit_singularity,
+    tc_search_window,
+)
 from .models import SingularityParams, alpha_to_gamma
 from .series import InflationSeries, build_price_index
 
@@ -69,15 +75,16 @@ class ParamStats:
 
 @dataclass(frozen=True)
 class MCReport:
-    """Aggregated outcome of one resampling run.
+    """Aggregated outcome of one resampling run around the ``direct`` fit.
 
-    ``n_nonconverged`` counts the generations whose exponent the search
-    box decided rather than the data: refits that stalled, refits with tc
-    beyond the search window or alpha above its upper bound (these three
-    are excluded from the moments), and refits with alpha on the lower
-    bound of ``FitConfig.alpha_bounds`` (kept in the moments at the
-    bound).  ``unreliable`` is set when that count exceeds
-    ``max_nonconverged_frac`` of the generations.
+    ``outcome`` puts every generation in one class, so its counts sum to m:
+    ``converged_interior``; ``on_alpha_floor`` (converged with alpha on the
+    lower bound of ``FitConfig.alpha_bounds``, kept in the moments at the
+    bound); ``stalled`` (no convergence within ``max_iter`` rounds) and
+    ``out_of_box`` (converged with tc beyond the search window or alpha
+    above its upper bound), both excluded from the moments.
+    ``n_nonconverged`` counts all but the converged-interior ones;
+    ``unreliable`` is set when it exceeds ``max_nonconverged_frac`` of m.
     """
 
     di: float
@@ -94,6 +101,8 @@ class MCReport:
     tc_skewness: float
     tc_excess_kurtosis: float
     gaussian_ok: bool
+    outcome: dict[str, int]
+    direct: FitResult
 
 
 @dataclass(frozen=True)
@@ -153,108 +162,29 @@ def sample_generation(
 
 
 # ---------------------------------------------------------------------------
-# Batched refitting
-# ---------------------------------------------------------------------------
-
-def _batch_residuals(x: np.ndarray, t: np.ndarray, t0: float, tc_lb: float,
-                     a_lb: float, p_data: np.ndarray, with_jac: bool):
-    """Residuals (data - model) and, optionally, d(model)/dx.
-
-    x rows are (tc - tc_lb, alpha - a_lb, log C0, p0): the first two are
-    offsets above their lower bounds, which the refit keeps nonnegative,
-    and the log keeps C0 positive.
-    """
-    tc = tc_lb + x[:, 0]
-    alpha = a_lb + x[:, 1]
-    c0 = np.exp(x[:, 2])
-    p0 = x[:, 3]
-    s0 = tc - t0
-    s = tc[:, None] - t[None, :]
-    log_ratio = np.log(s0[:, None] / s)
-    # Wild trial steps may overflow; they produce non-finite objectives and
-    # are rejected by the damping loop.
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = np.exp(alpha[:, None] * log_ratio)
-        g = (s0 / alpha)[:, None] * (f - 1.0)
-        resid = p_data - (p0[:, None] + c0[:, None] * g)
-    if not with_jac:
-        return resid, None
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = np.exp(log_ratio)
-        dg_dtc = ((1.0 + alpha[:, None]) * f - alpha[:, None] * f * ratio - 1.0) / alpha[:, None]
-        dg_da = -(s0 / alpha ** 2)[:, None] * (f - 1.0) + (s0 / alpha)[:, None] * f * log_ratio
-        jac = np.empty(resid.shape + (4,))
-        jac[:, :, 0] = c0[:, None] * dg_dtc
-        jac[:, :, 1] = c0[:, None] * dg_da
-        jac[:, :, 2] = c0[:, None] * g                                # d/d log C0
-        jac[:, :, 3] = 1.0
-    return resid, jac
-
-
-def _refit_chunk(p_data, t, t0, tc_lb, a_lb, x0, xtol, ftol, max_iter):
-    """Damped Gauss-Newton (Levenberg-Marquardt) over a chunk of generations.
-
-    Each row is an independent 4-parameter fit; rows share vectorized model
-    evaluations but have their own damping and convergence state, so the
-    result does not depend on how generations are grouped into chunks.
-    Steps are only ever accepted when they reduce the row's objective.
-
-    tc and alpha are bounded below (x[:, :2] >= 0) by projection: a trial
-    step is clipped onto the bound, and a parameter on its bound whose
-    descent direction points out of the box is held there for that step,
-    so a row can leave the bound again as soon as the data pull it back.
-    """
-    m = p_data.shape[0]
-    x = x0.copy()
-    resid, _ = _batch_residuals(x, t, t0, tc_lb, a_lb, p_data, with_jac=False)
-    ssr = np.einsum("ij,ij->i", resid, resid)
-    lam = np.full(m, 1e-3)
-    converged = np.zeros(m, dtype=bool)
-    eye = np.eye(4)
-
-    for _ in range(max_iter):
-        active = np.flatnonzero(~converged)
-        if active.size == 0:
-            break
-        xa = x[active]
-        r, jac = _batch_residuals(xa, t, t0, tc_lb, a_lb, p_data[active], with_jac=True)
-        jtj = np.einsum("ijk,ijl->ikl", jac, jac)
-        jtr = np.einsum("ijk,ij->ik", jac, r)
-        free = np.ones_like(jtr, dtype=bool)
-        free[:, :2] = (xa[:, :2] > 0.0) | (jtr[:, :2] > 0.0)
-        diag = np.clip(np.einsum("ikk->ik", jtj), 1e-30, None)
-        a_mat = jtj + lam[active, None, None] * diag[:, None, :] * eye
-        a_mat = np.where(free[:, :, None] & free[:, None, :], a_mat, eye)
-        rhs = np.where(free, jtr, 0.0)
-        try:
-            delta = np.linalg.solve(a_mat, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            delta = np.einsum("ijk,ik->ij", np.linalg.pinv(a_mat), rhs)
-        trial = xa + np.clip(delta, -50.0, 50.0)
-        trial[:, :2] = np.maximum(trial[:, :2], 0.0)
-        trial[:, 2] = np.clip(trial[:, 2], -60.0, 60.0)
-        r_new, _ = _batch_residuals(trial, t, t0, tc_lb, a_lb, p_data[active], with_jac=False)
-        ssr_new = np.einsum("ij,ij->i", r_new, r_new)
-        better = np.isfinite(ssr_new) & (ssr_new <= ssr[active])
-
-        step_small = np.max(np.abs(trial - xa) / (np.abs(xa) + 1.0), axis=1) < xtol
-        decrease_small = (ssr[active] - ssr_new) <= ftol * np.maximum(ssr_new, 1e-300)
-        done = better & (step_small | decrease_small)
-
-        upd = active[better]
-        x[upd] = trial[better]
-        ssr[upd] = ssr_new[better]
-        lam[upd] = np.maximum(lam[upd] * 0.3, 1e-12)
-        rej = active[~better]
-        lam[rej] = np.minimum(lam[rej] * 10.0, 1e15)
-        converged[active[done]] = True
-
-    return tc_lb + x[:, 0], a_lb + x[:, 1], np.exp(x[:, 2]), x[:, 3], ssr, converged
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
+
+def _refit_generations(p_data: np.ndarray, t: np.ndarray, direct: SingularityParams,
+                       fit_config: FitConfig, chunk: int):
+    """Refit every row of p_data from the direct fit; returns per-row arrays.
+
+    tc and alpha are held at or above the lower edges of the box, as in the
+    direct fit, but not bounded above: a generation that leaves the box is
+    seen (and excluded), not clamped.
+    """
+    window = tc_search_window(t, fit_config)
+    seed = (direct.tc, direct.alpha, direct.c0, direct.p0)
+    m = p_data.shape[0]
+    out = np.empty((6, m))
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        params, ssr, converged, _ = fit_singular_rows(
+            p_data[lo:hi], t, window, seed, fit_config, bounded_above=False)
+        out[:, lo:hi] = (*params, ssr, converged)
+    tc, alpha, c0, p0, ssr, converged = out
+    return tc, alpha, c0, p0, ssr, converged.astype(bool)
+
 
 def _population_moments(x: np.ndarray) -> tuple[float, float]:
     """Mean and population std, summed as offsets from the first sample.
@@ -281,33 +211,20 @@ def _ratio(direct: float, mean: float, std: float, atol: float) -> float:
     return diff / std
 
 
-def _refit_generations(p_data: np.ndarray, t: np.ndarray, direct: SingularityParams,
-                       fit_config: FitConfig, chunk: int):
-    """Refit every row of p_data from the direct fit; returns per-row arrays.
+def _skew_kurtosis(x: np.ndarray) -> tuple[float, float]:
+    """Biased sample skewness m3 / m2^1.5 and excess kurtosis m4 / m2^2 - 3."""
+    dev = x - x.mean()
+    m2 = np.mean(dev ** 2)
+    return float(np.mean(dev ** 3) / m2 ** 1.5), float(np.mean(dev ** 4) / m2 ** 2 - 3.0)
 
-    tc is held at or above the lower edge of the search window and alpha
-    at or above the lower edge of ``fit_config.alpha_bounds``; the seed is
-    the direct fit clipped onto those edges.
-    """
-    t0 = float(t[0])
-    tc_lo, _ = tc_search_window(t, fit_config)
-    a_lo, _ = fit_config.alpha_bounds
-    x0 = np.array([
-        max(direct.tc - tc_lo, 0.0),
-        max(direct.alpha - a_lo, 0.0),
-        math.log(direct.c0),
-        direct.p0,
-    ])
-    m = p_data.shape[0]
-    out = np.empty((6, m))
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        out[:, lo:hi] = _refit_chunk(
-            p_data[lo:hi], t, t0, tc_lo, a_lo, np.tile(x0, (hi - lo, 1)),
-            fit_config.xtol, fit_config.ftol, fit_config.max_iter,
-        )
-    tc, alpha, c0, p0, ssr, converged = out
-    return tc, alpha, c0, p0, ssr, converged.astype(bool)
+
+def _direct_fit(rates: InflationSeries, fit_config: FitConfig) -> tuple[FitResult, np.ndarray]:
+    """Direct fit of the unperturbed series, and its observation times."""
+    index = build_price_index(rates)
+    direct = fit_singularity(index, fit_config)
+    if not direct.converged:
+        raise FitError("direct fit did not converge; refusing to resample around it")
+    return direct, index.times()
 
 
 def run_mc(
@@ -323,20 +240,19 @@ def run_mc(
     A generation enters the moments unless its refit stalled or left the
     box (tc beyond the search window, alpha above its upper bound); a
     refit that converged with alpha on the lower bound enters at the
-    bound, like a direct fit accepted there.  ``n_nonconverged`` counts
-    the stalled, out-of-box and alpha-on-bound generations; more than
-    ``max_nonconverged_frac`` of them marks the report unreliable.
+    bound, like a direct fit accepted there.  ``MCReport.outcome`` counts
+    each kind; more than ``max_nonconverged_frac`` generations outside
+    the converged interior marks the report unreliable.
     """
     fit_config = fit_config or FitConfig()
-    mc = mc_config or MCConfig()
+    return _resample(rates, fit_config, mc_config or MCConfig(),
+                     *_direct_fit(rates, fit_config))
 
-    index = build_price_index(rates)
-    direct = fit_singularity(index, fit_config)
-    if not direct.converged:
-        raise FitError("direct fit did not converge; refusing to resample around it")
+
+def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
+              direct: FitResult, t: np.ndarray) -> MCReport:
+    """run_mc around a given direct fit of ``rates`` at times ``t``."""
     dp = direct.params
-
-    t = index.times()
     _, tc_hi = tc_search_window(t, fit_config)
     a_lo, a_hi = fit_config.alpha_bounds
 
@@ -355,10 +271,16 @@ def run_mc(
     chunk = max(1, min(1024, -(-mc.m // mc.workers)))
     tc, alpha, c0, p0, _, converged = _refit_generations(p_data, t, dp, fit_config, chunk)
 
-    out_of_box = (tc > tc_hi) | (alpha > a_hi)
-    on_floor = alpha - a_lo <= fit_config.xtol * max(1.0, a_lo)
+    out_of_box = converged & ((tc > tc_hi) | (alpha > a_hi))
+    on_floor = converged & ~out_of_box & (alpha - a_lo <= fit_config.xtol * max(1.0, a_lo))
     ok = converged & ~out_of_box
-    n_bad = int(np.count_nonzero(~ok | on_floor))
+    outcome = {
+        "converged_interior": int(np.count_nonzero(ok & ~on_floor)),
+        "on_alpha_floor": int(np.count_nonzero(on_floor)),
+        "stalled": int(np.count_nonzero(~converged)),
+        "out_of_box": int(np.count_nonzero(out_of_box)),
+    }
+    n_bad = mc.m - outcome["converged_interior"]
     if not ok.any():
         raise FitError("no Monte Carlo generation produced a usable refit")
 
@@ -386,11 +308,7 @@ def run_mc(
     accepted = all(params[k].accepted for k in ("tc", "alpha", "c0", "p0"))
 
     tc_ok = tc[ok]
-    if params["tc"].std > 0:
-        skew = float(_stats.skew(tc_ok, bias=True))
-        kurt = float(_stats.kurtosis(tc_ok, fisher=True, bias=True))
-    else:
-        skew, kurt = 0.0, 0.0
+    skew, kurt = _skew_kurtosis(tc_ok) if params["tc"].std > 0 else (0.0, 0.0)
     counts, edges = np.histogram(tc_ok, bins=40)
 
     return MCReport(
@@ -408,6 +326,8 @@ def run_mc(
         tc_skewness=skew,
         tc_excess_kurtosis=kurt,
         gaussian_ok=bool(abs(skew) < 0.5 and abs(kurt) < 1.0),
+        outcome=outcome,
+        direct=direct,
     )
 
 
@@ -421,16 +341,18 @@ def sweep_error(
 ) -> list[SweepRow]:
     """Repeat run_mc over a list of relative errors and tabulate the stds.
 
-    Every run reuses the same master seed, so the underlying gaussian
-    draws are common across error settings (the classic common-random-
-    numbers device); std columns then vary smoothly with di.
+    The direct fit is made once and anchors every run.  Every run reuses
+    the same master seed, so the underlying gaussian draws are common
+    across error settings (the classic common-random-numbers device); std
+    columns then vary smoothly with di.
     """
+    fit_config = fit_config or FitConfig()
+    direct, t = _direct_fit(rates, fit_config)
+    span = direct.params.tc - float(rates.times()[0])
     rows: list[SweepRow] = []
-    t0 = float(rates.times()[0])
     for di in di_values:
         mc = MCConfig(di=float(di), m=m, seed=seed, workers=workers)
-        report = run_mc(rates, fit_config, mc)
-        span = report.params["tc"].direct - t0
+        report = _resample(rates, fit_config, mc, direct, t)
         rows.append(
             SweepRow(
                 di=float(di),

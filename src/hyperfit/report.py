@@ -138,6 +138,8 @@ def build_report(
         data["mc.accepted"] = bool(mc.accepted)
         data["mc.unreliable"] = bool(mc.unreliable)
         data["mc.n_nonconverged"] = int(mc.n_nonconverged)
+        for kind, count in mc.outcome.items():
+            data[f"mc.outcome.{kind}"] = int(count)
         data["mc.truncated_draws"] = int(mc.truncated_draws)
         data["mc.tc_skewness"] = float(mc.tc_skewness)
         data["mc.tc_excess_kurtosis"] = float(mc.tc_excess_kurtosis)

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hyperfit
+from hyperfit import cli, montecarlo
 from hyperfit.cli import main
 from hyperfit.fixtures import episode, fixture_path
 from hyperfit.models import eval_singularity
@@ -162,11 +168,46 @@ class TestCmdMc:
                          "--sweep", "5:10:5")
         assert code == 2
 
+    def test_sweep_without_out_fails_before_any_work(self, capsys, tmp_path, monkeypatch):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("input loaded despite a bad --sweep")
+
+        monkeypatch.setattr(cli, "load_series", no_loading)
+        out_file = tmp_path / "report.json"
+        code, out, err = run(capsys, "mc", PERU_CSV, "--m", "10", "--sweep", "5:10:5",
+                             "--out", str(out_file))
+        assert code == 2
+        assert "--sweep-out" in err
+        assert out == ""
+        assert not out_file.exists()
+
+    def test_one_direct_fit_per_mc_run(self, capsys, monkeypatch):
+        calls = []
+        fit = montecarlo.fit_singularity
+        for module in (cli, montecarlo):
+            monkeypatch.setattr(module, "fit_singularity",
+                                lambda *a, **k: calls.append(1) or fit(*a, **k))
+        code, out, _ = run(capsys, "mc", PERU_CSV, "--di", "0.1", "--m", "20", "--seed", "5")
+        assert code == 0
+        assert len(calls) == 1
+        assert "fit.tc" in out and "mc.outcome.converged_interior" in out
+
     def test_mc_requires_rates(self, capsys, tmp_path):
         f = write_exact_line_index(tmp_path)
         code, _, err = run(capsys, "mc", str(f), "--kind", "index", "--m", "10")
         assert code == 2
         assert "rate" in err
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(hyperfit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, hyperfit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

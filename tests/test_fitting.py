@@ -6,6 +6,9 @@ import pytest
 from hyperfit.fitting import (
     FitConfig,
     FitError,
+    _affine_ls,
+    _dexp_basis,
+    _lm,
     _sing_grid_seed,
     fit_double_exp,
     fit_linear,
@@ -20,7 +23,9 @@ from hyperfit.models import (
     eval_double_exp,
     eval_singularity,
 )
-from hyperfit.series import Epoch, PriceIndexSeries
+from hyperfit.fixtures import PRESETS, episode, fixture_path
+from hyperfit.montecarlo import sample_generation
+from hyperfit.series import Epoch, PriceIndexSeries, build_price_index, load_series
 
 from conftest import synthetic_yearly_index, yearly_epochs
 
@@ -29,6 +34,54 @@ def linear_index(p0, c0, year0, n):
     epochs = yearly_epochs(year0, year0 + n - 1)
     t = np.array([float(e.year) for e in epochs])
     return PriceIndexSeries.from_log_index(epochs, p0 + c0 * (t - t[0]))
+
+
+# ---------------------------------------------------------------------------
+# The projected Levenberg-Marquardt engine
+# ---------------------------------------------------------------------------
+
+class TestEngine:
+    X = np.linspace(0.0, 1.0, 9)
+
+    def line_model(self, y):
+        """y = a + b x, the engine's model interface over a batch of one."""
+        def model(v, rows, with_jac):
+            resid = y - (v[:, :1] + v[:, 1:2] * self.X)
+            if not with_jac:
+                return resid, None
+            return resid, np.stack([np.ones_like(resid),
+                                    np.broadcast_to(self.X, resid.shape)], axis=-1)
+        return model
+
+    def run(self, y, x0, lb, ub):
+        v, _, converged, _ = _lm(self.line_model(y), np.array([x0]), np.array(lb),
+                                 np.array(ub), 1e-12, 1e-14, 100)
+        assert converged[0]
+        return v[0]
+
+    def test_coordinate_held_on_bound(self):
+        # Falling data with b >= 0: b ends exactly on the bound, a at the mean.
+        y = 2.0 - self.X
+        a, b = self.run(y, [0.0, 1.0], [-np.inf, 0.0], [np.inf, np.inf])
+        assert b == 0.0
+        assert a == pytest.approx(y.mean(), rel=1e-12)
+
+    def test_coordinate_leaves_bound(self):
+        y = 1.0 + 2.0 * self.X
+        a, b = self.run(y, [0.0, 0.0], [-np.inf, 0.0], [np.inf, np.inf])
+        assert a == pytest.approx(1.0, abs=1e-9)
+        assert b == pytest.approx(2.0, rel=1e-9)
+
+    def test_upper_bound_holds(self):
+        y = 1.0 + 2.0 * self.X
+        _, b = self.run(y, [0.0, 0.5], [-np.inf, 0.0], [np.inf, 1.5])
+        assert b == 1.5
+
+    def test_equal_bounds_pin_a_coordinate(self):
+        y = 2.0 - self.X + 0.1 * np.sin(7.0 * self.X)
+        a, b = self.run(y, [0.0, 0.0], [1.5, -np.inf], [1.5, np.inf])
+        assert a == 1.5
+        assert b == pytest.approx(self.X @ (y - 1.5) / (self.X @ self.X), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +226,12 @@ class TestFitSingularity:
         assert pinned.params.p0 == noisy.log_index[0]
         assert pinned.chi >= free.chi - 1e-12
 
+    def test_pinned_p0_is_exactly_the_first_log_price(self, peru_index):
+        germany = build_price_index(load_series(fixture_path("germany")))
+        for index in (peru_index, germany):
+            fit = fit_singularity(index, FitConfig(pin_p0=True))
+            assert fit.params.p0 == index.log_index[0]
+
     def test_random_roundtrip_recovery(self):
         rng = np.random.default_rng(314)
         for _ in range(50):
@@ -235,6 +294,27 @@ class TestFitDoubleExp:
     def test_too_few_points_rejected(self):
         with pytest.raises(FitError):
             fit_double_exp(linear_index(0.0, 0.1, 1970, 4))
+
+    def test_b2_zero_grid_node_is_the_linear_fit(self, peru_index):
+        # The grid's affine solve at b2 = 0 reproduces the linear fit bit for
+        # bit, so the refined double-exponential objective cannot exceed it.
+        t = peru_index.times()
+        p = peru_index.log_index
+        h, _ = _dexp_basis(np.array([[0.0], [1e-4], [0.3]]), t - t[0])
+        c0, p0, ssr, _ = _affine_ls(h, p)
+        linear = fit_linear(peru_index)
+        assert (c0[0], p0[0]) == (linear.params.c0, linear.params.p0)
+        assert ssr[0] == linear.objective
+
+    def test_never_worse_than_linear(self):
+        for name in PRESETS:
+            rates = load_series(fixture_path(name), day_convention=episode(name).day_convention)
+            for child in np.random.SeedSequence(17).spawn(3):
+                index = build_price_index(
+                    sample_generation(rates, 0.1, np.random.default_rng(child)))
+                dexp = fit_double_exp(index)
+                assert dexp.converged
+                assert dexp.objective <= fit_linear(index).objective
 
 
 # ---------------------------------------------------------------------------

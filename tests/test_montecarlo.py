@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hyperfit import montecarlo
 from hyperfit.fitting import FitConfig, FitError, fit_singularity
 from hyperfit.fixtures import episode, synthetic_rates
 from hyperfit.montecarlo import (
@@ -12,10 +13,12 @@ from hyperfit.montecarlo import (
     _ratio,
     _refit_generations,
     _sample_rates,
+    _skew_kurtosis,
     run_mc,
     sample_generation,
     sweep_error,
 )
+from hyperfit.report import build_report
 from hyperfit.series import Epoch, InflationSeries, build_price_index
 
 
@@ -214,11 +217,66 @@ def test_population_moments_exact_for_identical_samples():
     assert std == pytest.approx(math.sqrt(1.25), rel=1e-15)
 
 
+def test_skew_kurtosis_match_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(12)
+    for sample in (rng.normal(size=50), rng.gamma(2.0, size=4000),
+                   1991.3 + 0.5 * rng.standard_t(5, size=999)):
+        skew, kurt = _skew_kurtosis(sample)
+        assert skew == pytest.approx(stats.skew(sample, bias=True), rel=1e-12)
+        assert kurt == pytest.approx(stats.kurtosis(sample, fisher=True, bias=True), rel=1e-12)
+
+
+OUTCOMES = ("converged_interior", "on_alpha_floor", "stalled", "out_of_box")
+
+
+def test_outcome_counts_partition_the_generations(peru_rates):
+    rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.25, m=4000, seed=20080605))
+    assert tuple(rep.outcome) == OUTCOMES
+    assert sum(rep.outcome.values()) == rep.m
+    assert rep.n_nonconverged == rep.m - rep.outcome["converged_interior"]
+    # Converged generations on the alpha floor enter the moments.
+    in_moments = rep.outcome["converged_interior"] + rep.outcome["on_alpha_floor"]
+    assert int(rep.tc_hist_counts.sum()) == in_moments
+    data = build_report(rep.direct, build_price_index(peru_rates), mc=rep).data
+    assert sum(data[f"mc.outcome.{kind}"] for kind in OUTCOMES) == data["mc.m"]
+
+
+def test_out_of_box_generations_are_counted(peru_rates):
+    rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.5, m=100, seed=2))
+    assert rep.outcome["out_of_box"] >= 1
+    assert int(rep.tc_hist_counts.sum()) == rep.m - rep.outcome["out_of_box"] - rep.outcome["stalled"]
+
+
+def count_direct_fits(monkeypatch):
+    calls = []
+    fit = montecarlo.fit_singularity
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "fit_singularity", counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # sweep_error
 # ---------------------------------------------------------------------------
 
 class TestSweepError:
+    def test_one_direct_fit_per_sweep(self, peru_rates, monkeypatch):
+        calls = count_direct_fits(monkeypatch)
+        rows = sweep_error(peru_rates, FitConfig(), [0.05, 0.15, 0.25], m=40, seed=3)
+        assert len(calls) == 1
+        # Each row is what a separate run_mc at that error gives.
+        for row in rows:
+            rep = run_mc(peru_rates, FitConfig(), MCConfig(di=row.di, m=40, seed=3))
+            assert row.std_tc == rep.params["tc"].std
+            assert row.std_alpha == rep.params["alpha"].std
+            assert row.std_p0 == rep.params["p0"].std
+
+
     def test_zero_error_row_is_all_zero(self, peru_rates):
         rows = sweep_error(peru_rates, FitConfig(), [0.0], m=10, seed=3)
         row = rows[0]
