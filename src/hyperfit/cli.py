@@ -162,8 +162,8 @@ def _cmd_mc(args) -> int:
     _emit(build_report(mc.direct, index, source=_source_meta(args), mc=mc), args.out)
 
     if sweep is not None:
-        rows = sweep_error(rates, config, sweep,
-                           m=args.sweep_m or args.m, seed=seed, workers=args.workers)
+        rows = sweep_error(rates, config, sweep, m=args.sweep_m or args.m, seed=seed,
+                           workers=args.workers, direct=mc.direct)
         lines = ["di_pct,std_tc,std_alpha,std_c0,std_p0,sd_tc_rel_pct,sd_gamma_rel_pct"]
         for row in rows:
             lines.append(",".join([
@@ -291,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--threshold", type=float, default=0.1,
                       help="acceptance threshold on |mean - direct| / std")
     p_mc.add_argument("--workers", type=int, default=1,
-                      help="execution chunking; results are identical for any value")
+                      help="accepted for compatibility and ignored: generations are "
+                           "refitted in one process, so results are identical for any "
+                           "value >= 1")
     p_mc.add_argument("--sweep", metavar="FROM:TO:STEP",
                       help="also sweep the relative error over this percent range")
     p_mc.add_argument("--sweep-m", type=int, default=None,

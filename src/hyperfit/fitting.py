@@ -163,7 +163,9 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
     """Projected Levenberg-Marquardt over a batch of independent fits.
 
     ``model(x, rows, with_jac)`` gives the residuals (data - model) of batch
-    rows ``rows`` at parameters x (len(rows), k) and, if asked, d(model)/dx.
+    rows ``rows`` at parameters x (len(rows), k) and, if asked, d(model)/dx
+    as (len(rows), n, k); a transposed view of a (len(rows), k, n) buffer
+    keeps the normal-equation products on contiguous data.
     Rows share vectorized evaluations but keep their own damping and stop
     state, so a row's result does not depend on the batch.  A step is only
     accepted when it does not raise the row's objective.
@@ -192,8 +194,9 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
         rounds[active] += 1
         xa = x[active]
         r, jac = model(xa, active, True)
-        jtj = np.einsum("ijk,ijl->ikl", jac, jac)
-        jtr = np.einsum("ijk,ij->ik", jac, r)
+        jt = jac.transpose(0, 2, 1)
+        jtj = jt @ jac
+        jtr = (jt @ r[..., None])[..., 0]
         free = ~(((xa <= lb) & (jtr <= 0.0)) | ((xa >= ub) & (jtr >= 0.0)))
         diag = np.clip(np.einsum("ikk->ik", jtj), 1e-30, None)
         a_mat = jtj + lam[active, None, None] * diag[:, None, :] * eye
@@ -289,8 +292,8 @@ def _sing_residuals(x: np.ndarray, t: np.ndarray, t0: float, tc_lo: float,
     c0 = np.exp(x[:, 2])
     p0 = x[:, 3]
     s0 = tc - t0
-    s = tc[:, None] - t[None, :]
-    log_ratio = np.log(s0[:, None] / s)
+    ratio = s0[:, None] / (tc[:, None] - t[None, :])
+    log_ratio = np.log(ratio)
     # Wild trial steps may overflow; they produce non-finite objectives and
     # are rejected by the damping loop.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -300,15 +303,14 @@ def _sing_residuals(x: np.ndarray, t: np.ndarray, t0: float, tc_lo: float,
     if not with_jac:
         return resid, None
     with np.errstate(over="ignore", invalid="ignore"):
-        ratio = np.exp(log_ratio)
         dg_dtc = ((1.0 + alpha[:, None]) * f - alpha[:, None] * f * ratio - 1.0) / alpha[:, None]
         dg_da = -(s0 / alpha ** 2)[:, None] * (f - 1.0) + (s0 / alpha)[:, None] * f * log_ratio
-        jac = np.empty(resid.shape + (4,))
-        jac[:, :, 0] = c0[:, None] * dg_dtc
-        jac[:, :, 1] = c0[:, None] * dg_da
-        jac[:, :, 2] = c0[:, None] * g                                # d/d log C0
-        jac[:, :, 3] = 1.0
-    return resid, jac
+        jac = np.empty((resid.shape[0], 4, resid.shape[1]))
+        jac[:, 0] = c0[:, None] * dg_dtc
+        jac[:, 1] = c0[:, None] * dg_da
+        jac[:, 2] = c0[:, None] * g                                   # d/d log C0
+        jac[:, 3] = 1.0
+    return resid, jac.transpose(0, 2, 1)
 
 
 def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float, float],
@@ -470,7 +472,7 @@ def fit_double_exp(
         resid = p - (v[:, 2:] + v[:, 1:2] * h)
         if not with_jac:
             return resid, None
-        return resid, np.stack([v[:, 1:2] * dh, h, np.ones_like(h)], axis=-1)
+        return resid, np.stack([v[:, 1:2] * dh, h, np.ones_like(h)], axis=1).transpose(0, 2, 1)
 
     x0 = np.array([[b2_nodes[best], c0_g[best], p0_g[best]]])
     lb = np.array([0.0, -np.inf, -np.inf])

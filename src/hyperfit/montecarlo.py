@@ -40,7 +40,9 @@ class MCConfig:
 
     ``di`` is the relative rate error as a fraction (0.25 = 25 percent);
     the generation count must be large enough for the sample moments to
-    match the assigned gaussian (a few thousand in practice).
+    match the assigned gaussian (a few thousand in practice).  ``workers``
+    is accepted (and must be >= 1) but ignored: the refit runs in one
+    process, in batches of a fixed size, and results never depend on it.
     """
 
     di: float = 0.25
@@ -131,26 +133,59 @@ class SweepRow:
 _MAX_REDRAW_ROUNDS = 10000
 
 
+def _redraw(vals: np.ndarray, loc: np.ndarray, sd: np.ndarray,
+            rng: np.random.Generator) -> int:
+    """Redraw in place, as loc + sd * z, every value of vals at or below -1.
+
+    Draws one standard normal per offending value, in index order, round
+    after round until none is left; returns the number of redraws.
+    """
+    redraws = 0
+    bad = vals <= -1.0
+    rounds = 0
+    while bad.any():
+        count = int(bad.sum())
+        redraws += count
+        vals[bad] = loc[bad] + sd[bad] * rng.standard_normal(count)
+        bad = vals <= -1.0
+        rounds += 1
+        if rounds > _MAX_REDRAW_ROUNDS:
+            raise RuntimeError("rate resampling failed to stay above -1")
+    return redraws
+
+
 def _sample_rates(rates: np.ndarray, di: float, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """One gaussian resample of a rate vector; redraws any value <= -1.
 
     The first rate has zero assigned error (it is zero by the loading
     convention), so it is reproduced exactly.  Returns the sample and the
     number of redraws forced by the i > -1 positivity requirement.
+    ``rates + sd * z`` is bit for bit what ``rng.normal(rates, sd)`` draws.
     """
     sd = di * np.abs(rates)
-    vals = rng.normal(rates, sd)
-    redraws = 0
-    bad = vals <= -1.0
-    rounds = 0
-    while bad.any():
-        redraws += int(bad.sum())
-        vals[bad] = rng.normal(rates[bad], sd[bad])
-        bad = vals <= -1.0
-        rounds += 1
-        if rounds > _MAX_REDRAW_ROUNDS:
-            raise RuntimeError("rate resampling failed to stay above -1")
-    return vals, redraws
+    vals = rates + sd * rng.standard_normal(len(rates))
+    return vals, _redraw(vals, rates, sd, rng)
+
+
+def _draw_generations(rates: np.ndarray, di: float, children, out: np.ndarray) -> int:
+    """Fill out (m, n) with one ``_sample_rates`` draw per seed child, in place.
+
+    Row j is bit for bit ``_sample_rates(rates, di, default_rng(children[j]))``
+    but the scaling runs once over the whole array.  Only rows with a value
+    at or below -1 rebuild their generator, skip the n normals already used
+    and redraw.  Returns the total number of redraws.
+    """
+    for row, child in zip(out, children):
+        np.random.default_rng(child).standard_normal(out=row)
+    sd = di * np.abs(rates)
+    out *= sd
+    out += rates
+    truncated = 0
+    for j in np.flatnonzero((out <= -1.0).any(axis=1)):
+        rng = np.random.default_rng(children[j])
+        rng.standard_normal(len(rates))
+        truncated += _redraw(out[j], rates, sd, rng)
+    return truncated
 
 
 def sample_generation(
@@ -165,22 +200,30 @@ def sample_generation(
 # Driver
 # ---------------------------------------------------------------------------
 
+#: Generations refitted per engine batch.  Rows do not interact, so results
+#: do not depend on it; it only bounds the batch's working arrays.
+_REFIT_CHUNK = 1024
+
+
 def _refit_generations(p_data: np.ndarray, t: np.ndarray, direct: SingularityParams,
-                       fit_config: FitConfig, chunk: int):
+                       fit_config: FitConfig, chunk: int = _REFIT_CHUNK):
     """Refit every row of p_data from the direct fit; returns per-row arrays.
 
     tc and alpha are held at or above the lower edges of the box, as in the
     direct fit, but not bounded above: a generation that leaves the box is
-    seen (and excluded), not clamped.
+    seen (and excluded), not clamped.  With ``fit_config.pin_p0`` every row
+    keeps the direct fit's p0: the first rate carries no error, so all
+    generations share the observed ln P(t0).
     """
     window = tc_search_window(t, fit_config)
     seed = (direct.tc, direct.alpha, direct.c0, direct.p0)
+    pinned = direct.p0 if fit_config.pin_p0 else None
     m = p_data.shape[0]
     out = np.empty((6, m))
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
         params, ssr, converged, _ = fit_singular_rows(
-            p_data[lo:hi], t, window, seed, fit_config, bounded_above=False)
+            p_data[lo:hi], t, window, seed, fit_config, bounded_above=False, pinned_p0=pinned)
         out[:, lo:hi] = (*params, ssr, converged)
     tc, alpha, c0, p0, ssr, converged = out
     return tc, alpha, c0, p0, ssr, converged.astype(bool)
@@ -257,19 +300,15 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
     a_lo, a_hi = fit_config.alpha_bounds
 
     # Draw all generations; each one consumes only its own substream.
-    children = np.random.SeedSequence(mc.seed).spawn(mc.m)
     samples = np.empty((mc.m, len(rates)))
-    truncated = 0
-    for j in range(mc.m):
-        samples[j], redraws = _sample_rates(rates.rates, mc.di, np.random.default_rng(children[j]))
-        truncated += redraws
+    truncated = _draw_generations(rates.rates, mc.di,
+                                  np.random.SeedSequence(mc.seed).spawn(mc.m), samples)
 
     # Cumulate each generation into a log price index (log-space form of
     # the product over (1 + i)).
     p_data = np.cumsum(np.log1p(samples), axis=1)
 
-    chunk = max(1, min(1024, -(-mc.m // mc.workers)))
-    tc, alpha, c0, p0, _, converged = _refit_generations(p_data, t, dp, fit_config, chunk)
+    tc, alpha, c0, p0, _, converged = _refit_generations(p_data, t, dp, fit_config)
 
     out_of_box = converged & ((tc > tc_hi) | (alpha > a_hi))
     on_floor = converged & ~out_of_box & (alpha - a_lo <= fit_config.xtol * max(1.0, a_lo))
@@ -338,17 +377,23 @@ def sweep_error(
     m: int = 4000,
     seed: int = 0,
     workers: int = 1,
+    direct: FitResult | None = None,
 ) -> list[SweepRow]:
     """Repeat run_mc over a list of relative errors and tabulate the stds.
 
-    The direct fit is made once and anchors every run.  Every run reuses
+    The direct fit is made once and anchors every run; pass ``direct`` (a
+    converged ``fit_singularity`` of ``rates`` under ``fit_config``, such
+    as ``MCReport.direct``) to reuse one already made.  Every run reuses
     the same master seed, so the underlying gaussian draws are common
     across error settings (the classic common-random-numbers device); std
     columns then vary smoothly with di.
     """
     fit_config = fit_config or FitConfig()
-    direct, t = _direct_fit(rates, fit_config)
-    span = direct.params.tc - float(rates.times()[0])
+    if direct is None:
+        direct, t = _direct_fit(rates, fit_config)
+    else:
+        t = rates.times()
+    span = direct.params.tc - float(t[0])
     rows: list[SweepRow] = []
     for di in di_values:
         mc = MCConfig(di=float(di), m=m, seed=seed, workers=workers)

@@ -192,6 +192,19 @@ class TestCmdMc:
         assert len(calls) == 1
         assert "fit.tc" in out and "mc.outcome.converged_interior" in out
 
+    def test_one_direct_fit_per_mc_sweep(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        fit = montecarlo.fit_singularity
+        for module in (cli, montecarlo):
+            monkeypatch.setattr(module, "fit_singularity",
+                                lambda *a, **k: calls.append(1) or fit(*a, **k))
+        sweep_file = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "mc", PERU_CSV, "--di", "0.1", "--m", "20", "--seed", "5",
+                         "--sweep", "5:15:5", "--sweep-out", str(sweep_file))
+        assert code == 0
+        assert len(calls) == 1
+        assert len(sweep_file.read_text().splitlines()) == 4
+
     def test_mc_requires_rates(self, capsys, tmp_path):
         f = write_exact_line_index(tmp_path)
         code, _, err = run(capsys, "mc", str(f), "--kind", "index", "--m", "10")

@@ -9,6 +9,7 @@ from hyperfit.fitting import FitConfig, FitError, fit_singularity
 from hyperfit.fixtures import episode, synthetic_rates
 from hyperfit.montecarlo import (
     MCConfig,
+    _draw_generations,
     _population_moments,
     _ratio,
     _refit_generations,
@@ -79,6 +80,51 @@ class TestSampleGeneration:
         assert _ratio(1.0, 1.0 + 1e-12, 0.0, 1e-9) == 0.0
         assert _ratio(1.0, 1.1, 0.0, 1e-9) == math.inf
         assert _ratio(1.0, 1.2, 0.1, 1e-9) == pytest.approx(2.0)
+
+
+def normal_sample_rates(rates, di, rng):
+    """Reference resample in the ``rng.normal(loc, scale)`` form."""
+    sd = di * np.abs(rates)
+    vals = rng.normal(rates, sd)
+    redraws = 0
+    bad = vals <= -1.0
+    while bad.any():
+        redraws += int(bad.sum())
+        vals[bad] = rng.normal(rates[bad], sd[bad])
+        bad = vals <= -1.0
+    return vals, redraws
+
+
+class TestDrawGenerations:
+    # Germany at 50 percent error forces redraws of its large early rates.
+    M = 200
+
+    @pytest.fixture(scope="class")
+    def germany(self):
+        rates = synthetic_rates(episode("germany")).rates
+        return rates, np.random.SeedSequence(20080605).spawn(self.M)
+
+    def test_sample_rates_draws_what_normal_draws(self, germany):
+        rates, children = germany
+        total = 0
+        for child in children:
+            vals, redraws = _sample_rates(rates, 0.5, np.random.default_rng(child))
+            ref, ref_redraws = normal_sample_rates(rates, 0.5, np.random.default_rng(child))
+            assert vals.tobytes() == ref.tobytes()
+            assert redraws == ref_redraws
+            total += redraws
+        assert total > 0
+
+    def test_matches_per_generation_sampling(self, germany):
+        rates, children = germany
+        out = np.empty((self.M, len(rates)))
+        truncated = _draw_generations(rates, 0.5, children, out)
+        total = 0
+        for row, child in zip(out, children):
+            vals, redraws = _sample_rates(rates, 0.5, np.random.default_rng(child))
+            assert row.tobytes() == vals.tobytes()
+            total += redraws
+        assert truncated == total > 0
 
 
 def test_mc_config_validation():
@@ -205,6 +251,30 @@ def test_refit_honours_alpha_bounds_on_formerly_stalled_generations(peru_rates):
         warnings.simplefilter("ignore")   # some generations end non-increasing
         objectives = np.array([fit_singularity(ix, config).objective for ix in indices])
     assert np.all(ssr <= objectives * (1.0 + 1e-9))
+
+
+def test_refit_rows_do_not_depend_on_the_chunk(peru_rates):
+    config = FitConfig()
+    index = build_price_index(peru_rates)
+    direct = fit_singularity(index, config).params
+    children = np.random.SeedSequence(5).spawn(50)
+    samples = np.empty((50, len(peru_rates)))
+    _draw_generations(peru_rates.rates, 0.25, children, samples)
+    p_data = np.cumsum(np.log1p(samples), axis=1)
+    one = _refit_generations(p_data, index.times(), direct, config, chunk=1)
+    whole = _refit_generations(p_data, index.times(), direct, config, chunk=50)
+    for a, b in zip(one, whole):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_pinned_p0_carries_into_the_refit(peru_rates):
+    # Every generation shares the direct fit's ln P(t0): the first rate has
+    # no assigned error.  A refit with p0 free drifts off the pinned fit.
+    sample = sample_generation(peru_rates, 0.1, np.random.default_rng(4))
+    rep = run_mc(sample, FitConfig(pin_p0=True), MCConfig(di=0.0, m=3, seed=1))
+    assert rep.params["p0"].mean == rep.params["p0"].direct == rep.direct.params.p0
+    assert all(st.ratio == 0.0 for st in rep.params.values())
+    assert rep.accepted
 
 
 def test_population_moments_exact_for_identical_samples():
