@@ -13,8 +13,11 @@ measures two source trees.  Each call appends its samples under ``--label``
 in the output file and recomputes every label's median and quartiles; run
 the two trees in alternation to spread machine drift over both:
 
-    PYTHONPATH=src python benches/mc_layers.py --label change
-    PYTHONPATH=/path/to/parent/src python benches/mc_layers.py --label parent
+    PYTHONPATH=src python benches/mc_layers.py --label NAME-change
+    PYTHONPATH=/path/to/parent/src python benches/mc_layers.py --label NAME-parent
+
+Every label ending in ``change`` that has a matching ``parent`` label gets
+its ratios of medians, change over parent, under ``change_over_parent``.
 
 A tree without ``_draw_generations`` is timed on its per-generation
 ``_sample_rates`` loop, which is how ``run_mc`` drew before that helper.
@@ -110,13 +113,14 @@ def main() -> None:
                 for name, case in cases.items()}
         for label, cases in data["samples"].items()
     }
-    if {"parent", "change"} <= data["summary"].keys():
-        parent, change = data["summary"]["parent"], data["summary"]["change"]
-        data["change_over_parent"] = {
-            name: {layer: change[name][layer]["median"] / parent[name][layer]["median"]
-                   for layer in LAYERS}
-            for name in parent
-        }
+    data["change_over_parent"] = {
+        label: {name: {layer: change[name][layer]["median"] / parent[name][layer]["median"]
+                       for layer in LAYERS}
+                for name in parent}
+        for label, change in data["summary"].items()
+        if label.endswith("change")
+        and (parent := data["summary"].get(label.removesuffix("change") + "parent"))
+    }
     args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     for name, case in data["summary"][args.label].items():
         print(args.label, name, {layer: round(s["median"], 4) for layer, s in case.items()})

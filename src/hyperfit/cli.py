@@ -331,18 +331,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LoadError, ReportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SeriesError as exc:
+    except (SeriesError, ReportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FitError, ModelDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -6,17 +6,17 @@ unweighted, and report the root-mean-square residue
     chi = sqrt(SSR / N)        (or SSR / (N - k) when configured)
 
 The singular and double-exponential models are affine in (C0, p0) once
-their shape parameters are fixed, so initialization evaluates a coarse
-grid over the shape parameters with closed-form linear least squares at
-each node, then refines the best node with one projected
-Levenberg-Marquardt engine (``_lm``), the same one that refits every Monte
-Carlo generation.  Everything is deterministic for a given configuration;
-grid ties are broken toward the smaller critical time.
+their shape parameters are fixed, so one closed-form solve (``_project``)
+gives (C0, p0), pinned p0 or not, and the fits search the shape parameters
+alone (variable projection, Golub & Pereyra 1973): a coarse grid seeds one
+projected Levenberg-Marquardt engine (``_lm``), which refines (tc, alpha)
+or b2 and refits every Monte Carlo generation.  Everything is
+deterministic for a given configuration; grid ties are broken toward the
+smaller critical time.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -128,49 +128,63 @@ def _ssr(resid: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...k->...", resid, resid)
 
 
+def _data_side(p: np.ndarray, pinned_p0: float | None):
+    """(p - shift, shift) per row of p: shift is the row mean, or the pinned p0."""
+    shift = p.mean(axis=-1) if pinned_p0 is None else np.full(p.shape[:-1], float(pinned_p0))
+    return p - shift[..., None], shift
+
+
+def _project(g: np.ndarray, y: np.ndarray, shift, centre: bool, dg=None):
+    """Least squares of y + shift on p0 + C0 g along the last axis, per row.
+
+    (y, shift) come from ``_data_side``; with ``centre`` (p0 free) g is
+    centred like y, which keeps the solve accurate when g is large against
+    its spread.  Returns (resid, jac, c0, p0, den), den being the squared
+    norm of the (centred) g.  Given dg/dx as (rows, k, n), jac is d(model)/dx
+    in Kaufman's form as a (rows, n, k) view: C0 dg/dx less its part in
+    span{1, g} (span{g} with p0 pinned).  The term dropped lies in that span,
+    orthogonal to resid, so jac^T resid is exactly -grad(SSR / 2).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = g.shape[-1]
+        g_mean = np.einsum("...k->...", g) / n if centre else np.zeros(g.shape[:-1])
+        g = g - g_mean[..., None]
+        den = _ssr(g)
+        c0 = np.einsum("...k,...k->...", g, y) / den
+        resid = y - c0[..., None] * g
+        p0 = shift - c0 * g_mean
+        if dg is None:
+            return resid, None, c0, p0, den
+        dg = dg - np.einsum("ijk,ik->ij", dg, g)[..., None] / den[:, None, None] * g[:, None]
+        if centre:
+            dg -= np.einsum("ijk->ij", dg)[..., None] / n
+        dg *= c0[:, None, None]
+    return resid, dg.transpose(0, 2, 1), c0, p0, den
+
+
 def _affine_ls(g: np.ndarray, p: np.ndarray, p0: float | None = None):
     """Least squares of p on p0 + C0 g along the last axis of g.
 
     Every output has g's leading shape: (c0, p0, ssr, usable).  With ``p0``
-    given only C0 is solved for.  Centred sums keep the solve accurate when
-    g is large against its spread.  Each row is reduced on its own, so a
-    row's result does not depend on the other rows.
+    given only C0 is solved for.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if p0 is None:
-            g_mean = g.mean(axis=-1)
-            p_mean = p.mean()
-            gc = g - g_mean[..., None]
-            den = _ssr(gc)
-            c0 = np.einsum("...k,k->...", gc, p - p_mean) / den
-            p0 = p_mean - c0 * g_mean
-        else:
-            den = _ssr(g)
-            c0 = np.einsum("...k,k->...", g, p - p0) / den
-            p0 = np.full_like(c0, p0)
-        ssr = _ssr(p - (p0[..., None] + c0[..., None] * g))
-    return c0, p0, ssr, den > 0
-
-
-def _linear_ls(t: np.ndarray, p: np.ndarray, t0: float) -> tuple[float, float, np.ndarray]:
-    """Closed-form OLS of p on (t - t0); returns (p0, c0, residuals)."""
-    x = t - t0
-    c0, p0 = (float(v) for v in _affine_ls(x, p)[:2])
-    return p0, c0, p - (p0 + c0 * x)
+    resid, _, c0, p0_fit, den = _project(g, *_data_side(p, p0), p0 is None)
+    return c0, p0_fit, _ssr(resid), den > 0
 
 
 def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
     """Projected Levenberg-Marquardt over a batch of independent fits.
 
-    ``model(x, rows, with_jac)`` gives the residuals (data - model) of batch
-    rows ``rows`` at parameters x (len(rows), k) and, if asked, d(model)/dx
-    as (len(rows), n, k); a transposed view of a (len(rows), k, n) buffer
-    keeps the normal-equation products on contiguous data.
+    ``model(x, rows, with_jac)`` returns a tuple that starts with the
+    residuals (data - model) of batch rows ``rows`` at parameters x
+    (len(rows), k) and, if asked, d(model)/dx as (len(rows), n, k); further
+    items are ignored.  A transposed view of a (len(rows), k, n) buffer keeps
+    the normal-equation products on contiguous data.
     Rows share vectorized evaluations but keep their own damping and stop
     state, so a row's result does not depend on the batch.  A step is only
     accepted when it does not raise the row's objective.
 
-    The box [lb, ub] is per coordinate (lb == ub pins one) and kept by
+    The box [lb, ub] is per coordinate (equal bounds pin one) and kept by
     projection: a trial step is clipped onto it, and a coordinate on a bound
     whose descent direction points out of the box is held for that step, so
     it can leave the bound as soon as the data pull it back.  A row converges
@@ -180,7 +194,7 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
     """
     m, k = x0.shape
     x = np.clip(x0, lb, ub)
-    resid, _ = model(x, np.arange(m), False)
+    resid = model(x, np.arange(m), False)[0]
     ssr = _ssr(resid)
     lam = np.full(m, 1e-3)
     converged = np.zeros(m, dtype=bool)
@@ -193,7 +207,7 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
             break
         rounds[active] += 1
         xa = x[active]
-        r, jac = model(xa, active, True)
+        r, jac = model(xa, active, True)[:2]
         jt = jac.transpose(0, 2, 1)
         jtj = jt @ jac
         jtr = (jt @ r[..., None])[..., 0]
@@ -207,7 +221,7 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
         except np.linalg.LinAlgError:
             delta = np.einsum("ijk,ik->ij", np.linalg.pinv(a_mat), rhs)
         trial = np.clip(xa + np.clip(delta, -50.0, 50.0), lb, ub)
-        r_new, _ = model(trial, active, False)
+        r_new = model(trial, active, False)[0]
         ssr_new = _ssr(r_new)
         better = np.isfinite(ssr_new) & (ssr_new <= ssr[active])
 
@@ -245,8 +259,8 @@ def fit_linear(
     if np.ptp(t) == 0.0:
         raise FitError("degenerate time values: all epochs identical")
     t0 = float(t[0])
-    p0, c0, resid = _linear_ls(t, p, t0)
-    params = LinearParams(p0=p0, c0=c0, t0=t0)
+    resid, _, c0, p0, _ = _project(t - t0, *_data_side(p, None), True)
+    params = LinearParams(p0=float(p0), c0=float(c0), t0=t0)
     return _result("linear", params, resid, len(t), 2, config.chi_divisor, True, 0)
 
 
@@ -279,69 +293,61 @@ def _sing_basis(t: np.ndarray, t0: float, tc, alpha):
     return span / alpha * (ratio ** alpha - 1.0)
 
 
-def _sing_residuals(x: np.ndarray, t: np.ndarray, t0: float, tc_lo: float,
-                    a_lo: float, p_data: np.ndarray, with_jac: bool):
-    """Residuals (data - model) and, optionally, d(model)/dx, per row of x.
+def _sing_residuals(x: np.ndarray, t: np.ndarray, t0: float, tc_lo: float, a_lo: float,
+                    y: np.ndarray, shift: np.ndarray, centre: bool, with_jac: bool):
+    """``_project``'s (resid, jac, c0, p0) for the singular model, per row of x.
 
-    x rows are (tc - tc_lo, alpha - a_lo, log C0, p0): the first two are
-    offsets above their lower bounds, which the engine keeps nonnegative,
-    and the log keeps C0 positive.
+    x rows are (tc - tc_lo, alpha - a_lo), offsets above their lower bounds,
+    which the engine keeps nonnegative.  C0 <= 0 is outside the model: such
+    rows get NaN residuals, which the engine rejects.
     """
     tc = tc_lo + x[:, 0]
     alpha = a_lo + x[:, 1]
-    c0 = np.exp(x[:, 2])
-    p0 = x[:, 3]
+    a = alpha[:, None]
     s0 = tc - t0
     ratio = s0[:, None] / (tc[:, None] - t[None, :])
     log_ratio = np.log(ratio)
     # Wild trial steps may overflow; they produce non-finite objectives and
     # are rejected by the damping loop.
     with np.errstate(over="ignore", invalid="ignore"):
-        f = np.exp(alpha[:, None] * log_ratio)
+        f = np.exp(a * log_ratio)
         g = (s0 / alpha)[:, None] * (f - 1.0)
-        resid = p_data - (p0[:, None] + c0[:, None] * g)
-    if not with_jac:
-        return resid, None
-    with np.errstate(over="ignore", invalid="ignore"):
-        dg_dtc = ((1.0 + alpha[:, None]) * f - alpha[:, None] * f * ratio - 1.0) / alpha[:, None]
-        dg_da = -(s0 / alpha ** 2)[:, None] * (f - 1.0) + (s0 / alpha)[:, None] * f * log_ratio
-        jac = np.empty((resid.shape[0], 4, resid.shape[1]))
-        jac[:, 0] = c0[:, None] * dg_dtc
-        jac[:, 1] = c0[:, None] * dg_da
-        jac[:, 2] = c0[:, None] * g                                   # d/d log C0
-        jac[:, 3] = 1.0
-    return resid, jac.transpose(0, 2, 1)
+        dg = None
+        if with_jac:
+            dg = np.empty((len(x), 2, len(t)))
+            dg[:, 0] = ((1.0 + a) * f - a * f * ratio - 1.0) / a
+            dg[:, 1] = (s0 / alpha)[:, None] * (f * log_ratio - (f - 1.0) / a)
+    resid, jac, c0, p0, _ = _project(g, y, shift, centre, dg)
+    resid[~(c0 > 0)] = np.nan
+    return resid, jac, c0, p0
 
 
 def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float, float],
-                      seed: tuple[float, float, float, float], config: FitConfig,
+                      seed: tuple[float, float], config: FitConfig,
                       bounded_above: bool = True, pinned_p0: float | None = None):
-    """Singular-model fits of every row of p_data from one (tc, alpha, C0, p0) seed.
+    """Singular-model fits of every row of p_data from one (tc, alpha) seed.
 
-    tc and alpha are held at or above the lower edges of ``tc_window`` and
-    ``config.alpha_bounds``, and with ``bounded_above`` at or below the upper
-    edges.  A given ``pinned_p0`` fixes p0.  Returns ((tc, alpha, c0, p0),
-    ssr, converged, rounds), one array entry per row.
+    The engine refines (tc, alpha); (C0, p0) are solved in closed form, p0
+    held at ``pinned_p0`` if given.  tc and alpha are held at or above the
+    lower edges of ``tc_window`` and ``config.alpha_bounds``, and with
+    ``bounded_above`` at or below the upper edges.  Returns ((tc, alpha, c0,
+    p0), ssr, converged, rounds), one array entry per row.
     """
     t0 = float(t[0])
     tc_lo, tc_hi = tc_window
     a_lo, a_hi = config.alpha_bounds
-    lb = np.array([0.0, 0.0, -60.0, -np.inf])
-    ub = np.array([tc_hi - tc_lo, a_hi - a_lo, 60.0, np.inf])
-    if not bounded_above:
-        ub[:2] = np.inf
-    if pinned_p0 is not None:
-        lb[3] = ub[3] = pinned_p0
-    tc, alpha, c0, p0 = seed
-    x0 = np.tile([tc - tc_lo, alpha - a_lo, math.log(c0), p0], (p_data.shape[0], 1))
+    ub = np.array([tc_hi - tc_lo, a_hi - a_lo] if bounded_above else [np.inf, np.inf])
+    y, shift = _data_side(p_data, pinned_p0)
+    x0 = np.tile([seed[0] - tc_lo, seed[1] - a_lo], (p_data.shape[0], 1))
 
     def model(x, rows, with_jac):
-        return _sing_residuals(x, t, t0, tc_lo, a_lo, p_data[rows], with_jac)
+        return _sing_residuals(x, t, t0, tc_lo, a_lo, y[rows], shift[rows],
+                               pinned_p0 is None, with_jac)
 
-    x, ssr, converged, rounds = _lm(model, x0, lb, ub, config.xtol, config.ftol,
+    x, ssr, converged, rounds = _lm(model, x0, np.zeros(2), ub, config.xtol, config.ftol,
                                     config.max_iter)
-    params = (tc_lo + x[:, 0], a_lo + x[:, 1], np.exp(x[:, 2]), x[:, 3])
-    return params, ssr, converged, rounds
+    _, _, c0, p0 = model(x, slice(None), False)
+    return (tc_lo + x[:, 0], a_lo + x[:, 1], c0, p0), ssr, converged, rounds
 
 
 def _sing_grid_seed(t, p, t0, tc_nodes, alpha_nodes, pinned_p0):
@@ -355,15 +361,12 @@ def _sing_grid_seed(t, p, t0, tc_nodes, alpha_nodes, pinned_p0):
     g = _sing_basis(t[None, None, :], t0, tc, alpha)  # (n_tc, n_alpha, n)
     c0, p0, ssr, usable = _affine_ls(g, p, pinned_p0)
     feasible = usable & (c0 > 0) & np.isfinite(ssr)
-    if feasible.any():
-        masked = np.where(feasible, ssr, np.inf)
-        i, j = np.unravel_index(np.argmin(masked), masked.shape)
-        return float(tc_nodes[i]), float(alpha_nodes[j]), float(c0[i, j]), float(p0[i, j])
-    # No node admits a positive C0 (for example globally deflationary data):
-    # seed from the least-bad node with C0 clamped just above zero.
-    masked = np.where(usable & np.isfinite(ssr), ssr, np.inf)
+    if not feasible.any() or np.ptp(p) == 0.0:  # C0 of flat data is 0 up to rounding
+        raise FitError("singular model does not apply: no grid node gives C0 > 0 "
+                       "(the log price index does not grow, as in flat or deflating data)")
+    masked = np.where(feasible, ssr, np.inf)
     i, j = np.unravel_index(np.argmin(masked), masked.shape)
-    return float(tc_nodes[i]), float(alpha_nodes[j]), 1e-8, float(p[0])
+    return float(tc_nodes[i]), float(alpha_nodes[j]), float(c0[i, j]), float(p0[i, j])
 
 
 def fit_singularity(
@@ -374,7 +377,9 @@ def fit_singularity(
     """Fit the finite-time-singularity model to a log price index.
 
     Minimizes the squared log-price residuals over (tc, alpha, C0, p0)
-    subject to tc beyond the last epoch, alpha > 0, C0 > 0.  p0 stays free
+    subject to tc beyond the last epoch, alpha > 0, C0 > 0, searching
+    (tc, alpha) with (C0, p0) in closed form.  Flat or deflating data, where
+    no grid node gives C0 > 0, raise FitError.  p0 stays free
     by default: pinning it to the observed ln P(t0) fixes the curve at the
     first point and can bias tc, so that variant is opt-in via
     ``config.pin_p0``.
@@ -400,10 +405,10 @@ def fit_singularity(
     tc_nodes = t_last + np.geomspace(tc_lo - t_last, tc_hi - t_last, config.grid_tc)
     alpha_nodes = np.geomspace(a_lo, a_hi, config.grid_alpha)
     pinned = float(p[0]) if config.pin_p0 else None
-    tc_s, a_s, c0_s, p0_s = _sing_grid_seed(t, p, t0, tc_nodes, alpha_nodes, pinned)
+    tc_s, a_s, _, _ = _sing_grid_seed(t, p, t0, tc_nodes, alpha_nodes, pinned)
 
     (tc, alpha, c0, p0), _, converged, rounds = fit_singular_rows(
-        p[None, :], t, (tc_lo, tc_hi), (tc_s, a_s, c0_s, p0_s), config, pinned_p0=pinned)
+        p[None, :], t, (tc_lo, tc_hi), (tc_s, a_s), config, pinned_p0=pinned)
     params = SingularityParams(tc=float(tc[0]), alpha=float(alpha[0]), c0=float(c0[0]),
                                p0=float(p0[0]), t0=t0)
     resid = p - evaluate(params, t)
@@ -441,7 +446,8 @@ def fit_double_exp(
 ) -> FitResult:
     """Fit the double-exponential model over (b2, C0, p0) with b2 >= 0.
 
-    With ``config.pin_b2`` the acceleration is fixed at zero and the fit
+    The search runs over b2, with (C0, p0) in closed form and C0 of either
+    sign.  With ``config.pin_b2`` the acceleration is fixed at zero and the fit
     collapses to the closed-form linear solution (the Cagan limit).
     """
     config = config or FitConfig()
@@ -457,29 +463,25 @@ def fit_double_exp(
     if span <= 0:
         raise FitError("degenerate time values")
 
+    y, shift = _data_side(p, None)
     if config.pin_b2:
-        p0, c0, resid = _linear_ls(t, p, t0)
-        params = DoubleExpParams(p0=p0, c0=c0, b2=0.0, t0=t0)
+        resid, _, c0, p0, _ = _project(x, y, shift, True)
+        params = DoubleExpParams(p0=float(p0), c0=float(c0), b2=0.0, t0=t0)
         return _result("doubleexp", params, resid, n, 2, config.chi_divisor, True, 0)
 
     b2_hi = config.b2_max if config.b2_max is not None else 20.0 / span
     b2_nodes = np.concatenate([[0.0], np.geomspace(1e-4 / span, b2_hi, config.grid_b2 - 1)])
-    c0_g, p0_g, ssr, _ = _affine_ls(_dexp_basis(b2_nodes[:, None], x)[0], p)
+    ssr = _affine_ls(_dexp_basis(b2_nodes[:, None], x)[0], p)[2]
     best = np.argmin(np.where(np.isfinite(ssr), ssr, np.inf))
 
     def model(v, rows, with_jac):
-        h, dh = _dexp_basis(v[:, :1], x)
-        resid = p - (v[:, 2:] + v[:, 1:2] * h)
-        if not with_jac:
-            return resid, None
-        return resid, np.stack([v[:, 1:2] * dh, h, np.ones_like(h)], axis=1).transpose(0, 2, 1)
+        h, dh = _dexp_basis(v, x)
+        return _project(h, y, shift, True, dh[:, None] if with_jac else None)
 
-    x0 = np.array([[b2_nodes[best], c0_g[best], p0_g[best]]])
-    lb = np.array([0.0, -np.inf, -np.inf])
-    ub = np.array([b2_hi, np.inf, np.inf])
-    v, _, converged, rounds = _lm(model, x0, lb, ub, config.xtol, config.ftol, config.max_iter)
-    b2, c0, p0 = (float(val) for val in v[0])
-    params = DoubleExpParams(p0=p0, c0=c0, b2=b2, t0=t0)
+    v, _, converged, rounds = _lm(model, b2_nodes[best].reshape(1, 1), np.zeros(1),
+                                  np.array([b2_hi]), config.xtol, config.ftol, config.max_iter)
+    c0, p0 = model(v, None, False)[2:4]
+    params = DoubleExpParams(p0=float(p0[0]), c0=float(c0[0]), b2=float(v[0, 0]), t0=t0)
     resid = p - evaluate(params, t)
     return _result("doubleexp", params, resid, n, 3, config.chi_divisor,
                    bool(converged[0]), int(rounds[0]))

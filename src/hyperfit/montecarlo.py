@@ -31,7 +31,7 @@ from .fitting import (
     tc_search_window,
 )
 from .models import SingularityParams, alpha_to_gamma
-from .series import InflationSeries, build_price_index
+from .series import InflationSeries, build_price_index, cumulate
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ class MCConfig:
     m: int = 4000
     seed: int = 0
     threshold: float = 0.1
-    sweep: tuple[float, ...] | None = None
     workers: int = 1
     max_nonconverged_frac: float = 0.05
 
@@ -216,7 +215,7 @@ def _refit_generations(p_data: np.ndarray, t: np.ndarray, direct: SingularityPar
     generations share the observed ln P(t0).
     """
     window = tc_search_window(t, fit_config)
-    seed = (direct.tc, direct.alpha, direct.c0, direct.p0)
+    seed = (direct.tc, direct.alpha)
     pinned = direct.p0 if fit_config.pin_p0 else None
     m = p_data.shape[0]
     out = np.empty((6, m))
@@ -304,9 +303,8 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
     truncated = _draw_generations(rates.rates, mc.di,
                                   np.random.SeedSequence(mc.seed).spawn(mc.m), samples)
 
-    # Cumulate each generation into a log price index (log-space form of
-    # the product over (1 + i)).
-    p_data = np.cumsum(np.log1p(samples), axis=1)
+    # Cumulate each generation exactly as the direct fit's data.
+    p_data = cumulate(samples)[1]
 
     tc, alpha, c0, p0, _, converged = _refit_generations(p_data, t, dp, fit_config)
 

@@ -275,17 +275,22 @@ class PriceIndexSeries:
         return 1.0 if self.resolution == YEARLY else DAYS_PER_MONTH
 
 
-def build_price_index(rates: InflationSeries) -> PriceIndexSeries:
-    """Cumulate inflation rates into a price index, P(t_n) = prod(1 + i(t_k)).
+def cumulate(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P(t_n) = prod(1 + i(t_k)) and p = ln P along the last axis of rates.
 
-    The cumulation runs in log space (a cumulative sum of ln(1 + i)) so long
-    series with huge cumulated factors keep full relative precision.  The
-    first entry is exactly 1 whenever i(t_0) = 0, which the loader enforces.
+    The product runs in log space (a cumulative sum of ln(1 + i)) so long
+    series with huge cumulated factors keep full relative precision.  Direct
+    fits and Monte Carlo generations both cumulate here, to the same bits.
     """
+    index = np.exp(np.cumsum(np.log1p(rates), axis=-1))
+    return index, np.log(index)
+
+
+def build_price_index(rates: InflationSeries) -> PriceIndexSeries:
+    """Cumulate inflation rates into a price index; P(t_0) = 1 when i(t_0) = 0."""
     if not np.all(rates.rates > -1.0):  # re-checked so the error names the epoch
         raise SeriesError("inflation rates must exceed -1")
-    log_p = np.cumsum(np.log1p(rates.rates))
-    return PriceIndexSeries.from_log_index(rates.epochs, log_p)
+    return PriceIndexSeries(rates.epochs, *cumulate(rates.rates))
 
 
 def growth_rates(index: PriceIndexSeries) -> list[tuple[Epoch, float]]:

@@ -76,6 +76,17 @@ class TestCmdFit:
         assert report.data["series.t0_label"] == "1922-01"
         assert report.data["series.n_points"] == 23
 
+    @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
+    @pytest.mark.parametrize("pin", [(), ("--pin-p0",)], ids=["free", "pinned"])
+    @pytest.mark.parametrize("rate", [math.expm1(-0.1), 0.0], ids=["deflating", "flat"])
+    def test_no_positive_c0_exits_3(self, capsys, tmp_path, rate, pin):
+        f = tmp_path / "rates.csv"
+        f.write_text("date,value\n" + "".join(
+            f"{1970 + k},{0.0 if k == 0 else rate!r}\n" for k in range(12)))
+        code, _, err = run(capsys, "fit", str(f), "--model", "singularity", *pin)
+        assert code == 3
+        assert "no grid node gives C0 > 0" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "fit", "/nonexistent/file.csv")
         assert code == 2

@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from hyperfit import fitting
 from hyperfit.fitting import (
     FitConfig,
     FitError,
     _affine_ls,
+    _data_side,
     _dexp_basis,
     _lm,
+    _project,
+    _sing_basis,
     _sing_grid_seed,
+    _sing_residuals,
     fit_double_exp,
     fit_linear,
     fit_singularity,
@@ -165,6 +170,16 @@ class TestFitSingularity:
         with pytest.raises(FitError, match="empty tc search window"):
             fit_singularity(peru_index, FitConfig(tc_window=(1985.0, 1989.0)))
 
+    @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
+    @pytest.mark.parametrize("pin", [False, True])
+    @pytest.mark.parametrize("p", [-0.1 * np.arange(12), np.zeros(12), np.full(12, 0.3)],
+                             ids=["deflating", "flat", "constant"])
+    def test_no_positive_c0_fails_loudly(self, p, pin):
+        # No grid node gives C0 > 0, so there is no singular fit to refine.
+        index = PriceIndexSeries.from_log_index(yearly_epochs(1970, 1981), p)
+        with pytest.raises(FitError, match="no grid node gives C0 > 0"):
+            fit_singularity(index, FitConfig(pin_p0=pin))
+
     def test_nonconvergence_flagged_not_fatal(self, peru_index):
         fit = fit_singularity(peru_index, FitConfig(max_iter=2))
         assert not fit.converged
@@ -261,6 +276,64 @@ class TestFitSingularity:
         assert fit_n.chi == pytest.approx(math.sqrt(fit_n.objective / n), rel=1e-12)
         assert fit_nk.chi == pytest.approx(math.sqrt(fit_nk.objective / (n - 4)), rel=1e-12)
         assert fit_n.chi_n_minus_k == fit_nk.chi
+
+
+# ---------------------------------------------------------------------------
+# Variable projection: the engine searches the shape parameters only
+# ---------------------------------------------------------------------------
+
+def half_ssr(g, p, pinned_p0):
+    """SSR / 2 of p on span{1, g}, or of p - pinned_p0 on span{g}, by lstsq."""
+    if pinned_p0 is None:
+        basis, y = np.column_stack([np.ones_like(g), g]), p
+    else:
+        basis, y = g[:, None], p - pinned_p0
+    r = y - basis @ np.linalg.lstsq(basis, y, rcond=None)[0]
+    return 0.5 * float(r @ r)
+
+
+def central_gradient(f, x, h=1e-6):
+    return np.array([(f(x + h * e) - f(x - h * e)) / (2.0 * h) for e in np.eye(len(x))])
+
+
+class TestVariableProjection:
+    @pytest.mark.parametrize("pin", [False, True])
+    def test_kaufman_gradient_is_exact_singular(self, peru_index, pin):
+        # Off the optimum (tc 1991.29, alpha 0.29): tc = 1992.5, alpha = 0.6.
+        t, p = peru_index.times(), peru_index.log_index
+        t0, tc_lo, a_lo = float(t[0]), 1991.0, 0.0
+        pinned = float(p[0]) if pin else None
+        x = np.array([1.5, 0.6])
+        resid, jac, c0, _ = _sing_residuals(x[None], t, t0, tc_lo, a_lo,
+                                            *_data_side(p[None], pinned), not pin, True)
+        assert c0[0] > 0
+        grad = central_gradient(
+            lambda v: half_ssr(_sing_basis(t, t0, tc_lo + v[0], a_lo + v[1]), p, pinned), x)
+        assert jac[0].T @ resid[0] == pytest.approx(-grad, rel=1e-6)
+
+    def test_kaufman_gradient_is_exact_double_exp(self, peru_index):
+        # Off the optimum (b2 0.2055).
+        t, p = peru_index.times(), peru_index.log_index
+        x = t - t[0]
+        h, dh = _dexp_basis(np.array([[0.1]]), x)
+        resid, jac, _, _, _ = _project(h, *_data_side(p, None), True, dh[:, None])
+        grad = central_gradient(
+            lambda v: half_ssr(_dexp_basis(v[:, None], x)[0][0], p, None), np.array([0.1]))
+        assert jac[0].T @ resid[0] == pytest.approx(-grad, rel=1e-6)
+
+    def test_engine_searches_shape_parameters_only(self, peru_index, monkeypatch):
+        widths = []
+        engine = fitting._lm
+
+        def spy(model, x0, *args):
+            widths.append(x0.shape[1])
+            return engine(model, x0, *args)
+
+        monkeypatch.setattr(fitting, "_lm", spy)
+        fit_singularity(peru_index)
+        fit_singularity(peru_index, FitConfig(pin_p0=True))
+        fit_double_exp(peru_index)
+        assert widths == [2, 2, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from hyperfit import montecarlo
 from hyperfit.fitting import FitConfig, FitError, fit_singularity
-from hyperfit.fixtures import episode, synthetic_rates
+from hyperfit.fixtures import PRESETS, episode, synthetic_rates
 from hyperfit.montecarlo import (
     MCConfig,
     _draw_generations,
@@ -265,6 +265,24 @@ def test_refit_rows_do_not_depend_on_the_chunk(peru_rates):
     whole = _refit_generations(p_data, index.times(), direct, config, chunk=50)
     for a, b in zip(one, whole):
         assert a.tobytes() == b.tobytes()
+
+
+def test_zero_error_generations_are_the_direct_fit_data(monkeypatch):
+    # Generations and the direct fit cumulate rates the same way, so with
+    # di = 0 every generation is the direct fit's log index, bit for bit.
+    seen = []
+    refit = montecarlo._refit_generations
+
+    def spy(p_data, *args, **kwargs):
+        seen.append(p_data.copy())
+        return refit(p_data, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_refit_generations", spy)
+    for name in PRESETS:
+        rates = synthetic_rates(episode(name))
+        run_mc(rates, FitConfig(), MCConfig(di=0.0, m=3, seed=1))
+        expected = build_price_index(rates).log_index.tobytes()
+        assert [row.tobytes() for row in seen.pop()] == [expected] * 3
 
 
 def test_pinned_p0_carries_into_the_refit(peru_rates):
