@@ -4,7 +4,8 @@ On the three mc-resample cases (Peru and Yugoslavia at di = 0.25, Germany
 at di = 0.5, m = 4000 generations) this times the two layers of ``run_mc``
 that scale with m, plus ``run_mc`` whole for context:
 
-- ``draw_s``: ``montecarlo._draw_generations`` (all m resamples);
+- ``draw_s``: ``montecarlo._draw_generations`` (all m resamples), from the
+  master seed to the filled samples, per-generation seeding included;
 - ``refit_s``: ``montecarlo._refit_generations`` (all m refits);
 - ``run_mc_s``: the whole call, direct fit and aggregation included.
 
@@ -19,9 +20,13 @@ the two trees in alternation to spread machine drift over both:
 Every label ending in ``change`` that has a matching ``parent`` label gets
 its ratios of medians, change over parent, under ``change_over_parent``.
 
-A tree without ``_draw_generations`` is timed on its per-generation
+A tree whose ``_draw_generations`` takes seed children (no
+``_substream_words``) is timed with ``SeedSequence(seed).spawn(m)`` inside
+``draw_s``, and a tree without ``_draw_generations`` on its per-generation
 ``_sample_rates`` loop, which is how ``run_mc`` drew before that helper.
-Times are raw wall seconds (``time.perf_counter``) after one warm-up pass.
+Labels recorded before ``seeding-*`` timed ``draw_s`` with the spawn left
+outside.  Times are raw wall seconds (``time.perf_counter``) after one
+warm-up pass.
 """
 
 from __future__ import annotations
@@ -47,8 +52,12 @@ M = 4000
 LAYERS = ("draw_s", "refit_s", "run_mc_s")
 
 
-def draw(rates: np.ndarray, di: float, children) -> np.ndarray:
-    out = np.empty((len(children), len(rates)))
+def draw(rates: np.ndarray, di: float, seed: int) -> np.ndarray:
+    out = np.empty((M, len(rates)))
+    if hasattr(montecarlo, "_substream_words"):
+        montecarlo._draw_generations(rates, di, seed, out)
+        return out
+    children = np.random.SeedSequence(seed).spawn(M)
     if hasattr(montecarlo, "_draw_generations"):
         montecarlo._draw_generations(rates, di, children, out)
     else:
@@ -61,10 +70,9 @@ def time_case(name: str, di: float, seed: int) -> dict[str, float]:
     rates = synthetic_rates(episode(name))
     config = FitConfig()
     direct, t = montecarlo._direct_fit(rates, config)
-    children = np.random.SeedSequence(seed).spawn(M)
 
     started = time.perf_counter()
-    samples = draw(rates.rates, di, children)
+    samples = draw(rates.rates, di, seed)
     draw_s = time.perf_counter() - started
 
     p_data = np.cumsum(np.log1p(samples), axis=1)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from datetime import date as _date
 from pathlib import Path
 
@@ -127,10 +128,6 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("HYPERFIT_SEED", "0"))
-
-
 def _parse_sweep(text: str) -> tuple[float, ...]:
     """Percent range FROM:TO:STEP, inclusive of TO when it falls on a step."""
     try:
@@ -150,19 +147,25 @@ def _cmd_mc(args) -> int:
         if args.sweep_out is None:
             raise LoadError("--sweep requires --sweep-out FILE")
         sweep = _parse_sweep(args.sweep)
+    sweep_m = args.m if args.sweep_m is None else args.sweep_m
+    try:
+        seed = args.seed if args.seed is not None else int(os.environ.get("HYPERFIT_SEED", "0"))
+        mc_config = MCConfig(di=args.di, m=args.m, seed=seed,
+                             threshold=args.threshold, workers=args.workers)
+        for di in sweep or ():
+            replace(mc_config, di=di, m=sweep_m)
+    except ValueError as exc:
+        raise LoadError(f"bad mc argument or HYPERFIT_SEED: {exc}") from exc
     rates, index = _load_index(args)
     if rates is None:
         raise LoadError("mc needs --kind rate: the resampling error model "
                         "is defined on measured inflation rates")
     config = FitConfig(chi_divisor=args.chi_divisor, pin_p0=args.pin_p0)
-    seed = args.seed if args.seed is not None else _default_seed()
-    mc_config = MCConfig(di=args.di, m=args.m, seed=seed,
-                         threshold=args.threshold, workers=args.workers)
     mc = run_mc(rates, config, mc_config)
     _emit(build_report(mc.direct, index, source=_source_meta(args), mc=mc), args.out)
 
     if sweep is not None:
-        rows = sweep_error(rates, config, sweep, m=args.sweep_m or args.m, seed=seed,
+        rows = sweep_error(rates, config, sweep, m=sweep_m, seed=seed,
                            workers=args.workers, direct=mc.direct)
         lines = ["di_pct,std_tc,std_alpha,std_c0,std_p0,sd_tc_rel_pct,sd_gamma_rel_pct"]
         for row in rows:

@@ -189,8 +189,8 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
     whose descent direction points out of the box is held for that step, so
     it can leave the bound as soon as the data pull it back.  A row converges
     when an accepted step moves every coordinate by less than xtol (relative
-    to |x| + 1) or lowers the objective by at most ftol relative.  Returns
-    (x, ssr, converged, rounds), rounds being the rounds each row ran.
+    to |x| + 1) or lowers the objective by at most ftol relative; a row whose
+    objective starts non-finite runs no round.  Returns (x, ssr, converged, rounds run).
     """
     m, k = x0.shape
     x = np.clip(x0, lb, ub)
@@ -202,7 +202,7 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
     eye = np.eye(k)
 
     for _ in range(max_iter):
-        active = np.flatnonzero(~converged)
+        active = np.flatnonzero(~converged & np.isfinite(ssr))
         if active.size == 0:
             break
         rounds[active] += 1

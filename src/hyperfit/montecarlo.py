@@ -10,14 +10,16 @@ uncertainty.  Results are accepted when every parameter's
 when resampling does not systematically displace the direct fit.
 
 Determinism: generation j draws from a substream derived only from the
-master seed and j (``SeedSequence(seed).spawn(m)[j]``), and all
-aggregation is order-independent, so reports are bit-identical for a
+master seed and j (``SeedSequence(seed).spawn(m)[j]``, whose states are
+computed for all j at once, with no generator object per generation), and
+all aggregation is order-independent, so reports are bit-identical for a
 fixed seed regardless of how the generations are chunked for execution.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +63,8 @@ class MCConfig:
             raise ValueError(f"acceptance threshold must be > 0, got {self.threshold}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -166,22 +170,66 @@ def _sample_rates(rates: np.ndarray, di: float, rng: np.random.Generator) -> tup
     return vals, _redraw(vals, rates, sd, rng)
 
 
-def _draw_generations(rates: np.ndarray, di: float, children, out: np.ndarray) -> int:
-    """Fill out (m, n) with one ``_sample_rates`` draw per seed child, in place.
+# SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _PCG64_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
 
-    Row j is bit for bit ``_sample_rates(rates, di, default_rng(children[j]))``
-    but the scaling runs once over the whole array.  Only rows with a value
-    at or below -1 rebuild their generator, skip the n normals already used
-    and redraw.  Returns the total number of redraws.
+
+def _substream_words(seed: int, m: int) -> np.ndarray:
+    """Row j of (m, 4) is ``SeedSequence(seed).spawn(m)[j].generate_state(4, np.uint64)``.
+
+    SeedSequence's uint32 hashing over the entropy (the seed's 32-bit words,
+    zero-padded to the pool size of 4, then key j), vectorized over j.
     """
-    for row, child in zip(out, children):
-        np.random.default_rng(child).standard_normal(out=row)
+    seed = int(seed)
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, seed.bit_length() or 1, 32)]
+    entropy = [np.full(m, w, np.uint32) for w in words + [0] * (4 - len(words))]
+    entropy.append(np.arange(m, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value, mult):
+        nonlocal hash_const
+        value = (value ^ hash_const) * (hash_const := hash_const * mult % 2**32)
+        return value ^ value >> 16
+
+    pool = [hashmix(e, _MULT_A) for e in entropy[:4]]
+    for src, value in enumerate(entropy):
+        for dst in range(4):
+            if src != dst:
+                x = pool[dst] * _MIX_L - hashmix(pool[src] if src < 4 else value, _MULT_A) * _MIX_R
+                pool[dst] = x ^ x >> 16
+    hash_const = _INIT_B
+    state = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_state(s_hi: int, s_lo: int, q_hi: int, q_lo: int) -> dict:
+    """``PCG64`` state seeded from four words: one LCG step from inc + initial state."""
+    inc = (q_hi << 65 | q_lo << 1 | 1) % 2**128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) % 2**128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _draw_generations(rates: np.ndarray, di: float, seed: int, out: np.ndarray) -> int:
+    """Fill out (m, n) with one ``_sample_rates`` draw per generation, in place.
+
+    Row j is bit for bit ``_sample_rates(rates, di, default_rng(child))`` for
+    child j of ``SeedSequence(seed).spawn(m)``; one generator takes each row's
+    state in turn.  Rows with a value at or below -1 return to their state,
+    skip the n normals already used and redraw.  Returns the total redraws.
+    """
+    words = _substream_words(seed, len(out)).tolist()
+    rng = np.random.Generator(np.random.PCG64())
+    for row, row_words in zip(out, words):
+        rng.bit_generator.state = _pcg64_state(*row_words)
+        rng.standard_normal(out=row)
     sd = di * np.abs(rates)
     out *= sd
     out += rates
     truncated = 0
     for j in np.flatnonzero((out <= -1.0).any(axis=1)):
-        rng = np.random.default_rng(children[j])
+        rng.bit_generator.state = _pcg64_state(*words[j])
         rng.standard_normal(len(rates))
         truncated += _redraw(out[j], rates, sd, rng)
     return truncated
@@ -300,8 +348,7 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
 
     # Draw all generations; each one consumes only its own substream.
     samples = np.empty((mc.m, len(rates)))
-    truncated = _draw_generations(rates.rates, mc.di,
-                                  np.random.SeedSequence(mc.seed).spawn(mc.m), samples)
+    truncated = _draw_generations(rates.rates, mc.di, mc.seed, samples)
 
     # Cumulate each generation exactly as the direct fit's data.
     p_data = cumulate(samples)[1]

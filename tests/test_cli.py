@@ -192,6 +192,28 @@ class TestCmdMc:
         assert out == ""
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("argv, env_seed, flag", [
+        (("--m", "0"), None, "generation count"),
+        (("--workers", "0"), None, "workers"),
+        (("--di", "-1"), None, "relative error"),
+        (("--seed", "-3"), None, "seed"),
+        ((), "abc", "HYPERFIT_SEED"),
+        (("--sweep", "5:10:5", "--sweep-m", "0"), None, "generation count"),
+    ], ids=["m", "workers", "di", "seed", "env-seed", "sweep-m"])
+    def test_bad_mc_argument_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch,
+                                                      argv, env_seed, flag):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("input loaded despite a bad argument")
+
+        monkeypatch.setattr(cli, "load_series", no_loading)
+        if env_seed is not None:
+            monkeypatch.setenv("HYPERFIT_SEED", env_seed)
+        code, out, err = run(capsys, "mc", PERU_CSV, *argv,
+                             "--sweep-out", str(tmp_path / "sweep.csv"))
+        assert code == 2
+        assert err.startswith("error: ") and flag in err
+        assert out == ""
+
     def test_one_direct_fit_per_mc_run(self, capsys, monkeypatch):
         calls = []
         fit = montecarlo.fit_singularity

@@ -88,6 +88,23 @@ class TestEngine:
         assert a == 1.5
         assert b == pytest.approx(self.X @ (y - 1.5) / (self.X @ self.X), rel=1e-9)
 
+    def test_row_without_finite_start_is_retired(self):
+        # A deflating row gives C0 <= 0, so NaN residuals, at its seed: it can
+        # accept no step and must not run max_iter rounds.  The growing row
+        # beside it gives the bits it gives alone.
+        t = np.arange(1970.0, 1982.0)
+        deflating = -0.1 * np.arange(12)
+        growing = eval_singularity(SingularityParams(tc=1984.0, alpha=0.4, c0=0.5, p0=0.1,
+                                                     t0=1970.0), t)
+        args = (t, (1982.5, 1994.0), (1983.0, 0.3), FitConfig())
+        params, ssr, converged, rounds = fitting.fit_singular_rows(
+            np.stack([deflating, growing]), *args)
+        alone = fitting.fit_singular_rows(growing[None, :], *args)
+        assert rounds[0] <= 1 and not converged[0]
+        assert converged[1] and rounds[1] < 400
+        assert np.array_equal(np.array(params)[:, 1:], np.array(alone[0]))
+        assert ssr[1:].tobytes() == alone[1].tobytes() and rounds[1] == alone[3][0]
+
 
 # ---------------------------------------------------------------------------
 # fit_linear

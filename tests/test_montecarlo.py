@@ -10,11 +10,13 @@ from hyperfit.fixtures import PRESETS, episode, synthetic_rates
 from hyperfit.montecarlo import (
     MCConfig,
     _draw_generations,
+    _pcg64_state,
     _population_moments,
     _ratio,
     _refit_generations,
     _sample_rates,
     _skew_kurtosis,
+    _substream_words,
     run_mc,
     sample_generation,
     sweep_error,
@@ -118,13 +120,42 @@ class TestDrawGenerations:
     def test_matches_per_generation_sampling(self, germany):
         rates, children = germany
         out = np.empty((self.M, len(rates)))
-        truncated = _draw_generations(rates, 0.5, children, out)
+        truncated = _draw_generations(rates, 0.5, 20080605, out)
         total = 0
         for row, child in zip(out, children):
             vals, redraws = _sample_rates(rates, 0.5, np.random.default_rng(child))
             assert row.tobytes() == vals.tobytes()
             total += redraws
         assert truncated == total > 0
+
+
+# 2**128 + 11 has five 32-bit words, more than SeedSequence's pool of four,
+# so its mixing takes the tail loop over the extra entropy words.
+@pytest.mark.parametrize("seed", [0, 1, 20080605, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 11])
+def test_substream_states_are_seedsequence_and_pcg64_bits(seed):
+    m = 3000
+    children = np.random.SeedSequence(seed).spawn(m)
+    words = _substream_words(seed, m)
+    assert words.dtype == np.uint64 and words.shape == (m, 4)
+    assert np.array_equal(words, [child.generate_state(4, np.uint64) for child in children])
+    for child, row in zip(children, words.tolist()):
+        assert _pcg64_state(*row) == np.random.PCG64(child).state
+
+
+def test_mc_config_rejects_negative_or_non_integer_seeds():
+    for seed in (-3, -(2**40), 1.5, 3.0, "7", None):
+        with pytest.raises(ValueError, match="seed"):
+            MCConfig(seed=seed)
+    assert MCConfig(seed=np.int64(7)).seed == 7
+    assert MCConfig(seed=2**128 + 11).seed == 2**128 + 11
+
+
+def test_numpy_integer_seed_draws_like_the_python_int():
+    rates = synthetic_rates(episode("peru")).rates
+    a, b = np.empty((20, len(rates))), np.empty((20, len(rates)))
+    _draw_generations(rates, 0.25, 20080605, a)
+    _draw_generations(rates, 0.25, np.uint32(20080605), b)
+    assert a.tobytes() == b.tobytes()
 
 
 def test_mc_config_validation():
@@ -259,7 +290,7 @@ def test_refit_rows_do_not_depend_on_the_chunk(peru_rates):
     direct = fit_singularity(index, config).params
     children = np.random.SeedSequence(5).spawn(50)
     samples = np.empty((50, len(peru_rates)))
-    _draw_generations(peru_rates.rates, 0.25, children, samples)
+    _draw_generations(peru_rates.rates, 0.25, 5, samples)
     p_data = np.cumsum(np.log1p(samples), axis=1)
     one = _refit_generations(p_data, index.times(), direct, config, chunk=1)
     whole = _refit_generations(p_data, index.times(), direct, config, chunk=50)
