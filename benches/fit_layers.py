@@ -1,0 +1,83 @@
+"""Layer timings of the direct fits: grid seed, singular fit, double-exponential fit.
+
+On each of the five bundled episodes, noiseless and with seeded
+perturbations (rates resampled at 10 % relative error, as in the benchmark's
+fit-direct inputs), this times per call, in milliseconds:
+
+- ``grid_ms``: ``fitting._sing_grid_seed`` on the default 48 x 32 grid;
+- ``singularity_ms``: ``fitting.fit_singularity``, grid seed and refine;
+- ``doubleexp_ms``: ``fitting.fit_double_exp``, b2 grid and refine.
+
+Run it like ``mc_layers.py``, whose ``run_bench`` it shares, alternating the
+two trees:
+
+    PYTHONPATH=src python benches/fit_layers.py --label NAME-change
+    PYTHONPATH=/path/to/parent/src python benches/fit_layers.py --label NAME-parent
+
+Times are raw wall milliseconds (``time.perf_counter``) after one warm-up
+pass, each the mean over ``CALLS`` passes through the case's inputs.
+"""
+
+from __future__ import annotations
+
+import time
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+from hyperfit import fitting
+from hyperfit.fixtures import PRESETS, episode, synthetic_rates
+from hyperfit.montecarlo import sample_generation
+from hyperfit.series import build_price_index
+from mc_layers import run_bench
+
+CASES = tuple((name,) for name in PRESETS)
+PERTURBATIONS = 7
+DI = 0.1
+CALLS = 10
+
+
+def grid_args(index, config: fitting.FitConfig):
+    """The arguments ``fit_singularity`` hands ``_sing_grid_seed``, p0 free."""
+    t, p = index.times(), index.log_index
+    t_last = float(t[-1])
+    tc_lo, tc_hi = fitting.tc_search_window(t, config)
+    tc_nodes = t_last + np.geomspace(tc_lo - t_last, tc_hi - t_last, config.grid_tc)
+    alpha_nodes = np.geomspace(*config.alpha_bounds, config.grid_alpha)
+    return t, p, float(t[0]), tc_nodes, alpha_nodes, None
+
+
+def per_call_ms(fn, args: list) -> float:
+    started = time.perf_counter()
+    for _ in range(CALLS):
+        for a in args:
+            fn(*a)
+    return (time.perf_counter() - started) / (CALLS * len(args)) * 1e3
+
+
+def time_case(name: str, seed: int) -> dict[str, float]:
+    rates = synthetic_rates(episode(name))
+    children = np.random.SeedSequence(seed).spawn(PERTURBATIONS)
+    indexes = [build_price_index(rates)] + [
+        build_price_index(sample_generation(rates, DI, np.random.default_rng(child)))
+        for child in children]
+    config = fitting.FitConfig()
+    with warnings.catch_warnings():         # perturbed ends may not be strictly rising
+        warnings.simplefilter("ignore")
+        return {
+            "grid_ms": per_call_ms(fitting._sing_grid_seed,
+                                   [grid_args(index, config) for index in indexes]),
+            "singularity_ms": per_call_ms(fitting.fit_singularity, [(i,) for i in indexes]),
+            "doubleexp_ms": per_call_ms(fitting.fit_double_exp, [(i,) for i in indexes]),
+        }
+
+
+def main() -> None:
+    settings = {"inputs per case": f"noiseless + {PERTURBATIONS} perturbed at di={DI}",
+                "calls per input": CALLS}
+    run_bench(__doc__.split("\n\n")[0], CASES, time_case, settings, Path("BENCH_fit.json"))
+
+
+if __name__ == "__main__":
+    main()

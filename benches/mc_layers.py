@@ -19,14 +19,12 @@ the two trees in alternation to spread machine drift over both:
 
 Every label ending in ``change`` that has a matching ``parent`` label gets
 its ratios of medians, change over parent, under ``change_over_parent``.
+``run_bench`` holds that bookkeeping and the command line for every layer
+bench in this directory.
 
-A tree whose ``_draw_generations`` takes seed children (no
-``_substream_words``) is timed with ``SeedSequence(seed).spawn(m)`` inside
-``draw_s``, and a tree without ``_draw_generations`` on its per-generation
-``_sample_rates`` loop, which is how ``run_mc`` drew before that helper.
-Labels recorded before ``seeding-*`` timed ``draw_s`` with the spawn left
-outside.  Times are raw wall seconds (``time.perf_counter``) after one
-warm-up pass.
+Labels recorded before ``seeding-*`` timed ``draw_s`` with the seed
+spawning left outside.  Times are raw wall seconds
+(``time.perf_counter``) after one warm-up pass.
 """
 
 from __future__ import annotations
@@ -45,24 +43,15 @@ from hyperfit import montecarlo
 from hyperfit.fitting import FitConfig
 from hyperfit.fixtures import episode, synthetic_rates
 from hyperfit.montecarlo import MCConfig, run_mc
-from hyperfit.series import build_price_index
+from hyperfit.series import cumulate
 
 CASES = (("peru", 0.25), ("yugoslavia", 0.25), ("germany", 0.5))
 M = 4000
-LAYERS = ("draw_s", "refit_s", "run_mc_s")
 
 
 def draw(rates: np.ndarray, di: float, seed: int) -> np.ndarray:
     out = np.empty((M, len(rates)))
-    if hasattr(montecarlo, "_substream_words"):
-        montecarlo._draw_generations(rates, di, seed, out)
-        return out
-    children = np.random.SeedSequence(seed).spawn(M)
-    if hasattr(montecarlo, "_draw_generations"):
-        montecarlo._draw_generations(rates, di, children, out)
-    else:
-        for j, child in enumerate(children):
-            out[j], _ = montecarlo._sample_rates(rates, di, np.random.default_rng(child))
+    montecarlo._draw_generations(rates, di, seed, out)
     return out
 
 
@@ -75,7 +64,7 @@ def time_case(name: str, di: float, seed: int) -> dict[str, float]:
     samples = draw(rates.rates, di, seed)
     draw_s = time.perf_counter() - started
 
-    p_data = np.cumsum(np.log1p(samples), axis=1)
+    p_data = cumulate(samples)[1]
     started = time.perf_counter()
     montecarlo._refit_generations(p_data, t, direct.params, config, 1024)
     refit_s = time.perf_counter() - started
@@ -91,39 +80,43 @@ def summary(samples: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3, "n": len(samples)}
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def run_bench(description: str, cases, time_case, settings: dict, default_out: Path) -> None:
+    """Command line of a layer bench: time every case, record under --label.
+
+    The first item of each case names it; ``time_case(*case, seed)``
+    returns {layer: value} for one seed.  After one warm-up pass over the
+    cases, ``--repeats`` seeds from ``--seed`` on are timed, appended under
+    ``--label`` in ``--out``, and every label's summary and
+    ``change_over_parent`` are recomputed.  ``settings`` joins the Python,
+    numpy and CPU count in the file's ``environment``.
+    """
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--label", required=True, help="name of the measured tree")
     parser.add_argument("--repeats", type=int, default=5, help="seeds per case")
     parser.add_argument("--seed", type=int, default=7, help="first master seed")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_mc.json"))
+    parser.add_argument("--out", type=Path, default=default_out)
     args = parser.parse_args()
 
-    for name, di in CASES:                  # warm-up: imports, caches, allocator
-        time_case(name, di, args.seed - 1)
+    for case in cases:                      # warm-up: imports, caches, allocator
+        time_case(*case, args.seed - 1)
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data["environment"] = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpus": os.cpu_count(),
-        "m": M,
-        "cases": [f"{name} di={di}" for name, di in CASES],
-    }
+    data["environment"] = {"python": platform.python_version(), "numpy": np.__version__,
+                           "cpus": os.cpu_count(), **settings}
     runs = data.setdefault("samples", {}).setdefault(args.label, {})
     for k in range(args.repeats):
-        for name, di in CASES:
-            for layer, value in time_case(name, di, args.seed + k).items():
-                runs.setdefault(name, {}).setdefault(layer, []).append(value)
+        for case in cases:
+            for layer, value in time_case(*case, args.seed + k).items():
+                runs.setdefault(case[0], {}).setdefault(layer, []).append(value)
 
     data["summary"] = {
-        label: {name: {layer: summary(case[layer]) for layer in LAYERS}
-                for name, case in cases.items()}
-        for label, cases in data["samples"].items()
+        label: {name: {layer: summary(values) for layer, values in layers.items()}
+                for name, layers in recorded.items()}
+        for label, recorded in data["samples"].items()
     }
     data["change_over_parent"] = {
         label: {name: {layer: change[name][layer]["median"] / parent[name][layer]["median"]
-                       for layer in LAYERS}
+                       for layer in parent[name]}
                 for name in parent}
         for label, change in data["summary"].items()
         if label.endswith("change")
@@ -132,6 +125,11 @@ def main() -> None:
     args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     for name, case in data["summary"][args.label].items():
         print(args.label, name, {layer: round(s["median"], 4) for layer, s in case.items()})
+
+
+def main() -> None:
+    settings = {"m": M, "cases": [f"{name} di={di}" for name, di in CASES]}
+    run_bench(__doc__.split("\n\n")[0], CASES, time_case, settings, Path("BENCH_mc.json"))
 
 
 if __name__ == "__main__":

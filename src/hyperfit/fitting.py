@@ -10,9 +10,10 @@ their shape parameters are fixed, so one closed-form solve (``_project``)
 gives (C0, p0), pinned p0 or not, and the fits search the shape parameters
 alone (variable projection, Golub & Pereyra 1973): a coarse grid seeds one
 projected Levenberg-Marquardt engine (``_lm``), which refines (tc, alpha)
-or b2 and refits every Monte Carlo generation.  Everything is
-deterministic for a given configuration; grid ties are broken toward the
-smaller critical time.
+or b2 and refits every Monte Carlo generation.  The grid, the refine and
+the refit call one residual function per model (``_sing_residuals``, or
+``model`` in ``fit_double_exp``).  Everything is deterministic for a
+given configuration; grid ties are broken toward the smaller critical time.
 """
 
 from __future__ import annotations
@@ -139,11 +140,11 @@ def _project(g: np.ndarray, y: np.ndarray, shift, centre: bool, dg=None):
 
     (y, shift) come from ``_data_side``; with ``centre`` (p0 free) g is
     centred like y, which keeps the solve accurate when g is large against
-    its spread.  Returns (resid, jac, c0, p0, den), den being the squared
-    norm of the (centred) g.  Given dg/dx as (rows, k, n), jac is d(model)/dx
-    in Kaufman's form as a (rows, n, k) view: C0 dg/dx less its part in
-    span{1, g} (span{g} with p0 pinned).  The term dropped lies in that span,
-    orthogonal to resid, so jac^T resid is exactly -grad(SSR / 2).
+    its spread.  Returns (resid, jac, c0, p0).  Given dg/dx as (rows, k, n),
+    jac is d(model)/dx in Kaufman's form as a (rows, n, k) view: C0 dg/dx
+    less its part in span{1, g} (span{g} with p0 pinned).  The term dropped
+    lies in that span, orthogonal to resid, so jac^T resid is exactly
+    -grad(SSR / 2).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         n = g.shape[-1]
@@ -154,22 +155,12 @@ def _project(g: np.ndarray, y: np.ndarray, shift, centre: bool, dg=None):
         resid = y - c0[..., None] * g
         p0 = shift - c0 * g_mean
         if dg is None:
-            return resid, None, c0, p0, den
+            return resid, None, c0, p0
         dg = dg - np.einsum("ijk,ik->ij", dg, g)[..., None] / den[:, None, None] * g[:, None]
         if centre:
             dg -= np.einsum("ijk->ij", dg)[..., None] / n
         dg *= c0[:, None, None]
-    return resid, dg.transpose(0, 2, 1), c0, p0, den
-
-
-def _affine_ls(g: np.ndarray, p: np.ndarray, p0: float | None = None):
-    """Least squares of p on p0 + C0 g along the last axis of g.
-
-    Every output has g's leading shape: (c0, p0, ssr, usable).  With ``p0``
-    given only C0 is solved for.
-    """
-    resid, _, c0, p0_fit, den = _project(g, *_data_side(p, p0), p0 is None)
-    return c0, p0_fit, _ssr(resid), den > 0
+    return resid, dg.transpose(0, 2, 1), c0, p0
 
 
 def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
@@ -259,7 +250,7 @@ def fit_linear(
     if np.ptp(t) == 0.0:
         raise FitError("degenerate time values: all epochs identical")
     t0 = float(t[0])
-    resid, _, c0, p0, _ = _project(t - t0, *_data_side(p, None), True)
+    resid, _, c0, p0 = _project(t - t0, *_data_side(p, None), True)
     params = LinearParams(p0=float(p0), c0=float(c0), t0=t0)
     return _result("linear", params, resid, len(t), 2, config.chi_divisor, True, 0)
 
@@ -286,38 +277,33 @@ def tc_search_window(times: np.ndarray, config: FitConfig) -> tuple[float, float
     return tc_lo, tc_hi
 
 
-def _sing_basis(t: np.ndarray, t0: float, tc, alpha):
-    """g(t) such that p = p0 + C0 g; broadcasts over (tc, alpha) node axes."""
-    span = tc - t0
-    ratio = span / (tc - t)
-    return span / alpha * (ratio ** alpha - 1.0)
+def _sing_residuals(tc: np.ndarray, alpha: np.ndarray, t: np.ndarray, t0: float,
+                    y: np.ndarray, shift, centre: bool, with_jac: bool):
+    """``_project``'s (resid, jac, c0, p0) for the singular model.
 
-
-def _sing_residuals(x: np.ndarray, t: np.ndarray, t0: float, tc_lo: float, a_lo: float,
-                    y: np.ndarray, shift: np.ndarray, centre: bool, with_jac: bool):
-    """``_project``'s (resid, jac, c0, p0) for the singular model, per row of x.
-
-    x rows are (tc - tc_lo, alpha - a_lo), offsets above their lower bounds,
-    which the engine keeps nonnegative.  C0 <= 0 is outside the model: such
-    rows get NaN residuals, which the engine rejects.
+    g = (tc - t0) / alpha * (((tc - t0) / (tc - t))^alpha - 1), with tc and
+    alpha broadcasting against each other, each with a trailing unit axis:
+    (rows, 1) in the engine; (n_tc, 1, 1) and (n_alpha, 1) in the grid.
+    C0 <= 0 is outside the model: such rows get NaN residuals, which the
+    engine rejects and the grid skips.
     """
-    tc = tc_lo + x[:, 0]
-    alpha = a_lo + x[:, 1]
-    a = alpha[:, None]
     s0 = tc - t0
-    ratio = s0[:, None] / (tc[:, None] - t[None, :])
+    ratio = s0 / (tc - t)
     log_ratio = np.log(ratio)
     # Wild trial steps may overflow; they produce non-finite objectives and
     # are rejected by the damping loop.
     with np.errstate(over="ignore", invalid="ignore"):
-        f = np.exp(a * log_ratio)
-        g = (s0 / alpha)[:, None] * (f - 1.0)
+        f = alpha * log_ratio
+        np.exp(f, out=f)
+        scale = s0 / alpha
+        g = f - 1.0
+        g *= scale
         dg = None
         if with_jac:
-            dg = np.empty((len(x), 2, len(t)))
-            dg[:, 0] = ((1.0 + a) * f - a * f * ratio - 1.0) / a
-            dg[:, 1] = (s0 / alpha)[:, None] * (f * log_ratio - (f - 1.0) / a)
-    resid, jac, c0, p0, _ = _project(g, y, shift, centre, dg)
+            dg = np.empty((len(g), 2, g.shape[-1]))
+            dg[:, 0] = ((1.0 + alpha) * f - alpha * f * ratio - 1.0) / alpha
+            dg[:, 1] = scale * (f * log_ratio - (f - 1.0) / alpha)
+    resid, jac, c0, p0 = _project(g, y, shift, centre, dg)
     resid[~(c0 > 0)] = np.nan
     return resid, jac, c0, p0
 
@@ -341,7 +327,7 @@ def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float,
     x0 = np.tile([seed[0] - tc_lo, seed[1] - a_lo], (p_data.shape[0], 1))
 
     def model(x, rows, with_jac):
-        return _sing_residuals(x, t, t0, tc_lo, a_lo, y[rows], shift[rows],
+        return _sing_residuals(tc_lo + x[:, :1], a_lo + x[:, 1:], t, t0, y[rows], shift[rows],
                                pinned_p0 is None, with_jac)
 
     x, ssr, converged, rounds = _lm(model, x0, np.zeros(2), ub, config.xtol, config.ftol,
@@ -356,16 +342,14 @@ def _sing_grid_seed(t, p, t0, tc_nodes, alpha_nodes, pinned_p0):
     tc is the outer grid axis in ascending order, so the first minimum of
     the flattened objective (what argmin returns) is the smallest-tc tie.
     """
-    tc = tc_nodes[:, None, None]
-    alpha = alpha_nodes[None, :, None]
-    g = _sing_basis(t[None, None, :], t0, tc, alpha)  # (n_tc, n_alpha, n)
-    c0, p0, ssr, usable = _affine_ls(g, p, pinned_p0)
-    feasible = usable & (c0 > 0) & np.isfinite(ssr)
-    if not feasible.any() or np.ptp(p) == 0.0:  # C0 of flat data is 0 up to rounding
+    resid, _, c0, p0 = _sing_residuals(tc_nodes[:, None, None], alpha_nodes[:, None], t, t0,
+                                       *_data_side(p, pinned_p0), pinned_p0 is None, False)
+    ssr = _ssr(resid)
+    finite = np.isfinite(ssr)
+    if not finite.any() or np.ptp(p) == 0.0:  # C0 of flat data is 0 up to rounding
         raise FitError("singular model does not apply: no grid node gives C0 > 0 "
                        "(the log price index does not grow, as in flat or deflating data)")
-    masked = np.where(feasible, ssr, np.inf)
-    i, j = np.unravel_index(np.argmin(masked), masked.shape)
+    i, j = np.unravel_index(np.argmin(np.where(finite, ssr, np.inf)), ssr.shape)
     return float(tc_nodes[i]), float(alpha_nodes[j]), float(c0[i, j]), float(p0[i, j])
 
 
@@ -465,19 +449,19 @@ def fit_double_exp(
 
     y, shift = _data_side(p, None)
     if config.pin_b2:
-        resid, _, c0, p0, _ = _project(x, y, shift, True)
+        resid, _, c0, p0 = _project(x, y, shift, True)
         params = DoubleExpParams(p0=float(p0), c0=float(c0), b2=0.0, t0=t0)
         return _result("doubleexp", params, resid, n, 2, config.chi_divisor, True, 0)
 
     b2_hi = config.b2_max if config.b2_max is not None else 20.0 / span
     b2_nodes = np.concatenate([[0.0], np.geomspace(1e-4 / span, b2_hi, config.grid_b2 - 1)])
-    ssr = _affine_ls(_dexp_basis(b2_nodes[:, None], x)[0], p)[2]
-    best = np.argmin(np.where(np.isfinite(ssr), ssr, np.inf))
 
     def model(v, rows, with_jac):
         h, dh = _dexp_basis(v, x)
         return _project(h, y, shift, True, dh[:, None] if with_jac else None)
 
+    ssr = _ssr(model(b2_nodes[:, None], None, False)[0])
+    best = np.argmin(np.where(np.isfinite(ssr), ssr, np.inf))
     v, _, converged, rounds = _lm(model, b2_nodes[best].reshape(1, 1), np.zeros(1),
                                   np.array([b2_hi]), config.xtol, config.ftol, config.max_iter)
     c0, p0 = model(v, None, False)[2:4]

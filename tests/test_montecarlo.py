@@ -22,7 +22,7 @@ from hyperfit.montecarlo import (
     sweep_error,
 )
 from hyperfit.report import build_report
-from hyperfit.series import Epoch, InflationSeries, build_price_index
+from hyperfit.series import Epoch, InflationSeries, build_price_index, cumulate
 
 
 @pytest.fixture(scope="module")
@@ -288,10 +288,9 @@ def test_refit_rows_do_not_depend_on_the_chunk(peru_rates):
     config = FitConfig()
     index = build_price_index(peru_rates)
     direct = fit_singularity(index, config).params
-    children = np.random.SeedSequence(5).spawn(50)
     samples = np.empty((50, len(peru_rates)))
     _draw_generations(peru_rates.rates, 0.25, 5, samples)
-    p_data = np.cumsum(np.log1p(samples), axis=1)
+    p_data = cumulate(samples)[1]
     one = _refit_generations(p_data, index.times(), direct, config, chunk=1)
     whole = _refit_generations(p_data, index.times(), direct, config, chunk=50)
     for a, b in zip(one, whole):

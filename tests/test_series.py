@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hyperfit.fixtures import PRESETS, fixture_path, write_fixture_csvs
 from hyperfit.series import (
     DAYS_PER_MONTH,
     Epoch,
@@ -291,3 +292,12 @@ def test_monthly_times_are_days_from_first_epoch():
 
 def test_days_per_month_constant():
     assert DAYS_PER_MONTH == pytest.approx(30.4375, abs=0.0)
+
+
+def test_write_fixture_csvs_regenerates_the_bundled_files(tmp_path):
+    # The benchmark reads the bundled CSVs while most tests build the same
+    # series with synthetic_rates; regenerating the files gives their bytes.
+    written = write_fixture_csvs(tmp_path)
+    assert [path.name for path in written] == [f"{name}_synthetic.csv" for name in PRESETS]
+    for name, path in zip(PRESETS, written):
+        assert path.read_bytes() == fixture_path(name).read_bytes()
