@@ -56,12 +56,17 @@ def per_call_ms(fn, args: list) -> float:
     return (time.perf_counter() - started) / (CALLS * len(args)) * 1e3
 
 
-def time_case(name: str, seed: int) -> dict[str, float]:
+def case_indexes(name: str, seed: int) -> list:
+    """The episode's noiseless index, then PERTURBATIONS resampled at DI from ``seed``."""
     rates = synthetic_rates(episode(name))
     children = np.random.SeedSequence(seed).spawn(PERTURBATIONS)
-    indexes = [build_price_index(rates)] + [
+    return [build_price_index(rates)] + [
         build_price_index(sample_generation(rates, DI, np.random.default_rng(child)))
         for child in children]
+
+
+def time_case(name: str, seed: int) -> dict[str, float]:
+    indexes = case_indexes(name, seed)
     config = fitting.FitConfig()
     with warnings.catch_warnings():         # perturbed ends may not be strictly rising
         warnings.simplefilter("ignore")

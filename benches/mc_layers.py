@@ -9,6 +9,17 @@ that scale with m, plus ``run_mc`` whole for context:
 - ``refit_s``: ``montecarlo._refit_generations`` (all m refits);
 - ``run_mc_s``: the whole call, direct fit and aggregation included.
 
+An untimed ``run_mc`` pass then counts the Levenberg-Marquardt engine's
+model work in the whole call, direct refine and refit, through a wrapper
+around ``fitting._sing_residuals`` (the grid seed's one call over its
+48 x 32 nodes is left out):
+
+- ``model_calls``: calls of the model;
+- ``model_rows``: rows evaluated, summed over the calls;
+- ``jac_rows``: those of them evaluated with the Jacobian.
+
+The counts depend only on the tree and the seed, not on the machine.
+
 The package is imported from wherever PYTHONPATH points, so the same script
 measures two source trees.  Each call appends its samples under ``--label``
 in the output file and recomputes every label's median and quartiles; run
@@ -39,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hyperfit import montecarlo
+from hyperfit import fitting, montecarlo
 from hyperfit.fitting import FitConfig
 from hyperfit.fixtures import episode, synthetic_rates
 from hyperfit.montecarlo import MCConfig, run_mc
@@ -72,7 +83,31 @@ def time_case(name: str, di: float, seed: int) -> dict[str, float]:
     started = time.perf_counter()
     run_mc(rates, config, MCConfig(di=di, m=M, seed=seed))
     run_mc_s = time.perf_counter() - started
-    return {"draw_s": draw_s, "refit_s": refit_s, "run_mc_s": run_mc_s}
+    return {"draw_s": draw_s, "refit_s": refit_s, "run_mc_s": run_mc_s,
+            **count_model_work(lambda: run_mc(rates, config, MCConfig(di=di, m=M, seed=seed)))}
+
+
+def count_model_work(call) -> dict[str, int]:
+    """The engine's model calls, rows and Jacobian rows in ``call()``.
+
+    Engine calls pass tc as a (rows, 1) column; the grid seed's are 3-d.
+    """
+    counts = {"model_calls": 0, "model_rows": 0, "jac_rows": 0}
+    residuals = fitting._sing_residuals
+
+    def counted(tc, *args):
+        if np.ndim(tc) == 2:
+            counts["model_calls"] += 1
+            counts["model_rows"] += len(tc)
+            counts["jac_rows"] += len(tc) if args[-1] else 0
+        return residuals(tc, *args)
+
+    fitting._sing_residuals = counted
+    try:
+        call()
+    finally:
+        fitting._sing_residuals = residuals
+    return counts
 
 
 def summary(samples: list[float]) -> dict[str, float]:

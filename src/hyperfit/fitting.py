@@ -163,17 +163,26 @@ def _project(g: np.ndarray, y: np.ndarray, shift, centre: bool, dg=None):
     return resid, dg.transpose(0, 2, 1), c0, p0
 
 
-def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
+def _lm(model, x0, lb, ub, xtol, ftol, max_iter, width=None):
     """Projected Levenberg-Marquardt over a batch of independent fits.
 
     ``model(x, rows, with_jac)`` returns a tuple that starts with the
     residuals (data - model) of batch rows ``rows`` at parameters x
     (len(rows), k) and, if asked, d(model)/dx as (len(rows), n, k); further
-    items are ignored.  A transposed view of a (len(rows), k, n) buffer keeps
-    the normal-equation products on contiguous data.
-    Rows share vectorized evaluations but keep their own damping and stop
-    state, so a row's result does not depend on the batch.  A step is only
-    accepted when it does not raise the row's objective.
+    items are per-row values, such as the closed-form (C0, p0).  A transposed
+    view of a (len(rows), k, n) buffer keeps the normal-equation products on
+    contiguous data.
+
+    Each round evaluates the model once, with the Jacobian, at every row's
+    trial point.  A row keeps its normal equations (J^T J, J^T r) at its
+    current x: an accepted step takes over the trial's, a rejected one
+    re-solves the kept ones with ten times the damping.  At most ``width``
+    rows (default: all) are in flight; as rows finish, pending rows join in
+    index order, evaluated at their start in the same model call.  Each row
+    runs at most ``max_iter`` rounds of its own.  Rows keep their own damping
+    and stop state, so a row's result depends on neither the batch nor the
+    width.  A step is only accepted when it does not raise the row's
+    objective.
 
     The box [lb, ub] is per coordinate (equal bounds pin one) and kept by
     projection: a trial step is clipped onto it, and a coordinate on a bound
@@ -181,54 +190,73 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
     it can leave the bound as soon as the data pull it back.  A row converges
     when an accepted step moves every coordinate by less than xtol (relative
     to |x| + 1) or lowers the objective by at most ftol relative; a row whose
-    objective starts non-finite runs no round.  Returns (x, ssr, converged, rounds run).
+    objective starts non-finite runs no round.  Returns (x, ssr, converged,
+    rounds run), then each further item of the model at every row's final x.
     """
     m, k = x0.shape
-    x = np.clip(x0, lb, ub)
-    resid = model(x, np.arange(m), False)[0]
-    ssr = _ssr(resid)
+    width = m if width is None else width
+    x = np.minimum(np.maximum(x0, lb), ub)
+    ssr = np.empty(m)
+    jtj = np.empty((m, k, k))
+    jtr = np.empty((m, k))
     lam = np.full(m, 1e-3)
     converged = np.zeros(m, dtype=bool)
     rounds = np.zeros(m, dtype=int)
     eye = np.eye(k)
+    kept = None                             # the model's further items at each row's x
+    live = np.empty(0, dtype=np.intp)       # rows in flight: their step comes next
+    joined = 0                              # rows 0 .. joined-1 have been admitted
 
-    for _ in range(max_iter):
-        active = np.flatnonzero(~converged & np.isfinite(ssr))
-        if active.size == 0:
+    while True:
+        new = np.arange(joined, min(m, joined + width - live.size))
+        joined += new.size
+        if live.size + new.size == 0:
             break
-        rounds[active] += 1
-        xa = x[active]
-        r, jac = model(xa, active, True)[:2]
-        jt = jac.transpose(0, 2, 1)
-        jtj = jt @ jac
-        jtr = (jt @ r[..., None])[..., 0]
-        free = ~(((xa <= lb) & (jtr <= 0.0)) | ((xa >= ub) & (jtr >= 0.0)))
-        diag = np.clip(np.einsum("ikk->ik", jtj), 1e-30, None)
-        a_mat = jtj + lam[active, None, None] * diag[:, None, :] * eye
+        xa = x[live]
+        g = jtr[live]
+        free = ~(((xa <= lb) & (g <= 0.0)) | ((xa >= ub) & (g >= 0.0)))
+        a_mat = jtj[live]
+        diag = np.maximum(np.einsum("ikk->ik", a_mat), 1e-30)
+        a_mat += lam[live, None, None] * diag[:, None, :] * eye
         a_mat = np.where(free[:, :, None] & free[:, None, :], a_mat, eye)
-        rhs = np.where(free, jtr, 0.0)
+        rhs = np.where(free, g, 0.0)
         try:
             delta = np.linalg.solve(a_mat, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
             delta = np.einsum("ijk,ik->ij", np.linalg.pinv(a_mat), rhs)
-        trial = np.clip(xa + np.clip(delta, -50.0, 50.0), lb, ub)
-        r_new = model(trial, active, False)[0]
-        ssr_new = _ssr(r_new)
-        better = np.isfinite(ssr_new) & (ssr_new <= ssr[active])
+        trial = np.minimum(np.maximum(xa + np.minimum(np.maximum(delta, -50.0), 50.0), lb), ub)
+        rounds[live] += 1
 
+        r, jac, *more = model(np.concatenate([trial, x[new]]), np.concatenate([live, new]), True)
+        jt = jac.transpose(0, 2, 1)
+        ssr_e = _ssr(r)
+        jtj_e = jt @ jac
+        jtr_e = (jt @ r[..., None])[..., 0]
+        s = live.size
+        ssr[new], jtj[new], jtr[new] = ssr_e[s:], jtj_e[s:], jtr_e[s:]
+        if kept is None:
+            kept = [np.empty((m, *v.shape[1:]), v.dtype) for v in more]
+
+        ssr_new = ssr_e[:s]
+        better = np.isfinite(ssr_new) & (ssr_new <= ssr[live])
         step_small = np.max(np.abs(trial - xa) / (np.abs(xa) + 1.0), axis=1) < xtol
-        decrease_small = (ssr[active] - ssr_new) <= ftol * np.maximum(ssr_new, 1e-300)
+        decrease_small = (ssr[live] - ssr_new) <= ftol * np.maximum(ssr_new, 1e-300)
         done = better & (step_small | decrease_small)
 
-        upd = active[better]
+        upd = live[better]
         x[upd] = trial[better]
-        ssr[upd] = ssr_new[better]
+        ssr[upd], jtj[upd], jtr[upd] = ssr_new[better], jtj_e[:s][better], jtr_e[:s][better]
+        for keep, v in zip(kept, more):
+            keep[new], keep[upd] = v[s:], v[:s][better]
         lam[upd] = np.maximum(lam[upd] * 0.3, 1e-12)
-        rej = active[~better]
+        rej = live[~better]
         lam[rej] = np.minimum(lam[rej] * 10.0, 1e15)
-        converged[active[done]] = True
+        converged[live[done]] = True
 
-    return x, ssr, converged, rounds
+        live = np.concatenate([live[~done], new[np.isfinite(ssr[new])]])
+        live = live[rounds[live] < max_iter]
+
+    return x, ssr, converged, rounds, *(kept or ())
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +338,16 @@ def _sing_residuals(tc: np.ndarray, alpha: np.ndarray, t: np.ndarray, t0: float,
 
 def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float, float],
                       seed: tuple[float, float], config: FitConfig,
-                      bounded_above: bool = True, pinned_p0: float | None = None):
+                      bounded_above: bool = True, pinned_p0: float | None = None,
+                      width: int | None = None):
     """Singular-model fits of every row of p_data from one (tc, alpha) seed.
 
-    The engine refines (tc, alpha); (C0, p0) are solved in closed form, p0
-    held at ``pinned_p0`` if given.  tc and alpha are held at or above the
-    lower edges of ``tc_window`` and ``config.alpha_bounds``, and with
-    ``bounded_above`` at or below the upper edges.  Returns ((tc, alpha, c0,
-    p0), ssr, converged, rounds), one array entry per row.
+    The engine refines (tc, alpha), at most ``width`` rows at a time (default:
+    all); (C0, p0) are solved in closed form, p0 held at ``pinned_p0`` if
+    given.  tc and alpha are held at or above the lower edges of
+    ``tc_window`` and ``config.alpha_bounds``, and with ``bounded_above`` at
+    or below the upper edges.  Returns ((tc, alpha, c0, p0), ssr, converged,
+    rounds), one array entry per row.
     """
     t0 = float(t[0])
     tc_lo, tc_hi = tc_window
@@ -330,9 +360,8 @@ def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float,
         return _sing_residuals(tc_lo + x[:, :1], a_lo + x[:, 1:], t, t0, y[rows], shift[rows],
                                pinned_p0 is None, with_jac)
 
-    x, ssr, converged, rounds = _lm(model, x0, np.zeros(2), ub, config.xtol, config.ftol,
-                                    config.max_iter)
-    _, _, c0, p0 = model(x, slice(None), False)
+    x, ssr, converged, rounds, c0, p0 = _lm(model, x0, np.zeros(2), ub, config.xtol,
+                                            config.ftol, config.max_iter, width)
     return (tc_lo + x[:, 0], a_lo + x[:, 1], c0, p0), ssr, converged, rounds
 
 
@@ -462,9 +491,9 @@ def fit_double_exp(
 
     ssr = _ssr(model(b2_nodes[:, None], None, False)[0])
     best = np.argmin(np.where(np.isfinite(ssr), ssr, np.inf))
-    v, _, converged, rounds = _lm(model, b2_nodes[best].reshape(1, 1), np.zeros(1),
-                                  np.array([b2_hi]), config.xtol, config.ftol, config.max_iter)
-    c0, p0 = model(v, None, False)[2:4]
+    v, _, converged, rounds, c0, p0 = _lm(model, b2_nodes[best].reshape(1, 1), np.zeros(1),
+                                          np.array([b2_hi]), config.xtol, config.ftol,
+                                          config.max_iter)
     params = DoubleExpParams(p0=float(p0[0]), c0=float(c0[0]), b2=float(v[0, 0]), t0=t0)
     resid = p - evaluate(params, t)
     return _result("doubleexp", params, resid, n, 3, config.chi_divisor,

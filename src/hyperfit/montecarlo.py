@@ -13,7 +13,7 @@ Determinism: generation j draws from a substream derived only from the
 master seed and j (``SeedSequence(seed).spawn(m)[j]``, whose states are
 computed for all j at once, with no generator object per generation), and
 all aggregation is order-independent, so reports are bit-identical for a
-fixed seed regardless of how the generations are chunked for execution.
+fixed seed however many generations the refit engine holds in flight.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ class MCConfig:
     the generation count must be large enough for the sample moments to
     match the assigned gaussian (a few thousand in practice).  ``workers``
     is accepted (and must be >= 1) but ignored: the refit runs in one
-    process, in batches of a fixed size, and results never depend on it.
+    process, with a fixed number of generations in flight, and results
+    never depend on it.
     """
 
     di: float = 0.25
@@ -247,8 +248,9 @@ def sample_generation(
 # Driver
 # ---------------------------------------------------------------------------
 
-#: Generations refitted per engine batch.  Rows do not interact, so results
-#: do not depend on it; it only bounds the batch's working arrays.
+#: Generations in flight in the refit engine: as one converges, the next
+#: pending one joins.  Rows do not interact, so results do not depend on it;
+#: it only bounds the working arrays of each model call.
 _REFIT_CHUNK = 1024
 
 
@@ -262,18 +264,11 @@ def _refit_generations(p_data: np.ndarray, t: np.ndarray, direct: SingularityPar
     keeps the direct fit's p0: the first rate carries no error, so all
     generations share the observed ln P(t0).
     """
-    window = tc_search_window(t, fit_config)
-    seed = (direct.tc, direct.alpha)
     pinned = direct.p0 if fit_config.pin_p0 else None
-    m = p_data.shape[0]
-    out = np.empty((6, m))
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        params, ssr, converged, _ = fit_singular_rows(
-            p_data[lo:hi], t, window, seed, fit_config, bounded_above=False, pinned_p0=pinned)
-        out[:, lo:hi] = (*params, ssr, converged)
-    tc, alpha, c0, p0, ssr, converged = out
-    return tc, alpha, c0, p0, ssr, converged.astype(bool)
+    params, ssr, converged, _ = fit_singular_rows(
+        p_data, t, tc_search_window(t, fit_config), (direct.tc, direct.alpha), fit_config,
+        bounded_above=False, pinned_p0=pinned, width=chunk)
+    return *params, ssr, converged
 
 
 def _population_moments(x: np.ndarray) -> tuple[float, float]:

@@ -103,6 +103,39 @@ class TestEngine:
         assert np.array_equal(np.array(params)[:, 1:], np.array(alone[0]))
         assert ssr[1:].tobytes() == alone[1].tobytes() and rounds[1] == alone[3][0]
 
+    def test_one_model_evaluation_per_round(self):
+        # Each trial is evaluated once, with the Jacobian, and the row keeps
+        # its normal equations: one call at the start, then one per round.
+        model = self.line_model(1.0 + 2.0 * self.X + 0.1 * np.sin(7.0 * self.X))
+        calls = []
+
+        def spy(v, rows, with_jac):
+            calls.append(with_jac)
+            return model(v, rows, with_jac)
+
+        _, _, converged, rounds = _lm(spy, np.array([[0.0, 0.0]]), np.full(2, -np.inf),
+                                      np.full(2, np.inf), 1e-12, 1e-14, 100)
+        assert converged[0] and rounds[0] > 1
+        assert len(calls) == rounds[0] + 1
+
+    def test_late_rows_get_their_own_max_iter(self):
+        # With two rows in flight, rows 2-4 join as others stop; each still
+        # runs max_iter rounds of its own and ends where a batch of five does.
+        y = np.stack([k + (2.0 - k) * self.X + 0.1 * np.sin((3.0 + k) * self.X)
+                      for k in range(5)])
+
+        def model(v, rows, with_jac):
+            resid = y[rows] - (v[:, :1] + v[:, 1:2] * self.X)
+            return resid, np.stack([np.ones_like(resid),
+                                    np.broadcast_to(self.X, resid.shape)], axis=-1)
+
+        x0 = np.tile([50.0, -50.0], (5, 1))
+        bounds = np.full(2, -np.inf), np.full(2, np.inf)
+        narrow, wide = (_lm(model, x0, *bounds, 1e-12, 1e-14, 3, width) for width in (2, 5))
+        assert np.all(narrow[3] == 3) and not narrow[2].any()
+        for a, b in zip(narrow, wide):
+            assert a.tobytes() == b.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # fit_linear

@@ -297,6 +297,21 @@ def test_refit_rows_do_not_depend_on_the_chunk(peru_rates):
         assert a.tobytes() == b.tobytes()
 
 
+def test_refit_rows_do_not_depend_on_a_refilled_window(peru_rates):
+    # With 7 generations in flight the other 43 join as earlier ones stop,
+    # each into a window of rows at other rounds; every row keeps its bits.
+    config = FitConfig()
+    index = build_price_index(peru_rates)
+    direct = fit_singularity(index, config).params
+    samples = np.empty((50, len(peru_rates)))
+    _draw_generations(peru_rates.rates, 0.25, 5, samples)
+    p_data = cumulate(samples)[1]
+    window = _refit_generations(p_data, index.times(), direct, config, chunk=7)
+    whole = _refit_generations(p_data, index.times(), direct, config, chunk=50)
+    for a, b in zip(window, whole):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_zero_error_generations_are_the_direct_fit_data(monkeypatch):
     # Generations and the direct fit cumulate rates the same way, so with
     # di = 0 every generation is the direct fit's log index, bit for bit.
