@@ -1,17 +1,22 @@
 """sha256 digests of every Monte Carlo report and every direct fit.
 
-For the hyperfit tree on PYTHONPATH this prints two digests:
+For the hyperfit tree on PYTHONPATH this prints three digests:
 
+- ``fit``: ``fit_linear``, ``fit_double_exp`` and ``fit_singularity`` on
+  the five bundled episodes, noiseless and with the seven perturbations at
+  di = 0.1 that ``fit_layers.py`` draws from seed 1, p0 free and pinned;
 - ``mc``: ``run_mc`` on the mc-resample cases (Peru and Yugoslavia at
   di = 0.25, Germany at di = 0.5), m = 4000, master seeds
   1000000-1000044 and 20080605, p0 free and pinned;
-- ``fit``: ``fit_linear``, ``fit_double_exp`` and ``fit_singularity`` on
-  the five bundled episodes, noiseless and with the seven perturbations at
-  di = 0.1 that ``fit_layers.py`` draws from seed 1, p0 free and pinned.
+- ``counts``: the same runs, hashing only each report's ``COUNT_FIELDS``:
+  the outcome counts, the tc histogram counts and the flags.
 
-Every field goes into the hash: floats at full precision, arrays as bytes
-(residuals included), and each fit's ``iterations`` and ``converged``.  Equal
-digests on two trees mean the same results, bit for bit:
+``fit`` and ``mc`` take every field: floats at full precision, arrays as
+bytes (residuals included), and each fit's ``iterations`` and ``converged``.
+Equal digests on two trees mean the same results, bit for bit.  A change
+that moves values only at optimizer tolerance changes those two, and an
+equal ``counts`` digest then shows that every generation still lands in the
+same class and histogram bin:
 
     PYTHONPATH=src python benches/digests.py
     PYTHONPATH=/path/to/parent/src python benches/digests.py
@@ -35,6 +40,8 @@ MC_SEEDS = (*range(1_000_000, 1_000_045), 20080605)
 M = 4000
 FIT_SEED = 1
 CONFIGS = (FitConfig(), FitConfig(pin_p0=True))
+COUNT_FIELDS = ("outcome", "tc_hist_counts", "n_nonconverged", "accepted", "gaussian_ok",
+                "unreliable")
 
 
 def feed(h, value) -> None:
@@ -53,14 +60,17 @@ def feed(h, value) -> None:
         h.update(repr(value).encode())
 
 
-def mc_digest() -> str:
-    h = hashlib.sha256()
+def mc_digests() -> tuple[str, str]:
+    """The ``mc`` and ``counts`` digests of the same runs."""
+    whole, counts = hashlib.sha256(), hashlib.sha256()
     for name, di in MC_CASES:
         rates = synthetic_rates(episode(name))
         for config in CONFIGS:
             for seed in MC_SEEDS:
-                feed(h, run_mc(rates, config, MCConfig(di=di, m=M, seed=seed)))
-    return h.hexdigest()
+                report = run_mc(rates, config, MCConfig(di=di, m=M, seed=seed))
+                feed(whole, report)
+                feed(counts, {field: getattr(report, field) for field in COUNT_FIELDS})
+    return whole.hexdigest(), counts.hexdigest()
 
 
 def fit_digest() -> str:
@@ -80,8 +90,10 @@ def fit_digest() -> str:
 def main() -> None:
     with warnings.catch_warnings():         # perturbed ends may not be strictly rising
         warnings.simplefilter("ignore")
-        print("fit", fit_digest())
-        print("mc ", mc_digest())
+        print("fit   ", fit_digest())
+        mc, counts = mc_digests()
+        print("mc    ", mc)
+        print("counts", counts)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,11 @@ fit-direct inputs), this times per call, in milliseconds:
 - ``singularity_ms``: ``fitting.fit_singularity``, grid seed and refine;
 - ``doubleexp_ms``: ``fitting.fit_double_exp``, b2 grid and refine.
 
+It also records, per case, the Levenberg-Marquardt rounds the fits take,
+``FitResult.iterations`` summed over the case's inputs (p0 free): the
+counts ``singularity_rounds`` and ``doubleexp_rounds``.  They depend only
+on the tree and the seed, not on the machine.
+
 Run it like ``mc_layers.py``, whose ``run_bench`` it shares, alternating the
 two trees:
 
@@ -75,6 +80,8 @@ def time_case(name: str, seed: int) -> dict[str, float]:
                                    [grid_args(index, config) for index in indexes]),
             "singularity_ms": per_call_ms(fitting.fit_singularity, [(i,) for i in indexes]),
             "doubleexp_ms": per_call_ms(fitting.fit_double_exp, [(i,) for i in indexes]),
+            "singularity_rounds": sum(fitting.fit_singularity(i).iterations for i in indexes),
+            "doubleexp_rounds": sum(fitting.fit_double_exp(i).iterations for i in indexes),
         }
 
 

@@ -48,7 +48,7 @@ class FitConfig:
     grid_alpha: int = 32
     grid_b2: int = 48
     xtol: float = 1e-9                   # relative parameter change
-    ftol: float = 1e-12                  # relative objective change
+    ftol: float = 1e-12                  # relative objective change of a trial, up or down
     max_iter: int = 400                  # LM rounds of the refiner
     chi_divisor: str = "n"               # "n" or "n-k"
     pin_p0: bool = False                 # pin p0 to the observed ln P(t0)
@@ -163,15 +163,35 @@ def _project(g: np.ndarray, y: np.ndarray, shift, centre: bool, dg=None):
     return resid, dg.transpose(0, 2, 1), c0, p0
 
 
+def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: np.ndarray, free: np.ndarray):
+    """Per row, the step delta of (J^T J + lam D) delta = J^T r on the free coordinates.
+
+    D is diag(J^T J) floored at 1e-30; a held coordinate (``free`` False)
+    drops out of the system and gets delta = 0.  Solved in closed form for
+    k = 1 or 2, the only sizes the engine serves, so no row pays for a
+    LAPACK call.
+    """
+    d = np.einsum("ikk->ik", jtj)
+    d = np.where(free, d + lam[:, None] * np.maximum(d, 1e-30), 1.0)
+    b = np.where(free, jtr, 0.0)
+    if jtj.shape[-1] == 1:
+        return b / d
+    off = np.where(free[:, 0] & free[:, 1], jtj[:, 0, 1], 0.0)
+    det = d[:, 0] * d[:, 1] - off * off
+    return np.stack([d[:, 1] * b[:, 0] - off * b[:, 1],
+                     d[:, 0] * b[:, 1] - off * b[:, 0]], axis=1) / det[:, None]
+
+
 def _lm(model, x0, lb, ub, xtol, ftol, max_iter, width=None):
     """Projected Levenberg-Marquardt over a batch of independent fits.
 
     ``model(x, rows, with_jac)`` returns a tuple that starts with the
     residuals (data - model) of batch rows ``rows`` at parameters x
     (len(rows), k) and, if asked, d(model)/dx as (len(rows), n, k); further
-    items are per-row values, such as the closed-form (C0, p0).  A transposed
-    view of a (len(rows), k, n) buffer keeps the normal-equation products on
-    contiguous data.
+    items are per-row values, such as the closed-form (C0, p0).  k is 1 or 2:
+    the damped step is solved in closed form (``_damped_step``), with no
+    LAPACK call.  A transposed view of a (len(rows), k, n) buffer keeps the
+    normal-equation row dots (``np.vecdot``) on contiguous data.
 
     Each round evaluates the model once, with the Jacobian, at every row's
     trial point.  A row keeps its normal equations (J^T J, J^T r) at its
@@ -187,11 +207,16 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter, width=None):
     The box [lb, ub] is per coordinate (equal bounds pin one) and kept by
     projection: a trial step is clipped onto it, and a coordinate on a bound
     whose descent direction points out of the box is held for that step, so
-    it can leave the bound as soon as the data pull it back.  A row converges
-    when an accepted step moves every coordinate by less than xtol (relative
-    to |x| + 1) or lowers the objective by at most ftol relative; a row whose
-    objective starts non-finite runs no round.  Returns (x, ssr, converged,
-    rounds run), then each further item of the model at every row's final x.
+    it can leave the bound as soon as the data pull it back.
+
+    A row converges when an accepted step moves every coordinate by less
+    than xtol (relative to |x| + 1), or when a trial changes the objective by
+    at most ftol relative, up or down (MINPACK's two-sided test, Moré 1978);
+    a trial that raises it is not taken.  So a row at the round-off floor
+    stops at once instead of damping a futile step until it rounds to zero.
+    A non-finite trial never ends a row, and a row whose objective starts
+    non-finite runs no round.  Returns (x, ssr, converged, rounds run), then
+    each further item of the model at every row's final x.
     """
     m, k = x0.shape
     width = m if width is None else width
@@ -202,7 +227,6 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter, width=None):
     lam = np.full(m, 1e-3)
     converged = np.zeros(m, dtype=bool)
     rounds = np.zeros(m, dtype=int)
-    eye = np.eye(k)
     kept = None                             # the model's further items at each row's x
     live = np.empty(0, dtype=np.intp)       # rows in flight: their step comes next
     joined = 0                              # rows 0 .. joined-1 have been admitted
@@ -215,33 +239,27 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter, width=None):
         xa = x[live]
         g = jtr[live]
         free = ~(((xa <= lb) & (g <= 0.0)) | ((xa >= ub) & (g >= 0.0)))
-        a_mat = jtj[live]
-        diag = np.maximum(np.einsum("ikk->ik", a_mat), 1e-30)
-        a_mat += lam[live, None, None] * diag[:, None, :] * eye
-        a_mat = np.where(free[:, :, None] & free[:, None, :], a_mat, eye)
-        rhs = np.where(free, g, 0.0)
-        try:
-            delta = np.linalg.solve(a_mat, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            delta = np.einsum("ijk,ik->ij", np.linalg.pinv(a_mat), rhs)
+        delta = _damped_step(jtj[live], g, lam[live], free)
         trial = np.minimum(np.maximum(xa + np.minimum(np.maximum(delta, -50.0), 50.0), lb), ub)
         rounds[live] += 1
 
         r, jac, *more = model(np.concatenate([trial, x[new]]), np.concatenate([live, new]), True)
         jt = jac.transpose(0, 2, 1)
         ssr_e = _ssr(r)
-        jtj_e = jt @ jac
-        jtr_e = (jt @ r[..., None])[..., 0]
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected trials may be inf
+            jtj_e = np.vecdot(jt[:, :, None], jt[:, None])
+            jtr_e = np.vecdot(jt, r[:, None])
         s = live.size
         ssr[new], jtj[new], jtr[new] = ssr_e[s:], jtj_e[s:], jtr_e[s:]
         if kept is None:
             kept = [np.empty((m, *v.shape[1:]), v.dtype) for v in more]
 
         ssr_new = ssr_e[:s]
-        better = np.isfinite(ssr_new) & (ssr_new <= ssr[live])
+        finite = np.isfinite(ssr_new)
+        better = finite & (ssr_new <= ssr[live])
         step_small = np.max(np.abs(trial - xa) / (np.abs(xa) + 1.0), axis=1) < xtol
-        decrease_small = (ssr[live] - ssr_new) <= ftol * np.maximum(ssr_new, 1e-300)
-        done = better & (step_small | decrease_small)
+        flat = finite & (np.abs(ssr_new - ssr[live]) <= ftol * np.maximum(ssr_new, 1e-300))
+        done = flat | (better & step_small)
 
         upd = live[better]
         x[upd] = trial[better]
