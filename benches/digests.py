@@ -20,13 +20,28 @@ same class and histogram bin:
 
     PYTHONPATH=src python benches/digests.py
     PYTHONPATH=/path/to/parent/src python benches/digests.py
+
+``--save PATH`` also writes the values behind the digests as JSON: each
+run's moments (``mean.tc``, ``std.tc``, ..., ``skew.tc``, ``kurt.tc``) and
+each fit's parameters, objective and LM rounds.  ``--against PATH`` reads
+such a file from another tree and prints, per field, the largest relative
+drift of this tree's values from it, with the absolute drift and the run or
+fit where the largest one occurs (a reference of exactly 0 that moves reads
+as an infinite relative drift):
+
+    PYTHONPATH=/path/to/parent/src python benches/digests.py --save parent.json
+    PYTHONPATH=src python benches/digests.py --against parent.json
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
+import json
+import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -60,8 +75,12 @@ def feed(h, value) -> None:
         h.update(repr(value).encode())
 
 
-def mc_digests() -> tuple[str, str]:
-    """The ``mc`` and ``counts`` digests of the same runs."""
+def pinning(config: FitConfig) -> str:
+    return "pinned" if config.pin_p0 else "free"
+
+
+def mc_digests(values: dict) -> tuple[str, str]:
+    """The ``mc`` and ``counts`` digests of the same runs; fills values[run] with its moments."""
     whole, counts = hashlib.sha256(), hashlib.sha256()
     for name, di in MC_CASES:
         rates = synthetic_rates(episode(name))
@@ -70,30 +89,72 @@ def mc_digests() -> tuple[str, str]:
                 report = run_mc(rates, config, MCConfig(di=di, m=M, seed=seed))
                 feed(whole, report)
                 feed(counts, {field: getattr(report, field) for field in COUNT_FIELDS})
+                values[f"{name} {pinning(config)} {seed}"] = {
+                    **{f"{moment}.{param}": getattr(stats, moment)
+                       for param, stats in report.params.items() for moment in ("mean", "std")},
+                    "skew.tc": report.tc_skewness, "kurt.tc": report.tc_excess_kurtosis}
     return whole.hexdigest(), counts.hexdigest()
 
 
-def fit_digest() -> str:
+def fit_digest(values: dict) -> str:
+    """The ``fit`` digest; fills values[fit] with each fit's parameters, objective and rounds."""
     h = hashlib.sha256()
     for name in PRESETS:
-        for index in case_indexes(name, FIT_SEED):
+        for k, index in enumerate(case_indexes(name, FIT_SEED)):
             for config in CONFIGS:
-                feed(h, fit_linear(index, config=config))
-                for fit in (fit_double_exp, fit_singularity):
+                for fit in (fit_linear, fit_double_exp, fit_singularity):
                     try:
-                        feed(h, fit(index, config))
+                        result = fit(index, config=config)
                     except FitError as exc:
                         feed(h, str(exc))
+                        continue
+                    feed(h, result)
+                    values[f"{result.model} {name} {k} {pinning(config)}"] = {
+                        **vars(result.params), "objective": result.objective,
+                        "iterations": result.iterations}
     return h.hexdigest()
 
 
+def drift(values: dict, reference: dict) -> dict[str, tuple[float, float, str]]:
+    """Per field: the largest |value - reference| / |reference|, its absolute drift and where.
+
+    Only runs or fits, and fields, present in both are compared.
+    """
+    worst: dict[str, tuple[float, float, str]] = {}
+    for key, fields in values.items():
+        for field, value in fields.items():
+            ref = reference.get(key, {}).get(field)
+            if ref is None:
+                continue
+            diff = abs(value - ref)
+            rel = diff / abs(ref) if ref else (0.0 if diff == 0.0 else math.inf)
+            if field not in worst or rel > worst[field][0]:
+                worst[field] = (rel, diff, key)
+    return worst
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--save", type=Path, help="write the values behind the digests here")
+    parser.add_argument("--against", type=Path, help="print the drift from this saved file")
+    args = parser.parse_args()
+    values: dict[str, dict] = {"fit": {}, "mc": {}}
     with warnings.catch_warnings():         # perturbed ends may not be strictly rising
         warnings.simplefilter("ignore")
-        print("fit   ", fit_digest())
-        mc, counts = mc_digests()
+        print("fit   ", fit_digest(values["fit"]))
+        mc, counts = mc_digests(values["mc"])
         print("mc    ", mc)
         print("counts", counts)
+    if args.save:
+        args.save.write_text(json.dumps(values, indent=1) + "\n", encoding="utf-8")
+    if args.against:
+        reference = json.loads(args.against.read_text())
+        for kind in ("mc", "fit"):
+            unmatched = values[kind].keys() ^ reference[kind].keys()
+            if unmatched:
+                print(f"{kind}: {len(unmatched)} in one file only, e.g. {min(unmatched)}")
+            for field, (rel, diff, key) in sorted(drift(values[kind], reference[kind]).items()):
+                print(f"{kind} {field:12s} rel {rel:.2e}  abs {diff:.2e}  at {key}")
 
 
 if __name__ == "__main__":

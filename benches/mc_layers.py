@@ -16,7 +16,9 @@ around ``fitting._sing_residuals`` (the grid seed's one call over its
 
 - ``model_calls``: calls of the model;
 - ``model_rows``: rows evaluated, summed over the calls;
-- ``jac_rows``: those of them evaluated with the Jacobian.
+- ``jac_rows``: those of them evaluated with derivatives (``with_jac``),
+  which the model turns into per-row normal equations (before
+  ``gram-*``: into a projected Jacobian array).
 
 The counts depend only on the tree and the seed, not on the machine.
 
@@ -88,7 +90,7 @@ def time_case(name: str, di: float, seed: int) -> dict[str, float]:
 
 
 def count_model_work(call) -> dict[str, int]:
-    """The engine's model calls, rows and Jacobian rows in ``call()``.
+    """The engine's model calls, rows and rows with derivatives in ``call()``.
 
     Engine calls pass tc as a (rows, 1) column; the grid seed's are 3-d.
     """

@@ -15,6 +15,7 @@ Exit codes: 0 success (a non-converged fit is reported, not fatal),
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -134,7 +135,7 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
         lo, hi, step = (float(v) for v in text.split(":"))
     except ValueError as exc:
         raise LoadError(f"bad sweep {text!r}, expected FROM:TO:STEP in percent") from exc
-    if step <= 0 or hi < lo:
+    if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi >= lo):
         raise LoadError(f"bad sweep range {text!r}")
     values = np.arange(lo, hi + step / 2.0, step)
     return tuple(float(v) / 100.0 for v in values)

@@ -12,8 +12,11 @@ alone (variable projection, Golub & Pereyra 1973): a coarse grid seeds one
 projected Levenberg-Marquardt engine (``_lm``), which refines (tc, alpha)
 or b2 and refits every Monte Carlo generation.  The grid, the refine and
 the refit call one residual function per model (``_sing_residuals``, or
-``model`` in ``fit_double_exp``).  Everything is deterministic for a
-given configuration; grid ties are broken toward the smaller critical time.
+``model`` in ``fit_double_exp``).  The engine takes each row's normal
+equations, which ``_project`` builds from a few inner products per row
+(Kaufman 1975) without forming the Jacobian.  Everything is deterministic
+for a given configuration; grid ties are broken toward the smaller
+critical time.
 """
 
 from __future__ import annotations
@@ -140,13 +143,23 @@ def _project(g: np.ndarray, y: np.ndarray, shift, centre: bool, dg=None):
 
     (y, shift) come from ``_data_side``; with ``centre`` (p0 free) g is
     centred like y, which keeps the solve accurate when g is large against
-    its spread.  Returns (resid, jac, c0, p0).  Given dg/dx as (rows, k, n),
-    jac is d(model)/dx in Kaufman's form as a (rows, n, k) view: C0 dg/dx
-    less its part in span{1, g} (span{g} with p0 pinned).  The term dropped
-    lies in that span, orthogonal to resid, so jac^T resid is exactly
-    -grad(SSR / 2).
+    its spread.  Returns (resid, normal, c0, p0), normal None without dg.
+
+    Given dg/dx as (k, rows, n), normal is the engine's (J^T J, J^T resid)
+    for Kaufman's Jacobian J (BIT 15 (1975) 49): C0 dg/dx less its part in
+    span{1, g} (span{g} with p0 pinned), so dg/dx is needed only up to that
+    span.  J is never formed.  With p0 free dg is centred in place, which
+    removes its part along 1; then with g as above and a = dg.g / g.g,
+
+        J^T J     = C0^2 (dg.dg - (g.g) a a^T)
+        J^T resid = C0 (dg.resid - a (g.resid))
+
+    g.resid and, with p0 free, 1.resid (taken out by the centring) vanish
+    but for rounding; keeping them holds the rounding of J^T resid to that
+    of J.  The part of C0 dg/dx dropped from J lies in span{1, g},
+    orthogonal to resid, so J^T resid is exactly -grad(SSR / 2).
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # inf trials
         n = g.shape[-1]
         g_mean = np.einsum("...k->...", g) / n if centre else np.zeros(g.shape[:-1])
         g = g - g_mean[..., None]
@@ -156,11 +169,15 @@ def _project(g: np.ndarray, y: np.ndarray, shift, centre: bool, dg=None):
         p0 = shift - c0 * g_mean
         if dg is None:
             return resid, None, c0, p0
-        dg = dg - np.einsum("ijk,ik->ij", dg, g)[..., None] / den[:, None, None] * g[:, None]
         if centre:
-            dg -= np.einsum("ijk->ij", dg)[..., None] / n
-        dg *= c0[:, None, None]
-    return resid, dg.transpose(0, 2, 1), c0, p0
+            dg -= (np.einsum("jik->ji", dg) / n)[..., None]
+        b = np.einsum("jik,ik->ji", dg, g)
+        a = b / den
+        jtj = np.einsum("...k,...k->...", dg[:, None], dg) - a[:, None] * b
+        jtr = np.einsum("jik,ik->ji", dg, resid) - a * np.einsum("ik,ik->i", g, resid)
+        jtj *= c0 * c0
+        jtr *= c0
+    return resid, (jtj.transpose(2, 0, 1), jtr.T), c0, p0
 
 
 def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: np.ndarray, free: np.ndarray):
@@ -186,14 +203,15 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter, width=None):
     """Projected Levenberg-Marquardt over a batch of independent fits.
 
     ``model(x, rows, with_jac)`` returns a tuple that starts with the
-    residuals (data - model) of batch rows ``rows`` at parameters x
-    (len(rows), k) and, if asked, d(model)/dx as (len(rows), n, k); further
-    items are per-row values, such as the closed-form (C0, p0).  k is 1 or 2:
-    the damped step is solved in closed form (``_damped_step``), with no
-    LAPACK call.  A transposed view of a (len(rows), k, n) buffer keeps the
-    normal-equation row dots (``np.vecdot``) on contiguous data.
+    residuals r (data - model) of batch rows ``rows`` at parameters x
+    (len(rows), k) and, if asked, their normal equations (J^T J, J^T r) as
+    (len(rows), k, k) and (len(rows), k), J = d(model)/dx; further items are
+    per-row values, such as the closed-form (C0, p0).  The engine never
+    sees J itself, so a model may build the two products from inner
+    products (``_project``).  k is 1 or 2: the damped step is solved in
+    closed form (``_damped_step``), with no LAPACK call.
 
-    Each round evaluates the model once, with the Jacobian, at every row's
+    Each round evaluates the model once, with normal equations, at every row's
     trial point.  A row keeps its normal equations (J^T J, J^T r) at its
     current x: an accepted step takes over the trial's, a rejected one
     re-solves the kept ones with ten times the damping.  At most ``width``
@@ -243,12 +261,9 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter, width=None):
         trial = np.minimum(np.maximum(xa + np.minimum(np.maximum(delta, -50.0), 50.0), lb), ub)
         rounds[live] += 1
 
-        r, jac, *more = model(np.concatenate([trial, x[new]]), np.concatenate([live, new]), True)
-        jt = jac.transpose(0, 2, 1)
+        r, (jtj_e, jtr_e), *more = model(np.concatenate([trial, x[new]]),
+                                         np.concatenate([live, new]), True)
         ssr_e = _ssr(r)
-        with np.errstate(over="ignore", invalid="ignore"):  # rejected trials may be inf
-            jtj_e = np.vecdot(jt[:, :, None], jt[:, None])
-            jtr_e = np.vecdot(jt, r[:, None])
         s = live.size
         ssr[new], jtj[new], jtr[new] = ssr_e[s:], jtj_e[s:], jtr_e[s:]
         if kept is None:
@@ -325,13 +340,20 @@ def tc_search_window(times: np.ndarray, config: FitConfig) -> tuple[float, float
 
 def _sing_residuals(tc: np.ndarray, alpha: np.ndarray, t: np.ndarray, t0: float,
                     y: np.ndarray, shift, centre: bool, with_jac: bool):
-    """``_project``'s (resid, jac, c0, p0) for the singular model.
+    """``_project``'s (resid, normal, c0, p0) for the singular model.
 
     g = (tc - t0) / alpha * (((tc - t0) / (tc - t))^alpha - 1), with tc and
     alpha broadcasting against each other, each with a trailing unit axis:
     (rows, 1) in the engine; (n_tc, 1, 1) and (n_alpha, 1) in the grid.
-    C0 <= 0 is outside the model: such rows get NaN residuals, which the
-    engine rejects and the grid skips.
+    ``_project`` needs dg/d(tc, alpha) only up to span{1, g}; with
+    ratio = (tc - t0) / (tc - t) and f = ratio^alpha they are, up to a
+    multiple of g,
+
+        dg/dtc    = 1 - f ratio
+        dg/dalpha = (tc - t0) / alpha * f log(ratio)
+
+    (the 1 matters only with p0 pinned).  C0 <= 0 is outside the model:
+    such rows get NaN residuals, which the engine rejects and the grid skips.
     """
     s0 = tc - t0
     ratio = s0 / (tc - t)
@@ -346,12 +368,14 @@ def _sing_residuals(tc: np.ndarray, alpha: np.ndarray, t: np.ndarray, t0: float,
         g *= scale
         dg = None
         if with_jac:
-            dg = np.empty((len(g), 2, g.shape[-1]))
-            dg[:, 0] = ((1.0 + alpha) * f - alpha * f * ratio - 1.0) / alpha
-            dg[:, 1] = scale * (f * log_ratio - (f - 1.0) / alpha)
-    resid, jac, c0, p0 = _project(g, y, shift, centre, dg)
+            dg = np.empty((2, *g.shape))
+            np.multiply(f, ratio, out=dg[0])
+            np.subtract(1.0, dg[0], out=dg[0])
+            np.multiply(f, log_ratio, out=dg[1])
+            dg[1] *= scale
+    resid, normal, c0, p0 = _project(g, y, shift, centre, dg)
     resid[~(c0 > 0)] = np.nan
-    return resid, jac, c0, p0
+    return resid, normal, c0, p0
 
 
 def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float, float],
@@ -505,7 +529,7 @@ def fit_double_exp(
 
     def model(v, rows, with_jac):
         h, dh = _dexp_basis(v, x)
-        return _project(h, y, shift, True, dh[:, None] if with_jac else None)
+        return _project(h, y, shift, True, dh[None] if with_jac else None)
 
     ssr = _ssr(model(b2_nodes[:, None], None, False)[0])
     best = np.argmin(np.where(np.isfinite(ssr), ssr, np.inf))

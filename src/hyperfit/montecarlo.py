@@ -58,10 +58,13 @@ class MCConfig:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"generation count must be >= 1, got {self.m}")
-        if self.di < 0:
-            raise ValueError(f"relative error must be >= 0, got {self.di}")
-        if not self.threshold > 0:
-            raise ValueError(f"acceptance threshold must be > 0, got {self.threshold}")
+        if not (math.isfinite(self.di) and self.di >= 0):
+            raise ValueError(f"relative error must be finite and >= 0, got {self.di}")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(f"acceptance threshold must be finite and > 0, got {self.threshold}")
+        if not 0.0 <= self.max_nonconverged_frac <= 1.0:
+            raise ValueError("non-converged fraction must lie in [0, 1], "
+                             f"got {self.max_nonconverged_frac}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:

@@ -199,7 +199,14 @@ class TestCmdMc:
         (("--seed", "-3"), None, "seed"),
         ((), "abc", "HYPERFIT_SEED"),
         (("--sweep", "5:10:5", "--sweep-m", "0"), None, "generation count"),
-    ], ids=["m", "workers", "di", "seed", "env-seed", "sweep-m"])
+        (("--di", "nan"), None, "relative error"),
+        (("--di", "inf"), None, "relative error"),
+        (("--threshold", "inf"), None, "acceptance threshold"),
+        (("--sweep", "nan:5:1"), None, "sweep"),
+        (("--sweep", "0:inf:1"), None, "sweep"),
+        (("--sweep", "0:5:inf"), None, "sweep"),
+    ], ids=["m", "workers", "di", "seed", "env-seed", "sweep-m", "di-nan", "di-inf",
+            "threshold-inf", "sweep-nan", "sweep-inf", "sweep-step-inf"])
     def test_bad_mc_argument_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch,
                                                       argv, env_seed, flag):
         def no_loading(*args, **kwargs):

@@ -41,6 +41,12 @@ def linear_index(p0, c0, year0, n):
     return PriceIndexSeries.from_log_index(epochs, p0 + c0 * (t - t[0]))
 
 
+def normal_eqs(r, jac):
+    """(J^T J, J^T r) per row of a (rows, n, k) Jacobian: what an engine model returns."""
+    with np.errstate(over="ignore", invalid="ignore"):      # inf and NaN trials
+        return np.einsum("ink,inl->ikl", jac, jac), np.einsum("ink,in->ik", jac, r)
+
+
 # ---------------------------------------------------------------------------
 # The projected Levenberg-Marquardt engine
 # ---------------------------------------------------------------------------
@@ -54,8 +60,8 @@ class TestEngine:
             resid = y - (v[:, :1] + v[:, 1:2] * self.X)
             if not with_jac:
                 return resid, None
-            return resid, np.stack([np.ones_like(resid),
-                                    np.broadcast_to(self.X, resid.shape)], axis=-1)
+            jac = np.stack([np.ones_like(resid), np.broadcast_to(self.X, resid.shape)], axis=-1)
+            return resid, normal_eqs(resid, jac)
         return model
 
     def run(self, y, x0, lb, ub):
@@ -128,8 +134,8 @@ class TestEngine:
 
         def model(v, rows, with_jac):
             resid = y[rows] - (v[:, :1] + v[:, 1:2] * self.X)
-            return resid, np.stack([np.ones_like(resid),
-                                    np.broadcast_to(self.X, resid.shape)], axis=-1)
+            jac = np.stack([np.ones_like(resid), np.broadcast_to(self.X, resid.shape)], axis=-1)
+            return resid, normal_eqs(resid, jac)
 
         x0 = np.tile([50.0, -50.0], (5, 1))
         bounds = np.full(2, -np.inf), np.full(2, np.inf)
@@ -148,7 +154,8 @@ class TestEngine:
         def model(v, rows, with_jac):
             resid = y - 1e-12 * v * self.X
             ssrs.append(float(_ssr(resid)[0]))
-            return resid, np.broadcast_to(-1e-12 * self.X, resid.shape)[..., None]
+            wrong_sign = np.broadcast_to(-1e-12 * self.X, resid.shape)[..., None]
+            return resid, normal_eqs(resid, wrong_sign)
 
         x0 = np.array([[0.3]])
         x, ssr, converged, rounds = _lm(model, x0, np.full(1, -np.inf), np.full(1, np.inf),
@@ -168,8 +175,8 @@ class TestEngine:
             moved = np.any(v != 0.0, axis=1)
             resid[moved & (rows == 0)] = np.inf
             resid[moved & (rows == 1)] = np.nan
-            return resid, np.stack([np.ones_like(resid),
-                                    np.broadcast_to(self.X, resid.shape)], axis=-1)
+            jac = np.stack([np.ones_like(resid), np.broadcast_to(self.X, resid.shape)], axis=-1)
+            return resid, normal_eqs(resid, jac)
 
         x0 = np.zeros((2, 2))
         x, ssr, converged, rounds = _lm(model, x0, np.full(2, -np.inf), np.full(2, np.inf),
@@ -426,6 +433,57 @@ def central_gradient(f, x, h=1e-6):
     return np.array([(f(x + h * e) - f(x - h * e)) / (2.0 * h) for e in np.eye(len(x))])
 
 
+def kaufman_reference(g, y, shift, centre, dg):
+    """(resid, J^T J, J^T resid) as the engine once built them, J formed explicitly.
+
+    dg is the full d g / dx as (rows, k, n); J is C0 dg/dx less its part in
+    span{1, g} (span{g} uncentred, p0 pinned), as a (rows, n, k) array.
+    """
+    n = g.shape[-1]
+    g_mean = g.mean(axis=-1) if centre else np.zeros(g.shape[:-1])
+    g = g - g_mean[:, None]
+    den = np.einsum("ik,ik->i", g, g)
+    c0 = np.einsum("ik,ik->i", g, y) / den
+    resid = y - c0[:, None] * g
+    dg = dg - np.einsum("ijk,ik->ij", dg, g)[..., None] / den[:, None, None] * g[:, None]
+    if centre:
+        dg = dg - np.einsum("ijk->ij", dg)[..., None] / n
+    jac = c0[:, None, None] * dg.transpose(0, 2, 1)
+    return resid, *normal_eqs(resid, jac)
+
+
+def full_singular_columns(tc, alpha, t, t0):
+    """g of the singular model and its full (rows, 2, n) derivative in (tc, alpha)."""
+    s0 = tc - t0
+    ratio = s0 / (tc - t)
+    f = ratio ** alpha
+    g = s0 / alpha * (f - 1.0)
+    dg = np.stack([((1.0 + alpha) * f - alpha * f * ratio - 1.0) / alpha,
+                   s0 / alpha * (f * np.log(ratio) - (f - 1.0) / alpha)], axis=1)
+    return g, dg
+
+
+def assert_same_normal_eqs(resid, jtj, jtr, reference, tol_jtj=1e-10, tol_jtr=1e-12):
+    """Each entry within tol of its Cauchy-Schwarz scale.
+
+    |J_k . J_l| <= |J_k| |J_l| and |J_k . r| <= |J_k| |r|, so those products
+    of column norms scale the errors: near the optimum J^T r is itself
+    round-off and has no relative accuracy to compare.
+    """
+    ref_resid, ref_jtj, ref_jtr = reference
+    col = np.sqrt(np.einsum("ikk->ik", ref_jtj))
+    assert np.abs(resid - ref_resid).max() <= 1e-12
+    assert np.all(np.abs(jtj - ref_jtj) <= tol_jtj * col[:, :, None] * col[:, None])
+    assert np.all(np.abs(jtr - ref_jtr) <= tol_jtr * col * np.sqrt(_ssr(ref_resid))[:, None])
+
+
+@pytest.fixture(scope="module")
+def noisy_peru_index():
+    """Peru resampled at 10 %: the singular optimum leaves real residuals."""
+    rates = synthetic_rates(episode("peru"))
+    return build_price_index(sample_generation(rates, 0.1, np.random.default_rng(3)))
+
+
 class TestVariableProjection:
     @pytest.mark.parametrize("pin", [False, True])
     def test_kaufman_gradient_is_exact_singular(self, peru_index, pin):
@@ -434,8 +492,8 @@ class TestVariableProjection:
         t0, tc_lo, a_lo = float(t[0]), 1991.0, 0.0
         pinned = float(p[0]) if pin else None
         x = np.array([1.5, 0.6])
-        resid, jac, c0, _ = _sing_residuals(tc_lo + x[None, :1], a_lo + x[None, 1:], t, t0,
-                                            *_data_side(p[None], pinned), not pin, True)
+        _, (_, jtr), c0, _ = _sing_residuals(tc_lo + x[None, :1], a_lo + x[None, 1:], t, t0,
+                                             *_data_side(p[None], pinned), not pin, True)
         assert c0[0] > 0
 
         def g(v):
@@ -443,17 +501,51 @@ class TestVariableProjection:
             return eval_singularity(shape, t)
 
         grad = central_gradient(lambda v: half_ssr(g(v), p, pinned), x)
-        assert jac[0].T @ resid[0] == pytest.approx(-grad, rel=1e-6)
+        assert jtr[0] == pytest.approx(-grad, rel=1e-6)
 
     def test_kaufman_gradient_is_exact_double_exp(self, peru_index):
         # Off the optimum (b2 0.2055).
         t, p = peru_index.times(), peru_index.log_index
         x = t - t[0]
         h, dh = _dexp_basis(np.array([[0.1]]), x)
-        resid, jac, _, _ = _project(h, *_data_side(p, None), True, dh[:, None])
+        _, (_, jtr), _, _ = _project(h, *_data_side(p, None), True, dh[None])
         grad = central_gradient(
             lambda v: half_ssr(_dexp_basis(v[:, None], x)[0][0], p, None), np.array([0.1]))
-        assert jac[0].T @ resid[0] == pytest.approx(-grad, rel=1e-6)
+        assert jtr[0] == pytest.approx(-grad, rel=1e-6)
+
+    @pytest.mark.parametrize("pin", [False, True])
+    def test_singular_normal_eqs_match_the_explicit_jacobian(self, noisy_peru_index, pin):
+        # Rows: the optimum, a point 0.01 / 1 % off it, points far off in tc
+        # and alpha, and alpha near its floor.  Measured worst errors against
+        # the reference: 1.8e-12 (J^T J, alpha = 0.05, tc 3 years out, p0
+        # pinned) and 7.8e-15 (J^T r), each in units of its Cauchy-Schwarz
+        # scale.
+        t, p = noisy_peru_index.times(), noisy_peru_index.log_index
+        t0 = float(t[0])
+        fit = fit_singularity(noisy_peru_index, FitConfig(pin_p0=pin))
+        tc_hat, a_hat = fit.params.tc, fit.params.alpha
+        tc = np.array([tc_hat, tc_hat + 0.01, tc_hat + 0.5, tc_hat + 3.0, tc_hat])[:, None]
+        alpha = np.array([a_hat, 0.99 * a_hat, 1.5 * a_hat, 0.05, 2.0])[:, None]
+        y, shift = _data_side(np.tile(p, (len(tc), 1)), float(p[0]) if pin else None)
+        resid, (jtj, jtr), c0, _ = _sing_residuals(tc, alpha, t, t0, y, shift, not pin, True)
+        assert np.all(c0 > 0)
+        g, dg = full_singular_columns(tc, alpha, t, t0)
+        assert_same_normal_eqs(resid, jtj, jtr, kaufman_reference(g, y, shift, not pin, dg))
+
+    def test_double_exp_normal_eqs_match_the_explicit_jacobian(self, noisy_peru_index):
+        # The optimum, a point 30 % off, and two b2 in _dexp_basis's series
+        # branch (|b2 x| < 1e-8), one of them b2 = 0.  Measured worst errors:
+        # 1.8e-14 (J^T J) and 4.5e-16 (J^T r), in the units above.
+        t, p = noisy_peru_index.times(), noisy_peru_index.log_index
+        x = t - t[0]
+        b2_hat = fit_double_exp(noisy_peru_index).params.b2
+        b2 = np.array([b2_hat, 1.3 * b2_hat, 1e-10, 0.0])[:, None]
+        assert np.array_equal(np.max(np.abs(b2 * x), axis=1) < 1e-8, [False, False, True, True])
+        h, dh = _dexp_basis(b2, x)
+        y, shift = _data_side(np.tile(p, (len(b2), 1)), None)
+        reference = kaufman_reference(h, y, shift, True, dh[:, None])
+        resid, (jtj, jtr), _, _ = _project(h, y, shift, True, dh[None].copy())  # centres dg
+        assert_same_normal_eqs(resid, jtj, jtr, reference)
 
     def test_engine_searches_shape_parameters_only(self, peru_index, monkeypatch):
         widths = []

@@ -165,6 +165,13 @@ def test_mc_config_validation():
         MCConfig(di=-0.1)
     with pytest.raises(ValueError):
         MCConfig(threshold=0.0)
+    for bad in ({"di": math.nan}, {"di": math.inf}, {"threshold": math.inf},
+                {"threshold": math.nan}):
+        with pytest.raises(ValueError, match="finite"):
+            MCConfig(**bad)
+    for frac in (math.nan, -0.1, 1.5):
+        with pytest.raises(ValueError, match="non-converged fraction"):
+            MCConfig(max_nonconverged_frac=frac)
     with pytest.raises(ValueError):
         MCConfig(workers=0)
 
@@ -373,6 +380,25 @@ def test_outcome_counts_partition_the_generations(peru_rates):
     assert int(rep.tc_hist_counts.sum()) == in_moments
     data = build_report(rep.direct, build_price_index(peru_rates), mc=rep).data
     assert sum(data[f"mc.outcome.{kind}"] for kind in OUTCOMES) == data["mc.m"]
+
+
+def test_tc_is_lognormal_in_its_distance_to_the_last_epoch(peru_rates, monkeypatch):
+    # Criterion 4(b) fails on skew(tc) = 1.06 at di = 0.25; on the same
+    # generations log(tc - t_last) is close to gaussian (skew -0.083; seeds
+    # 1 and 2 give -0.084 and -0.111).  _skew_kurtosis sees exactly the tc
+    # of the generations that enter the moments.
+    entered = []
+
+    def spy(x):
+        entered.append(x.copy())
+        return _skew_kurtosis(x)
+
+    monkeypatch.setattr(montecarlo, "_skew_kurtosis", spy)
+    rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.25, m=4000, seed=20080605))
+    (tc,) = entered
+    assert len(tc) == rep.outcome["converged_interior"] + rep.outcome["on_alpha_floor"]
+    skew, _ = _skew_kurtosis(np.log(tc - float(peru_rates.times()[-1])))
+    assert abs(skew) < 0.5
 
 
 def test_out_of_box_generations_are_counted(peru_rates):
