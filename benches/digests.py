@@ -1,7 +1,10 @@
-"""sha256 digests of every Monte Carlo report and every direct fit.
+"""sha256 digests of every Monte Carlo draw and report and every direct fit.
 
-For the hyperfit tree on PYTHONPATH this prints three digests:
+For the hyperfit tree on PYTHONPATH this prints four digests:
 
+- ``draws``: every ``montecarlo._draw_generations`` sample array and
+  truncation count on the mc-resample cases and seeds below, printed first,
+  within seconds, so that a sampling change can be checked alone;
 - ``fit``: ``fit_linear``, ``fit_double_exp`` and ``fit_singularity`` on
   the five bundled episodes, noiseless and with the seven perturbations at
   di = 0.1 that ``fit_layers.py`` draws from seed 1, p0 free and pinned;
@@ -46,6 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from fit_layers import case_indexes
+from hyperfit import montecarlo
 from hyperfit.fitting import FitConfig, FitError, fit_double_exp, fit_linear, fit_singularity
 from hyperfit.fixtures import PRESETS, episode, synthetic_rates
 from hyperfit.montecarlo import MCConfig, run_mc
@@ -77,6 +81,18 @@ def feed(h, value) -> None:
 
 def pinning(config: FitConfig) -> str:
     return "pinned" if config.pin_p0 else "free"
+
+
+def draws_digest() -> str:
+    """The ``draws`` digest: each case and seed's samples and truncation count."""
+    h = hashlib.sha256()
+    for name, di in MC_CASES:
+        rates = synthetic_rates(episode(name)).rates
+        out = np.empty((M, len(rates)))
+        for seed in MC_SEEDS:
+            feed(h, montecarlo._draw_generations(rates, di, seed, out))
+            feed(h, out)
+    return h.hexdigest()
 
 
 def mc_digests(values: dict) -> tuple[str, str]:
@@ -141,6 +157,7 @@ def main() -> None:
     values: dict[str, dict] = {"fit": {}, "mc": {}}
     with warnings.catch_warnings():         # perturbed ends may not be strictly rising
         warnings.simplefilter("ignore")
+        print("draws ", draws_digest(), flush=True)
         print("fit   ", fit_digest(values["fit"]))
         mc, counts = mc_digests(values["mc"])
         print("mc    ", mc)

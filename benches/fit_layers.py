@@ -20,7 +20,8 @@ two trees:
     PYTHONPATH=/path/to/parent/src python benches/fit_layers.py --label NAME-parent
 
 Times are raw wall milliseconds (``time.perf_counter``) after one warm-up
-pass, each the mean over ``CALLS`` passes through the case's inputs.
+pass, each the mean over ``CALLS`` passes through the case's inputs, and
+again reference-scaled under ``*_ms_ref`` (see ``mc_layers.run_bench``).
 """
 
 from __future__ import annotations

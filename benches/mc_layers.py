@@ -20,6 +20,13 @@ around ``fitting._sing_residuals`` (the grid seed's one call over its
   which the model turns into per-row normal equations (before
   ``gram-*``: into a projected Jacobian array).
 
+A third, untimed ``_draw_generations`` call counts the generators set one
+row at a time, through a wrapper around ``montecarlo._pcg64_state``:
+
+- ``state_sets``: every generation before ``bulk-*``, then only the rows the
+  bulk ziggurat leaves to numpy, plus, in both, each row with a value at or
+  below -1 (``truncated_draws`` counts that row's redraws, not the row).
+
 The counts depend only on the tree and the seed, not on the machine.
 
 The package is imported from wherever PYTHONPATH points, so the same script
@@ -37,7 +44,9 @@ bench in this directory.
 
 Labels recorded before ``seeding-*`` timed ``draw_s`` with the seed
 spawning left outside.  Times are raw wall seconds
-(``time.perf_counter``) after one warm-up pass.
+(``time.perf_counter``) after one warm-up pass.  From ``bulk-*`` on, each
+time is also recorded reference-scaled, under its name plus ``_ref`` (see
+``run_bench``).
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ import json
 import os
 import platform
 import statistics
+import sys
 import time
 from pathlib import Path
 
@@ -57,6 +67,9 @@ from hyperfit.fitting import FitConfig
 from hyperfit.fixtures import episode, synthetic_rates
 from hyperfit.montecarlo import MCConfig, run_mc
 from hyperfit.series import cumulate
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from calibrate import Calibrator, python_loop  # noqa: E402
 
 CASES = (("peru", 0.25), ("yugoslavia", 0.25), ("germany", 0.5))
 M = 4000
@@ -86,7 +99,23 @@ def time_case(name: str, di: float, seed: int) -> dict[str, float]:
     run_mc(rates, config, MCConfig(di=di, m=M, seed=seed))
     run_mc_s = time.perf_counter() - started
     return {"draw_s": draw_s, "refit_s": refit_s, "run_mc_s": run_mc_s,
-            **count_model_work(lambda: run_mc(rates, config, MCConfig(di=di, m=M, seed=seed)))}
+            **count_model_work(lambda: run_mc(rates, config, MCConfig(di=di, m=M, seed=seed))),
+            **count_state_sets(lambda: draw(rates.rates, di, seed))}
+
+
+def spied(module, name: str, spy, call) -> None:
+    """Run ``call()`` with ``spy(*args)`` called ahead of each call of ``module.name``."""
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        spy(*args)
+        return original(*args)
+
+    setattr(module, name, wrapper)
+    try:
+        call()
+    finally:
+        setattr(module, name, original)
 
 
 def count_model_work(call) -> dict[str, int]:
@@ -95,20 +124,25 @@ def count_model_work(call) -> dict[str, int]:
     Engine calls pass tc as a (rows, 1) column; the grid seed's are 3-d.
     """
     counts = {"model_calls": 0, "model_rows": 0, "jac_rows": 0}
-    residuals = fitting._sing_residuals
 
-    def counted(tc, *args):
+    def spy(tc, *args):
         if np.ndim(tc) == 2:
             counts["model_calls"] += 1
             counts["model_rows"] += len(tc)
             counts["jac_rows"] += len(tc) if args[-1] else 0
-        return residuals(tc, *args)
 
-    fitting._sing_residuals = counted
-    try:
-        call()
-    finally:
-        fitting._sing_residuals = residuals
+    spied(fitting, "_sing_residuals", spy, call)
+    return counts
+
+
+def count_state_sets(call) -> dict[str, int]:
+    """Generators set to one row's state in ``call()``: calls of ``_pcg64_state``."""
+    counts = {"state_sets": 0}
+
+    def spy(*words):
+        counts["state_sets"] += 1
+
+    spied(montecarlo, "_pcg64_state", spy, call)
     return counts
 
 
@@ -126,6 +160,12 @@ def run_bench(description: str, cases, time_case, settings: dict, default_out: P
     ``--label`` in ``--out``, and every label's summary and
     ``change_over_parent`` are recomputed.  ``settings`` joins the Python,
     numpy and CPU count in the file's ``environment``.
+
+    Each timing (a layer named ``*_s`` or ``*_ms``) is recorded raw and, as
+    ``<layer>_ref``, scaled the way ``perfbench/calibrate.py`` scales op
+    times: by the ``python_loop`` kernel's reference time over the mean of
+    its runs just before and just after the case.  That removes the drift
+    in machine speed that the kernel sees, not process-to-process noise.
     """
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--label", required=True, help="name of the measured tree")
@@ -141,9 +181,15 @@ def run_bench(description: str, cases, time_case, settings: dict, default_out: P
     data["environment"] = {"python": platform.python_version(), "numpy": np.__version__,
                            "cpus": os.cpu_count(), **settings}
     runs = data.setdefault("samples", {}).setdefault(args.label, {})
+    calibrator = Calibrator(python_loop)
     for k in range(args.repeats):
         for case in cases:
-            for layer, value in time_case(*case, args.seed + k).items():
+            before = calibrator.tick()
+            values = time_case(*case, args.seed + k)
+            scale, = calibrator.scales([before])
+            values |= {layer + "_ref": value * scale for layer, value in values.items()
+                       if layer.endswith(("_s", "_ms"))}
+            for layer, value in values.items():
                 runs.setdefault(case[0], {}).setdefault(layer, []).append(value)
 
     data["summary"] = {
@@ -153,7 +199,7 @@ def run_bench(description: str, cases, time_case, settings: dict, default_out: P
     }
     data["change_over_parent"] = {
         label: {name: {layer: change[name][layer]["median"] / parent[name][layer]["median"]
-                       for layer in parent[name]}
+                       for layer in parent[name] if layer in change[name]}
                 for name in parent}
         for label, change in data["summary"].items()
         if label.endswith("change")

@@ -10,10 +10,14 @@ uncertainty.  Results are accepted when every parameter's
 when resampling does not systematically displace the direct fit.
 
 Determinism: generation j draws from a substream derived only from the
-master seed and j (``SeedSequence(seed).spawn(m)[j]``, whose states are
-computed for all j at once, with no generator object per generation), and
-all aggregation is order-independent, so reports are bit-identical for a
-fixed seed however many generations the refit engine holds in flight.
+master seed and j: bit for bit ``default_rng(SeedSequence(seed).spawn(m)[j])``.
+The draws run in bulk, with no generator object per generation: every
+substream's state, its PCG64 outputs and numpy's ziggurat normals on them
+are computed for all j at once, and only the few generations that reach
+the ziggurat's tail, a near-tie or a truncation are drawn one by one by
+numpy itself.  All aggregation is order-independent, so reports are
+bit-identical for a fixed seed however many generations the refit engine
+holds in flight.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _ziggurat_tables
 from .fitting import (
     FitConfig,
     FitError,
@@ -215,25 +220,118 @@ def _pcg64_state(s_hi: int, s_lo: int, q_hi: int, q_lo: int) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
+# numpy's ziggurat tables: _ZIG_W[r & 0x1FF] is the wi of level r & 0xFF with
+# the sign of bit 8; fi[i] = exp(-x_i**2 / 2) at the strip edge
+# x_i = wi[i] * 2**52, fi[0] = 1, and _ZIG_FD[i] = fi[i - 1] - fi[i].
+_ZIG_WI = np.frombuffer(_ziggurat_tables.PACKED, "<f8", 256)
+_ZIG_KI = np.frombuffer(_ziggurat_tables.PACKED, "<u8", 256, 2048)
+_ZIG_W = np.concatenate([_ZIG_WI, -_ZIG_WI])
+_ZIG_FI = np.exp(-0.5 * (_ZIG_WI * 2.0**52) ** 2)
+_ZIG_FI[0] = 1.0
+_ZIG_FD = np.roll(_ZIG_FI, 1) - _ZIG_FI
+_RABS = 2**52 - 1
+
+#: Outputs drawn per generation beyond its n normals; a wedge draw takes two.
+_SPARE_OUTPUTS = 8
+#: Generations per block of the bulk ziggurat, which bounds its scratch arrays.
+_DRAW_BLOCK = 1024
+#: A wedge test whose two sides differ by at most this, relative, is left to numpy.
+_WEDGE_TIE = 1e-9
+
+_MULT_LO, _MULT_HI = np.uint64(_PCG64_MULT % 2**64), np.uint64(_PCG64_MULT >> 64)
+_MULT0, _MULT1 = _MULT_LO & np.uint64(0xFFFFFFFF), _MULT_LO >> np.uint64(32)
+
+
+def _pcg64_outputs(words: np.ndarray, k: int) -> np.ndarray:
+    """(m, k) uint64: row j is the first k outputs of a PCG64 set to ``_pcg64_state(*words[j])``.
+
+    PCG64 steps its 128-bit LCG state to s * mult + inc, then outputs the
+    XSL-RR of the new state; both run here in uint64 words over all rows.
+    """
+    s_hi, s_lo, q_hi, q_lo = words.T.copy()
+    inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+    lo = s_lo + inc_lo                  # seeding: state = (s + inc) * mult + inc
+    hi = s_hi + inc_hi + (lo < s_lo)
+    raw = np.empty((k, len(words)), np.uint64)
+    for j in range(-1, k):              # step -1 is the seeding step
+        a0, a1 = lo & 0xFFFFFFFF, lo >> 32          # high word of lo * _MULT_LO:
+        low = (a0 * _MULT0 >> 32) + a1 * _MULT0     # 32-bit halves, no sum above 2**64
+        mid = (low & 0xFFFFFFFF) + a0 * _MULT1
+        hi = (a1 * _MULT1 + (low >> 32) + (mid >> 32)
+              + hi * _MULT_LO + lo * _MULT_HI + inc_hi)
+        lo = lo * _MULT_LO + inc_lo
+        hi += lo < inc_lo
+        if j >= 0:
+            x, rot = hi ^ lo, hi >> 58
+            raw[j] = x >> rot | x << (64 - rot & 63)
+    return raw.T
+
+
+def _ziggurat_normals(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out (rows, n) with numpy's ``standard_normal`` on each row of raw outputs.
+
+    A draw reads level i (low 8 bits), a sign bit and a 52-bit rabs from
+    one output and returns x = +-rabs * wi[i] if rabs < ki[i].  Otherwise
+    level 0 samples the tail, and level i >= 1 (a wedge) takes the next
+    output as U and returns x if (fi[i-1] - fi[i]) * U + fi[i] < exp(-x**2/2),
+    else draws again.  A wedge takes two outputs either way, so along a run
+    of adjacent slow outputs every other one starts a draw.  Returns the
+    rows whose n draws reach a tail, a wedge test within ``_WEDGE_TIE`` of a
+    tie, or the end of raw; their out rows hold no numpy draw.
+    """
+    n, k = out.shape[1], raw.shape[1]
+    raw = raw.ravel()                   # output j of row r at r * k + j
+    rabs = raw >> 9 & _RABS
+    slow = np.flatnonzero(rabs >= _ZIG_KI[(raw & 0xFF).view(np.int64)])
+    index = np.arange(len(slow))
+    follows = np.r_[False, np.diff(slow) == 1] & (slow % k > 0)
+    run_start = np.maximum.accumulate(np.where(follows, 0, index))
+    start = slow[(index - run_start) % 2 == 0]
+    level = (raw[start] & 0xFF).view(np.int64)
+    x = rabs[start] * _ZIG_WI[level]
+    u = start + (start % k < k - 1)     # the wedge's U; in the last column, the wedge itself
+    height = _ZIG_FD[level] * ((raw[u] >> 11) * 2.0**-53) + _ZIG_FI[level]
+    bell = np.exp(-0.5 * x * x)
+    # Outputs that give no value, and the values before each in its row.
+    skipped = np.unique(np.r_[u, start[height >= bell]])
+    row = skipped // k
+    before = skipped - row * k - (np.arange(len(skipped)) - np.searchsorted(skipped, row * k))
+    end = n + np.bincount(row[before < n], minlength=len(out))  # past the row's n-th value
+    unsure = (level == 0) | (np.abs(height - bell) <= _WEDGE_TIE * bell)
+    left = end > k
+    left[start[unsure & (start % k < end[start // k])] // k] = True
+    take = (np.arange(k) < np.where(left, n, end)[:, None]).ravel()
+    take[skipped[~left[row]]] = False
+    chosen = raw[take]
+    out[:] = ((chosen >> 9 & _RABS) * _ZIG_W[(chosen & 0x1FF).view(np.int64)]).reshape(-1, n)
+    return np.flatnonzero(left)
+
+
 def _draw_generations(rates: np.ndarray, di: float, seed: int, out: np.ndarray) -> int:
     """Fill out (m, n) with one ``_sample_rates`` draw per generation, in place.
 
     Row j is bit for bit ``_sample_rates(rates, di, default_rng(child))`` for
-    child j of ``SeedSequence(seed).spawn(m)``; one generator takes each row's
-    state in turn.  Rows with a value at or below -1 return to their state,
-    skip the n normals already used and redraw.  Returns the total redraws.
+    child j of ``SeedSequence(seed).spawn(m)``.  Every row's PCG64 outputs
+    are computed at once, and numpy's ziggurat runs on them in blocks of
+    rows.  A row that needs a draw the bulk path leaves to numpy (a tail,
+    a near-tie or more than ``_SPARE_OUTPUTS`` spare outputs) is drawn by one
+    generator set to its state.  Rows with a value at or below -1 return to
+    their state, skip the n normals already used and redraw.  Returns the
+    total redraws.
     """
-    words = _substream_words(seed, len(out)).tolist()
+    words = _substream_words(seed, len(out))
+    raw = _pcg64_outputs(words, out.shape[1] + _SPARE_OUTPUTS)
     rng = np.random.Generator(np.random.PCG64())
-    for row, row_words in zip(out, words):
-        rng.bit_generator.state = _pcg64_state(*row_words)
-        rng.standard_normal(out=row)
+    for b in range(0, len(out), _DRAW_BLOCK):
+        for j in b + _ziggurat_normals(raw[b:b + _DRAW_BLOCK], out[b:b + _DRAW_BLOCK]):
+            rng.bit_generator.state = _pcg64_state(*words[j].tolist())
+            rng.standard_normal(out=out[j])
     sd = di * np.abs(rates)
     out *= sd
     out += rates
     truncated = 0
     for j in np.flatnonzero((out <= -1.0).any(axis=1)):
-        rng.bit_generator.state = _pcg64_state(*words[j])
+        rng.bit_generator.state = _pcg64_state(*words[j].tolist())
         rng.standard_normal(len(rates))
         truncated += _redraw(out[j], rates, sd, rng)
     return truncated

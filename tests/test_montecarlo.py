@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperfit import montecarlo
 from hyperfit.fitting import FitConfig, FitError, fit_singularity
@@ -128,6 +129,17 @@ class TestDrawGenerations:
             total += redraws
         assert truncated == total > 0
 
+    # One generation, and a count that is no multiple of the bulk draw's blocks.
+    @pytest.mark.parametrize("m", [1, 1037])
+    def test_matches_per_generation_sampling_at_any_count(self, m):
+        rates = synthetic_rates(episode("germany")).rates
+        out = np.empty((m, len(rates)))
+        truncated = _draw_generations(rates, 0.5, 20080605, out)
+        children = np.random.SeedSequence(20080605).spawn(m)
+        ref, ref_truncated = per_row_reference(rates, 0.5, map(np.random.default_rng, children))
+        assert out.tobytes() == ref.tobytes()
+        assert truncated == ref_truncated and (m == 1 or truncated > 0)
+
 
 # 2**128 + 11 has five 32-bit words, more than SeedSequence's pool of four,
 # so its mixing takes the tail loop over the extra entropy words.
@@ -156,6 +168,138 @@ def test_numpy_integer_seed_draws_like_the_python_int():
     _draw_generations(rates, 0.25, 20080605, a)
     _draw_generations(rates, 0.25, np.uint32(20080605), b)
     assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Bulk draws: PCG64 and numpy's ziggurat as array arithmetic
+# ---------------------------------------------------------------------------
+
+def output_word(level, rabs, negative=False):
+    """A PCG64 output that numpy's ziggurat reads as this level, sign and mantissa."""
+    return rabs << 9 | negative << 8 | level
+
+
+def words_with_output(word, position, q=0):
+    """Substream words, increment 2q + 1, whose generator's output ``position`` is word.
+
+    The state with high word 0 and low word ``word`` has XSL-RR rotation 0,
+    so it outputs word; step back from it to the seeding state.
+    """
+    inc, inverse = 2 * q + 1, pow(montecarlo._PCG64_MULT, -1, 2**128)
+    state = word
+    for _ in range(position + 2):
+        state = (state - inc) * inverse % 2**128
+    seed_state = (state - inc) % 2**128
+    return [seed_state >> 64, seed_state % 2**64, q >> 64, q % 2**64]
+
+
+def outputs_used(words, n):
+    """PCG64 outputs that n ``standard_normal`` draws take from these words."""
+    rng = generator_at(words)
+    start = rng.bit_generator.state["state"]
+    rng.standard_normal(n)
+    state, end, used = start["state"], rng.bit_generator.state["state"]["state"], 0
+    while state != end:
+        state, used = (state * montecarlo._PCG64_MULT + start["inc"]) % 2**128, used + 1
+    return used
+
+
+def test_ziggurat_tables_are_numpys():
+    """wi and ki read off the installed numpy's ``standard_normal``.
+
+    A draw at rabs = 1 returns wi of its level.  ki is the least rabs whose
+    draw takes a second output (a rejection test), found by bisection.
+    """
+    rng = np.random.Generator(np.random.PCG64())
+
+    def draw(level, rabs):
+        word = output_word(level, rabs)
+        rng.bit_generator.state = _pcg64_state(*words_with_output(word, 0))
+        value = rng.standard_normal()
+        return value, rng.bit_generator.state["state"]["state"] != word
+
+    wi, ki = np.empty(256), np.empty(256, np.uint64)
+    for level in range(256):
+        wi[level] = draw(level, 1)[0]
+        lo, hi = 0, 2**52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if not draw(level, mid)[1] else (lo, mid)
+        ki[level] = lo
+    assert ki[1] == 0                       # level 1 never takes the fast path
+    assert wi.tobytes() == montecarlo._ZIG_WI.tobytes()
+    assert np.array_equal(ki, montecarlo._ZIG_KI)
+
+
+def per_row_reference(rates, di, rngs):
+    rows = [_sample_rates(rates, di, rng) for rng in rngs]
+    return np.array([vals for vals, _ in rows]), sum(redraws for _, redraws in rows)
+
+
+def generator_at(words):
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = _pcg64_state(*words)
+    return rng
+
+
+class TestBulkDraws:
+    @pytest.fixture
+    def draw_words(self, monkeypatch):
+        """Draw from given substream words; also return the rows set one by one."""
+        def draw(rates, di, words):
+            set_rows = []
+            state = montecarlo._pcg64_state
+            monkeypatch.setattr(montecarlo, "_substream_words",
+                                lambda seed, m: np.array(words, np.uint64))
+            monkeypatch.setattr(montecarlo, "_pcg64_state",
+                                lambda *w: set_rows.append(words.index(list(w))) or state(*w))
+            out = np.empty((len(words), len(rates)))
+            truncated = _draw_generations(rates, di, 0, out)
+            return out, truncated, set(set_rows)
+        return draw
+
+    def test_each_kind_of_slow_draw(self, peru_rates, draw_words):
+        rates = peru_rates.rates
+        # Rows 3-6: a level-0 tail; a wedge reject and its redraw; a slow output
+        # in the last column read, then the next row's slow first output (a
+        # level-1 wedge, always accepted): adjacent outputs of different rows.
+        last = len(rates) + montecarlo._SPARE_OUTPUTS - 1
+        words = [list(map(int, row)) for row in _substream_words(11, 3)] + [
+            words_with_output(output_word(0, 2**52 - 1), 3),
+            words_with_output(output_word(200, 2**52 - 1, True), 5),
+            words_with_output(output_word(7, 2**52 - 1), last),
+            words_with_output(output_word(1, 1), 0),
+        ]
+        assert outputs_used(words[4], len(rates)) >= len(rates) + 2
+        out, truncated, set_rows = draw_words(rates, 0.25, words)
+        ref, ref_truncated = per_row_reference(rates, 0.25, map(generator_at, words))
+        assert out.tobytes() == ref.tobytes() and truncated == ref_truncated == 0
+        assert 3 in set_rows and not set_rows & {4, 6}
+
+    def test_row_out_of_spare_outputs(self, peru_rates, draw_words, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_SPARE_OUTPUTS", 1)
+        rates = peru_rates.rates
+        n = len(rates)
+        exact = next(words for q in range(100)               # one wedge, all else fast
+                     if outputs_used(words := words_with_output(output_word(1, 1), 0, q), n)
+                     == n + 1)
+        words = [words_with_output(output_word(200, 2**52 - 1), 0), exact]
+        assert outputs_used(words[0], n) > n + 1
+        out, _, set_rows = draw_words(rates, 0.25, words)
+        ref, _ = per_row_reference(rates, 0.25, map(generator_at, words))
+        assert out.tobytes() == ref.tobytes()
+        assert set_rows == {0}
+
+    @given(seed=st.integers(0, 2**70), di=st.sampled_from([0.05, 0.25, 0.5]),
+           name=st.sampled_from(["peru", "yugoslavia", "germany"]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_default_rng_per_generation(self, seed, di, name):
+        rates = synthetic_rates(episode(name)).rates
+        out = np.empty((45, len(rates)))
+        truncated = _draw_generations(rates, di, seed, out)
+        children = np.random.SeedSequence(seed).spawn(len(out))
+        ref, ref_truncated = per_row_reference(rates, di, map(np.random.default_rng, children))
+        assert out.tobytes() == ref.tobytes() and truncated == ref_truncated
 
 
 def test_mc_config_validation():
