@@ -26,11 +26,14 @@ same class and histogram bin:
 
 ``--save PATH`` also writes the values behind the digests as JSON: each
 run's moments (``mean.tc``, ``std.tc``, ..., ``skew.tc``, ``kurt.tc``) and
+``COUNT_FIELDS`` (the outcome counts as ``outcome.stalled`` and so on), and
 each fit's parameters, objective and LM rounds.  ``--against PATH`` reads
 such a file from another tree and prints, per field, the largest relative
 drift of this tree's values from it, with the absolute drift and the run or
 fit where the largest one occurs (a reference of exactly 0 that moves reads
-as an infinite relative drift):
+as an infinite relative drift); then every run whose counts moved, with each
+moved field's reference and new value, and per moved field its total over
+all runs:
 
     PYTHONPATH=/path/to/parent/src python benches/digests.py --save parent.json
     PYTHONPATH=src python benches/digests.py --against parent.json
@@ -95,21 +98,37 @@ def draws_digest() -> str:
     return h.hexdigest()
 
 
-def mc_digests(values: dict) -> tuple[str, str]:
-    """The ``mc`` and ``counts`` digests of the same runs; fills values[run] with its moments."""
-    whole, counts = hashlib.sha256(), hashlib.sha256()
+def run_counts(report) -> dict:
+    """A report's ``COUNT_FIELDS`` as JSON values, each outcome count as its own field."""
+    counts = {f"outcome.{kind}": n for kind, n in report.outcome.items()}
+    for field in COUNT_FIELDS:
+        if field != "outcome":
+            value = getattr(report, field)
+            counts[field] = value.tolist() if isinstance(value, np.ndarray) else value
+    return counts
+
+
+def mc_digests(moments: dict, counts: dict) -> tuple[str, str]:
+    """The ``mc`` and ``counts`` digests of the same runs.
+
+    Fills moments[run] with the run's moments and counts[run] with its
+    ``run_counts``.
+    """
+    whole, counted = hashlib.sha256(), hashlib.sha256()
     for name, di in MC_CASES:
         rates = synthetic_rates(episode(name))
         for config in CONFIGS:
             for seed in MC_SEEDS:
                 report = run_mc(rates, config, MCConfig(di=di, m=M, seed=seed))
                 feed(whole, report)
-                feed(counts, {field: getattr(report, field) for field in COUNT_FIELDS})
-                values[f"{name} {pinning(config)} {seed}"] = {
+                feed(counted, {field: getattr(report, field) for field in COUNT_FIELDS})
+                run = f"{name} {pinning(config)} {seed}"
+                moments[run] = {
                     **{f"{moment}.{param}": getattr(stats, moment)
                        for param, stats in report.params.items() for moment in ("mean", "std")},
                     "skew.tc": report.tc_skewness, "kurt.tc": report.tc_excess_kurtosis}
-    return whole.hexdigest(), counts.hexdigest()
+                counts[run] = run_counts(report)
+    return whole.hexdigest(), counted.hexdigest()
 
 
 def fit_digest(values: dict) -> str:
@@ -149,17 +168,29 @@ def drift(values: dict, reference: dict) -> dict[str, tuple[float, float, str]]:
     return worst
 
 
+def moved_counts(values: dict, reference: dict) -> dict[str, dict[str, tuple]]:
+    """Per run in both: each count field whose value moved, as (reference, value)."""
+    moved = {}
+    for run, fields in values.items():
+        ref = reference.get(run, {})
+        changes = {field: (ref[field], value) for field, value in fields.items()
+                   if field in ref and ref[field] != value}
+        if changes:
+            moved[run] = changes
+    return moved
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--save", type=Path, help="write the values behind the digests here")
     parser.add_argument("--against", type=Path, help="print the drift from this saved file")
     args = parser.parse_args()
-    values: dict[str, dict] = {"fit": {}, "mc": {}}
+    values: dict[str, dict] = {"fit": {}, "mc": {}, "counts": {}}
     with warnings.catch_warnings():         # perturbed ends may not be strictly rising
         warnings.simplefilter("ignore")
         print("draws ", draws_digest(), flush=True)
         print("fit   ", fit_digest(values["fit"]))
-        mc, counts = mc_digests(values["mc"])
+        mc, counts = mc_digests(values["mc"], values["counts"])
         print("mc    ", mc)
         print("counts", counts)
     if args.save:
@@ -172,6 +203,19 @@ def main() -> None:
                 print(f"{kind}: {len(unmatched)} in one file only, e.g. {min(unmatched)}")
             for field, (rel, diff, key) in sorted(drift(values[kind], reference[kind]).items()):
                 print(f"{kind} {field:12s} rel {rel:.2e}  abs {diff:.2e}  at {key}")
+        if "counts" not in reference:
+            print("counts: the reference file holds none")
+            return
+        moved = moved_counts(values["counts"], reference["counts"])
+        print(f"counts: {len(moved)} of {len(values['counts'])} runs moved")
+        for run, changes in moved.items():
+            print(f"counts {run}: " + ", ".join(f"{field} {ref} -> {value}"
+                                               for field, (ref, value) in changes.items()))
+        for field in sorted({field for changes in moved.values() for field in changes}):
+            if field.startswith("outcome."):
+                total = sum(fields[field] for fields in values["counts"].values())
+                ref_total = sum(fields[field] for fields in reference["counts"].values())
+                print(f"counts total {field}: {ref_total} -> {total}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Layer timings of the Monte Carlo loop: rate sampling and batched refit.
 
 On the three mc-resample cases (Peru and Yugoslavia at di = 0.25, Germany
-at di = 0.5, m = 4000 generations) this times the two layers of ``run_mc``
-that scale with m, plus ``run_mc`` whole for context:
+at di = 0.5, m = 4000 generations), and on Germany at di = 0.5 over
+``STALL_SEEDS`` (case ``germany-stall``: seeds where, before ``box-*``, a
+refit ran all 400 LM rounds far outside the search box), this times the two
+layers of ``run_mc`` that scale with m, plus ``run_mc`` whole for context:
 
 - ``draw_s``: ``montecarlo._draw_generations`` (all m resamples), from the
   master seed to the filled samples, per-generation seeding included;
@@ -18,7 +20,10 @@ around ``fitting._sing_residuals`` (the grid seed's one call over its
 - ``model_rows``: rows evaluated, summed over the calls;
 - ``jac_rows``: those of them evaluated with derivatives (``with_jac``),
   which the model turns into per-row normal equations (before
-  ``gram-*``: into a projected Jacobian array).
+  ``gram-*``: into a projected Jacobian array);
+- ``row_rounds``: LM rounds of the Monte Carlo refit, summed over its m
+  rows (read off ``montecarlo.fit_singular_rows``);
+- ``max_rounds``: the longest refit row's rounds.
 
 A third, untimed ``_draw_generations`` call counts the generators set one
 row at a time, through a wrapper around ``montecarlo._pcg64_state``:
@@ -71,7 +76,11 @@ from hyperfit.series import cumulate
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 from calibrate import Calibrator, python_loop  # noqa: E402
 
-CASES = (("peru", 0.25), ("yugoslavia", 0.25), ("germany", 0.5))
+CASES = (("peru", 0.25), ("yugoslavia", 0.25), ("germany", 0.5), ("germany-stall", 0.5))
+#: Germany di = 0.5 seeds with a refit that stalled outside the box before ``box-*``;
+#: the ``germany-stall`` case times seed k on ``STALL_SEEDS[k % 10]``.
+STALL_SEEDS = (1_000_014, 1_000_032, 1_000_041, 1_000_062, 1_000_068, 1_000_086, 1_000_089,
+               1_000_095, 1_000_098, 1_000_116)
 M = 4000
 
 
@@ -82,6 +91,9 @@ def draw(rates: np.ndarray, di: float, seed: int) -> np.ndarray:
 
 
 def time_case(name: str, di: float, seed: int) -> dict[str, float]:
+    name, _, stall = name.partition("-")
+    if stall:
+        seed = STALL_SEEDS[seed % len(STALL_SEEDS)]
     rates = synthetic_rates(episode(name))
     config = FitConfig()
     direct, t = montecarlo._direct_fit(rates, config)
@@ -104,12 +116,13 @@ def time_case(name: str, di: float, seed: int) -> dict[str, float]:
 
 
 def spied(module, name: str, spy, call) -> None:
-    """Run ``call()`` with ``spy(*args)`` called ahead of each call of ``module.name``."""
+    """Run ``call()`` with ``spy(result, *args)`` called after each call of ``module.name``."""
     original = getattr(module, name)
 
-    def wrapper(*args):
-        spy(*args)
-        return original(*args)
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        spy(result, *args)
+        return result
 
     setattr(module, name, wrapper)
     try:
@@ -119,19 +132,27 @@ def spied(module, name: str, spy, call) -> None:
 
 
 def count_model_work(call) -> dict[str, int]:
-    """The engine's model calls, rows and rows with derivatives in ``call()``.
+    """The engine's model calls, rows and rows with derivatives in ``call()``,
+    and the Monte Carlo refit's LM rounds: over all rows, and its longest row's.
 
     Engine calls pass tc as a (rows, 1) column; the grid seed's are 3-d.
     """
-    counts = {"model_calls": 0, "model_rows": 0, "jac_rows": 0}
+    counts = {"model_calls": 0, "model_rows": 0, "jac_rows": 0, "row_rounds": 0,
+              "max_rounds": 0}
 
-    def spy(tc, *args):
+    def spy(_, tc, *args):
         if np.ndim(tc) == 2:
             counts["model_calls"] += 1
             counts["model_rows"] += len(tc)
             counts["jac_rows"] += len(tc) if args[-1] else 0
 
-    spied(fitting, "_sing_residuals", spy, call)
+    def refit_spy(result, *args):
+        rounds = result[3]
+        counts["row_rounds"] += int(rounds.sum())
+        counts["max_rounds"] = max(counts["max_rounds"], int(rounds.max()))
+
+    spied(fitting, "_sing_residuals", spy,
+          lambda: spied(montecarlo, "fit_singular_rows", refit_spy, call))
     return counts
 
 
@@ -139,7 +160,7 @@ def count_state_sets(call) -> dict[str, int]:
     """Generators set to one row's state in ``call()``: calls of ``_pcg64_state``."""
     counts = {"state_sets": 0}
 
-    def spy(*words):
+    def spy(*_):
         counts["state_sets"] += 1
 
     spied(montecarlo, "_pcg64_state", spy, call)
@@ -211,7 +232,8 @@ def run_bench(description: str, cases, time_case, settings: dict, default_out: P
 
 
 def main() -> None:
-    settings = {"m": M, "cases": [f"{name} di={di}" for name, di in CASES]}
+    settings = {"m": M, "cases": [f"{name} di={di}" for name, di in CASES],
+                "stall_seeds": STALL_SEEDS}
     run_bench(__doc__.split("\n\n")[0], CASES, time_case, settings, Path("BENCH_mc.json"))
 
 

@@ -199,7 +199,7 @@ def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: np.ndarray, free: np.nda
                      d[:, 0] * b[:, 1] - off * b[:, 0]], axis=1) / det[:, None]
 
 
-def _lm(model, x0, lb, ub, xtol, ftol, max_iter, width=None):
+def _lm(model, x0, lb, ub, xtol, ftol, max_iter, width=None, stop=None):
     """Projected Levenberg-Marquardt over a batch of independent fits.
 
     ``model(x, rows, with_jac)`` returns a tuple that starts with the
@@ -233,8 +233,10 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter, width=None):
     a trial that raises it is not taken.  So a row at the round-off floor
     stops at once instead of damping a futile step until it rounds to zero.
     A non-finite trial never ends a row, and a row whose objective starts
-    non-finite runs no round.  Returns (x, ssr, converged, rounds run), then
-    each further item of the model at every row's final x.
+    non-finite runs no round.  A row whose accepted step takes a coordinate
+    above ``stop`` (per coordinate; default none) ends in that round, not
+    converged.  Returns (x, ssr, converged, rounds run), then each further
+    item of the model at every row's final x.
     """
     m, k = x0.shape
     width = m if width is None else width
@@ -285,6 +287,10 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter, width=None):
         rej = live[~better]
         lam[rej] = np.minimum(lam[rej] * 10.0, 1e15)
         converged[live[done]] = True
+        if stop is not None:                # only when given: direct fits skip the check
+            escaped = better & np.any(trial > stop, axis=1)
+            converged[live[escaped]] = False
+            done |= escaped
 
         live = np.concatenate([live[~done], new[np.isfinite(ssr[new])]])
         live = live[rounds[live] < max_iter]
@@ -378,6 +384,17 @@ def _sing_residuals(tc: np.ndarray, alpha: np.ndarray, t: np.ndarray, t0: float,
     return resid, normal, c0, p0
 
 
+#: How far a fit not bounded above lets a row go, in box widths from the
+#: box's lower edge: a row whose accepted step takes tc or alpha more than
+#: one box width beyond the box ends there, not converged.  Left alone, such
+#: a row may spend all ``max_iter`` rounds out there, and the Monte Carlo
+#: moments exclude it if it ends outside.  Not the box edge itself: some
+#: refits step out and come back (at di = 0.5, Peru to 1.175 box widths in
+#: tc and Zimbabwe to 1.058 in alpha), while none that ends inside the box
+#: has been seen to pass two.
+_STOP_BOXES = 2.0
+
+
 def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float, float],
                       seed: tuple[float, float], config: FitConfig,
                       bounded_above: bool = True, pinned_p0: float | None = None,
@@ -388,13 +405,16 @@ def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float,
     all); (C0, p0) are solved in closed form, p0 held at ``pinned_p0`` if
     given.  tc and alpha are held at or above the lower edges of
     ``tc_window`` and ``config.alpha_bounds``, and with ``bounded_above`` at
-    or below the upper edges.  Returns ((tc, alpha, c0, p0), ssr, converged,
+    or below the upper edges.  Without it a row ends, not converged, once an
+    accepted step takes tc or alpha more than one box width beyond the box
+    (``_STOP_BOXES``).  Returns ((tc, alpha, c0, p0), ssr, converged,
     rounds), one array entry per row.
     """
     t0 = float(t[0])
     tc_lo, tc_hi = tc_window
     a_lo, a_hi = config.alpha_bounds
-    ub = np.array([tc_hi - tc_lo, a_hi - a_lo] if bounded_above else [np.inf, np.inf])
+    box = np.array([tc_hi - tc_lo, a_hi - a_lo])
+    ub, stop = (box, None) if bounded_above else (np.inf, _STOP_BOXES * box)
     y, shift = _data_side(p_data, pinned_p0)
     x0 = np.tile([seed[0] - tc_lo, seed[1] - a_lo], (p_data.shape[0], 1))
 
@@ -403,7 +423,7 @@ def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float,
                                pinned_p0 is None, with_jac)
 
     x, ssr, converged, rounds, c0, p0 = _lm(model, x0, np.zeros(2), ub, config.xtol,
-                                            config.ftol, config.max_iter, width)
+                                            config.ftol, config.max_iter, width, stop)
     return (tc_lo + x[:, 0], a_lo + x[:, 1], c0, p0), ssr, converged, rounds
 
 

@@ -94,9 +94,10 @@ class MCReport:
     ``outcome`` puts every generation in one class, so its counts sum to m:
     ``converged_interior``; ``on_alpha_floor`` (converged with alpha on the
     lower bound of ``FitConfig.alpha_bounds``, kept in the moments at the
-    bound); ``stalled`` (no convergence within ``max_iter`` rounds) and
-    ``out_of_box`` (converged with tc beyond the search window or alpha
-    above its upper bound), both excluded from the moments.
+    bound); ``stalled`` (no convergence within ``max_iter`` rounds, inside
+    the box) and ``out_of_box`` (ended with tc beyond the search window or
+    alpha above its upper bound, converged or stopped one box width beyond
+    the box), both excluded from the moments.
     ``n_nonconverged`` counts all but the converged-interior ones;
     ``unreliable`` is set when it exceeds ``max_nonconverged_frac`` of m.
     """
@@ -361,7 +362,9 @@ def _refit_generations(p_data: np.ndarray, t: np.ndarray, direct: SingularityPar
 
     tc and alpha are held at or above the lower edges of the box, as in the
     direct fit, but not bounded above: a generation that leaves the box is
-    seen (and excluded), not clamped.  With ``fit_config.pin_p0`` every row
+    seen (and excluded), not clamped.  A refit ends there, not converged,
+    once a step takes it one box width beyond the box
+    (``fitting._STOP_BOXES``).  With ``fit_config.pin_p0`` every row
     keeps the direct fit's p0: the first rate carries no error, so all
     generations share the observed ln P(t0).
     """
@@ -423,12 +426,14 @@ def run_mc(
     The direct fit of the unperturbed series anchors the comparison and
     seeds every refit.  Each refit keeps tc beyond the data and alpha at
     or above the lower bound of ``alpha_bounds``, as the direct fit does.
-    A generation enters the moments unless its refit stalled or left the
-    box (tc beyond the search window, alpha above its upper bound); a
-    refit that converged with alpha on the lower bound enters at the
-    bound, like a direct fit accepted there.  ``MCReport.outcome`` counts
-    each kind; more than ``max_nonconverged_frac`` generations outside
-    the converged interior marks the report unreliable.
+    A generation enters the moments unless its refit stalled or ended
+    outside the box (tc beyond the search window, alpha above its upper
+    bound); a refit that steps one box width beyond the box ends there, out
+    of the box.  A refit that converged with alpha on the lower bound
+    enters at the bound, like a direct fit accepted there.
+    ``MCReport.outcome`` counts each kind; more than
+    ``max_nonconverged_frac`` generations outside the converged interior
+    marks the report unreliable.
     """
     fit_config = fit_config or FitConfig()
     return _resample(rates, fit_config, mc_config or MCConfig(),
@@ -451,13 +456,13 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
 
     tc, alpha, c0, p0, _, converged = _refit_generations(p_data, t, dp, fit_config)
 
-    out_of_box = converged & ((tc > tc_hi) | (alpha > a_hi))
-    on_floor = converged & ~out_of_box & (alpha - a_lo <= fit_config.xtol * max(1.0, a_lo))
+    out_of_box = (tc > tc_hi) | (alpha > a_hi)
     ok = converged & ~out_of_box
+    on_floor = ok & (alpha - a_lo <= fit_config.xtol * max(1.0, a_lo))
     outcome = {
         "converged_interior": int(np.count_nonzero(ok & ~on_floor)),
         "on_alpha_floor": int(np.count_nonzero(on_floor)),
-        "stalled": int(np.count_nonzero(~converged)),
+        "stalled": int(np.count_nonzero(~converged & ~out_of_box)),
         "out_of_box": int(np.count_nonzero(out_of_box)),
     }
     n_bad = mc.m - outcome["converged_interior"]

@@ -55,9 +55,9 @@ class TestEngine:
     X = np.linspace(0.0, 1.0, 9)
 
     def line_model(self, y):
-        """y = a + b x, the engine's model interface over a batch of one."""
+        """y = a + b x, the engine's model interface: batch row i fits row i of a 2-d y."""
         def model(v, rows, with_jac):
-            resid = y - (v[:, :1] + v[:, 1:2] * self.X)
+            resid = np.atleast_2d(y)[rows] - (v[:, :1] + v[:, 1:2] * self.X)
             if not with_jac:
                 return resid, None
             jac = np.stack([np.ones_like(resid), np.broadcast_to(self.X, resid.shape)], axis=-1)
@@ -183,6 +183,29 @@ class TestEngine:
                                         1e-12, 1e-14, 20)
         assert not converged.any() and np.all(rounds == 20)
         assert x.tobytes() == x0.tobytes() and np.all(ssr == _ssr(y))
+
+    def test_row_ends_once_an_accepted_step_passes_stop(self):
+        # Row 0's minimum, (500, 300), lies far above stop in a, and each
+        # step moves a coordinate by at most 50, so the row passes stop after
+        # a few accepted steps.  It ends in that round, not converged, where a
+        # run capped at that many rounds ends; row 1 never nears stop and
+        # keeps its bits.
+        y = np.stack([500.0 + 300.0 * self.X, 1.0 + 2.0 * self.X + 0.1 * np.sin(7.0 * self.X)])
+        model = self.line_model(y)
+        x0 = np.zeros((2, 2))
+        bounds = np.full(2, -np.inf), np.full(2, np.inf)
+        stop = np.array([120.0, np.inf])
+        stopped = _lm(model, x0, *bounds, 1e-12, 1e-14, 100, stop=stop)
+        free = _lm(model, x0, *bounds, 1e-12, 1e-14, 100)
+        capped = [_lm(model, x0[:1], *bounds, 1e-12, 1e-14, r) for r in range(1, 100)]
+        first = next(r for r, run in enumerate(capped, 1) if np.any(run[0][0] > stop))
+        x, ssr, converged, rounds = stopped
+        assert free[2][0] and free[0][0, 0] == pytest.approx(500.0)
+        assert 1 < first < 100 and rounds[0] == first and not converged[0]
+        assert x[0].tobytes() == capped[first - 1][0][0].tobytes()
+        assert ssr[0] == capped[first - 1][1][0]
+        for a, b in zip(stopped, free):
+            assert a[1:].tobytes() == b[1:].tobytes()
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_damped_step_matches_a_dense_solve(self, k):

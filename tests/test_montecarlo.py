@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperfit import montecarlo
-from hyperfit.fitting import FitConfig, FitError, fit_singularity
+from hyperfit import fitting, montecarlo
+from hyperfit.fitting import FitConfig, FitError, fit_singularity, tc_search_window
 from hyperfit.fixtures import PRESETS, episode, synthetic_rates
 from hyperfit.montecarlo import (
     MCConfig,
@@ -549,6 +549,64 @@ def test_out_of_box_generations_are_counted(peru_rates):
     rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.5, m=100, seed=2))
     assert rep.outcome["out_of_box"] >= 1
     assert int(rep.tc_hist_counts.sum()) == rep.m - rep.outcome["out_of_box"] - rep.outcome["stalled"]
+
+
+def refit_row(name: str, di: float, seed: int, row: int, config: FitConfig):
+    """``_refit_generations`` on generation ``row`` of an m = 4000 run alone."""
+    rates = synthetic_rates(episode(name))
+    index = build_price_index(rates)
+    child = np.random.SeedSequence(seed).spawn(4000)[row]
+    vals, _ = _sample_rates(rates.rates, di, np.random.default_rng(child))
+    p_data = build_price_index(InflationSeries(epochs=rates.epochs, rates=vals)).log_index
+    return _refit_generations(p_data[None], index.times(),
+                              fit_singularity(index, config).params, config)
+
+
+@pytest.mark.parametrize("name, seed, row", [("peru", 1_000_003, 3563),
+                                             ("zimbabwe", 1_000_007, 381)])
+def test_a_refit_that_steps_out_and_back_is_not_stopped(name, seed, row, monkeypatch):
+    """A refit may step out of the box and end inside it: the stop leaves it alone.
+
+    At di = 0.5 with p0 free, Peru's row reaches 1.175 box widths in tc
+    (from the box's lower edge) and Zimbabwe's 1.058 in alpha, and both end
+    inside the box.  At ``fitting._STOP_BOXES`` = 2 each refits bit for bit
+    as with no stop.  Stopping at the box edge (``_STOP_BOXES`` = 1) would
+    end both outside the box, not converged, so this test fails with it.
+    """
+    config = FitConfig()
+    _, tc_hi = tc_search_window(synthetic_rates(episode(name)).times(), config)
+    a_hi = config.alpha_bounds[1]
+    stopped = refit_row(name, 0.5, seed, row, config)
+    monkeypatch.setattr(fitting, "_STOP_BOXES", np.inf)
+    free = refit_row(name, 0.5, seed, row, config)
+    for a, b in zip(stopped, free):
+        assert a.tobytes() == b.tobytes()
+    tc, alpha, *_, converged = stopped
+    assert converged[0] and tc[0] <= tc_hi and alpha[0] <= a_hi
+    monkeypatch.setattr(fitting, "_STOP_BOXES", 1.0)
+    tc, alpha, *_, converged = refit_row(name, 0.5, seed, row, config)
+    assert not converged[0] and (tc[0] > tc_hi or alpha[0] > a_hi)
+
+
+def test_a_refit_far_beyond_the_box_stops_early(monkeypatch):
+    # Germany at di = 0.5, seed 1000014: one generation heads far past
+    # tc_hi.  With no stop it ran all 400 rounds out there and counted as
+    # stalled; now it ends one box width out and counts as out_of_box, and
+    # n_nonconverged stays what it was.
+    rounds = []
+    refit = montecarlo.fit_singular_rows
+
+    def spy(*args, **kwargs):
+        result = refit(*args, **kwargs)
+        rounds.append(result[3])
+        return result
+
+    monkeypatch.setattr(montecarlo, "fit_singular_rows", spy)
+    rep = run_mc(synthetic_rates(episode("germany")), FitConfig(),
+                 MCConfig(di=0.5, m=4000, seed=1_000_014))
+    assert rep.outcome["stalled"] == 0 and rep.outcome["out_of_box"] == 1
+    assert rep.n_nonconverged == 9
+    assert rounds[0].max() <= FitConfig().max_iter // 4
 
 
 def count_direct_fits(monkeypatch):
