@@ -28,7 +28,8 @@ same class and histogram bin:
 run's moments (``mean.tc``, ``std.tc``, ..., ``skew.tc``, ``kurt.tc``) and
 ``COUNT_FIELDS`` (the outcome counts as ``outcome.stalled`` and so on), and
 each fit's parameters, objective and LM rounds.  ``--against PATH`` reads
-such a file from another tree and prints, per field, the largest relative
+such a file from another tree and prints, per field (for the fits, per
+field of each model: linear, doubleexp, singularity), the largest relative
 drift of this tree's values from it, with the absolute drift and the run or
 fit where the largest one occurs (a reference of exactly 0 that moves reads
 as an infinite relative drift); then every run whose counts moved, with each
@@ -168,6 +169,14 @@ def drift(values: dict, reference: dict) -> dict[str, tuple[float, float, str]]:
     return worst
 
 
+def by_model(fits: dict) -> dict[str, dict]:
+    """Fit values split by model (linear, doubleexp, singularity): each key's first word."""
+    groups: dict[str, dict] = {}
+    for key, fields in fits.items():
+        groups.setdefault(key.split()[0], {})[key] = fields
+    return groups
+
+
 def moved_counts(values: dict, reference: dict) -> dict[str, dict[str, tuple]]:
     """Per run in both: each count field whose value moved, as (reference, value)."""
     moved = {}
@@ -201,7 +210,10 @@ def main() -> None:
             unmatched = values[kind].keys() ^ reference[kind].keys()
             if unmatched:
                 print(f"{kind}: {len(unmatched)} in one file only, e.g. {min(unmatched)}")
-            for field, (rel, diff, key) in sorted(drift(values[kind], reference[kind]).items()):
+        fits, ref_fits = by_model(values["fit"]), by_model(reference["fit"])
+        for kind, current, ref in [("mc", values["mc"], reference["mc"])] + [
+                (f"fit {model}", fits[model], ref_fits.get(model, {})) for model in fits]:
+            for field, (rel, diff, key) in sorted(drift(current, ref).items()):
                 print(f"{kind} {field:12s} rel {rel:.2e}  abs {diff:.2e}  at {key}")
         if "counts" not in reference:
             print("counts: the reference file holds none")

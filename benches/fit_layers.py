@@ -19,13 +19,26 @@ two trees:
     PYTHONPATH=src python benches/fit_layers.py --label NAME-change
     PYTHONPATH=/path/to/parent/src python benches/fit_layers.py --label NAME-parent
 
-Times are raw wall milliseconds (``time.perf_counter``) after one warm-up
-pass, each the mean over ``CALLS`` passes through the case's inputs, and
-again reference-scaled under ``*_ms_ref`` (see ``mc_layers.run_bench``).
+or time both trees in one process, which resolves what separate processes
+cannot (process-to-process drift moves these layers by 10-20 %):
+
+    PYTHONPATH=src python benches/fit_layers.py --label NAME --parent-src /path/to/parent/src
+
+This imports the parent's ``hyperfit`` a second time, as the package
+``hyperfit_parent``, and calls each layer of the two trees in alternation on
+the same inputs, flipping which goes first after every input; the two sets
+of samples go under ``NAME-parent`` and ``NAME-change``.
+
+Times are raw wall milliseconds (``time.perf_counter``, per call) after one
+warm-up pass, each the mean over ``CALLS`` passes through the case's inputs,
+and again reference-scaled under ``*_ms_ref`` (see ``mc_layers.run_bench``).
 """
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -54,12 +67,19 @@ def grid_args(index, config: fitting.FitConfig):
     return t, p, float(t[0]), tc_nodes, alpha_nodes, None
 
 
-def per_call_ms(fn, args: list) -> float:
-    started = time.perf_counter()
+def per_call_ms(fns: dict, args: list) -> dict[str, float]:
+    """Per tree, the mean milliseconds of ``fns[tree](*a)`` over ``CALLS`` passes
+    through ``args``, the trees taking turns on each input."""
+    total = dict.fromkeys(fns, 0.0)
+    order = list(fns)
     for _ in range(CALLS):
         for a in args:
-            fn(*a)
-    return (time.perf_counter() - started) / (CALLS * len(args)) * 1e3
+            for tree in order:
+                started = time.perf_counter()
+                fns[tree](*a)
+                total[tree] += time.perf_counter() - started
+            order.reverse()
+    return {tree: seconds / (CALLS * len(args)) * 1e3 for tree, seconds in total.items()}
 
 
 def case_indexes(name: str, seed: int) -> list:
@@ -71,25 +91,42 @@ def case_indexes(name: str, seed: int) -> list:
         for child in children]
 
 
-def time_case(name: str, seed: int) -> dict[str, float]:
+def load_parent(src: Path):
+    """``hyperfit.fitting`` of the tree whose src directory is ``src``, as ``hyperfit_parent``."""
+    init = src / "hyperfit" / "__init__.py"
+    spec = importlib.util.spec_from_file_location("hyperfit_parent", init,
+                                                  submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module("hyperfit_parent.fitting")
+
+
+def time_case(name: str, seed: int, parent=None) -> dict:
+    """This tree's layers on one case and seed; with ``parent`` (a ``fitting``
+    module), {"parent": layers, "change": layers}, timed call by call in turn."""
+    trees = {"change": fitting} if parent is None else {"parent": parent, "change": fitting}
     indexes = case_indexes(name, seed)
     config = fitting.FitConfig()
+    layers = (("grid_ms", "_sing_grid_seed", [grid_args(index, config) for index in indexes]),
+              ("singularity_ms", "fit_singularity", [(i,) for i in indexes]),
+              ("doubleexp_ms", "fit_double_exp", [(i,) for i in indexes]))
     with warnings.catch_warnings():         # perturbed ends may not be strictly rising
         warnings.simplefilter("ignore")
-        return {
-            "grid_ms": per_call_ms(fitting._sing_grid_seed,
-                                   [grid_args(index, config) for index in indexes]),
-            "singularity_ms": per_call_ms(fitting.fit_singularity, [(i,) for i in indexes]),
-            "doubleexp_ms": per_call_ms(fitting.fit_double_exp, [(i,) for i in indexes]),
-            "singularity_rounds": sum(fitting.fit_singularity(i).iterations for i in indexes),
-            "doubleexp_rounds": sum(fitting.fit_double_exp(i).iterations for i in indexes),
-        }
+        times = {layer: per_call_ms({side: getattr(tree, fn) for side, tree in trees.items()},
+                                    args) for layer, fn, args in layers}
+        values = {side: {layer: times[layer][side] for layer in times} | {
+            "singularity_rounds": sum(tree.fit_singularity(i).iterations for i in indexes),
+            "doubleexp_rounds": sum(tree.fit_double_exp(i).iterations for i in indexes),
+        } for side, tree in trees.items()}
+    return values["change"] if parent is None else values
 
 
 def main() -> None:
     settings = {"inputs per case": f"noiseless + {PERTURBATIONS} perturbed at di={DI}",
                 "calls per input": CALLS}
-    run_bench(__doc__.split("\n\n")[0], CASES, time_case, settings, Path("BENCH_fit.json"))
+    run_bench(__doc__.split("\n\n")[0], CASES, time_case, settings, Path("BENCH_fit.json"),
+              load_parent)
 
 
 if __name__ == "__main__":

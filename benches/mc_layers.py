@@ -172,7 +172,8 @@ def summary(samples: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3, "n": len(samples)}
 
 
-def run_bench(description: str, cases, time_case, settings: dict, default_out: Path) -> None:
+def run_bench(description: str, cases, time_case, settings: dict, default_out: Path,
+              load_parent=None) -> None:
     """Command line of a layer bench: time every case, record under --label.
 
     The first item of each case names it; ``time_case(*case, seed)``
@@ -181,6 +182,11 @@ def run_bench(description: str, cases, time_case, settings: dict, default_out: P
     ``--label`` in ``--out``, and every label's summary and
     ``change_over_parent`` are recomputed.  ``settings`` joins the Python,
     numpy and CPU count in the file's ``environment``.
+
+    A bench that passes ``load_parent`` also takes ``--parent-src PATH``:
+    then ``parent = load_parent(PATH)`` and ``time_case(*case, seed,
+    parent)`` returns {"parent": values, "change": values}, recorded under
+    ``--label`` plus ``-parent`` and ``-change``.
 
     Each timing (a layer named ``*_s`` or ``*_ms``) is recorded raw and, as
     ``<layer>_ref``, scaled the way ``perfbench/calibrate.py`` scales op
@@ -193,25 +199,39 @@ def run_bench(description: str, cases, time_case, settings: dict, default_out: P
     parser.add_argument("--repeats", type=int, default=5, help="seeds per case")
     parser.add_argument("--seed", type=int, default=7, help="first master seed")
     parser.add_argument("--out", type=Path, default=default_out)
+    if load_parent:
+        parser.add_argument("--parent-src", type=Path,
+                            help="the parent tree's src directory, timed in this process")
     args = parser.parse_args()
+    if load_parent and args.parent_src:
+        parent = load_parent(args.parent_src)
+
+        def timed(*case):
+            return {f"{args.label}-{side}": values
+                    for side, values in time_case(*case, parent).items()}
+    else:
+        def timed(*case):
+            return {args.label: time_case(*case)}
 
     for case in cases:                      # warm-up: imports, caches, allocator
-        time_case(*case, args.seed - 1)
+        labelled = timed(*case, args.seed - 1)
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data["environment"] = {"python": platform.python_version(), "numpy": np.__version__,
                            "cpus": os.cpu_count(), **settings}
-    runs = data.setdefault("samples", {}).setdefault(args.label, {})
+    samples = data.setdefault("samples", {})
     calibrator = Calibrator(python_loop)
     for k in range(args.repeats):
         for case in cases:
             before = calibrator.tick()
-            values = time_case(*case, args.seed + k)
+            labelled = timed(*case, args.seed + k)
             scale, = calibrator.scales([before])
-            values |= {layer + "_ref": value * scale for layer, value in values.items()
-                       if layer.endswith(("_s", "_ms"))}
-            for layer, value in values.items():
-                runs.setdefault(case[0], {}).setdefault(layer, []).append(value)
+            for label, values in labelled.items():
+                values |= {layer + "_ref": value * scale for layer, value in values.items()
+                           if layer.endswith(("_s", "_ms"))}
+                for layer, value in values.items():
+                    samples.setdefault(label, {}).setdefault(case[0], {}).setdefault(
+                        layer, []).append(value)
 
     data["summary"] = {
         label: {name: {layer: summary(values) for layer, values in layers.items()}
@@ -227,8 +247,9 @@ def run_bench(description: str, cases, time_case, settings: dict, default_out: P
         and (parent := data["summary"].get(label.removesuffix("change") + "parent"))
     }
     args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
-    for name, case in data["summary"][args.label].items():
-        print(args.label, name, {layer: round(s["median"], 4) for layer, s in case.items()})
+    for label in labelled:
+        for name, case in data["summary"].get(label, {}).items():
+            print(label, name, {layer: round(s["median"], 4) for layer, s in case.items()})
 
 
 def main() -> None:
