@@ -36,9 +36,6 @@ and again reference-scaled under ``*_ms_ref`` (see ``mc_layers.run_bench``).
 
 from __future__ import annotations
 
-import importlib
-import importlib.util
-import sys
 import time
 import warnings
 from pathlib import Path
@@ -49,7 +46,7 @@ from hyperfit import fitting
 from hyperfit.fixtures import PRESETS, episode, synthetic_rates
 from hyperfit.montecarlo import sample_generation
 from hyperfit.series import build_price_index
-from mc_layers import run_bench
+from mc_layers import load_parent, run_bench
 
 CASES = tuple((name,) for name in PRESETS)
 PERTURBATIONS = 7
@@ -91,21 +88,11 @@ def case_indexes(name: str, seed: int) -> list:
         for child in children]
 
 
-def load_parent(src: Path):
-    """``hyperfit.fitting`` of the tree whose src directory is ``src``, as ``hyperfit_parent``."""
-    init = src / "hyperfit" / "__init__.py"
-    spec = importlib.util.spec_from_file_location("hyperfit_parent", init,
-                                                  submodule_search_locations=[str(init.parent)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = package
-    spec.loader.exec_module(package)
-    return importlib.import_module("hyperfit_parent.fitting")
-
-
 def time_case(name: str, seed: int, parent=None) -> dict:
-    """This tree's layers on one case and seed; with ``parent`` (a ``fitting``
-    module), {"parent": layers, "change": layers}, timed call by call in turn."""
-    trees = {"change": fitting} if parent is None else {"parent": parent, "change": fitting}
+    """This tree's layers on one case and seed; with ``parent`` (a ``hyperfit``
+    package), {"parent": layers, "change": layers}, timed call by call in turn."""
+    trees = {"change": fitting} if parent is None else {"parent": parent.fitting,
+                                                        "change": fitting}
     indexes = case_indexes(name, seed)
     config = fitting.FitConfig()
     layers = (("grid_ms", "_sing_grid_seed", [grid_args(index, config) for index in indexes]),

@@ -3,12 +3,12 @@
 On the three mc-resample cases (Peru and Yugoslavia at di = 0.25, Germany
 at di = 0.5, m = 4000 generations), and on Germany at di = 0.5 over
 ``STALL_SEEDS`` (case ``germany-stall``: seeds where, before ``box-*``, a
-refit ran all 400 LM rounds far outside the search box), this times the two
-layers of ``run_mc`` that scale with m, plus ``run_mc`` whole for context:
+refit ran all 400 LM rounds far outside the search box), this times one
+``run_mc`` call and, inside it, the two layers that scale with m:
 
-- ``draw_s``: ``montecarlo._draw_generations`` (all m resamples), from the
-  master seed to the filled samples, per-generation seeding included;
-- ``refit_s``: ``montecarlo._refit_generations`` (all m refits);
+- ``draw_s``: its ``montecarlo._draw_generations`` call (all m resamples),
+  from the master seed to the filled samples, per-generation seeding included;
+- ``refit_s``: its ``montecarlo.fit_singular_rows`` call (all m refits);
 - ``run_mc_s``: the whole call, direct fit and aggregation included.
 
 An untimed ``run_mc`` pass then counts the Levenberg-Marquardt engine's
@@ -25,8 +25,8 @@ around ``fitting._sing_residuals`` (the grid seed's one call over its
   rows (read off ``montecarlo.fit_singular_rows``);
 - ``max_rounds``: the longest refit row's rounds.
 
-A third, untimed ``_draw_generations`` call counts the generators set one
-row at a time, through a wrapper around ``montecarlo._pcg64_state``:
+The same pass counts the generators set one row at a time, through a
+wrapper around ``montecarlo._pcg64_state``:
 
 - ``state_sets``: every generation before ``bulk-*``, then only the rows the
   bulk ziggurat leaves to numpy, plus, in both, each row with a value at or
@@ -42,36 +42,45 @@ the two trees in alternation to spread machine drift over both:
     PYTHONPATH=src python benches/mc_layers.py --label NAME-change
     PYTHONPATH=/path/to/parent/src python benches/mc_layers.py --label NAME-parent
 
-Every label ending in ``change`` that has a matching ``parent`` label gets
-its ratios of medians, change over parent, under ``change_over_parent``.
-``run_bench`` holds that bookkeeping and the command line for every layer
-bench in this directory.
+or time both trees in one process, as ``fit_layers.py`` does, which resolves
+what separate processes cannot (per-seed refit ratios between two trees doing
+the same work read 0.68-1.74x there):
+
+    PYTHONPATH=src python benches/mc_layers.py --label NAME --parent-src /path/to/parent/src
+
+Then each seed runs both trees in turn, flipping which goes first from one
+seed to the next, under ``NAME-parent`` and ``NAME-change``.  Every label
+ending in ``change`` that has a matching ``parent`` label gets its ratios of
+medians, change over parent, under ``change_over_parent``.  ``run_bench``
+holds that bookkeeping and the command line for every layer bench in this
+directory.
 
 Labels recorded before ``seeding-*`` timed ``draw_s`` with the seed
-spawning left outside.  Times are raw wall seconds
-(``time.perf_counter``) after one warm-up pass.  From ``bulk-*`` on, each
-time is also recorded reference-scaled, under its name plus ``_ref`` (see
-``run_bench``).
+spawning left outside.  Labels before ``inflight-*`` timed ``draw_s``,
+``refit_s`` and ``run_mc_s`` in three separate calls, the refit through
+``montecarlo._refit_generations``, since folded into ``run_mc``.  Times are
+raw wall seconds (``time.perf_counter``) after one warm-up pass.  From
+``bulk-*`` on, each time is also recorded reference-scaled, under its name
+plus ``_ref`` (see ``run_bench``).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from hyperfit import fitting, montecarlo
-from hyperfit.fitting import FitConfig
+import hyperfit
 from hyperfit.fixtures import episode, synthetic_rates
-from hyperfit.montecarlo import MCConfig, run_mc
-from hyperfit.series import cumulate
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 from calibrate import Calibrator, python_loop  # noqa: E402
@@ -84,87 +93,102 @@ STALL_SEEDS = (1_000_014, 1_000_032, 1_000_041, 1_000_062, 1_000_068, 1_000_086,
 M = 4000
 
 
-def draw(rates: np.ndarray, di: float, seed: int) -> np.ndarray:
-    out = np.empty((M, len(rates)))
-    montecarlo._draw_generations(rates, di, seed, out)
-    return out
-
-
-def time_case(name: str, di: float, seed: int) -> dict[str, float]:
+def time_case(name: str, di: float, seed: int, parent=None) -> dict:
+    """This tree's layers on one case and seed; with ``parent`` (a ``hyperfit``
+    package), {"parent": layers, "change": layers}, the trees in turn."""
     name, _, stall = name.partition("-")
     if stall:
         seed = STALL_SEEDS[seed % len(STALL_SEEDS)]
+    trees = {"change": hyperfit} if parent is None else {"parent": parent, "change": hyperfit}
+    order = list(trees) if seed % 2 else list(reversed(trees))
+    values = {side: tree_layers(trees[side], name, di, seed) for side in order}
+    return values["change"] if parent is None else values
+
+
+def tree_layers(package, name: str, di: float, seed: int) -> dict[str, float]:
+    """One timed ``run_mc`` of ``package`` on the case, then one counted."""
+    mc = package.montecarlo
     rates = synthetic_rates(episode(name))
-    config = FitConfig()
-    direct, t = montecarlo._direct_fit(rates, config)
+    config = package.fitting.FitConfig()
 
-    started = time.perf_counter()
-    samples = draw(rates.rates, di, seed)
-    draw_s = time.perf_counter() - started
+    def run():
+        mc.run_mc(rates, config, mc.MCConfig(di=di, m=M, seed=seed))
 
-    p_data = cumulate(samples)[1]
-    started = time.perf_counter()
-    montecarlo._refit_generations(p_data, t, direct.params, config, 1024)
-    refit_s = time.perf_counter() - started
+    times = {}
 
-    started = time.perf_counter()
-    run_mc(rates, config, MCConfig(di=di, m=M, seed=seed))
-    run_mc_s = time.perf_counter() - started
-    return {"draw_s": draw_s, "refit_s": refit_s, "run_mc_s": run_mc_s,
-            **count_model_work(lambda: run_mc(rates, config, MCConfig(di=di, m=M, seed=seed))),
-            **count_state_sets(lambda: draw(rates.rates, di, seed))}
+    def timer(layer):
+        def spy(seconds, *_):
+            times[layer] = seconds
+        return spy
+
+    with spied(mc, "_draw_generations", timer("draw_s")), \
+            spied(mc, "fit_singular_rows", timer("refit_s")):
+        started = time.perf_counter()
+        run()
+        times["run_mc_s"] = time.perf_counter() - started
+    return times | count_work(package, run)
 
 
-def spied(module, name: str, spy, call) -> None:
-    """Run ``call()`` with ``spy(result, *args)`` called after each call of ``module.name``."""
+@contextmanager
+def spied(module, name: str, spy):
+    """Within the block, each call of ``module.name`` is followed by
+    ``spy(seconds, result, *args)``, ``seconds`` being the call's wall time."""
     original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
+        started = time.perf_counter()
         result = original(*args, **kwargs)
-        spy(result, *args)
+        spy(time.perf_counter() - started, result, *args)
         return result
 
     setattr(module, name, wrapper)
     try:
-        call()
+        yield
     finally:
         setattr(module, name, original)
 
 
-def count_model_work(call) -> dict[str, int]:
-    """The engine's model calls, rows and rows with derivatives in ``call()``,
-    and the Monte Carlo refit's LM rounds: over all rows, and its longest row's.
+def count_work(package, call) -> dict[str, int]:
+    """The engine's model calls, rows and rows with derivatives in ``call()``;
+    the Monte Carlo refit's LM rounds, over all rows and its longest row's;
+    and the generators set to one row's state (calls of ``_pcg64_state``).
 
     Engine calls pass tc as a (rows, 1) column; the grid seed's are 3-d.
     """
-    counts = {"model_calls": 0, "model_rows": 0, "jac_rows": 0, "row_rounds": 0,
-              "max_rounds": 0}
+    counts = dict.fromkeys(("model_calls", "model_rows", "jac_rows", "row_rounds",
+                            "max_rounds", "state_sets"), 0)
 
-    def spy(_, tc, *args):
+    def model_spy(_, __, tc, *args):
         if np.ndim(tc) == 2:
             counts["model_calls"] += 1
             counts["model_rows"] += len(tc)
             counts["jac_rows"] += len(tc) if args[-1] else 0
 
-    def refit_spy(result, *args):
+    def refit_spy(_, result, *args):
         rounds = result[3]
         counts["row_rounds"] += int(rounds.sum())
         counts["max_rounds"] = max(counts["max_rounds"], int(rounds.max()))
 
-    spied(fitting, "_sing_residuals", spy,
-          lambda: spied(montecarlo, "fit_singular_rows", refit_spy, call))
-    return counts
-
-
-def count_state_sets(call) -> dict[str, int]:
-    """Generators set to one row's state in ``call()``: calls of ``_pcg64_state``."""
-    counts = {"state_sets": 0}
-
-    def spy(*_):
+    def state_spy(*_):
         counts["state_sets"] += 1
 
-    spied(montecarlo, "_pcg64_state", spy, call)
+    with spied(package.fitting, "_sing_residuals", model_spy), \
+            spied(package.montecarlo, "fit_singular_rows", refit_spy), \
+            spied(package.montecarlo, "_pcg64_state", state_spy):
+        call()
     return counts
+
+
+def load_parent(src: Path):
+    """The ``hyperfit`` package of the tree whose src directory is ``src``,
+    imported a second time as ``hyperfit_parent``."""
+    init = src / "hyperfit" / "__init__.py"
+    spec = importlib.util.spec_from_file_location("hyperfit_parent", init,
+                                                  submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return package
 
 
 def summary(samples: list[float]) -> dict[str, float]:
@@ -255,7 +279,8 @@ def run_bench(description: str, cases, time_case, settings: dict, default_out: P
 def main() -> None:
     settings = {"m": M, "cases": [f"{name} di={di}" for name, di in CASES],
                 "stall_seeds": STALL_SEEDS}
-    run_bench(__doc__.split("\n\n")[0], CASES, time_case, settings, Path("BENCH_mc.json"))
+    run_bench(__doc__.split("\n\n")[0], CASES, time_case, settings, Path("BENCH_mc.json"),
+              load_parent)
 
 
 if __name__ == "__main__":

@@ -198,6 +198,8 @@ def _params_from_args(args):
 
 
 def _cmd_curve(args) -> int:
+    if args.points < 1:
+        raise LoadError(f"--points must be >= 1, got {args.points}")
     params, meta = _params_from_args(args)
     resolution = meta.get("series.resolution", YEARLY)
     dt = 1.0 if resolution == YEARLY else DAYS_PER_MONTH
@@ -237,13 +239,14 @@ def _parse_target_date(text: str, resolution: str, report_data: dict) -> float:
     """Map a target date onto the report's continuous time axis."""
     if resolution == YEARLY:
         parts = text.split("-")
-        if len(parts) == 1:
-            return float(int(parts[0]))
-        if len(parts) == 3:
-            y, m, d = (int(v) for v in parts)
+        try:
+            if len(parts) == 1:
+                return float(int(parts[0]))
+            y, m, d = (int(v) for v in parts)   # other part counts fail to unpack
             convention = report_data.get("input.year_convention", "start")
             return date_to_time(_date(y, m, d), YEARLY, Epoch(year=y), convention)
-        raise LoadError(f"bad yearly date {text!r}, expected YYYY or YYYY-MM-DD")
+        except ValueError as exc:               # also a calendar date out of range
+            raise LoadError(f"bad yearly date {text!r}, expected YYYY or YYYY-MM-DD") from exc
     day_convention = report_data.get("series.day_convention", "mid")
     epoch = Epoch.parse(text, day_convention)
     if epoch.resolution == YEARLY:

@@ -21,6 +21,7 @@ critical time.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -62,6 +63,10 @@ class FitConfig:
             raise FitError(f"chi divisor must be 'n' or 'n-k', got {self.chi_divisor!r}")
         if self.xtol <= 0 or self.ftol <= 0:
             raise FitError("tolerances must be positive")
+        for name in ("grid_tc", "grid_alpha", "grid_b2", "max_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise FitError(f"{name} must be an integer >= 1, got {value!r}")
         lo, hi = self.alpha_bounds
         if not 0 < lo < hi:
             raise FitError(f"bad alpha bounds {self.alpha_bounds}")
@@ -204,7 +209,13 @@ def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: np.ndarray, free: np.nda
                      d[:, 0] * b[:, 1] - off * b[:, 0]], axis=1) / det[:, None]
 
 
-def _lm(model, x0, lb, ub, xtol, ftol, max_iter, width=None, stop=None):
+#: Rows in flight in ``_lm``: as one ends, the next pending row joins.  Rows
+#: do not interact, so results do not depend on it; it only bounds the
+#: working arrays of each model call, for a Monte Carlo refit of m rows.
+_IN_FLIGHT = 1024
+
+
+def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
     """Projected Levenberg-Marquardt over a batch of independent fits.
 
     ``model(x, rows, with_jac)`` returns a tuple that starts with the
@@ -219,13 +230,13 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter, width=None, stop=None):
     Each round evaluates the model once, with normal equations, at every row's
     trial point.  A row keeps its normal equations (J^T J, J^T r) at its
     current x: an accepted step takes over the trial's, a rejected one
-    re-solves the kept ones with ten times the damping.  At most ``width``
-    rows (default: all) are in flight; as rows finish, pending rows join in
+    re-solves the kept ones with ten times the damping.  At most
+    ``_IN_FLIGHT`` rows are in flight; as rows finish, pending rows join in
     index order, evaluated at their start in the same model call.  Each row
     runs at most ``max_iter`` rounds of its own.  Rows keep their own damping
-    and stop state, so a row's result depends on neither the batch nor the
-    width.  A step is only accepted when it does not raise the row's
-    objective.
+    and stop state, so a row's result depends on neither the batch nor how
+    many rows are in flight.  A step is only accepted when it does not raise
+    the row's objective.
 
     The step solves (C + lam D) delta = J^T r, D = diag(J^T J).  For k = 2
     the curvature C is J^T J (Gauss-Newton).  For k = 1 it is the secant
@@ -254,13 +265,10 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter, width=None, stop=None):
     a trial that raises it is not taken.  So a row at the round-off floor
     stops at once instead of damping a futile step until it rounds to zero.
     A non-finite trial never ends a row, and a row whose objective starts
-    non-finite runs no round.  A row whose accepted step takes a coordinate
-    above ``stop`` (per coordinate; default none) ends in that round, not
-    converged.  Returns (x, ssr, converged, rounds run), then each further
-    item of the model at every row's final x.
+    non-finite runs no round.  Returns (x, ssr, converged, rounds run), then
+    each further item of the model at every row's final x.
     """
     m, k = x0.shape
-    width = m if width is None else width
     x = np.minimum(np.maximum(x0, lb), ub)
     ssr = np.empty(m)
     jtj = np.empty((m, k, k))
@@ -274,7 +282,7 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter, width=None, stop=None):
     joined = 0                              # rows 0 .. joined-1 have been admitted
 
     while True:
-        new = np.arange(joined, min(m, joined + width - live.size))
+        new = np.arange(joined, min(m, joined + _IN_FLIGHT - live.size))
         joined += new.size
         s = live.size
         if s + new.size == 0:
@@ -327,10 +335,6 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter, width=None, stop=None):
             rej = live[~better]
             lam[rej] = np.minimum(lam[rej] * 10.0, 1e15)
             converged[live[done]] = True
-            if stop is not None:            # only when given: direct fits skip the check
-                escaped = better & np.any(trial > stop, axis=1)
-                converged[live[escaped]] = False
-                done |= escaped
             live = live[~done]
 
         if new.size:
@@ -426,37 +430,33 @@ def _sing_residuals(tc: np.ndarray, alpha: np.ndarray, t: np.ndarray, t0: float,
     return resid, normal, c0, p0
 
 
-#: How far a fit not bounded above lets a row go, in box widths from the
-#: box's lower edge: a row whose accepted step takes tc or alpha more than
-#: one box width beyond the box ends there, not converged.  Left alone, such
-#: a row may spend all ``max_iter`` rounds out there, and the Monte Carlo
-#: moments exclude it if it ends outside.  Not the box edge itself: some
-#: refits step out and come back (at di = 0.5, Peru to 1.175 box widths in
-#: tc and Zimbabwe to 1.058 in alpha), while none that ends inside the box
-#: has been seen to pass two.
-_STOP_BOXES = 2.0
+#: The upper bound of a fit not bounded above, in box widths from the box's
+#: lower edge: tc and alpha are held at most one box width beyond the box.
+#: Left unbounded, a row that heads away may spend all ``max_iter`` rounds
+#: out there, and the Monte Carlo moments exclude it if it ends outside.
+#: Not the box edge itself: some refits step out and come back (at di = 0.5,
+#: Peru to 1.175 box widths in tc and Zimbabwe to 1.058 in alpha), while
+#: none that ends inside the box has been seen to pass two.
+_REACH_BOXES = 2.0
 
 
 def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float, float],
                       seed: tuple[float, float], config: FitConfig,
-                      bounded_above: bool = True, pinned_p0: float | None = None,
-                      width: int | None = None):
+                      bounded_above: bool = True, pinned_p0: float | None = None):
     """Singular-model fits of every row of p_data from one (tc, alpha) seed.
 
-    The engine refines (tc, alpha), at most ``width`` rows at a time (default:
-    all); (C0, p0) are solved in closed form, p0 held at ``pinned_p0`` if
-    given.  tc and alpha are held at or above the lower edges of
-    ``tc_window`` and ``config.alpha_bounds``, and with ``bounded_above`` at
-    or below the upper edges.  Without it a row ends, not converged, once an
-    accepted step takes tc or alpha more than one box width beyond the box
-    (``_STOP_BOXES``).  Returns ((tc, alpha, c0, p0), ssr, converged,
-    rounds), one array entry per row.
+    The engine refines (tc, alpha); (C0, p0) are solved in closed form, p0
+    held at ``pinned_p0`` if given.  tc and alpha are held at or above the
+    lower edges of ``tc_window`` and ``config.alpha_bounds``, and at or
+    below the upper edges with ``bounded_above``, or else at most one box
+    width beyond them (``_REACH_BOXES``).  Returns ((tc, alpha, c0, p0),
+    ssr, converged, rounds), one array entry per row.
     """
     t0 = float(t[0])
     tc_lo, tc_hi = tc_window
     a_lo, a_hi = config.alpha_bounds
     box = np.array([tc_hi - tc_lo, a_hi - a_lo])
-    ub, stop = (box, None) if bounded_above else (np.inf, _STOP_BOXES * box)
+    ub = box if bounded_above else _REACH_BOXES * box
     y, shift = _data_side(p_data, pinned_p0)
     x0 = np.tile([seed[0] - tc_lo, seed[1] - a_lo], (p_data.shape[0], 1))
 
@@ -465,7 +465,7 @@ def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float,
                                pinned_p0 is None, with_jac)
 
     x, ssr, converged, rounds, c0, p0 = _lm(model, x0, np.zeros(2), ub, config.xtol,
-                                            config.ftol, config.max_iter, width, stop)
+                                            config.ftol, config.max_iter)
     return (tc_lo + x[:, 0], a_lo + x[:, 1], c0, p0), ssr, converged, rounds
 
 

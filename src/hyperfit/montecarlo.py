@@ -37,7 +37,7 @@ from .fitting import (
     fit_singularity,
     tc_search_window,
 )
-from .models import SingularityParams, alpha_to_gamma
+from .models import alpha_to_gamma
 from .series import InflationSeries, build_price_index, cumulate
 
 
@@ -61,8 +61,8 @@ class MCConfig:
     max_nonconverged_frac: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"generation count must be >= 1, got {self.m}")
+        if not isinstance(self.m, numbers.Integral) or self.m < 1:
+            raise ValueError(f"generation count must be an integer >= 1, got {self.m!r}")
         if not (math.isfinite(self.di) and self.di >= 0):
             raise ValueError(f"relative error must be finite and >= 0, got {self.di}")
         if not (math.isfinite(self.threshold) and self.threshold > 0):
@@ -70,8 +70,8 @@ class MCConfig:
         if not 0.0 <= self.max_nonconverged_frac <= 1.0:
             raise ValueError("non-converged fraction must lie in [0, 1], "
                              f"got {self.max_nonconverged_frac}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not isinstance(self.workers, numbers.Integral) or self.workers < 1:
+            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
@@ -96,8 +96,8 @@ class MCReport:
     lower bound of ``FitConfig.alpha_bounds``, kept in the moments at the
     bound); ``stalled`` (no convergence within ``max_iter`` rounds, inside
     the box) and ``out_of_box`` (ended with tc beyond the search window or
-    alpha above its upper bound, converged or stopped one box width beyond
-    the box), both excluded from the moments.
+    alpha above its upper bound, where a refit is held at most one box width
+    beyond the box), both excluded from the moments.
     ``n_nonconverged`` counts all but the converged-interior ones;
     ``unreliable`` is set when it exceeds ``max_nonconverged_frac`` of m.
     """
@@ -350,31 +350,6 @@ def sample_generation(
 # Driver
 # ---------------------------------------------------------------------------
 
-#: Generations in flight in the refit engine: as one converges, the next
-#: pending one joins.  Rows do not interact, so results do not depend on it;
-#: it only bounds the working arrays of each model call.
-_REFIT_CHUNK = 1024
-
-
-def _refit_generations(p_data: np.ndarray, t: np.ndarray, direct: SingularityParams,
-                       fit_config: FitConfig, chunk: int = _REFIT_CHUNK):
-    """Refit every row of p_data from the direct fit; returns per-row arrays.
-
-    tc and alpha are held at or above the lower edges of the box, as in the
-    direct fit, but not bounded above: a generation that leaves the box is
-    seen (and excluded), not clamped.  A refit ends there, not converged,
-    once a step takes it one box width beyond the box
-    (``fitting._STOP_BOXES``).  With ``fit_config.pin_p0`` every row
-    keeps the direct fit's p0: the first rate carries no error, so all
-    generations share the observed ln P(t0).
-    """
-    pinned = direct.p0 if fit_config.pin_p0 else None
-    params, ssr, converged, _ = fit_singular_rows(
-        p_data, t, tc_search_window(t, fit_config), (direct.tc, direct.alpha), fit_config,
-        bounded_above=False, pinned_p0=pinned, width=chunk)
-    return *params, ssr, converged
-
-
 def _population_moments(x: np.ndarray) -> tuple[float, float]:
     """Mean and population std, summed as offsets from the first sample.
 
@@ -428,9 +403,9 @@ def run_mc(
     or above the lower bound of ``alpha_bounds``, as the direct fit does.
     A generation enters the moments unless its refit stalled or ended
     outside the box (tc beyond the search window, alpha above its upper
-    bound); a refit that steps one box width beyond the box ends there, out
-    of the box.  A refit that converged with alpha on the lower bound
-    enters at the bound, like a direct fit accepted there.
+    bound); a refit is held at most one box width beyond the box.  A refit
+    that converged with alpha on the lower bound enters at the bound, like a
+    direct fit accepted there.
     ``MCReport.outcome`` counts each kind; more than
     ``max_nonconverged_frac`` generations outside the converged interior
     marks the report unreliable.
@@ -444,7 +419,7 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
               direct: FitResult, t: np.ndarray) -> MCReport:
     """run_mc around a given direct fit of ``rates`` at times ``t``."""
     dp = direct.params
-    _, tc_hi = tc_search_window(t, fit_config)
+    window = tc_search_window(t, fit_config)
     a_lo, a_hi = fit_config.alpha_bounds
 
     # Draw all generations; each one consumes only its own substream.
@@ -454,9 +429,16 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
     # Cumulate each generation exactly as the direct fit's data.
     p_data = cumulate(samples)[1]
 
-    tc, alpha, c0, p0, _, converged = _refit_generations(p_data, t, dp, fit_config)
+    # Refit every generation from the direct fit, held at or above the box's
+    # lower edges and at most one box width beyond its upper ones, so a
+    # generation that leaves the box is seen (and excluded), not clamped at
+    # its edge.  With pin_p0 every generation keeps the direct fit's p0: the
+    # first rate carries no error, so all share the observed ln P(t0).
+    (tc, alpha, c0, p0), _, converged, _ = fit_singular_rows(
+        p_data, t, window, (dp.tc, dp.alpha), fit_config, bounded_above=False,
+        pinned_p0=dp.p0 if fit_config.pin_p0 else None)
 
-    out_of_box = (tc > tc_hi) | (alpha > a_hi)
+    out_of_box = (tc > window[1]) | (alpha > a_hi)
     ok = converged & ~out_of_box
     on_floor = ok & (alpha - a_lo <= fit_config.xtol * max(1.0, a_lo))
     outcome = {

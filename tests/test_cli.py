@@ -338,6 +338,17 @@ class TestCmdCurve:
                          "--points", "5", "--out", str(out))
         assert code == 3
 
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_points_below_one_exit_2_before_the_report_is_read(self, capsys, tmp_path, points):
+        # The report does not exist: the --points message shows that the
+        # check came first.
+        out = tmp_path / "curve.csv"
+        code, _, err = run(capsys, "curve", "--report", str(tmp_path / "missing.json"),
+                           "--from", "1980", "--to", "1988", "--points", points,
+                           "--out", str(out))
+        assert code == 2 and "--points must be >= 1" in err
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # predict
@@ -380,6 +391,12 @@ class TestCmdPredict:
                            "--date", "1995")
         assert code == 3
         assert "singular" in err
+
+    @pytest.mark.parametrize("date", ["abc", "1990-13-01", "1990-02-30", "1990-06"])
+    def test_bad_yearly_date_exits_2(self, capsys, peru_report, date):
+        code, out, err = run(capsys, "predict", "--report", str(peru_report), "--date", date)
+        assert code == 2 and out == ""
+        assert "bad yearly date" in err
 
     def test_reload_is_bit_exact(self, capsys, peru_report):
         # Reloading the report and recomputing in-process gives the same

@@ -126,9 +126,9 @@ class TestEngine:
         assert converged[0] and rounds[0] > 1
         assert len(calls) == rounds[0] + 1
 
-    def test_late_rows_get_their_own_max_iter(self):
+    def test_late_rows_get_their_own_max_iter(self, monkeypatch):
         # With two rows in flight, rows 2-4 join as others stop; each still
-        # runs max_iter rounds of its own and ends where a batch of five does.
+        # runs max_iter rounds of its own and ends where five in flight do.
         y = np.stack([k + (2.0 - k) * self.X + 0.1 * np.sin((3.0 + k) * self.X)
                       for k in range(5)])
 
@@ -139,7 +139,11 @@ class TestEngine:
 
         x0 = np.tile([50.0, -50.0], (5, 1))
         bounds = np.full(2, -np.inf), np.full(2, np.inf)
-        narrow, wide = (_lm(model, x0, *bounds, 1e-12, 1e-14, 3, width) for width in (2, 5))
+        runs = []
+        for in_flight in (2, 5):
+            monkeypatch.setattr(fitting, "_IN_FLIGHT", in_flight)
+            runs.append(_lm(model, x0, *bounds, 1e-12, 1e-14, 3))
+        narrow, wide = runs
         assert np.all(narrow[3] == 3) and not narrow[2].any()
         for a, b in zip(narrow, wide):
             assert a.tobytes() == b.tobytes()
@@ -183,29 +187,6 @@ class TestEngine:
                                         1e-12, 1e-14, 20)
         assert not converged.any() and np.all(rounds == 20)
         assert x.tobytes() == x0.tobytes() and np.all(ssr == _ssr(y))
-
-    def test_row_ends_once_an_accepted_step_passes_stop(self):
-        # Row 0's minimum, (500, 300), lies far above stop in a, and each
-        # step moves a coordinate by at most 50, so the row passes stop after
-        # a few accepted steps.  It ends in that round, not converged, where a
-        # run capped at that many rounds ends; row 1 never nears stop and
-        # keeps its bits.
-        y = np.stack([500.0 + 300.0 * self.X, 1.0 + 2.0 * self.X + 0.1 * np.sin(7.0 * self.X)])
-        model = self.line_model(y)
-        x0 = np.zeros((2, 2))
-        bounds = np.full(2, -np.inf), np.full(2, np.inf)
-        stop = np.array([120.0, np.inf])
-        stopped = _lm(model, x0, *bounds, 1e-12, 1e-14, 100, stop=stop)
-        free = _lm(model, x0, *bounds, 1e-12, 1e-14, 100)
-        capped = [_lm(model, x0[:1], *bounds, 1e-12, 1e-14, r) for r in range(1, 100)]
-        first = next(r for r, run in enumerate(capped, 1) if np.any(run[0][0] > stop))
-        x, ssr, converged, rounds = stopped
-        assert free[2][0] and free[0][0, 0] == pytest.approx(500.0)
-        assert 1 < first < 100 and rounds[0] == first and not converged[0]
-        assert x[0].tobytes() == capped[first - 1][0][0].tobytes()
-        assert ssr[0] == capped[first - 1][1][0]
-        for a, b in zip(stopped, free):
-            assert a[1:].tobytes() == b[1:].tobytes()
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_damped_step_matches_a_dense_solve(self, k):
@@ -372,6 +353,17 @@ class TestFitSingularity:
         p = np.array([0.0, 0.5, 1.0, 1.5, 2.2, 3.0, 4.2, 6.0, 9.0, 8.5])
         with pytest.warns(UserWarning, match="not strictly increasing"):
             fit_singularity(PriceIndexSeries.from_log_index(epochs, p))
+
+    @pytest.mark.parametrize("field", ["grid_tc", "grid_alpha", "grid_b2", "max_iter"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5])
+    def test_empty_grid_or_no_rounds_rejected(self, field, value):
+        with pytest.raises(FitError, match=f"{field} must be an integer >= 1"):
+            FitConfig(**{field: value})
+
+    def test_one_node_grids_fit(self, peru_index):
+        config = FitConfig(grid_tc=1, grid_alpha=1, grid_b2=1, max_iter=1)
+        assert fit_singularity(peru_index, config).iterations == 1
+        assert fit_double_exp(peru_index, config).iterations == 1
 
     def test_empty_window_rejected(self, peru_index):
         with pytest.raises(FitError):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperfit import fitting, montecarlo
-from hyperfit.fitting import FitConfig, FitError, fit_singularity, tc_search_window
+from hyperfit.fitting import (
+    FitConfig,
+    FitError,
+    fit_singular_rows,
+    fit_singularity,
+    tc_search_window,
+)
 from hyperfit.fixtures import PRESETS, episode, synthetic_rates
 from hyperfit.montecarlo import (
     MCConfig,
@@ -14,7 +20,6 @@ from hyperfit.montecarlo import (
     _pcg64_state,
     _population_moments,
     _ratio,
-    _refit_generations,
     _sample_rates,
     _skew_kurtosis,
     _substream_words,
@@ -318,6 +323,12 @@ def test_mc_config_validation():
             MCConfig(max_nonconverged_frac=frac)
     with pytest.raises(ValueError):
         MCConfig(workers=0)
+    # Counts are integers, as the seed is: m = 10.0 used to pass here and
+    # fail in run_mc after the direct fit.
+    for bad in ({"m": 10.0}, {"m": 10.5}, {"m": "10"}, {"workers": 1.5}, {"workers": 2.0}):
+        with pytest.raises(ValueError, match="integer"):
+            MCConfig(**bad)
+    assert MCConfig(m=np.int64(10), workers=np.int32(2)).m == 10
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +415,15 @@ class TestRunMC:
         assert g.mean == pytest.approx((2 + a.mean) / (1 + a.mean), rel=1e-3)
 
 
+def refit(p_data, t, direct, config):
+    """Every row of p_data refitted from ``direct`` as ``run_mc`` refits its
+    generations: (tc, alpha, c0, p0, ssr, converged), one entry per row."""
+    (tc, alpha, c0, p0), ssr, converged, _ = fit_singular_rows(
+        p_data, t, tc_search_window(t, config), (direct.tc, direct.alpha), config,
+        bounded_above=False, pinned_p0=direct.p0 if config.pin_p0 else None)
+    return tc, alpha, c0, p0, ssr, converged
+
+
 #: Peru generations at di = 0.25 under master seed 20080605 whose refit
 #: stalled for all max_iter rounds, with alpha drifting towards zero and tc
 #: to the window floor, when the batched refit left alpha without a floor.
@@ -425,8 +445,7 @@ def test_refit_honours_alpha_bounds_on_formerly_stalled_generations(peru_rates):
         vals, _ = _sample_rates(peru_rates.rates, 0.25, np.random.default_rng(children[j]))
         indices.append(build_price_index(InflationSeries(epochs=peru_rates.epochs, rates=vals)))
     p_data = np.array([ix.log_index for ix in indices])
-    _, alpha, _, _, ssr, converged = _refit_generations(p_data, index.times(), direct,
-                                                        config, chunk=len(PERU_STALLED))
+    _, alpha, _, _, ssr, converged = refit(p_data, index.times(), direct, config)
     assert converged.all()
     assert np.all((alpha >= a_lo) & (alpha <= a_hi))
     with warnings.catch_warnings():
@@ -435,30 +454,31 @@ def test_refit_honours_alpha_bounds_on_formerly_stalled_generations(peru_rates):
     assert np.all(ssr <= objectives * (1.0 + 1e-9))
 
 
-def test_refit_rows_do_not_depend_on_the_chunk(peru_rates):
+def refits_in_flight(rates, counts, monkeypatch):
+    """50 Peru generations at di = 0.25 refitted with each count of rows in flight."""
     config = FitConfig()
-    index = build_price_index(peru_rates)
+    index = build_price_index(rates)
     direct = fit_singularity(index, config).params
-    samples = np.empty((50, len(peru_rates)))
-    _draw_generations(peru_rates.rates, 0.25, 5, samples)
+    samples = np.empty((50, len(rates)))
+    _draw_generations(rates.rates, 0.25, 5, samples)
     p_data = cumulate(samples)[1]
-    one = _refit_generations(p_data, index.times(), direct, config, chunk=1)
-    whole = _refit_generations(p_data, index.times(), direct, config, chunk=50)
+    runs = []
+    for count in counts:
+        monkeypatch.setattr(fitting, "_IN_FLIGHT", count)
+        runs.append(refit(p_data, index.times(), direct, config))
+    return runs
+
+
+def test_refit_rows_do_not_depend_on_the_chunk(peru_rates, monkeypatch):
+    one, whole = refits_in_flight(peru_rates, (1, 50), monkeypatch)
     for a, b in zip(one, whole):
         assert a.tobytes() == b.tobytes()
 
 
-def test_refit_rows_do_not_depend_on_a_refilled_window(peru_rates):
+def test_refit_rows_do_not_depend_on_a_refilled_window(peru_rates, monkeypatch):
     # With 7 generations in flight the other 43 join as earlier ones stop,
     # each into a window of rows at other rounds; every row keeps its bits.
-    config = FitConfig()
-    index = build_price_index(peru_rates)
-    direct = fit_singularity(index, config).params
-    samples = np.empty((50, len(peru_rates)))
-    _draw_generations(peru_rates.rates, 0.25, 5, samples)
-    p_data = cumulate(samples)[1]
-    window = _refit_generations(p_data, index.times(), direct, config, chunk=7)
-    whole = _refit_generations(p_data, index.times(), direct, config, chunk=50)
+    window, whole = refits_in_flight(peru_rates, (7, 50), monkeypatch)
     for a, b in zip(window, whole):
         assert a.tobytes() == b.tobytes()
 
@@ -467,13 +487,13 @@ def test_zero_error_generations_are_the_direct_fit_data(monkeypatch):
     # Generations and the direct fit cumulate rates the same way, so with
     # di = 0 every generation is the direct fit's log index, bit for bit.
     seen = []
-    refit = montecarlo._refit_generations
+    fit_rows = montecarlo.fit_singular_rows
 
     def spy(p_data, *args, **kwargs):
         seen.append(p_data.copy())
-        return refit(p_data, *args, **kwargs)
+        return fit_rows(p_data, *args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "_refit_generations", spy)
+    monkeypatch.setattr(montecarlo, "fit_singular_rows", spy)
     for name in PRESETS:
         rates = synthetic_rates(episode(name))
         run_mc(rates, FitConfig(), MCConfig(di=0.0, m=3, seed=1))
@@ -552,61 +572,65 @@ def test_out_of_box_generations_are_counted(peru_rates):
 
 
 def refit_row(name: str, di: float, seed: int, row: int, config: FitConfig):
-    """``_refit_generations`` on generation ``row`` of an m = 4000 run alone."""
+    """``refit`` on generation ``row`` of an m = 4000 run alone."""
     rates = synthetic_rates(episode(name))
     index = build_price_index(rates)
     child = np.random.SeedSequence(seed).spawn(4000)[row]
     vals, _ = _sample_rates(rates.rates, di, np.random.default_rng(child))
     p_data = build_price_index(InflationSeries(epochs=rates.epochs, rates=vals)).log_index
-    return _refit_generations(p_data[None], index.times(),
-                              fit_singularity(index, config).params, config)
+    return refit(p_data[None], index.times(), fit_singularity(index, config).params, config)
 
 
 @pytest.mark.parametrize("name, seed, row", [("peru", 1_000_003, 3563),
                                              ("zimbabwe", 1_000_007, 381)])
 def test_a_refit_that_steps_out_and_back_is_not_stopped(name, seed, row, monkeypatch):
-    """A refit may step out of the box and end inside it: the stop leaves it alone.
+    """A refit may step out of the box and end inside it: the reach bound leaves it alone.
 
     At di = 0.5 with p0 free, Peru's row reaches 1.175 box widths in tc
     (from the box's lower edge) and Zimbabwe's 1.058 in alpha, and both end
-    inside the box.  At ``fitting._STOP_BOXES`` = 2 each refits bit for bit
-    as with no stop.  Stopping at the box edge (``_STOP_BOXES`` = 1) would
-    end both outside the box, not converged, so this test fails with it.
+    inside the box.  Held within two box widths (``fitting._REACH_BOXES``)
+    each refits bit for bit as unbounded.  A bound at the box edge
+    (``_REACH_BOXES`` = 1) clips the excursion: the row still converges
+    inside the box, but elsewhere (Peru's tc moves by 1.8e-4, in 24 rounds
+    instead of 14), so this test fails with it.
     """
     config = FitConfig()
     _, tc_hi = tc_search_window(synthetic_rates(episode(name)).times(), config)
     a_hi = config.alpha_bounds[1]
-    stopped = refit_row(name, 0.5, seed, row, config)
-    monkeypatch.setattr(fitting, "_STOP_BOXES", np.inf)
+    held = refit_row(name, 0.5, seed, row, config)
+    monkeypatch.setattr(fitting, "_REACH_BOXES", np.inf)
     free = refit_row(name, 0.5, seed, row, config)
-    for a, b in zip(stopped, free):
+    for a, b in zip(held, free):
         assert a.tobytes() == b.tobytes()
-    tc, alpha, *_, converged = stopped
+    tc, alpha, *_, converged = held
     assert converged[0] and tc[0] <= tc_hi and alpha[0] <= a_hi
-    monkeypatch.setattr(fitting, "_STOP_BOXES", 1.0)
-    tc, alpha, *_, converged = refit_row(name, 0.5, seed, row, config)
-    assert not converged[0] and (tc[0] > tc_hi or alpha[0] > a_hi)
+    monkeypatch.setattr(fitting, "_REACH_BOXES", 1.0)
+    tc_clipped, alpha_clipped, *_, converged = refit_row(name, 0.5, seed, row, config)
+    assert converged[0] and tc_clipped[0] <= tc_hi and alpha_clipped[0] <= a_hi
+    assert tc_clipped[0] != tc[0] and alpha_clipped[0] != alpha[0]
 
 
 def test_a_refit_far_beyond_the_box_stops_early(monkeypatch):
     # Germany at di = 0.5, seed 1000014: one generation heads far past
-    # tc_hi.  With no stop it ran all 400 rounds out there and counted as
-    # stalled; now it ends one box width out and counts as out_of_box, and
-    # n_nonconverged stays what it was.
-    rounds = []
-    refit = montecarlo.fit_singular_rows
+    # tc_hi.  Unbounded it ran all 400 rounds out there and counted as
+    # stalled; now it is held one box width beyond the box, ends on that
+    # bound and counts as out_of_box, and n_nonconverged stays what it was.
+    results = []
+    fit_rows = montecarlo.fit_singular_rows
 
     def spy(*args, **kwargs):
-        result = refit(*args, **kwargs)
-        rounds.append(result[3])
-        return result
+        results.append(fit_rows(*args, **kwargs))
+        return results[-1]
 
     monkeypatch.setattr(montecarlo, "fit_singular_rows", spy)
-    rep = run_mc(synthetic_rates(episode("germany")), FitConfig(),
-                 MCConfig(di=0.5, m=4000, seed=1_000_014))
+    rates = synthetic_rates(episode("germany"))
+    rep = run_mc(rates, FitConfig(), MCConfig(di=0.5, m=4000, seed=1_000_014))
     assert rep.outcome["stalled"] == 0 and rep.outcome["out_of_box"] == 1
     assert rep.n_nonconverged == 9
-    assert rounds[0].max() <= FitConfig().max_iter // 4
+    ((tc, *_), _, _, rounds), = results
+    tc_lo, tc_hi = tc_search_window(build_price_index(rates).times(), FitConfig())
+    assert tc.max() == tc_lo + 2.0 * (tc_hi - tc_lo)
+    assert rounds.max() <= FitConfig().max_iter // 4
 
 
 def count_direct_fits(monkeypatch):
