@@ -257,7 +257,9 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
     The box [lb, ub] is per coordinate (equal bounds pin one) and kept by
     projection: a trial step is clipped onto it, and a coordinate on a bound
     whose descent direction points out of the box is held for that step, so
-    it can leave the bound as soon as the data pull it back.
+    it can leave the bound as soon as the data pull it back.  Only the box
+    bounds a step: there is no cap on its length, so a row crosses a wide
+    box in one round when the damped step points there.
 
     A row converges when an accepted step moves every coordinate by less
     than xtol (relative to |x| + 1), or when a trial changes the objective by
@@ -294,8 +296,7 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
             free = ~(((xa <= lb) & (g <= 0.0)) | ((xa >= ub) & (g >= 0.0)))
             delta = _damped_step(jtj[live], g, lam[live], free,
                                  None if curv is None else curv[live])
-            trial = points = np.minimum(np.maximum(
-                xa + np.minimum(np.maximum(delta, -50.0), 50.0), lb), ub)
+            trial = points = np.minimum(np.maximum(xa + delta, lb), ub)
             rounds[live] += 1
         if new.size:
             rows = np.concatenate([live, new])

@@ -14,10 +14,11 @@ master seed and j: bit for bit ``default_rng(SeedSequence(seed).spawn(m)[j])``.
 The draws run in bulk, with no generator object per generation: every
 substream's state, its PCG64 outputs and numpy's ziggurat normals on them
 are computed for all j at once, and only the few generations that reach
-the ziggurat's tail, a near-tie or a truncation are drawn one by one by
-numpy itself.  All aggregation is order-independent, so reports are
-bit-identical for a fixed seed however many generations the refit engine
-holds in flight.
+the ziggurat's tail or a near-tie are drawn one by one by numpy itself.
+A generation with a truncation draws its normals and a few more in one
+numpy call, and the redraws then run on all such generations at once.  All
+aggregation is order-independent, so reports are bit-identical for a fixed
+seed however many generations the refit engine holds in flight.
 """
 
 from __future__ import annotations
@@ -234,6 +235,8 @@ _RABS = 2**52 - 1
 
 #: Outputs drawn per generation beyond its n normals; a wedge draw takes two.
 _SPARE_OUTPUTS = 8
+#: Normals drawn past its n for a row with a value at or below -1, for its redraws.
+_REDRAW_NORMALS = 8
 #: Generations per block of the bulk ziggurat, which bounds its scratch arrays.
 _DRAW_BLOCK = 1024
 #: A wedge test whose two sides differ by at most this, relative, is left to numpy.
@@ -316,9 +319,8 @@ def _draw_generations(rates: np.ndarray, di: float, seed: int, out: np.ndarray) 
     are computed at once, and numpy's ziggurat runs on them in blocks of
     rows.  A row that needs a draw the bulk path leaves to numpy (a tail,
     a near-tie or more than ``_SPARE_OUTPUTS`` spare outputs) is drawn by one
-    generator set to its state.  Rows with a value at or below -1 return to
-    their state, skip the n normals already used and redraw.  Returns the
-    total redraws.
+    generator set to its state.  Rows with a value at or below -1 redraw in
+    bulk (``_redraw_rows``).  Returns the total redraws.
     """
     words = _substream_words(seed, len(out))
     raw = _pcg64_outputs(words, out.shape[1] + _SPARE_OUTPUTS)
@@ -330,10 +332,45 @@ def _draw_generations(rates: np.ndarray, di: float, seed: int, out: np.ndarray) 
     sd = di * np.abs(rates)
     out *= sd
     out += rates
-    truncated = 0
-    for j in np.flatnonzero((out <= -1.0).any(axis=1)):
+    return _redraw_rows(out, rates, sd, words, rng)
+
+
+def _redraw_rows(out: np.ndarray, rates: np.ndarray, sd: np.ndarray, words: np.ndarray,
+                 rng: np.random.Generator) -> int:
+    """``_redraw`` on every row of out with a value at or below -1, in place.
+
+    Each such row draws its n normals again and ``_REDRAW_NORMALS`` more from
+    its substream, in one generator call; then the redraw rounds run on all
+    these rows at once, each bad value taking its row's next unused normal in
+    index order.  A row that would need more normals than that returns to its
+    state, skips its n normals and runs ``_redraw`` alone.  Returns the total
+    redraws.
+    """
+    rows = np.flatnonzero((out <= -1.0).any(axis=1))
+    n = out.shape[1]
+    z = np.empty((len(rows), n + _REDRAW_NORMALS))
+    for i, j in enumerate(rows):
         rng.bit_generator.state = _pcg64_state(*words[j].tolist())
-        rng.standard_normal(len(rates))
+        rng.standard_normal(out=z[i])
+    vals = out[rows]
+    used = np.full(len(rows), n)
+    bulk = np.ones(len(rows), dtype=bool)   # rows whose redraws fit in z
+    bad = vals <= -1.0
+    while True:
+        count = np.count_nonzero(bad, axis=1)
+        bulk &= used + count <= z.shape[1]
+        bad &= bulk[:, None]
+        if not bad.any():
+            break
+        r, c = np.nonzero(bad)
+        vals[r, c] = rates[c] + sd[c] * z[r, used[r] + np.cumsum(bad, axis=1)[r, c] - 1]
+        used += count                      # spent only on bulk rows
+        bad = vals <= -1.0
+    out[rows[bulk]] = vals[bulk]
+    truncated = int((used - n)[bulk].sum())
+    for j in rows[~bulk]:
+        rng.bit_generator.state = _pcg64_state(*words[j].tolist())
+        rng.standard_normal(n)
         truncated += _redraw(out[j], rates, sd, rng)
     return truncated
 

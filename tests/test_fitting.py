@@ -152,6 +152,7 @@ class TestEngine:
         # The Jacobian has the wrong sign, so every step goes uphill, but the
         # model is so flat in v that the trial raises the SSR by less than
         # ftol.  That ends the row after one round, without taking the step.
+        # The step points down; a lower bound 50 below x0 keeps the trial short.
         y = 1.0 + self.X
         ssrs = []
 
@@ -162,11 +163,21 @@ class TestEngine:
             return resid, normal_eqs(resid, wrong_sign)
 
         x0 = np.array([[0.3]])
-        x, ssr, converged, rounds = _lm(model, x0, np.full(1, -np.inf), np.full(1, np.inf),
+        x, ssr, converged, rounds = _lm(model, x0, x0[0] - 50.0, np.full(1, np.inf),
                                         1e-12, 1e-10, 10)
         assert ssrs[0] < ssrs[1] <= ssrs[0] * (1.0 + 1e-10)
         assert converged[0] and rounds[0] == 1
         assert x.tobytes() == x0.tobytes() and ssr[0] == ssrs[0]
+
+    def test_no_step_cap_inside_the_box(self):
+        # Only the box bounds a step: the level a of flat data 1000 units
+        # from the start, in a box 1e4 wide, is reached in two rounds (the
+        # slope b pinned at 0), not in steps of some cap.
+        y = np.full_like(self.X, 1000.0)
+        x0, lb, ub = np.zeros((1, 2)), np.array([-5e3, 0.0]), np.array([5e3, 0.0])
+        x, _, _, rounds = _lm(self.line_model(y), x0, lb, ub, 1e-12, 1e-14, 2)
+        assert rounds[0] == 2 and x[0, 0] == pytest.approx(1000.0, abs=1e-3)
+        assert self.run(y, x0[0], lb, ub)[0] == pytest.approx(1000.0, rel=1e-12)
 
     def test_non_finite_trial_never_converges(self):
         # Every trial away from the start overflows (row 0) or is undefined

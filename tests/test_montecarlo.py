@@ -134,6 +134,29 @@ class TestDrawGenerations:
             total += redraws
         assert truncated == total > 0
 
+    # With no normals past n, every truncated row falls back to its own
+    # generator; with one, only the rows that need two or more redraws do
+    # (none of 14 at di 0.5, 51 of 121 at di 1.0).
+    @pytest.mark.parametrize("spare", [0, 1])
+    @pytest.mark.parametrize("di", [0.5, 1.0])
+    def test_rows_out_of_redraw_normals(self, germany, monkeypatch, spare, di):
+        rates, children = germany
+        monkeypatch.setattr(montecarlo, "_REDRAW_NORMALS", spare)
+        truncating = []                     # per _redraw call: has the row a value <= -1?
+        redraw = montecarlo._redraw
+        monkeypatch.setattr(montecarlo, "_redraw", lambda vals, *args: truncating.append(
+            bool((vals <= -1.0).any())) or redraw(vals, *args))
+        out = np.empty((self.M, len(rates)))
+        truncated = _draw_generations(rates, di, 20080605, out)
+        fallback = sum(truncating)
+        truncating.clear()
+        ref, ref_truncated = per_row_reference(rates, di, map(np.random.default_rng, children))
+        assert out.tobytes() == ref.tobytes() and truncated == ref_truncated
+        rows = sum(truncating)
+        assert 0 < rows and (fallback == rows if spare == 0 else fallback < rows)
+        if spare == 1 and di == 1.0:        # here some rows need two or more redraws
+            assert fallback > 0
+
     # One generation, and a count that is no multiple of the bulk draw's blocks.
     @pytest.mark.parametrize("m", [1, 1037])
     def test_matches_per_generation_sampling_at_any_count(self, m):
@@ -295,7 +318,7 @@ class TestBulkDraws:
         assert out.tobytes() == ref.tobytes()
         assert set_rows == {0}
 
-    @given(seed=st.integers(0, 2**70), di=st.sampled_from([0.05, 0.25, 0.5]),
+    @given(seed=st.integers(0, 2**70), di=st.sampled_from([0.05, 0.25, 0.5, 1.0]),
            name=st.sampled_from(["peru", "yugoslavia", "germany"]))
     @settings(max_examples=30, deadline=None)
     def test_matches_default_rng_per_generation(self, seed, di, name):
