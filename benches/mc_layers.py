@@ -36,8 +36,10 @@ The counts depend only on the tree and the seed, not on the machine.
 
 The package is imported from wherever PYTHONPATH points, so the same script
 measures two source trees.  Each call appends its samples under ``--label``
-in the output file and recomputes every label's median and quartiles; run
-the two trees in alternation to spread machine drift over both:
+in the output file and recomputes the median and quartiles of every label
+that has samples (a label whose raw samples were dropped from the file keeps
+its recorded summary); run the two trees in alternation to spread machine
+drift over both:
 
     PYTHONPATH=src python benches/mc_layers.py --label NAME-change
     PYTHONPATH=/path/to/parent/src python benches/mc_layers.py --label NAME-parent
@@ -203,8 +205,9 @@ def run_bench(description: str, cases, time_case, settings: dict, default_out: P
     The first item of each case names it; ``time_case(*case, seed)``
     returns {layer: value} for one seed.  After one warm-up pass over the
     cases, ``--repeats`` seeds from ``--seed`` on are timed, appended under
-    ``--label`` in ``--out``, and every label's summary and
-    ``change_over_parent`` are recomputed.  ``settings`` joins the Python,
+    ``--label`` in ``--out``, and the summary of every label with samples
+    and every ``change_over_parent`` are recomputed; a label without raw
+    samples keeps its recorded summary.  ``settings`` joins the Python,
     numpy and CPU count in the file's ``environment``.
 
     A bench that passes ``load_parent`` also takes ``--parent-src PATH``:
@@ -257,7 +260,7 @@ def run_bench(description: str, cases, time_case, settings: dict, default_out: P
                     samples.setdefault(label, {}).setdefault(case[0], {}).setdefault(
                         layer, []).append(value)
 
-    data["summary"] = {
+    data["summary"] = data.get("summary", {}) | {
         label: {name: {layer: summary(values) for layer, values in layers.items()}
                 for name, layers in recorded.items()}
         for label, recorded in data["samples"].items()

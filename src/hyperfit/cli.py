@@ -200,6 +200,9 @@ def _params_from_args(args):
 def _cmd_curve(args) -> int:
     if args.points < 1:
         raise LoadError(f"--points must be >= 1, got {args.points}")
+    for flag, value in (("--from", args.t_from), ("--to", args.t_to)):
+        if not math.isfinite(value):
+            raise LoadError(f"{flag} must be finite, got {value}")
     params, meta = _params_from_args(args)
     resolution = meta.get("series.resolution", YEARLY)
     dt = 1.0 if resolution == YEARLY else DAYS_PER_MONTH

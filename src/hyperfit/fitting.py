@@ -21,6 +21,7 @@ critical time.
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -61,17 +62,25 @@ class FitConfig:
     def __post_init__(self) -> None:
         if self.chi_divisor not in ("n", "n-k"):
             raise FitError(f"chi divisor must be 'n' or 'n-k', got {self.chi_divisor!r}")
-        if self.xtol <= 0 or self.ftol <= 0:
-            raise FitError("tolerances must be positive")
+        for name in ("xtol", "ftol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise FitError(f"{name} must be finite and > 0, got {value!r}")
         for name in ("grid_tc", "grid_alpha", "grid_b2", "max_iter"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
                 raise FitError(f"{name} must be an integer >= 1, got {value!r}")
         lo, hi = self.alpha_bounds
-        if not 0 < lo < hi:
+        if not (0 < lo < hi and math.isfinite(hi)):
             raise FitError(f"bad alpha bounds {self.alpha_bounds}")
-        if self.tc_window is not None and not self.tc_window[0] < self.tc_window[1]:
-            raise FitError(f"empty tc search window {self.tc_window}")
+        if self.b2_max is not None and not (math.isfinite(self.b2_max) and self.b2_max > 0):
+            raise FitError(f"b2_max must be None or finite and > 0, got {self.b2_max!r}")
+        if self.tc_window is not None:
+            lo, hi = self.tc_window
+            if not lo < hi:
+                raise FitError(f"empty tc search window {self.tc_window}")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise FitError(f"tc search window must be finite, got {self.tc_window}")
 
 
 @dataclass(frozen=True)
@@ -178,7 +187,12 @@ def _project(g: np.ndarray, y: np.ndarray, shift, centre: bool, dg=None):
             dg -= (np.einsum("jik->ji", dg) / n)[..., None]
         b = np.einsum("jik,ik->ji", dg, g)
         a = b / den
-        jtj = np.einsum("...k,...k->...", dg[:, None], dg) - a[:, None] * b
+        diag = _ssr(dg) - a * b
+        if len(dg) == 1:
+            jtj = diag[None]
+        else:                               # J^T J is symmetric: three products
+            off = np.einsum("ik,ik->i", dg[0], dg[1]) - a[0] * b[1]
+            jtj = np.array([[diag[0], off], [off, diag[1]]])
         jtr = np.einsum("jik,ik->ji", dg, resid) - a * np.einsum("ik,ik->i", g, resid)
         jtj *= c0 * c0
         jtr *= c0
@@ -391,9 +405,8 @@ def tc_search_window(times: np.ndarray, config: FitConfig) -> tuple[float, float
     return tc_lo, tc_hi
 
 
-def _sing_residuals(tc: np.ndarray, alpha: np.ndarray, t: np.ndarray, t0: float,
-                    y: np.ndarray, shift, centre: bool, with_jac: bool):
-    """``_project``'s (resid, normal, c0, p0) for the singular model.
+def _sing_basis(tc, alpha, t: np.ndarray, t0: float, with_jac: bool):
+    """The singular model's basis g and, with ``with_jac``, dg/d(tc, alpha).
 
     g = (tc - t0) / alpha * (((tc - t0) / (tc - t))^alpha - 1), with tc and
     alpha broadcasting against each other, each with a trailing unit axis:
@@ -405,8 +418,8 @@ def _sing_residuals(tc: np.ndarray, alpha: np.ndarray, t: np.ndarray, t0: float,
         dg/dtc    = 1 - f ratio
         dg/dalpha = (tc - t0) / alpha * f log(ratio)
 
-    (the 1 matters only with p0 pinned).  C0 <= 0 is outside the model:
-    such rows get NaN residuals, which the engine rejects and the grid skips.
+    (the 1 matters only with p0 pinned), returned as (2, *g.shape), or None
+    without ``with_jac``.
     """
     s0 = tc - t0
     ratio = s0 / (tc - t)
@@ -426,9 +439,41 @@ def _sing_residuals(tc: np.ndarray, alpha: np.ndarray, t: np.ndarray, t0: float,
             np.subtract(1.0, dg[0], out=dg[0])
             np.multiply(f, log_ratio, out=dg[1])
             dg[1] *= scale
+    return g, dg
+
+
+def _sing_residuals(tc: np.ndarray, alpha: np.ndarray, t: np.ndarray, t0: float,
+                    y: np.ndarray, shift, centre: bool, with_jac: bool):
+    """``_project``'s (resid, normal, c0, p0) for the singular model (``_sing_basis``).
+
+    C0 <= 0 is outside the model: such rows get NaN residuals, which the
+    engine rejects and the grid skips.
+    """
+    g, dg = _sing_basis(tc, alpha, t, t0, with_jac)
     resid, normal, c0, p0 = _project(g, y, shift, centre, dg)
     resid[~(c0 > 0)] = np.nan
     return resid, normal, c0, p0
+
+
+def _sing_linearization(t: np.ndarray, tc: float, alpha: float, centre: bool):
+    """First-order response (A, w) of a singular fit at (tc, alpha) to its data.
+
+    With D the columns dg/d(tc, alpha) of ``_sing_basis`` and P the
+    projector out of span{1, g} (``centre``, p0 free) or span{g} (p0
+    pinned), A = (D^T P D)^-1 D^T P is a 2 x n map (Kaufman, BIT 15 (1975)
+    49): a change dp of the log prices moves the optimum's (tc, alpha) by
+    A dp / C0 to first order, less a term in the fit's residuals that
+    Gauss-Newton drops, and S = A / C0 is their sensitivity to ln P.
+    w = g / |g|^2, g centred with p0 free, gives C0 at fixed (tc, alpha):
+    it moves by w.dp.
+    """
+    g, dg = _sing_basis(tc, alpha, t, float(t[0]), True)
+    if centre:
+        g = g - g.mean()
+        dg -= dg.mean(axis=1, keepdims=True)
+    w = g / (g @ g)
+    pd = dg - np.outer(dg @ w, g)       # (P D)^T
+    return np.linalg.solve(pd @ pd.T, pd), w
 
 
 #: The upper bound of a fit not bounded above, in box widths from the box's
@@ -436,22 +481,24 @@ def _sing_residuals(tc: np.ndarray, alpha: np.ndarray, t: np.ndarray, t0: float,
 #: Left unbounded, a row that heads away may spend all ``max_iter`` rounds
 #: out there, and the Monte Carlo moments exclude it if it ends outside.
 #: Not the box edge itself: some refits step out and come back (at di = 0.5,
-#: Peru to 1.175 box widths in tc and Zimbabwe to 1.058 in alpha), while
+#: Peru to 1.133 box widths in tc and Zimbabwe to 1.034 in alpha), while
 #: none that ends inside the box has been seen to pass two.
 _REACH_BOXES = 2.0
 
 
 def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float, float],
-                      seed: tuple[float, float], config: FitConfig,
+                      seed: tuple[float, float] | np.ndarray, config: FitConfig,
                       bounded_above: bool = True, pinned_p0: float | None = None):
-    """Singular-model fits of every row of p_data from one (tc, alpha) seed.
+    """Singular-model fits of every row of p_data from (tc, alpha) seeds.
 
-    The engine refines (tc, alpha); (C0, p0) are solved in closed form, p0
-    held at ``pinned_p0`` if given.  tc and alpha are held at or above the
-    lower edges of ``tc_window`` and ``config.alpha_bounds``, and at or
-    below the upper edges with ``bounded_above``, or else at most one box
-    width beyond them (``_REACH_BOXES``).  Returns ((tc, alpha, c0, p0),
-    ssr, converged, rounds), one array entry per row.
+    ``seed`` is one (tc, alpha) pair for all rows, or an (m, 2) array of
+    one pair per row.  The engine refines (tc, alpha); (C0, p0) are solved
+    in closed form, p0 held at ``pinned_p0`` if given.  tc and alpha are
+    held at or above the lower edges of ``tc_window`` and
+    ``config.alpha_bounds``, and at or below the upper edges with
+    ``bounded_above``, or else at most one box width beyond them
+    (``_REACH_BOXES``); a seed outside those bounds starts on them.  Returns
+    ((tc, alpha, c0, p0), ssr, converged, rounds), one array entry per row.
     """
     t0 = float(t[0])
     tc_lo, tc_hi = tc_window
@@ -459,7 +506,7 @@ def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float,
     box = np.array([tc_hi - tc_lo, a_hi - a_lo])
     ub = box if bounded_above else _REACH_BOXES * box
     y, shift = _data_side(p_data, pinned_p0)
-    x0 = np.tile([seed[0] - tc_lo, seed[1] - a_lo], (p_data.shape[0], 1))
+    x0 = np.broadcast_to(np.asarray(seed, dtype=float) - [tc_lo, a_lo], (len(p_data), 2))
 
     def model(x, rows, with_jac):
         return _sing_residuals(tc_lo + x[:, :1], a_lo + x[:, 1:], t, t0, y[rows], shift[rows],

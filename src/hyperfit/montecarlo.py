@@ -34,11 +34,12 @@ from .fitting import (
     FitConfig,
     FitError,
     FitResult,
+    _sing_linearization,
     fit_singular_rows,
     fit_singularity,
     tc_search_window,
 )
-from .models import alpha_to_gamma
+from .models import SingularityParams, alpha_to_gamma
 from .series import InflationSeries, build_price_index, cumulate
 
 
@@ -452,6 +453,25 @@ def run_mc(
                      *_direct_fit(rates, fit_config))
 
 
+def _refit_starts(p_data: np.ndarray, p_direct: np.ndarray, t: np.ndarray,
+                  direct: SingularityParams, centre: bool) -> np.ndarray:
+    """(m, 2): each generation's refit start, one Gauss-Newton step from the direct fit.
+
+    Row j starts at (tc, alpha) + A (p_j - p_direct) / C0_j, where (A, w) is
+    the direct fit's ``_sing_linearization`` and C0_j = C0 + w.(p_j - p_direct):
+    one undamped Gauss-Newton step for row j with the Jacobian held at the
+    direct fit, which costs no model call.  A generation with the direct
+    fit's data starts exactly at its (tc, alpha), and one with C0_j not > 0
+    starts there too.
+    """
+    a, w = _sing_linearization(t, direct.tc, direct.alpha, centre)
+    move = (p_data - p_direct) @ np.vstack([a, w]).T
+    c0 = direct.c0 + move[:, 2]
+    start = np.array([direct.tc, direct.alpha])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((c0 > 0)[:, None], start + move[:, :2] / c0[:, None], start)
+
+
 def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
               direct: FitResult, t: np.ndarray) -> MCReport:
     """run_mc around a given direct fit of ``rates`` at times ``t``."""
@@ -466,13 +486,14 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
     # Cumulate each generation exactly as the direct fit's data.
     p_data = cumulate(samples)[1]
 
-    # Refit every generation from the direct fit, held at or above the box's
-    # lower edges and at most one box width beyond its upper ones, so a
-    # generation that leaves the box is seen (and excluded), not clamped at
+    # Refit every generation from its first-order start, held at or above the
+    # box's lower edges and at most one box width beyond its upper ones, so
+    # a generation that leaves the box is seen (and excluded), not clamped at
     # its edge.  With pin_p0 every generation keeps the direct fit's p0: the
     # first rate carries no error, so all share the observed ln P(t0).
+    starts = _refit_starts(p_data, cumulate(rates.rates)[1], t, dp, not fit_config.pin_p0)
     (tc, alpha, c0, p0), _, converged, _ = fit_singular_rows(
-        p_data, t, window, (dp.tc, dp.alpha), fit_config, bounded_above=False,
+        p_data, t, window, starts, fit_config, bounded_above=False,
         pinned_p0=dp.p0 if fit_config.pin_p0 else None)
 
     out_of_box = (tc > window[1]) | (alpha > a_hi)

@@ -349,6 +349,20 @@ class TestCmdCurve:
         assert code == 2 and "--points must be >= 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--from", "nan"), ("--from", "-inf"),
+                                             ("--to", "inf"), ("--to", "nan")])
+    def test_non_finite_range_exits_2_before_the_report_is_read(self, capsys, tmp_path, flag,
+                                                                value):
+        # --from nan wrote NaN rows and exited 0; --to inf warned, then
+        # exited 3 with a wrong "beyond the singularity" message.
+        out = tmp_path / "curve.csv"
+        bounds = {"--from": "1980", "--to": "1988", flag: value}
+        code, _, err = run(capsys, "curve", "--report", str(tmp_path / "missing.json"),
+                           *(f"{name}={text}" for name, text in bounds.items()),
+                           "--out", str(out))
+        assert code == 2 and f"{flag} must be finite" in err
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # predict

@@ -13,6 +13,7 @@ from hyperfit.fitting import (
     _lm,
     _project,
     _sing_grid_seed,
+    _sing_linearization,
     _sing_residuals,
     _ssr,
     fit_double_exp,
@@ -110,6 +111,27 @@ class TestEngine:
         assert converged[1] and rounds[1] < 400
         assert np.array_equal(np.array(params)[:, 1:], np.array(alone[0]))
         assert ssr[1:].tobytes() == alone[1].tobytes() and rounds[1] == alone[3][0]
+
+    def test_per_row_seeds(self):
+        # An (m, 2) seed gives each row the bits it gets alone from its own
+        # pair, and m copies of one pair give what the pair gives; a seed
+        # beyond the box starts on its edge.
+        t = np.arange(1970.0, 1982.0)
+        p = np.stack([eval_singularity(SingularityParams(tc=tc, alpha=a, c0=0.5, p0=0.1,
+                                                         t0=1970.0), t)
+                      for tc, a in ((1984.0, 0.4), (1986.0, 0.8), (1983.0, 0.2))])
+        window, config = (1982.5, 1994.0), FitConfig()
+        seeds = np.array([[1983.0, 0.3], [1990.0, 1.5], [2100.0, 9.0]])
+        rows = fitting.fit_singular_rows(p, t, window, seeds, config)
+        for j, seed in enumerate(seeds):
+            alone = fitting.fit_singular_rows(p[j:j + 1], t, window, tuple(seed), config)
+            assert np.array(rows[0])[:, j].tobytes() == np.array(alone[0])[:, 0].tobytes()
+            assert rows[3][j] == alone[3][0]
+        edge = fitting.fit_singular_rows(p[2:], t, window, (1994.0, 5.0), config)
+        assert np.array(rows[0])[:, 2].tobytes() == np.array(edge[0])[:, 0].tobytes()
+        one = fitting.fit_singular_rows(p, t, window, (1983.0, 0.3), config)
+        same = fitting.fit_singular_rows(p, t, window, np.tile([1983.0, 0.3], (3, 1)), config)
+        assert np.array(one[0]).tobytes() == np.array(same[0]).tobytes()
 
     def test_one_model_evaluation_per_round(self):
         # Each trial is evaluated once, with the Jacobian, and the row keeps
@@ -371,6 +393,29 @@ class TestFitSingularity:
         with pytest.raises(FitError, match=f"{field} must be an integer >= 1"):
             FitConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("ftol", math.inf, "ftol must be finite and > 0"),
+        ("ftol", math.nan, "ftol must be finite and > 0"),
+        ("ftol", 0.0, "ftol must be finite and > 0"),
+        ("xtol", math.nan, "xtol must be finite and > 0"),
+        ("xtol", math.inf, "xtol must be finite and > 0"),
+        ("xtol", -1e-9, "xtol must be finite and > 0"),
+        ("alpha_bounds", (0.01, math.inf), "bad alpha bounds"),
+        ("alpha_bounds", (math.nan, 5.0), "bad alpha bounds"),
+        ("b2_max", math.inf, "b2_max must be None or finite and > 0"),
+        ("b2_max", math.nan, "b2_max must be None or finite and > 0"),
+        ("b2_max", 0.0, "b2_max must be None or finite and > 0"),
+        ("b2_max", -1.0, "b2_max must be None or finite and > 0"),
+        ("tc_window", (1991.0, math.inf), "tc search window must be finite"),
+    ])
+    def test_non_finite_or_non_positive_settings_rejected(self, field, value, message):
+        # On Peru, ftol=inf "converged" after one round at tc 1991.2906 and
+        # b2_max=nan returned b2 = NaN; an infinite alpha or b2 bound, or
+        # an infinite tc window, raised numpy warnings and b2_max=0 a bare
+        # numpy ValueError.
+        with pytest.raises(FitError, match=message):
+            FitConfig(**{field: value})
+
     def test_one_node_grids_fit(self, peru_index):
         config = FitConfig(grid_tc=1, grid_alpha=1, grid_b2=1, max_iter=1)
         assert fit_singularity(peru_index, config).iterations == 1
@@ -624,6 +669,46 @@ class TestVariableProjection:
         assert np.all(c0 > 0)
         g, dg = full_singular_columns(tc, alpha, t, t0)
         assert_same_normal_eqs(resid, jtj, jtr, kaufman_reference(g, y, shift, not pin, dg))
+
+    @pytest.mark.parametrize("pin", [False, True])
+    def test_linearization_matches_the_explicit_projection(self, noisy_peru_index, pin):
+        # A = (D^T P D)^-1 D^T P from the full derivative columns and an
+        # explicit projector out of span{1, g} (span{g} pinned): the columns
+        # of _sing_basis, known only up to that span, give the same map.
+        t = noisy_peru_index.times()
+        fit = fit_singularity(noisy_peru_index, FitConfig(pin_p0=pin)).params
+        a, w = _sing_linearization(t, fit.tc, fit.alpha, not pin)
+        g, dg = full_singular_columns(np.array([[fit.tc]]), np.array([[fit.alpha]]), t, t[0])
+        basis = np.stack([g[0]] if pin else [np.ones_like(t), g[0]], axis=1)
+        proj = np.eye(len(t)) - basis @ np.linalg.pinv(basis)
+        d = dg[0].T
+        reference = np.linalg.solve(d.T @ proj @ d, d.T @ proj)
+        assert np.abs(a - reference).max() <= 1e-9 * np.abs(reference).max()
+        centred = g[0] - (0.0 if pin else g[0].mean())
+        assert w == pytest.approx(centred / (centred @ centred), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["peru", "greece"])
+    @pytest.mark.parametrize("pin", [False, True])
+    def test_linearization_is_the_first_order_response_of_the_fit(self, name, pin):
+        # The fixtures fit the singular model exactly (SSR ~ 1e-28), so the
+        # residual term Gauss-Newton drops vanishes: the fitted (tc, alpha)
+        # move along two random directions dp as A dp / C0.  Central
+        # differences at h = 1e-3 to 1e-5 agreed within 1.4e-6 relative.
+        index = build_price_index(synthetic_rates(episode(name)))
+        t, p = index.times(), index.log_index
+        config = FitConfig(pin_p0=pin, xtol=1e-13, ftol=1e-15)
+        fit = fit_singularity(index, config).params
+        a, _ = _sing_linearization(t, fit.tc, fit.alpha, not pin)
+        dp = np.random.default_rng(1).standard_normal((2, len(t)))
+        dp[:, 0] = 0.0                      # p0 pinned keeps the first log price
+        h = 1e-4
+        (tc, alpha, *_), _, converged, _ = fitting.fit_singular_rows(
+            np.concatenate([p + h * dp, p - h * dp]), t, tc_search_window(t, config),
+            (fit.tc, fit.alpha), config, pinned_p0=fit.p0 if pin else None)
+        assert converged.all()
+        moved = np.stack([tc[:2] - tc[2:], alpha[:2] - alpha[2:]], axis=1) / (2.0 * h)
+        linear = dp @ a.T / fit.c0
+        assert np.abs(moved - linear).max() <= 1e-5 * np.abs(linear).max()
 
     def test_double_exp_normal_eqs_match_the_explicit_jacobian(self, noisy_peru_index):
         # The optimum, a point 30 % off, and two b2 in _dexp_basis's series
