@@ -1,6 +1,6 @@
 """sha256 digests of every Monte Carlo draw and report and every direct fit.
 
-For the hyperfit tree on PYTHONPATH this prints four digests:
+For the hyperfit tree on PYTHONPATH this prints five digests:
 
 - ``draws``: every ``montecarlo._draw_generations`` sample array and
   truncation count on the mc-resample cases and seeds below, printed first,
@@ -12,7 +12,11 @@ For the hyperfit tree on PYTHONPATH this prints four digests:
   di = 0.25, Germany at di = 0.5), m = 4000, master seeds
   1000000-1000044 and 20080605, p0 free and pinned;
 - ``counts``: the same runs, hashing only each report's ``COUNT_FIELDS``:
-  the outcome counts, the tc histogram counts and the flags.
+  the outcome counts, the tc histogram counts and the flags;
+- ``wide``: ``run_mc`` on every bundled episode at di = 0.25 and 0.5,
+  m = 4000, master seeds 1000000-1000011, p0 free and pinned (240 runs),
+  the drift budget of an engine change: it reaches the Greece and Zimbabwe
+  refits and the di = 0.5 tails that the ``mc`` cases do not.
 
 ``fit`` and ``mc`` take every field: floats at full precision, arrays as
 bytes (residuals included), and each fit's ``iterations`` and ``converged``.
@@ -26,15 +30,16 @@ same class and histogram bin:
 
 ``--save PATH`` also writes the values behind the digests as JSON: each
 run's moments (``mean.tc``, ``std.tc``, ..., ``skew.tc``, ``kurt.tc``) and
-``COUNT_FIELDS`` (the outcome counts as ``outcome.stalled`` and so on), and
-each fit's parameters, objective and LM rounds.  ``--against PATH`` reads
-such a file from another tree and prints, per field (for the fits, per
-field of each model: linear, doubleexp, singularity), the largest relative
-drift of this tree's values from it, with the absolute drift and the run or
-fit where the largest one occurs (a reference of exactly 0 that moves reads
-as an infinite relative drift); then every run whose counts moved, with each
-moved field's reference and new value, and per moved field its total over
-all runs:
+``COUNT_FIELDS`` (the outcome counts as ``outcome.stalled`` and so on), for
+the ``mc`` and the ``wide`` runs, and each fit's parameters, objective and
+LM rounds.  ``--against PATH`` reads such a file from another tree and
+prints, per field (for the fits, per field of each model: linear,
+doubleexp, singularity), the largest relative drift of this tree's values
+from it, with the absolute drift and the run or fit where the largest one
+occurs (a reference of exactly 0 that moves reads as an infinite relative
+drift); then, for the ``mc`` and then the ``wide`` runs, every run whose
+counts moved, with each moved field's reference and new value, and per
+moved field its total over all runs:
 
     PYTHONPATH=/path/to/parent/src python benches/digests.py --save parent.json
     PYTHONPATH=src python benches/digests.py --against parent.json
@@ -60,6 +65,8 @@ from hyperfit.montecarlo import MCConfig, run_mc
 
 MC_CASES = (("peru", 0.25), ("yugoslavia", 0.25), ("germany", 0.5))
 MC_SEEDS = (*range(1_000_000, 1_000_045), 20080605)
+WIDE_CASES = tuple((name, di) for name in PRESETS for di in (0.25, 0.5))
+WIDE_SEEDS = tuple(range(1_000_000, 1_000_012))
 M = 4000
 FIT_SEED = 1
 CONFIGS = (FitConfig(), FitConfig(pin_p0=True))
@@ -109,21 +116,25 @@ def run_counts(report) -> dict:
     return counts
 
 
-def mc_digests(moments: dict, counts: dict) -> tuple[str, str]:
-    """The ``mc`` and ``counts`` digests of the same runs.
+def mc_digests(cases, seeds, moments: dict, counts: dict) -> tuple[str, str]:
+    """The digests of every report and of its ``COUNT_FIELDS`` over the runs.
 
-    Fills moments[run] with the run's moments and counts[run] with its
-    ``run_counts``.
+    The runs are every (episode, di) of cases under each of ``CONFIGS`` and
+    seeds.  Fills moments[run] with the run's moments and counts[run] with
+    its ``run_counts``; run is "episode pinning seed", with di after the
+    episode when cases hold an episode twice.
     """
     whole, counted = hashlib.sha256(), hashlib.sha256()
-    for name, di in MC_CASES:
+    tag_di = len({name for name, _ in cases}) < len(cases)
+    for name, di in cases:
         rates = synthetic_rates(episode(name))
         for config in CONFIGS:
-            for seed in MC_SEEDS:
+            for seed in seeds:
                 report = run_mc(rates, config, MCConfig(di=di, m=M, seed=seed))
                 feed(whole, report)
                 feed(counted, {field: getattr(report, field) for field in COUNT_FIELDS})
-                run = f"{name} {pinning(config)} {seed}"
+                run = f"{name} {di} " if tag_di else f"{name} "
+                run += f"{pinning(config)} {seed}"
                 moments[run] = {
                     **{f"{moment}.{param}": getattr(stats, moment)
                        for param, stats in report.params.items() for moment in ("mean", "std")},
@@ -189,45 +200,54 @@ def moved_counts(values: dict, reference: dict) -> dict[str, dict[str, tuple]]:
     return moved
 
 
+def print_moved_counts(kind: str, values: dict, reference: dict) -> None:
+    """Every run of kind whose counts moved, then each moved outcome's total over all runs."""
+    moved = moved_counts(values, reference)
+    print(f"{kind}: {len(moved)} of {len(values)} runs moved")
+    for run, changes in moved.items():
+        print(f"{kind} {run}: " + ", ".join(f"{field} {ref} -> {value}"
+                                            for field, (ref, value) in changes.items()))
+    for field in sorted({field for changes in moved.values() for field in changes}):
+        if field.startswith("outcome."):
+            total = sum(fields[field] for fields in values.values())
+            ref_total = sum(fields[field] for fields in reference.values())
+            print(f"{kind} total {field}: {ref_total} -> {total}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--save", type=Path, help="write the values behind the digests here")
     parser.add_argument("--against", type=Path, help="print the drift from this saved file")
     args = parser.parse_args()
-    values: dict[str, dict] = {"fit": {}, "mc": {}, "counts": {}}
+    values: dict[str, dict] = {"fit": {}, "mc": {}, "counts": {}, "wide": {}, "wide_counts": {}}
     with warnings.catch_warnings():         # perturbed ends may not be strictly rising
         warnings.simplefilter("ignore")
         print("draws ", draws_digest(), flush=True)
-        print("fit   ", fit_digest(values["fit"]))
-        mc, counts = mc_digests(values["mc"], values["counts"])
+        print("fit   ", fit_digest(values["fit"]), flush=True)
+        mc, counts = mc_digests(MC_CASES, MC_SEEDS, values["mc"], values["counts"])
         print("mc    ", mc)
-        print("counts", counts)
+        print("counts", counts, flush=True)
+        wide, _ = mc_digests(WIDE_CASES, WIDE_SEEDS, values["wide"], values["wide_counts"])
+        print("wide  ", wide)
     if args.save:
         args.save.write_text(json.dumps(values, indent=1) + "\n", encoding="utf-8")
     if args.against:
         reference = json.loads(args.against.read_text())
-        for kind in ("mc", "fit"):
-            unmatched = values[kind].keys() ^ reference[kind].keys()
+        for kind in ("mc", "wide", "fit"):
+            unmatched = values[kind].keys() ^ reference.get(kind, {}).keys()
             if unmatched:
                 print(f"{kind}: {len(unmatched)} in one file only, e.g. {min(unmatched)}")
         fits, ref_fits = by_model(values["fit"]), by_model(reference["fit"])
-        for kind, current, ref in [("mc", values["mc"], reference["mc"])] + [
+        for kind, current, ref in [(kind, values[kind], reference.get(kind, {}))
+                                   for kind in ("mc", "wide")] + [
                 (f"fit {model}", fits[model], ref_fits.get(model, {})) for model in fits]:
             for field, (rel, diff, key) in sorted(drift(current, ref).items()):
                 print(f"{kind} {field:12s} rel {rel:.2e}  abs {diff:.2e}  at {key}")
-        if "counts" not in reference:
-            print("counts: the reference file holds none")
-            return
-        moved = moved_counts(values["counts"], reference["counts"])
-        print(f"counts: {len(moved)} of {len(values['counts'])} runs moved")
-        for run, changes in moved.items():
-            print(f"counts {run}: " + ", ".join(f"{field} {ref} -> {value}"
-                                               for field, (ref, value) in changes.items()))
-        for field in sorted({field for changes in moved.values() for field in changes}):
-            if field.startswith("outcome."):
-                total = sum(fields[field] for fields in values["counts"].values())
-                ref_total = sum(fields[field] for fields in reference["counts"].values())
-                print(f"counts total {field}: {ref_total} -> {total}")
+        for kind in ("counts", "wide_counts"):
+            if kind in reference:
+                print_moved_counts(kind, values[kind], reference[kind])
+            else:
+                print(f"{kind}: the reference file holds none")
 
 
 if __name__ == "__main__":

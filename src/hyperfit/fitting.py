@@ -57,7 +57,6 @@ class FitConfig:
     max_iter: int = 400                  # LM rounds of the refiner
     chi_divisor: str = "n"               # "n" or "n-k"
     pin_p0: bool = False                 # pin p0 to the observed ln P(t0)
-    pin_b2: bool = False                 # pin b2 to 0 (linear limit)
 
     def __post_init__(self) -> None:
         if self.chi_divisor not in ("n", "n-k"):
@@ -280,6 +279,8 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
     at most ftol relative, up or down (MINPACK's two-sided test, Moré 1978);
     a trial that raises it is not taken.  So a row at the round-off floor
     stops at once instead of damping a futile step until it rounds to zero.
+    A row whose first trial ends it keeps its start and does not take that
+    trial, so a row started at a converged fit returns that fit bit for bit.
     A non-finite trial never ends a row, and a row whose objective starts
     non-finite runs no round.  Returns (x, ssr, converged, rounds run), then
     each further item of the model at every row's final x.
@@ -335,6 +336,7 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
             step_small = np.max(np.abs(step) / (np.abs(xa) + 1.0), axis=1) < xtol
             flat = finite & (np.abs(ssr_new - ssr[live]) <= ftol * np.maximum(ssr_new, 1e-300))
             done = flat | (better & step_small)
+            better &= ~(done & (rounds[live] == 1))     # a converged start keeps its bits
 
             upd = live[better]
             jtj_u, jtr_u = jtj_e[:s][better], jtr_e[:s][better]
@@ -497,8 +499,13 @@ def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float,
     held at or above the lower edges of ``tc_window`` and
     ``config.alpha_bounds``, and at or below the upper edges with
     ``bounded_above``, or else at most one box width beyond them
-    (``_REACH_BOXES``); a seed outside those bounds starts on them.  Returns
-    ((tc, alpha, c0, p0), ssr, converged, rounds), one array entry per row.
+    (``_REACH_BOXES``); a seed outside those bounds starts on them.  A row
+    seeded at a converged fit of its data returns that fit bit for bit:
+    ``_lm`` keeps a start that its first trial ends, and the offset
+    tc - tc_lo is exact (Sterbenz's lemma, as tc < 2 tc_lo), so adding
+    tc_lo back gives the seed's tc, as adding a_lo gives its alpha.
+    Returns ((tc, alpha, c0, p0), ssr, converged, rounds), one array entry
+    per row.
     """
     t0 = float(t[0])
     tc_lo, tc_hi = tc_window
@@ -612,8 +619,7 @@ def fit_double_exp(
     """Fit the double-exponential model over (b2, C0, p0) with b2 >= 0.
 
     The search runs over b2, with (C0, p0) in closed form and C0 of either
-    sign.  With ``config.pin_b2`` the acceleration is fixed at zero and the fit
-    collapses to the closed-form linear solution (the Cagan limit).
+    sign.  At b2 = 0 the model is the linear one (the Cagan limit).
     """
     config = config or FitConfig()
     index = _windowed(index, window)
@@ -629,11 +635,6 @@ def fit_double_exp(
         raise FitError("degenerate time values")
 
     y, shift = _data_side(p, None)
-    if config.pin_b2:
-        resid, _, c0, p0 = _project(x, y, shift, True)
-        params = DoubleExpParams(p0=float(p0), c0=float(c0), b2=0.0, t0=t0)
-        return _result("doubleexp", params, resid, n, 2, config.chi_divisor, True, 0)
-
     b2_hi = config.b2_max if config.b2_max is not None else 20.0 / span
     b2_nodes = np.concatenate([[0.0], np.geomspace(1e-4 / span, b2_hi, config.grid_b2 - 1)])
 

@@ -94,9 +94,10 @@ class MCReport:
     """Aggregated outcome of one resampling run around the ``direct`` fit.
 
     ``outcome`` puts every generation in one class, so its counts sum to m:
-    ``converged_interior``; ``on_alpha_floor`` (converged with alpha on the
-    lower bound of ``FitConfig.alpha_bounds``, kept in the moments at the
-    bound); ``stalled`` (no convergence within ``max_iter`` rounds, inside
+    ``converged_interior``; ``on_alpha_floor`` (converged with alpha exactly
+    on the lower bound of ``FitConfig.alpha_bounds``, where the box
+    projection holds a floored refit, kept in the moments at the bound);
+    ``stalled`` (no convergence within ``max_iter`` rounds, inside
     the box) and ``out_of_box`` (ended with tc beyond the search window or
     alpha above its upper bound, where a refit is held at most one box width
     beyond the box), both excluded from the moments.
@@ -379,7 +380,12 @@ def _redraw_rows(out: np.ndarray, rates: np.ndarray, sd: np.ndarray, words: np.n
 def sample_generation(
     rates: InflationSeries, di: float, rng: np.random.Generator
 ) -> InflationSeries:
-    """Draw one generation of inflation rates from the assigned error model."""
+    """Draw one generation of inflation rates from the assigned error model.
+
+    ``di`` is the relative rate error, as in ``MCConfig``: finite and >= 0.
+    """
+    if not (math.isfinite(di) and di >= 0):
+        raise ValueError(f"di (relative error) must be finite and >= 0, got {di!r}")
     vals, _ = _sample_rates(rates.rates, di, rng)
     return InflationSeries(epochs=rates.epochs, rates=vals)
 
@@ -399,18 +405,16 @@ def _population_moments(x: np.ndarray) -> tuple[float, float]:
     return float(x[0]) + shift, float(np.sqrt(np.mean((dev - shift) ** 2)))
 
 
-def _ratio(direct: float, mean: float, std: float, atol: float) -> float:
+def _ratio(direct: float, mean: float, std: float) -> float:
     """Displacement of the resampled mean in units of the resampled spread.
 
     A zero spread (all generations identical, as with di = 0) gives 0 when
-    the mean agrees with the direct fit at optimizer resolution and
-    infinity otherwise; two optimizers stopping within their tolerance of
-    the same minimum count as agreeing.
+    the mean is the direct fit and infinity otherwise: a refit started at a
+    converged fit returns it bit for bit, so any gap is a real displacement.
     """
-    diff = abs(mean - direct)
     if std == 0.0:
-        return 0.0 if diff <= atol else math.inf
-    return diff / std
+        return 0.0 if mean == direct else math.inf
+    return abs(mean - direct) / std
 
 
 def _skew_kurtosis(x: np.ndarray) -> tuple[float, float]:
@@ -498,7 +502,7 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
 
     out_of_box = (tc > window[1]) | (alpha > a_hi)
     ok = converged & ~out_of_box
-    on_floor = ok & (alpha - a_lo <= fit_config.xtol * max(1.0, a_lo))
+    on_floor = ok & (alpha == a_lo)
     outcome = {
         "converged_interior": int(np.count_nonzero(ok & ~on_floor)),
         "on_alpha_floor": int(np.count_nonzero(on_floor)),
@@ -521,8 +525,7 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
     params: dict[str, ParamStats] = {}
     for name, (direct_value, sample) in values.items():
         mean, std = _population_moments(sample)
-        atol = 10.0 * fit_config.xtol * max(1.0, abs(direct_value))
-        ratio = _ratio(direct_value, mean, std, atol)
+        ratio = _ratio(direct_value, mean, std)
         params[name] = ParamStats(
             direct=direct_value,
             mean=mean,

@@ -87,11 +87,18 @@ class TestSampleGeneration:
             total += redraws
         assert total > 0
 
+    @pytest.mark.parametrize("di", [math.nan, math.inf, -math.inf, -0.1])
+    def test_rejects_a_non_finite_or_negative_error(self, peru_rates, di):
+        # As MCConfig does: nan or inf would surface later as a nan rate,
+        # and a negative error would draw silently.
+        with pytest.raises(ValueError, match=r"^di \(relative error\) must be finite"):
+            sample_generation(peru_rates, di, np.random.default_rng(0))
+
     def test_ratio_edge_cases(self):
-        assert _ratio(1.0, 1.0, 0.0, 1e-9) == 0.0
-        assert _ratio(1.0, 1.0 + 1e-12, 0.0, 1e-9) == 0.0
-        assert _ratio(1.0, 1.1, 0.0, 1e-9) == math.inf
-        assert _ratio(1.0, 1.2, 0.1, 1e-9) == pytest.approx(2.0)
+        assert _ratio(1.0, 1.0, 0.0) == 0.0
+        assert _ratio(1.0, 1.0 + 2.0**-52, 0.0) == math.inf
+        assert _ratio(1.0, 1.1, 0.0) == math.inf
+        assert _ratio(1.0, 1.2, 0.1) == pytest.approx(2.0)
 
 
 def normal_sample_rates(rates, di, rng):
@@ -368,10 +375,21 @@ class TestRunMC:
         for name in ("tc", "alpha", "c0", "p0"):
             st = rep.params[name]
             assert st.std == 0.0
-            assert st.mean == pytest.approx(st.direct, rel=1e-12)
+            assert st.mean == st.direct
             assert st.ratio == 0.0
         assert rep.accepted
         assert rep.n_nonconverged == 0
+
+    def test_zero_error_run_of_a_pinned_zimbabwe_perturbation_is_accepted(self):
+        # Taking the first trial, which ends each refit here, would move
+        # alpha 1.16e-8 off the direct fit; with a zero spread that reads as
+        # an infinite ratio and rejects the run.
+        rates = synthetic_rates(episode("zimbabwe"))
+        child = np.random.SeedSequence(1).spawn(5)[1].spawn(7)[3]
+        sample = sample_generation(rates, 0.1, np.random.default_rng(child))
+        rep = run_mc(sample, FitConfig(pin_p0=True), MCConfig(di=0.0, m=3, seed=1))
+        assert rep.accepted
+        assert all(st.ratio == 0.0 and st.mean == st.direct for st in rep.params.values())
 
     def test_deterministic_across_worker_counts(self, peru_rates):
         a = run_mc(peru_rates, FitConfig(), MCConfig(di=0.25, m=200, seed=11, workers=1))
@@ -689,6 +707,44 @@ def test_zero_error_refits_start_exactly_at_the_direct_fit(pin, monkeypatch):
                      MCConfig(di=0.0, m=3, seed=1))
         direct = np.array([rep.direct.params.tc, rep.direct.params.alpha])
         assert calls.pop()[1].tobytes() == np.tile(direct, (3, 1)).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
+def test_zero_error_refits_return_the_direct_fit_bit_for_bit(monkeypatch):
+    # Every fixture, noiseless and with seven perturbations at di = 0.1,
+    # under p0 free, p0 pinned and an alpha floor of 0.5 (on which Peru's
+    # direct fit sits): 120 runs.  Each refit starts at the direct fit and
+    # returns its (tc, alpha, c0, p0) and SSR bit for bit, so the report
+    # reads an exact zero spread, mean == direct and ratio 0 everywhere.
+    calls = []
+    fit_rows = fitting.fit_singular_rows
+
+    def spy(*args, **kwargs):
+        calls.append(fit_rows(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(fitting, "fit_singular_rows", spy)     # the direct fit's call
+    monkeypatch.setattr(montecarlo, "fit_singular_rows", spy)  # the refit's
+    configs = (FitConfig(), FitConfig(pin_p0=True), FitConfig(alpha_bounds=(0.5, 5.0)))
+    runs = 0
+    for k, name in enumerate(PRESETS):
+        rates = synthetic_rates(episode(name))
+        children = np.random.SeedSequence(1).spawn(len(PRESETS))[k].spawn(7)
+        for sample in [rates] + [sample_generation(rates, 0.1, np.random.default_rng(child))
+                                 for child in children]:
+            for config in configs:
+                rep = run_mc(sample, config, MCConfig(di=0.0, m=3, seed=1))
+                (direct, direct_ssr, *_), (refit, ssr, converged, _) = calls
+                calls.clear()
+                assert np.array(refit).tobytes() == np.repeat(direct, 3, axis=1).tobytes()
+                assert ssr.tobytes() == np.repeat(direct_ssr, 3).tobytes()
+                assert converged.all()
+                for param in ("tc", "alpha", "c0", "p0"):
+                    st = rep.params[param]
+                    assert (st.std, st.mean, st.ratio) == (0.0, st.direct, 0.0)
+                assert rep.accepted
+                runs += 1
+    assert runs == 120
 
 
 @pytest.mark.parametrize("name", ["peru", "germany"])
