@@ -6,7 +6,9 @@ fit-direct inputs), this times per call, in milliseconds:
 
 - ``grid_ms``: ``fitting._sing_grid_seed`` on the default 48 x 32 grid;
 - ``singularity_ms``: ``fitting.fit_singularity``, grid seed and refine;
-- ``doubleexp_ms``: ``fitting.fit_double_exp``, b2 grid and refine.
+- ``doubleexp_ms``: ``fitting.fit_double_exp``, b2 grid and refine; from
+  ``parabola-*`` on, the refine starts at two parabola vertices around the
+  best b2 node (``fitting._dexp_start``), one more model call of three b2.
 
 It also records, per case, the Levenberg-Marquardt rounds the fits take,
 ``FitResult.iterations`` summed over the case's inputs (p0 free): the

@@ -299,7 +299,8 @@ def _ziggurat_normals(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
     height = _ZIG_FD[level] * ((raw[u] >> 11) * 2.0**-53) + _ZIG_FI[level]
     bell = np.exp(-0.5 * x * x)
     # Outputs that give no value, and the values before each in its row.
-    skipped = np.unique(np.r_[u, start[height >= bell]])
+    skipped = np.sort(np.r_[u, start[height >= bell]])   # np.unique would import numpy.ma
+    skipped = skipped[np.diff(skipped, prepend=-1) != 0]
     row = skipped // k
     before = skipped - row * k - (np.arange(len(skipped)) - np.searchsorted(skipped, row * k))
     end = n + np.bincount(row[before < n], minlength=len(out))  # past the row's n-th value

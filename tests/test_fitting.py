@@ -773,21 +773,106 @@ class TestFitDoubleExp:
         assert fit.params.c0 == pytest.approx(0.1, rel=1e-5)
         assert fit.params.p0 == pytest.approx(0.2, rel=1e-5)
 
-    @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
-    def test_direct_double_exp_fits_take_at_most_7_rounds(self):
-        # The inputs of test_direct_singular_fits_take_at_most_8_rounds.  They
-        # leave large residuals under this model, so Gauss-Newton curvature
-        # took up to 11 rounds; the secant slope takes at most 6.
+    @staticmethod
+    def forty_indexes():
+        """The inputs of test_direct_singular_fits_take_at_most_8_rounds."""
         children = np.random.SeedSequence(1).spawn(7)
-        rounds = []
         for name in PRESETS:
             rates = synthetic_rates(episode(name))
             for r in [rates] + [sample_generation(rates, 0.1, np.random.default_rng(child))
                                 for child in children]:
-                fit = fit_double_exp(build_price_index(r))
-                assert fit.converged
-                rounds.append(fit.iterations)
-        assert len(rounds) == 40 and max(rounds) <= 7
+                yield build_price_index(r)
+
+    @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
+    def test_direct_double_exp_fits_take_at_most_4_rounds(self):
+        # They leave large residuals under this model, so Gauss-Newton
+        # curvature took up to 11 rounds and the secant slope from the best
+        # grid node up to 6 (mean 5.2); from the parabola start it takes 3.
+        rounds = []
+        for index in self.forty_indexes():
+            fit = fit_double_exp(index)
+            assert fit.converged
+            rounds.append(fit.iterations)
+        assert len(rounds) == 40 and np.mean(rounds) <= 3.5 and max(rounds) <= 4
+
+    @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
+    def test_start_scores_no_higher_than_the_best_grid_node(self, monkeypatch):
+        # Scores of the start, the best grid node and the b2 = 0 node (the
+        # linear fit), per fit.
+        seen = []
+        dexp_start = fitting._dexp_start
+
+        def spy(nodes, ssr, score, hi):
+            start = dexp_start(nodes, ssr, score, hi)
+            seen.append((score(np.array([start]))[0], ssr.min(), ssr[0]))
+            return start
+
+        monkeypatch.setattr(fitting, "_dexp_start", spy)
+        for index in self.forty_indexes():
+            fit = fit_double_exp(index)
+            start, best, linear = seen[-1]
+            assert start <= best <= linear and fit.objective <= start
+
+    # _dexp_start on a grid of five b2 nodes.
+    NODES = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    SSR = np.array([3.0, 2.0, 1.0, 1.5, 3.0])
+
+    @staticmethod
+    def recorded(f):
+        """f as ``_dexp_start``'s score, and the list of the b2 arrays it is asked."""
+        asked = []
+
+        def score(b2):
+            asked.append(b2)
+            return f(b2)
+        return score, asked
+
+    @pytest.mark.parametrize("best", [0, 4])
+    def test_best_first_or_last_node_is_the_start(self, best):
+        ssr = 1.0 + np.abs(self.NODES - self.NODES[best])
+        assert fitting._dexp_start(self.NODES, ssr, None, 4.0) == self.NODES[best]
+
+    @pytest.mark.parametrize("side", [1, 3])
+    def test_a_non_finite_neighbour_keeps_the_best_node(self, side):
+        ssr = self.SSR.copy()
+        ssr[side] = np.inf
+        assert fitting._dexp_start(self.NODES, ssr, None, 4.0) == 2.0
+
+    def test_two_vertices_of_a_parabola(self):
+        # Minimum at 2.3: the second bracket is 1 % either side of the first
+        # vertex, and both vertices are 2.3 up to rounding.
+        def f(b2):
+            return 1.0 + (b2 - 2.3) ** 2
+        score, asked = self.recorded(f)
+        start = fitting._dexp_start(self.NODES, f(self.NODES), score, 4.0)
+        np.testing.assert_allclose(asked[0], 2.3 * np.array([0.99, 1.0, 1.01]), rtol=1e-14)
+        assert start == pytest.approx(2.3, rel=1e-14)
+
+    def test_second_bracket_above_the_best_node_keeps_the_node(self):
+        score, asked = self.recorded(lambda b2: np.array([1.2, 1.1, 1.3]))
+        assert fitting._dexp_start(self.NODES, self.SSR, score, 4.0) == 2.0
+        assert len(asked) == 1
+
+    def test_second_bracket_with_the_middle_highest_starts_at_its_lowest_point(self):
+        # The parabola opens downward: no vertex.
+        score, asked = self.recorded(lambda b2: np.array([0.9, 0.95, 0.8]))
+        assert fitting._dexp_start(self.NODES, self.SSR, score, 4.0) == asked[0][2]
+
+    def test_second_bracket_falling_across_takes_its_vertex(self):
+        # The middle point is not the lowest, but the parabola opens upward,
+        # so the start is its vertex, beyond the bracket's low end.
+        scores = [0.7, 0.8, 0.95]
+        score, asked = self.recorded(lambda b2: np.array(scores))
+        start = fitting._dexp_start(self.NODES, self.SSR, score, 4.0)
+        assert start == fitting._vertex(asked[0].tolist(), scores) < asked[0][0]
+
+    def test_second_bracket_is_held_at_b2_max(self):
+        # Tied with the top node, the best node's vertex is halfway to it,
+        # within 1 % of the top node, the grid's b2_max.
+        score, asked = self.recorded(lambda b2: np.array([1.0, 0.9, 0.95]))
+        fitting._dexp_start(np.array([0.0, 1.0, 3.95, 4.0]), np.array([3.0, 2.0, 1.0, 1.0]),
+                            score, 4.0)
+        assert asked[0][1] == 3.975 and asked[0][2] == 4.0
 
     def test_correct_model_wins_on_singular_data(self, peru_index):
         sing = fit_singularity(peru_index)

@@ -1,11 +1,16 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperfit
 from hyperfit import fitting, montecarlo
 from hyperfit.fitting import (
     FitConfig,
@@ -592,6 +597,26 @@ def test_outcome_counts_partition_the_generations(peru_rates):
     assert int(rep.tc_hist_counts.sum()) == in_moments
     data = build_report(rep.direct, build_price_index(peru_rates), mc=rep).data
     assert sum(data[f"mc.outcome.{kind}"] for kind in OUTCOMES) == data["mc.m"]
+
+
+def test_fit_and_run_mc_import_no_numpy_ma():
+    # np.median and np.unique import numpy.ma on first use, 10-14 ms of a
+    # cold process; a truncated Germany draw reaches the redraw path too.
+    src = str(Path(hyperfit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from hyperfit.fitting import FitConfig, fit_singularity\n"
+            "from hyperfit.fixtures import episode, synthetic_rates\n"
+            "from hyperfit.montecarlo import MCConfig, run_mc\n"
+            "from hyperfit.series import build_price_index\n"
+            "rates = synthetic_rates(episode('germany'))\n"
+            "fit_singularity(build_price_index(rates))\n"
+            "rep = run_mc(rates, FitConfig(), MCConfig(di=0.5, m=200, seed=3))\n"
+            "print(rep.truncated_draws > 0, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["True", "False"]
 
 
 def test_tc_is_lognormal_in_its_distance_to_the_last_epoch(peru_rates, monkeypatch):
