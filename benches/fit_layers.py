@@ -4,7 +4,10 @@ On each of the five bundled episodes, noiseless and with seeded
 perturbations (rates resampled at 10 % relative error, as in the benchmark's
 fit-direct inputs), this times per call, in milliseconds:
 
-- ``grid_ms``: ``fitting._sing_grid_seed`` on the default 48 x 32 grid;
+- ``grid_ms``: ``fitting._sing_grid_seed``, p0 free, on its 48 x 32 grid;
+  labels recorded before ``_sing_grid_seed`` placed its own nodes timed
+  the call with the nodes passed in, so they leave out placing them (a
+  tree from before then cannot be the ``--parent-src`` of a later one);
 - ``singularity_ms``: ``fitting.fit_singularity``, grid seed and refine;
 - ``doubleexp_ms``: ``fitting.fit_double_exp``, b2 grid and refine; from
   ``parabola-*`` on, the refine starts at two parabola vertices around the
@@ -56,16 +59,6 @@ DI = 0.1
 CALLS = 10
 
 
-def grid_args(index, config: fitting.FitConfig):
-    """The arguments ``fit_singularity`` hands ``_sing_grid_seed``, p0 free."""
-    t, p = index.times(), index.log_index
-    t_last = float(t[-1])
-    tc_lo, tc_hi = fitting.tc_search_window(t, config)
-    tc_nodes = t_last + np.geomspace(tc_lo - t_last, tc_hi - t_last, config.grid_tc)
-    alpha_nodes = np.geomspace(*config.alpha_bounds, config.grid_alpha)
-    return t, p, float(t[0]), tc_nodes, alpha_nodes, None
-
-
 def per_call_ms(fns: dict, args: list) -> dict[str, float]:
     """Per tree, the mean milliseconds of ``fns[tree](*a)`` over ``CALLS`` passes
     through ``args``, the trees taking turns on each input."""
@@ -96,8 +89,7 @@ def time_case(name: str, seed: int, parent=None) -> dict:
     trees = {"change": fitting} if parent is None else {"parent": parent.fitting,
                                                         "change": fitting}
     indexes = case_indexes(name, seed)
-    config = fitting.FitConfig()
-    layers = (("grid_ms", "_sing_grid_seed", [grid_args(index, config) for index in indexes]),
+    layers = (("grid_ms", "_sing_grid_seed", [(i.times(), i.log_index, None) for i in indexes]),
               ("singularity_ms", "fit_singularity", [(i,) for i in indexes]),
               ("doubleexp_ms", "fit_double_exp", [(i,) for i in indexes]))
     with warnings.catch_warnings():         # perturbed ends may not be strictly rising

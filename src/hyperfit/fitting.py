@@ -22,64 +22,46 @@ critical time.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .models import DoubleExpParams, LinearParams, SingularityParams, evaluate
-from .series import Epoch, PriceIndexSeries, slice_window
+from .series import PriceIndexSeries
 
 
 class FitError(ValueError):
-    """Fit rejected: degenerate input, too few points, or empty search window."""
+    """Fit rejected: degenerate input or too few points."""
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Search windows, bounds and stopping rules for the nonlinear fits.
+    """The two choices a caller makes about a fit: its chi divisor and whether p0 is pinned.
 
-    ``tc_window`` is in continuous time coordinates; when None it defaults
-    to [last epoch + dt/2, last epoch + series span].  A singularity inside
-    the data would contradict the finite observed prices, hence the dt/2
-    standoff on the lower edge.
+    Every fit runs the same search, fixed by the module constants below.
     """
 
-    tc_window: tuple[float, float] | None = None
-    alpha_bounds: tuple[float, float] = (0.01, 5.0)
-    b2_max: float | None = None          # default: 20 / span
-    grid_tc: int = 48
-    grid_alpha: int = 32
-    grid_b2: int = 48
-    xtol: float = 1e-9                   # relative parameter change
-    ftol: float = 1e-12                  # relative objective change of a trial, up or down
-    max_iter: int = 400                  # LM rounds of the refiner
     chi_divisor: str = "n"               # "n" or "n-k"
     pin_p0: bool = False                 # pin p0 to the observed ln P(t0)
 
     def __post_init__(self) -> None:
         if self.chi_divisor not in ("n", "n-k"):
             raise FitError(f"chi divisor must be 'n' or 'n-k', got {self.chi_divisor!r}")
-        for name in ("xtol", "ftol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise FitError(f"{name} must be finite and > 0, got {value!r}")
-        for name in ("grid_tc", "grid_alpha", "grid_b2", "max_iter"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise FitError(f"{name} must be an integer >= 1, got {value!r}")
-        lo, hi = self.alpha_bounds
-        if not (0 < lo < hi and math.isfinite(hi)):
-            raise FitError(f"bad alpha bounds {self.alpha_bounds}")
-        if self.b2_max is not None and not (math.isfinite(self.b2_max) and self.b2_max > 0):
-            raise FitError(f"b2_max must be None or finite and > 0, got {self.b2_max!r}")
-        if self.tc_window is not None:
-            lo, hi = self.tc_window
-            if not lo < hi:
-                raise FitError(f"empty tc search window {self.tc_window}")
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise FitError(f"tc search window must be finite, got {self.tc_window}")
+
+
+#: The search every nonlinear fit runs.  alpha is searched in
+#: ``_ALPHA_BOUNDS`` and b2 in [0, ``_B2_SPAN_MAX`` / span], span the time
+#: the data cover; tc in ``tc_search_window``.  The grids that seed the
+#: engine take ``_GRID_TC`` x ``_GRID_ALPHA`` (tc, alpha) nodes and
+#: ``_GRID_B2`` b2 nodes.  ``_lm`` ends a row on ``_XTOL`` (relative
+#: parameter change of an accepted step), ``_FTOL`` (relative objective
+#: change of a trial, up or down) or after ``_MAX_ITER`` rounds.
+_ALPHA_BOUNDS = (0.01, 5.0)
+_B2_SPAN_MAX = 20.0
+_GRID_TC, _GRID_ALPHA, _GRID_B2 = 48, 32, 48
+_XTOL, _FTOL = 1e-9, 1e-12
+_MAX_ITER = 400
 
 
 @dataclass(frozen=True)
@@ -89,7 +71,10 @@ class FitResult:
     ``chi`` follows the configured divisor; both conventions are kept so a
     published residue can be compared under either.  ``residuals`` is
     p_data - p_model, and ``objective`` its sum of squares, so chi is
-    always recomputable from the stored vector.
+    always recomputable from the stored vector.  The nonlinear fits take
+    them from the closed-form (C0, p0) solve at their final shape
+    parameters, as the engine scored them, so a double-exponential fit at
+    b2 = 0 has the linear fit's residuals bit for bit.
     """
 
     model: str
@@ -131,13 +116,6 @@ def _result(model, params, resid, n, k, divisor, converged, iterations, pinned=F
         chi_n_minus_k=chi_nk,
         p0_pinned=pinned,
     )
-
-
-def _windowed(index: PriceIndexSeries, window) -> PriceIndexSeries:
-    if window is None:
-        return index
-    start, end = window
-    return slice_window(index, start, end)
 
 
 def _ssr(resid: np.ndarray) -> np.ndarray:
@@ -366,14 +344,9 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
 # Linear model
 # ---------------------------------------------------------------------------
 
-def fit_linear(
-    index: PriceIndexSeries,
-    window: tuple[Epoch | None, Epoch | None] | None = None,
-    config: FitConfig | None = None,
-) -> FitResult:
+def fit_linear(index: PriceIndexSeries, config: FitConfig | None = None) -> FitResult:
     """Ordinary least squares of the log index on time: global optimum in closed form."""
     config = config or FitConfig()
-    index = _windowed(index, window)
     t = index.times()
     p = index.log_index
     if len(t) < 3:
@@ -390,24 +363,19 @@ def fit_linear(
 # Finite-time singularity model
 # ---------------------------------------------------------------------------
 
-def tc_search_window(times: np.ndarray, config: FitConfig) -> tuple[float, float]:
+def tc_search_window(times: np.ndarray) -> tuple[float, float]:
     """Critical-time search interval for a set of observation times.
 
-    Defaults to [last epoch + dt/2, last epoch + span]: a singularity inside
-    the data would contradict the finite observed prices, and one further
-    out than a full series span is unconstrained by the data.
+    [last epoch + dt/2, last epoch + span], dt the median step and span the
+    time the data cover: a singularity inside the data would contradict the
+    finite observed prices, and one further out than a full series span is
+    unconstrained by the data.
     """
     t_last = float(times[-1])
-    if config.tc_window is not None:
-        tc_lo, tc_hi = config.tc_window
-    else:
-        steps = np.sort(np.diff(times))   # their median; np.median would import numpy.ma
-        k = len(steps) // 2
-        dt = float(steps[k] if len(steps) % 2 else (steps[k - 1] + steps[k]) / 2.0)
-        tc_lo, tc_hi = t_last + dt / 2.0, t_last + (t_last - float(times[0]))
-    if not (tc_lo > t_last and tc_hi > tc_lo):
-        raise FitError(f"empty tc search window ({tc_lo}, {tc_hi})")
-    return tc_lo, tc_hi
+    steps = np.sort(np.diff(times))   # their median; np.median would import numpy.ma
+    k = len(steps) // 2
+    dt = float(steps[k] if len(steps) % 2 else (steps[k - 1] + steps[k]) / 2.0)
+    return t_last + dt / 2.0, t_last + (t_last - float(times[0]))
 
 
 def _sing_basis(tc, alpha, t: np.ndarray, t0: float, with_jac: bool):
@@ -483,7 +451,7 @@ def _sing_linearization(t: np.ndarray, tc: float, alpha: float, centre: bool):
 
 #: The upper bound of a fit not bounded above, in box widths from the box's
 #: lower edge: tc and alpha are held at most one box width beyond the box.
-#: Left unbounded, a row that heads away may spend all ``max_iter`` rounds
+#: Left unbounded, a row that heads away may spend all ``_MAX_ITER`` rounds
 #: out there, and the Monte Carlo moments exclude it if it ends outside.
 #: Not the box edge itself: some refits step out and come back (at di = 0.5,
 #: Peru to 1.133 box widths in tc and Zimbabwe to 1.034 in alpha), while
@@ -492,15 +460,15 @@ _REACH_BOXES = 2.0
 
 
 def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float, float],
-                      seed: tuple[float, float] | np.ndarray, config: FitConfig,
-                      bounded_above: bool = True, pinned_p0: float | None = None):
+                      seed: tuple[float, float] | np.ndarray, bounded_above: bool = True,
+                      pinned_p0: float | None = None):
     """Singular-model fits of every row of p_data from (tc, alpha) seeds.
 
     ``seed`` is one (tc, alpha) pair for all rows, or an (m, 2) array of
     one pair per row.  The engine refines (tc, alpha); (C0, p0) are solved
     in closed form, p0 held at ``pinned_p0`` if given.  tc and alpha are
     held at or above the lower edges of ``tc_window`` and
-    ``config.alpha_bounds``, and at or below the upper edges with
+    ``_ALPHA_BOUNDS``, and at or below the upper edges with
     ``bounded_above``, or else at most one box width beyond them
     (``_REACH_BOXES``); a seed outside those bounds starts on them.  A row
     seeded at a converged fit of its data returns that fit bit for bit:
@@ -512,7 +480,7 @@ def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float,
     """
     t0 = float(t[0])
     tc_lo, tc_hi = tc_window
-    a_lo, a_hi = config.alpha_bounds
+    a_lo, a_hi = _ALPHA_BOUNDS
     box = np.array([tc_hi - tc_lo, a_hi - a_lo])
     ub = box if bounded_above else _REACH_BOXES * box
     y, shift = _data_side(p_data, pinned_p0)
@@ -522,19 +490,26 @@ def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float,
         return _sing_residuals(tc_lo + x[:, :1], a_lo + x[:, 1:], t, t0, y[rows], shift[rows],
                                pinned_p0 is None, with_jac)
 
-    x, ssr, converged, rounds, c0, p0 = _lm(model, x0, np.zeros(2), ub, config.xtol,
-                                            config.ftol, config.max_iter)
+    x, ssr, converged, rounds, c0, p0 = _lm(model, x0, np.zeros(2), ub, _XTOL, _FTOL, _MAX_ITER)
     return (tc_lo + x[:, 0], a_lo + x[:, 1], c0, p0), ssr, converged, rounds
 
 
-def _sing_grid_seed(t, p, t0, tc_nodes, alpha_nodes, pinned_p0):
+def _sing_grid_seed(t, p, pinned_p0):
     """Best (tc, alpha, c0, p0) over the initialization grid.
 
-    tc is the outer grid axis in ascending order, so the first minimum of
-    the flattened objective (what argmin returns) is the smallest-tc tie.
+    ``_GRID_TC`` tc nodes span ``tc_search_window(t)`` and ``_GRID_ALPHA``
+    alpha nodes span ``_ALPHA_BOUNDS``, both spaced geometrically (tc in its
+    distance to the last epoch).  tc is the outer grid axis in ascending
+    order, so the first minimum of the flattened objective (what argmin
+    returns) is the smallest-tc tie.
     """
-    resid, _, c0, p0 = _sing_residuals(tc_nodes[:, None, None], alpha_nodes[:, None], t, t0,
-                                       *_data_side(p, pinned_p0), pinned_p0 is None, False)
+    t_last = float(t[-1])
+    tc_lo, tc_hi = tc_search_window(t)
+    tc_nodes = t_last + np.geomspace(tc_lo - t_last, tc_hi - t_last, _GRID_TC)
+    alpha_nodes = np.geomspace(*_ALPHA_BOUNDS, _GRID_ALPHA)
+    resid, _, c0, p0 = _sing_residuals(tc_nodes[:, None, None], alpha_nodes[:, None], t,
+                                       float(t[0]), *_data_side(p, pinned_p0), pinned_p0 is None,
+                                       False)
     ssr = _ssr(resid)
     finite = np.isfinite(ssr)
     if not finite.any() or np.ptp(p) == 0.0:  # C0 of flat data is 0 up to rounding
@@ -544,11 +519,7 @@ def _sing_grid_seed(t, p, t0, tc_nodes, alpha_nodes, pinned_p0):
     return float(tc_nodes[i]), float(alpha_nodes[j]), float(c0[i, j]), float(p0[i, j])
 
 
-def fit_singularity(
-    index: PriceIndexSeries,
-    config: FitConfig | None = None,
-    window: tuple[Epoch | None, Epoch | None] | None = None,
-) -> FitResult:
+def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) -> FitResult:
     """Fit the finite-time-singularity model to a log price index.
 
     Minimizes the squared log-price residuals over (tc, alpha, C0, p0)
@@ -560,7 +531,6 @@ def fit_singularity(
     ``config.pin_p0``.
     """
     config = config or FitConfig()
-    index = _windowed(index, window)
     t = index.times()
     p = index.log_index
     n = len(t)
@@ -573,22 +543,16 @@ def fit_singularity(
             stacklevel=2,
         )
     t0 = float(t[0])
-    t_last = float(t[-1])
-    tc_lo, tc_hi = tc_search_window(t, config)
-    a_lo, a_hi = config.alpha_bounds
-
-    tc_nodes = t_last + np.geomspace(tc_lo - t_last, tc_hi - t_last, config.grid_tc)
-    alpha_nodes = np.geomspace(a_lo, a_hi, config.grid_alpha)
     pinned = float(p[0]) if config.pin_p0 else None
-    tc_s, a_s, _, _ = _sing_grid_seed(t, p, t0, tc_nodes, alpha_nodes, pinned)
-
+    tc_s, a_s, _, _ = _sing_grid_seed(t, p, pinned)
     (tc, alpha, c0, p0), _, converged, rounds = fit_singular_rows(
-        p[None, :], t, (tc_lo, tc_hi), (tc_s, a_s), config, pinned_p0=pinned)
+        p[None, :], t, tc_search_window(t), (tc_s, a_s), pinned_p0=pinned)
     params = SingularityParams(tc=float(tc[0]), alpha=float(alpha[0]), c0=float(c0[0]),
                                p0=float(p0[0]), t0=t0)
-    resid = p - evaluate(params, t)
+    resid, *_ = _sing_residuals(tc[:, None], alpha[:, None], t, t0,
+                                *_data_side(p[None, :], pinned), pinned is None, False)
     k = 3 if config.pin_p0 else 4
-    return _result("singularity", params, resid, n, k, config.chi_divisor,
+    return _result("singularity", params, resid[0], n, k, config.chi_divisor,
                    bool(converged[0]), int(rounds[0]), pinned=config.pin_p0)
 
 
@@ -664,11 +628,7 @@ def _dexp_start(nodes: np.ndarray, ssr: np.ndarray, score, hi: float) -> float:
     return float(bracket[low]) if start is None else start
 
 
-def fit_double_exp(
-    index: PriceIndexSeries,
-    config: FitConfig | None = None,
-    window: tuple[Epoch | None, Epoch | None] | None = None,
-) -> FitResult:
+def fit_double_exp(index: PriceIndexSeries, config: FitConfig | None = None) -> FitResult:
     """Fit the double-exponential model over (b2, C0, p0) with b2 >= 0.
 
     The search runs over b2, with (C0, p0) in closed form and C0 of either
@@ -678,7 +638,6 @@ def fit_double_exp(
     on the benchmark inputs where the best node took 4-6.
     """
     config = config or FitConfig()
-    index = _windowed(index, window)
     t = index.times()
     p = index.log_index
     n = len(t)
@@ -691,8 +650,8 @@ def fit_double_exp(
         raise FitError("degenerate time values")
 
     y, shift = _data_side(p, None)
-    b2_hi = config.b2_max if config.b2_max is not None else 20.0 / span
-    b2_nodes = np.concatenate([[0.0], np.geomspace(1e-4 / span, b2_hi, config.grid_b2 - 1)])
+    b2_hi = _B2_SPAN_MAX / span
+    b2_nodes = np.concatenate([[0.0], np.geomspace(1e-4 / span, b2_hi, _GRID_B2 - 1)])
 
     def model(v, rows, with_jac):
         h, dh = _dexp_basis(v, x)
@@ -704,11 +663,10 @@ def fit_double_exp(
 
     start = _dexp_start(b2_nodes, score(b2_nodes), score, b2_hi)
     v, _, converged, rounds, c0, p0 = _lm(model, np.array([[start]]), np.zeros(1),
-                                          np.array([b2_hi]), config.xtol, config.ftol,
-                                          config.max_iter)
+                                          np.array([b2_hi]), _XTOL, _FTOL, _MAX_ITER)
     params = DoubleExpParams(p0=float(p0[0]), c0=float(c0[0]), b2=float(v[0, 0]), t0=t0)
-    resid = p - evaluate(params, t)
-    return _result("doubleexp", params, resid, n, 3, config.chi_divisor,
+    resid, *_ = model(v, None, False)
+    return _result("doubleexp", params, resid[0], n, 3, config.chi_divisor,
                    bool(converged[0]), int(rounds[0]))
 
 

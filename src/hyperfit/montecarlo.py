@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _ziggurat_tables
+from . import _ziggurat_tables, fitting
 from .fitting import (
     FitConfig,
     FitError,
@@ -60,7 +60,6 @@ class MCConfig:
     seed: int = 0
     threshold: float = 0.1
     workers: int = 1
-    max_nonconverged_frac: float = 0.05
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, numbers.Integral) or self.m < 1:
@@ -69,13 +68,15 @@ class MCConfig:
             raise ValueError(f"relative error must be finite and >= 0, got {self.di}")
         if not (math.isfinite(self.threshold) and self.threshold > 0):
             raise ValueError(f"acceptance threshold must be finite and > 0, got {self.threshold}")
-        if not 0.0 <= self.max_nonconverged_frac <= 1.0:
-            raise ValueError("non-converged fraction must lie in [0, 1], "
-                             f"got {self.max_nonconverged_frac}")
         if not isinstance(self.workers, numbers.Integral) or self.workers < 1:
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+
+
+#: A run is unreliable when more than this fraction of its generations end
+#: outside the converged interior (``MCReport.unreliable``).
+_MAX_NONCONVERGED_FRAC = 0.05
 
 
 @dataclass(frozen=True)
@@ -95,14 +96,14 @@ class MCReport:
 
     ``outcome`` puts every generation in one class, so its counts sum to m:
     ``converged_interior``; ``on_alpha_floor`` (converged with alpha exactly
-    on the lower bound of ``FitConfig.alpha_bounds``, where the box
+    on the lower bound of ``fitting._ALPHA_BOUNDS``, where the box
     projection holds a floored refit, kept in the moments at the bound);
-    ``stalled`` (no convergence within ``max_iter`` rounds, inside
+    ``stalled`` (no convergence within ``fitting._MAX_ITER`` rounds, inside
     the box) and ``out_of_box`` (ended with tc beyond the search window or
     alpha above its upper bound, where a refit is held at most one box width
     beyond the box), both excluded from the moments.
     ``n_nonconverged`` counts all but the converged-interior ones;
-    ``unreliable`` is set when it exceeds ``max_nonconverged_frac`` of m.
+    ``unreliable`` is set when it exceeds ``_MAX_NONCONVERGED_FRAC`` of m.
     """
 
     di: float
@@ -443,15 +444,15 @@ def run_mc(
 
     The direct fit of the unperturbed series anchors the comparison and
     seeds every refit.  Each refit keeps tc beyond the data and alpha at
-    or above the lower bound of ``alpha_bounds``, as the direct fit does.
+    or above the lower bound of ``fitting._ALPHA_BOUNDS``, as the direct fit does.
     A generation enters the moments unless its refit stalled or ended
     outside the box (tc beyond the search window, alpha above its upper
     bound); a refit is held at most one box width beyond the box.  A refit
     that converged with alpha on the lower bound enters at the bound, like a
     direct fit accepted there.
     ``MCReport.outcome`` counts each kind; more than
-    ``max_nonconverged_frac`` generations outside the converged interior
-    marks the report unreliable.
+    ``_MAX_NONCONVERGED_FRAC`` of the generations outside the converged
+    interior marks the report unreliable.
     """
     fit_config = fit_config or FitConfig()
     return _resample(rates, fit_config, mc_config or MCConfig(),
@@ -481,8 +482,8 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
               direct: FitResult, t: np.ndarray) -> MCReport:
     """run_mc around a given direct fit of ``rates`` at times ``t``."""
     dp = direct.params
-    window = tc_search_window(t, fit_config)
-    a_lo, a_hi = fit_config.alpha_bounds
+    window = tc_search_window(t)
+    a_lo, a_hi = fitting._ALPHA_BOUNDS
 
     # Draw all generations; each one consumes only its own substream.
     samples = np.empty((mc.m, len(rates)))
@@ -498,7 +499,7 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
     # first rate carries no error, so all share the observed ln P(t0).
     starts = _refit_starts(p_data, cumulate(rates.rates)[1], t, dp, not fit_config.pin_p0)
     (tc, alpha, c0, p0), _, converged, _ = fit_singular_rows(
-        p_data, t, window, starts, fit_config, bounded_above=False,
+        p_data, t, window, starts, bounded_above=False,
         pinned_p0=dp.p0 if fit_config.pin_p0 else None)
 
     out_of_box = (tc > window[1]) | (alpha > a_hi)
@@ -548,7 +549,7 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
         params=params,
         accepted=accepted,
         n_nonconverged=n_bad,
-        unreliable=bool(n_bad > mc.max_nonconverged_frac * mc.m),
+        unreliable=bool(n_bad > _MAX_NONCONVERGED_FRAC * mc.m),
         truncated_draws=truncated,
         tc_hist_edges=edges,
         tc_hist_counts=counts,

@@ -357,9 +357,6 @@ def test_mc_config_validation():
                 {"threshold": math.nan}):
         with pytest.raises(ValueError, match="finite"):
             MCConfig(**bad)
-    for frac in (math.nan, -0.1, 1.5):
-        with pytest.raises(ValueError, match="non-converged fraction"):
-            MCConfig(max_nonconverged_frac=frac)
     with pytest.raises(ValueError):
         MCConfig(workers=0)
     # Counts are integers, as the seed is: m = 10.0 used to pass here and
@@ -439,11 +436,11 @@ class TestRunMC:
         in_moments = int(rep.tc_hist_counts.sum())
         assert rep.m - rep.n_nonconverged < in_moments < rep.m
 
-    def test_direct_fit_on_alpha_floor_seeds_refit(self, peru_rates):
+    def test_direct_fit_on_alpha_floor_seeds_refit(self, peru_rates, monkeypatch):
         # With the floor above Peru's alpha = 0.29 the direct fit sits on
         # the bound; at di = 0 every refit stays there and reproduces it.
-        config = FitConfig(alpha_bounds=(0.5, 5.0))
-        rep = run_mc(peru_rates, config, MCConfig(di=0.0, m=5, seed=1))
+        monkeypatch.setattr(fitting, "_ALPHA_BOUNDS", (0.5, 5.0))
+        rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.0, m=5, seed=1))
         assert rep.params["alpha"].mean == 0.5
         for name in ("tc", "alpha", "c0", "p0"):
             st = rep.params[name]
@@ -451,9 +448,10 @@ class TestRunMC:
             assert st.ratio == 0.0
         assert rep.n_nonconverged == 5
 
-    def test_direct_fit_must_converge(self, peru_rates):
+    def test_direct_fit_must_converge(self, peru_rates, monkeypatch):
+        monkeypatch.setattr(fitting, "_MAX_ITER", 2)
         with pytest.raises(FitError):
-            run_mc(peru_rates, FitConfig(max_iter=2), MCConfig(di=0.1, m=5, seed=1))
+            run_mc(peru_rates, FitConfig(), MCConfig(di=0.1, m=5, seed=1))
 
     def test_gamma_stats_derived_from_alpha(self, peru_rates):
         rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.1, m=100, seed=6))
@@ -472,8 +470,8 @@ def refit(p_data, index, direct, config):
     t = index.times()
     starts = montecarlo._refit_starts(p_data, index.log_index, t, direct, not config.pin_p0)
     (tc, alpha, c0, p0), ssr, converged, _ = fit_singular_rows(
-        p_data, t, tc_search_window(t, config), starts, config,
-        bounded_above=False, pinned_p0=direct.p0 if config.pin_p0 else None)
+        p_data, t, tc_search_window(t), starts, bounded_above=False,
+        pinned_p0=direct.p0 if config.pin_p0 else None)
     return tc, alpha, c0, p0, ssr, converged
 
 
@@ -489,7 +487,7 @@ PERU_STALLED = (
 
 def test_refit_honours_alpha_bounds_on_formerly_stalled_generations(peru_rates):
     config = FitConfig()
-    a_lo, a_hi = config.alpha_bounds
+    a_lo, a_hi = fitting._ALPHA_BOUNDS
     index = build_price_index(peru_rates)
     direct = fit_singularity(index, config).params
     children = np.random.SeedSequence(20080605).spawn(4000)
@@ -668,8 +666,8 @@ def test_a_refit_that_steps_out_and_back_is_not_stopped(name, seed, row, monkeyp
     1.3e-5, in 18 rounds instead of 24), so this test fails with it.
     """
     config = FitConfig()
-    _, tc_hi = tc_search_window(synthetic_rates(episode(name)).times(), config)
-    a_hi = config.alpha_bounds[1]
+    _, tc_hi = tc_search_window(synthetic_rates(episode(name)).times())
+    a_hi = fitting._ALPHA_BOUNDS[1]
     held = refit_row(name, 0.5, seed, row, config)
     monkeypatch.setattr(fitting, "_REACH_BOXES", np.inf)
     free = refit_row(name, 0.5, seed, row, config)
@@ -701,9 +699,9 @@ def test_a_refit_far_beyond_the_box_stops_early(monkeypatch):
     assert rep.outcome["stalled"] == 0 and rep.outcome["out_of_box"] == 1
     assert rep.n_nonconverged == 9
     ((tc, *_), _, _, rounds), = results
-    tc_lo, tc_hi = tc_search_window(build_price_index(rates).times(), FitConfig())
+    tc_lo, tc_hi = tc_search_window(build_price_index(rates).times())
     assert tc.max() == tc_lo + 2.0 * (tc_hi - tc_lo)
-    assert rounds.max() <= FitConfig().max_iter // 4
+    assert rounds.max() <= fitting._MAX_ITER // 4
 
 
 # ---------------------------------------------------------------------------
@@ -750,15 +748,17 @@ def test_zero_error_refits_return_the_direct_fit_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(fitting, "fit_singular_rows", spy)     # the direct fit's call
     monkeypatch.setattr(montecarlo, "fit_singular_rows", spy)  # the refit's
-    configs = (FitConfig(), FitConfig(pin_p0=True), FitConfig(alpha_bounds=(0.5, 5.0)))
+    bounds = fitting._ALPHA_BOUNDS
+    configs = ((False, bounds), (True, bounds), (False, (0.5, bounds[1])))  # (pin_p0, bounds)
     runs = 0
     for k, name in enumerate(PRESETS):
         rates = synthetic_rates(episode(name))
         children = np.random.SeedSequence(1).spawn(len(PRESETS))[k].spawn(7)
         for sample in [rates] + [sample_generation(rates, 0.1, np.random.default_rng(child))
                                  for child in children]:
-            for config in configs:
-                rep = run_mc(sample, config, MCConfig(di=0.0, m=3, seed=1))
+            for pin, alpha_bounds in configs:
+                monkeypatch.setattr(fitting, "_ALPHA_BOUNDS", alpha_bounds)
+                rep = run_mc(sample, FitConfig(pin_p0=pin), MCConfig(di=0.0, m=3, seed=1))
                 (direct, direct_ssr, *_), (refit, ssr, converged, _) = calls
                 calls.clear()
                 assert np.array(refit).tobytes() == np.repeat(direct, 3, axis=1).tobytes()
