@@ -4,10 +4,12 @@ On each of the five bundled episodes, noiseless and with seeded
 perturbations (rates resampled at 10 % relative error, as in the benchmark's
 fit-direct inputs), this times per call, in milliseconds:
 
-- ``grid_ms``: ``fitting._sing_grid_seed``, p0 free, on its 48 x 32 grid;
-  labels recorded before ``_sing_grid_seed`` placed its own nodes timed
-  the call with the nodes passed in, so they leave out placing them (a
-  tree from before then cannot be the ``--parent-src`` of a later one);
+- ``grid_ms``: ``fitting._sing_grid_seed``, p0 free, on its 48 x 32 grid,
+  given the tc window; labels recorded before ``_sing_grid_seed`` placed
+  its own nodes timed the call with the nodes passed in, so they leave out
+  placing them, and labels recorded before it took the window from its
+  caller include computing the window (a tree from before either change
+  cannot be the ``--parent-src`` of a later one);
 - ``singularity_ms``: ``fitting.fit_singularity``, grid seed and refine;
 - ``doubleexp_ms``: ``fitting.fit_double_exp``, b2 grid and refine; from
   ``parabola-*`` on, the refine starts at two parabola vertices around the
@@ -89,7 +91,9 @@ def time_case(name: str, seed: int, parent=None) -> dict:
     trees = {"change": fitting} if parent is None else {"parent": parent.fitting,
                                                         "change": fitting}
     indexes = case_indexes(name, seed)
-    layers = (("grid_ms", "_sing_grid_seed", [(i.times(), i.log_index, None) for i in indexes]),
+    grid_args = [(i.times(), i.log_index, fitting.tc_search_window(i.times()), None)
+                 for i in indexes]
+    layers = (("grid_ms", "_sing_grid_seed", grid_args),
               ("singularity_ms", "fit_singularity", [(i,) for i in indexes]),
               ("doubleexp_ms", "fit_double_exp", [(i,) for i in indexes]))
     with warnings.catch_warnings():         # perturbed ends may not be strictly rising

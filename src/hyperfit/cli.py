@@ -74,8 +74,6 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", choices=sorted(_FITTERS), default="singularity")
-    p.add_argument("--chi-divisor", choices=["n", "n-k"], default="n",
-                   help="divisor of the root-mean-square residue")
     p.add_argument("--pin-p0", action="store_true",
                    help="pin p0 to the observed ln P(t0) instead of fitting it")
     p.add_argument("--out", type=Path, help="write the machine-readable report here")
@@ -123,7 +121,7 @@ def _emit(report: AnalysisReport, out: Path | None) -> None:
 
 def _cmd_fit(args) -> int:
     _, index = _load_index(args)
-    config = FitConfig(chi_divisor=args.chi_divisor, pin_p0=args.pin_p0)
+    config = FitConfig(pin_p0=args.pin_p0)
     fit = _FITTERS[args.model](index, config=config)
     _emit(build_report(fit, index, source=_source_meta(args)), args.out)
     return 0
@@ -161,13 +159,12 @@ def _cmd_mc(args) -> int:
     if rates is None:
         raise LoadError("mc needs --kind rate: the resampling error model "
                         "is defined on measured inflation rates")
-    config = FitConfig(chi_divisor=args.chi_divisor, pin_p0=args.pin_p0)
+    config = FitConfig(pin_p0=args.pin_p0)
     mc = run_mc(rates, config, mc_config)
     _emit(build_report(mc.direct, index, source=_source_meta(args), mc=mc), args.out)
 
     if sweep is not None:
-        rows = sweep_error(rates, config, sweep, m=sweep_m, seed=seed,
-                           workers=args.workers, direct=mc.direct)
+        rows = sweep_error(rates, config, sweep, m=sweep_m, seed=seed, direct=mc.direct)
         lines = ["di_pct,std_tc,std_alpha,std_c0,std_p0,sd_tc_rel_pct,sd_gamma_rel_pct"]
         for row in rows:
             lines.append(",".join([

@@ -1,9 +1,10 @@
 """Nonlinear least-squares estimation of price-model parameters.
 
 All fits minimize the sum of squared residuals of the natural-log price,
-unweighted, and report the root-mean-square residue
+unweighted, and report the root-mean-square residue under both conventions,
+k the free parameters:
 
-    chi = sqrt(SSR / N)        (or SSR / (N - k) when configured)
+    chi = sqrt(SSR / N),    chi_n_minus_k = sqrt(SSR / (N - k))
 
 The singular and double-exponential models are affine in (C0, p0) once
 their shape parameters are fixed, so one closed-form solve (``_project``)
@@ -15,7 +16,7 @@ the refit call one residual function per model (``_sing_residuals``, or
 ``model`` in ``fit_double_exp``).  The engine takes each row's normal
 equations, which ``_project`` builds from a few inner products per row
 (Kaufman 1975) without forming the Jacobian.  Everything is deterministic
-for a given configuration; grid ties are broken toward the smaller
+for a given input and ``FitConfig``; grid ties are broken toward the smaller
 critical time.
 """
 
@@ -37,17 +38,12 @@ class FitError(ValueError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """The two choices a caller makes about a fit: its chi divisor and whether p0 is pinned.
+    """The one choice a caller makes about a fit: whether p0 is pinned.
 
     Every fit runs the same search, fixed by the module constants below.
     """
 
-    chi_divisor: str = "n"               # "n" or "n-k"
     pin_p0: bool = False                 # pin p0 to the observed ln P(t0)
-
-    def __post_init__(self) -> None:
-        if self.chi_divisor not in ("n", "n-k"):
-            raise FitError(f"chi divisor must be 'n' or 'n-k', got {self.chi_divisor!r}")
 
 
 #: The search every nonlinear fit runs.  alpha is searched in
@@ -66,56 +62,43 @@ _MAX_ITER = 400
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted parameters plus the residue diagnostics of one fit.
+    """What one fit found: its parameters, its residuals and how the engine ended.
 
-    ``chi`` follows the configured divisor; both conventions are kept so a
-    published residue can be compared under either.  ``residuals`` is
-    p_data - p_model, and ``objective`` its sum of squares, so chi is
-    always recomputable from the stored vector.  The nonlinear fits take
-    them from the closed-form (C0, p0) solve at their final shape
-    parameters, as the engine scored them, so a double-exponential fit at
-    b2 = 0 has the linear fit's residuals bit for bit.
+    ``residuals`` is p_data - p_model, and everything else about the fit's
+    quality derives from it: ``objective`` is its sum of squares and
+    ``chi`` and ``chi_n_minus_k`` the residue sqrt(objective / N) and
+    sqrt(objective / (N - k)), k = ``n_free_params`` (inf when N <= k), so
+    a published residue can be compared under either convention.  The
+    nonlinear fits take the residuals from the closed-form (C0, p0) solve at
+    their final shape parameters, as the engine scored them, so a
+    double-exponential fit at b2 = 0 has the linear fit's residuals bit for
+    bit.
     """
 
     model: str
     params: LinearParams | DoubleExpParams | SingularityParams
-    chi: float
     residuals: np.ndarray
     converged: bool
     iterations: int                      # LM rounds run; 0 for closed forms
-    objective: float
-    n_points: int
     n_free_params: int
-    chi_divisor: str
-    chi_n: float
-    chi_n_minus_k: float
     p0_pinned: bool = False
 
+    @property
+    def objective(self) -> float:
+        return float(_ssr(self.residuals))
 
-def _chi_pair(ssr: float, n: int, k: int) -> tuple[float, float]:
-    chi_n = np.sqrt(ssr / n)
-    chi_nk = np.sqrt(ssr / (n - k)) if n > k else float("inf")
-    return float(chi_n), float(chi_nk)
+    @property
+    def n_points(self) -> int:
+        return len(self.residuals)
 
+    @property
+    def chi(self) -> float:
+        return float(np.sqrt(self.objective / self.n_points))
 
-def _result(model, params, resid, n, k, divisor, converged, iterations, pinned=False):
-    ssr = float(_ssr(resid))
-    chi_n, chi_nk = _chi_pair(ssr, n, k)
-    return FitResult(
-        model=model,
-        params=params,
-        chi=chi_n if divisor == "n" else chi_nk,
-        residuals=resid,
-        converged=converged,
-        iterations=iterations,
-        objective=ssr,
-        n_points=n,
-        n_free_params=k,
-        chi_divisor=divisor,
-        chi_n=chi_n,
-        chi_n_minus_k=chi_nk,
-        p0_pinned=pinned,
-    )
+    @property
+    def chi_n_minus_k(self) -> float:
+        n, k = self.n_points, self.n_free_params
+        return float(np.sqrt(self.objective / (n - k))) if n > k else float("inf")
 
 
 def _ssr(resid: np.ndarray) -> np.ndarray:
@@ -345,8 +328,10 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
 # ---------------------------------------------------------------------------
 
 def fit_linear(index: PriceIndexSeries, config: FitConfig | None = None) -> FitResult:
-    """Ordinary least squares of the log index on time: global optimum in closed form."""
-    config = config or FitConfig()
+    """Ordinary least squares of the log index on time: global optimum in closed form.
+
+    ``config`` is taken for the fitters' common signature: p0 is always free.
+    """
     t = index.times()
     p = index.log_index
     if len(t) < 3:
@@ -356,7 +341,7 @@ def fit_linear(index: PriceIndexSeries, config: FitConfig | None = None) -> FitR
     t0 = float(t[0])
     resid, _, c0, p0 = _project(t - t0, *_data_side(p, None), True)
     params = LinearParams(p0=float(p0), c0=float(c0), t0=t0)
-    return _result("linear", params, resid, len(t), 2, config.chi_divisor, True, 0)
+    return FitResult("linear", params, resid, converged=True, iterations=0, n_free_params=2)
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +479,18 @@ def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float,
     return (tc_lo + x[:, 0], a_lo + x[:, 1], c0, p0), ssr, converged, rounds
 
 
-def _sing_grid_seed(t, p, pinned_p0):
+def _sing_grid_seed(t, p, tc_window, pinned_p0):
     """Best (tc, alpha, c0, p0) over the initialization grid.
 
-    ``_GRID_TC`` tc nodes span ``tc_search_window(t)`` and ``_GRID_ALPHA``
-    alpha nodes span ``_ALPHA_BOUNDS``, both spaced geometrically (tc in its
-    distance to the last epoch).  tc is the outer grid axis in ascending
+    ``_GRID_TC`` tc nodes span ``tc_window``, the caller's
+    ``tc_search_window(t)``, and ``_GRID_ALPHA`` alpha nodes span
+    ``_ALPHA_BOUNDS``, both spaced geometrically (tc in its distance to the
+    last epoch).  tc is the outer grid axis in ascending
     order, so the first minimum of the flattened objective (what argmin
     returns) is the smallest-tc tie.
     """
     t_last = float(t[-1])
-    tc_lo, tc_hi = tc_search_window(t)
+    tc_lo, tc_hi = tc_window
     tc_nodes = t_last + np.geomspace(tc_lo - t_last, tc_hi - t_last, _GRID_TC)
     alpha_nodes = np.geomspace(*_ALPHA_BOUNDS, _GRID_ALPHA)
     resid, _, c0, p0 = _sing_residuals(tc_nodes[:, None, None], alpha_nodes[:, None], t,
@@ -544,28 +530,30 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
         )
     t0 = float(t[0])
     pinned = float(p[0]) if config.pin_p0 else None
-    tc_s, a_s, _, _ = _sing_grid_seed(t, p, pinned)
+    window = tc_search_window(t)
+    tc_s, a_s, _, _ = _sing_grid_seed(t, p, window, pinned)
     (tc, alpha, c0, p0), _, converged, rounds = fit_singular_rows(
-        p[None, :], t, tc_search_window(t), (tc_s, a_s), pinned_p0=pinned)
+        p[None, :], t, window, (tc_s, a_s), pinned_p0=pinned)
     params = SingularityParams(tc=float(tc[0]), alpha=float(alpha[0]), c0=float(c0[0]),
                                p0=float(p0[0]), t0=t0)
     resid, *_ = _sing_residuals(tc[:, None], alpha[:, None], t, t0,
                                 *_data_side(p[None, :], pinned), pinned is None, False)
-    k = 3 if config.pin_p0 else 4
-    return _result("singularity", params, resid[0], n, k, config.chi_divisor,
-                   bool(converged[0]), int(rounds[0]), pinned=config.pin_p0)
+    return FitResult("singularity", params, resid[0], converged=bool(converged[0]),
+                     iterations=int(rounds[0]), n_free_params=3 if config.pin_p0 else 4,
+                     p0_pinned=config.pin_p0)
 
 
 # ---------------------------------------------------------------------------
 # Double-exponential model
 # ---------------------------------------------------------------------------
 
-def _dexp_basis(b2: np.ndarray, x: np.ndarray):
-    """h = expm1(b2 x) / b2 and dh/db2 for a column of b2 values.
+def _dexp_basis(b2: np.ndarray, x: np.ndarray, with_jac: bool):
+    """h = expm1(b2 x) / b2 for a column of b2 values and, with ``with_jac``, dh/db2.
 
     Rows whose |b2 x| stays below 1e-8 use the series of the b2 -> 0 limit
     (h = x exactly at b2 = 0), which avoids amplified rounding in
-    expm1(b2 x) / b2 and its derivative when b2 is tiny.
+    expm1(b2 x) / b2 and its derivative when b2 is tiny.  dh/db2 is
+    returned as (1, *h.shape), or None without ``with_jac``.
     """
     b2x = b2 * x
     small = np.max(np.abs(b2x), axis=-1, keepdims=True) < 1e-8
@@ -573,8 +561,10 @@ def _dexp_basis(b2: np.ndarray, x: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         em1 = np.expm1(b2x)
         h = np.where(small, x * (1.0 + b2x / 2.0 + b2x * b2x / 6.0), em1 / b2_safe)
-        dh = np.where(small, x * x / 2.0 * (1.0 + 2.0 * b2x / 3.0),
-                      (x * (em1 + 1.0) - h) / b2_safe)
+        dh = None
+        if with_jac:
+            dh = np.where(small, x * x / 2.0 * (1.0 + 2.0 * b2x / 3.0),
+                          (x * (em1 + 1.0) - h) / b2_safe)[None]
     return h, dh
 
 
@@ -635,9 +625,9 @@ def fit_double_exp(index: PriceIndexSeries, config: FitConfig | None = None) -> 
     sign.  At b2 = 0 the model is the linear one (the Cagan limit).  One
     model call scores the b2 grid; the engine starts from two parabola
     vertices around its best node (``_dexp_start``), which take it 3 rounds
-    on the benchmark inputs where the best node took 4-6.
+    on the benchmark inputs where the best node took 4-6.  ``config`` is
+    taken for the fitters' common signature: p0 is always free.
     """
-    config = config or FitConfig()
     t = index.times()
     p = index.log_index
     n = len(t)
@@ -654,8 +644,8 @@ def fit_double_exp(index: PriceIndexSeries, config: FitConfig | None = None) -> 
     b2_nodes = np.concatenate([[0.0], np.geomspace(1e-4 / span, b2_hi, _GRID_B2 - 1)])
 
     def model(v, rows, with_jac):
-        h, dh = _dexp_basis(v, x)
-        return _project(h, y, shift, True, dh[None] if with_jac else None)
+        h, dh = _dexp_basis(v, x, with_jac)
+        return _project(h, y, shift, True, dh)
 
     def score(b2):
         ssr = _ssr(model(b2[:, None], None, False)[0])
@@ -666,8 +656,8 @@ def fit_double_exp(index: PriceIndexSeries, config: FitConfig | None = None) -> 
                                           np.array([b2_hi]), _XTOL, _FTOL, _MAX_ITER)
     params = DoubleExpParams(p0=float(p0[0]), c0=float(c0[0]), b2=float(v[0, 0]), t0=t0)
     resid, *_ = model(v, None, False)
-    return _result("doubleexp", params, resid[0], n, 3, config.chi_divisor,
-                   bool(converged[0]), int(rounds[0]))
+    return FitResult("doubleexp", params, resid[0], converged=bool(converged[0]),
+                     iterations=int(rounds[0]), n_free_params=3)
 
 
 # ---------------------------------------------------------------------------

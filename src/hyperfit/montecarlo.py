@@ -40,7 +40,7 @@ from .fitting import (
     tc_search_window,
 )
 from .models import SingularityParams, alpha_to_gamma
-from .series import InflationSeries, build_price_index, cumulate
+from .series import InflationSeries, PriceIndexSeries, build_price_index, cumulate
 
 
 @dataclass(frozen=True)
@@ -426,13 +426,14 @@ def _skew_kurtosis(x: np.ndarray) -> tuple[float, float]:
     return float(np.mean(dev ** 3) / m2 ** 1.5), float(np.mean(dev ** 4) / m2 ** 2 - 3.0)
 
 
-def _direct_fit(rates: InflationSeries, fit_config: FitConfig) -> tuple[FitResult, np.ndarray]:
-    """Direct fit of the unperturbed series, and its observation times."""
+def _direct_fit(rates: InflationSeries,
+                fit_config: FitConfig) -> tuple[FitResult, PriceIndexSeries]:
+    """Direct fit of the unperturbed series, and the price index it fitted."""
     index = build_price_index(rates)
     direct = fit_singularity(index, fit_config)
     if not direct.converged:
         raise FitError("direct fit did not converge; refusing to resample around it")
-    return direct, index.times()
+    return direct, index
 
 
 def run_mc(
@@ -479,9 +480,10 @@ def _refit_starts(p_data: np.ndarray, p_direct: np.ndarray, t: np.ndarray,
 
 
 def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
-              direct: FitResult, t: np.ndarray) -> MCReport:
-    """run_mc around a given direct fit of ``rates`` at times ``t``."""
+              direct: FitResult, index: PriceIndexSeries) -> MCReport:
+    """run_mc around a given direct fit of ``index``, the price index of ``rates``."""
     dp = direct.params
+    t = index.times()
     window = tc_search_window(t)
     a_lo, a_hi = fitting._ALPHA_BOUNDS
 
@@ -497,7 +499,7 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
     # a generation that leaves the box is seen (and excluded), not clamped at
     # its edge.  With pin_p0 every generation keeps the direct fit's p0: the
     # first rate carries no error, so all share the observed ln P(t0).
-    starts = _refit_starts(p_data, cumulate(rates.rates)[1], t, dp, not fit_config.pin_p0)
+    starts = _refit_starts(p_data, index.log_index, t, dp, not fit_config.pin_p0)
     (tc, alpha, c0, p0), _, converged, _ = fit_singular_rows(
         p_data, t, window, starts, bounded_above=False,
         pinned_p0=dp.p0 if fit_config.pin_p0 else None)
@@ -567,28 +569,28 @@ def sweep_error(
     di_values: tuple[float, ...] | list[float] = (),
     m: int = 4000,
     seed: int = 0,
-    workers: int = 1,
     direct: FitResult | None = None,
 ) -> list[SweepRow]:
     """Repeat run_mc over a list of relative errors and tabulate the stds.
 
     The direct fit is made once and anchors every run; pass ``direct`` (a
     converged ``fit_singularity`` of ``rates`` under ``fit_config``, such
-    as ``MCReport.direct``) to reuse one already made.  Every run reuses
+    as ``MCReport.direct``) to reuse one already made.  Each run takes
+    ``MCConfig``'s default threshold.  Every run reuses
     the same master seed, so the underlying gaussian draws are common
     across error settings (the classic common-random-numbers device); std
     columns then vary smoothly with di.
     """
     fit_config = fit_config or FitConfig()
     if direct is None:
-        direct, t = _direct_fit(rates, fit_config)
+        direct, index = _direct_fit(rates, fit_config)
     else:
-        t = rates.times()
-    span = direct.params.tc - float(t[0])
+        index = build_price_index(rates)
+    span = direct.params.tc - float(index.times()[0])
     rows: list[SweepRow] = []
     for di in di_values:
-        mc = MCConfig(di=float(di), m=m, seed=seed, workers=workers)
-        report = _resample(rates, fit_config, mc, direct, t)
+        mc = MCConfig(di=float(di), m=m, seed=seed)
+        report = _resample(rates, fit_config, mc, direct, index)
         rows.append(
             SweepRow(
                 di=float(di),

@@ -100,8 +100,6 @@ def build_report(
         "fit.p0": float(fit.params.p0),
         "fit.c0": float(fit.params.c0),
         "fit.chi": float(fit.chi),
-        "fit.chi_divisor": fit.chi_divisor,
-        "fit.chi_n": float(fit.chi_n),
         "fit.chi_n_minus_k": float(fit.chi_n_minus_k),
         "fit.converged": bool(fit.converged),
         "fit.iterations": int(fit.iterations),

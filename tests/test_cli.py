@@ -105,6 +105,21 @@ class TestCmdFit:
         again = AnalysisReport.from_json(report.to_json())
         assert again.data == report.data
 
+    def test_report_gives_both_residues(self, capsys, tmp_path):
+        out_file = tmp_path / "report.json"
+        run(capsys, "fit", PERU_CSV, "--out", str(out_file))
+        data = read_report(out_file).data
+        n, k = data["series.n_points"], 4
+        assert data["fit.chi"] == math.sqrt(data["fit.objective"] / n)
+        assert data["fit.chi_n_minus_k"] == math.sqrt(data["fit.objective"] / (n - k))
+        assert "fit.chi_divisor" not in data and "fit.chi_n" not in data
+
+    def test_chi_divisor_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", PERU_CSV, "--chi-divisor", "n"])
+        assert exc.value.code == 2
+        assert "--chi-divisor" in capsys.readouterr().err
+
     def test_tc_presented_as_calendar_date(self, capsys, tmp_path):
         # Monthly reports carry day precision: the Germany fixture's fitted
         # tc is day 965 after 1921-05-15, i.e. 1924-01-05.

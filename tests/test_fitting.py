@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hyperfit import fitting
 from hyperfit.fitting import (
     FitConfig,
     FitError,
+    FitResult,
     _data_side,
     _damped_step,
     _dexp_basis,
@@ -426,7 +428,7 @@ class TestFitSingularity:
         # the grid-search seed's.
         t = peru_index.times()
         p = peru_index.log_index
-        tc_s, a_s, c0_s, p0_s = _sing_grid_seed(t, p, None)
+        tc_s, a_s, c0_s, p0_s = _sing_grid_seed(t, p, tc_search_window(t), None)
         seed = SingularityParams(tc=tc_s, alpha=a_s, c0=max(c0_s, 1e-12), p0=p0_s, t0=float(t[0]))
         seed_ssr = float(np.sum((p - eval_singularity(seed, t)) ** 2))
         fit = fit_singularity(peru_index)
@@ -514,17 +516,24 @@ class TestFitSingularity:
                     rounds.append(fit.iterations)
         assert len(rounds) == 80 and max(rounds) <= 8
 
-    def test_chi_divisor_conventions(self, peru_params):
+    @pytest.mark.parametrize("pin, k", [(False, 4), (True, 3)])
+    def test_one_fit_carries_both_residues(self, peru_params, pin, k):
         rng = np.random.default_rng(8)
         index = synthetic_yearly_index(peru_params, 1969, 1990)
         noisy = PriceIndexSeries.from_log_index(
             index.epochs, index.log_index + rng.normal(0, 0.3, len(index)))
-        fit_n = fit_singularity(noisy, FitConfig(chi_divisor="n"))
-        fit_nk = fit_singularity(noisy, FitConfig(chi_divisor="n-k"))
-        n = len(noisy)
-        assert fit_n.chi == pytest.approx(math.sqrt(fit_n.objective / n), rel=1e-12)
-        assert fit_nk.chi == pytest.approx(math.sqrt(fit_nk.objective / (n - 4)), rel=1e-12)
-        assert fit_n.chi_n_minus_k == fit_nk.chi
+        fit = fit_singularity(noisy, FitConfig(pin_p0=pin))
+        n, r = len(noisy), fit.residuals
+        assert (fit.n_points, fit.n_free_params, fit.p0_pinned) == (n, k, pin)
+        assert fit.objective == float(np.einsum("k,k->", r, r))
+        assert fit.chi == math.sqrt(fit.objective / n)
+        assert fit.chi_n_minus_k == math.sqrt(fit.objective / (n - k))
+
+    def test_stores_only_what_the_fit_decides(self):
+        assert [f.name for f in dataclasses.fields(FitConfig)] == ["pin_p0"]
+        assert [f.name for f in dataclasses.fields(FitResult)] == [
+            "model", "params", "residuals", "converged", "iterations", "n_free_params",
+            "p0_pinned"]
 
 
 # ---------------------------------------------------------------------------
@@ -619,10 +628,11 @@ class TestVariableProjection:
         # Off the optimum (b2 0.2055).
         t, p = peru_index.times(), peru_index.log_index
         x = t - t[0]
-        h, dh = _dexp_basis(np.array([[0.1]]), x)
-        _, (_, jtr), _, _ = _project(h, *_data_side(p, None), True, dh[None])
+        h, dh = _dexp_basis(np.array([[0.1]]), x, True)
+        _, (_, jtr), _, _ = _project(h, *_data_side(p, None), True, dh)
         grad = central_gradient(
-            lambda v: half_ssr(_dexp_basis(v[:, None], x)[0][0], p, None), np.array([0.1]))
+            lambda v: half_ssr(_dexp_basis(v[:, None], x, False)[0][0], p, None),
+            np.array([0.1]))
         assert jtr[0] == pytest.approx(-grad, rel=1e-6)
 
     @pytest.mark.parametrize("pin", [False, True])
@@ -694,10 +704,10 @@ class TestVariableProjection:
         b2_hat = fit_double_exp(noisy_peru_index).params.b2
         b2 = np.array([b2_hat, 1.3 * b2_hat, 1e-10, 0.0])[:, None]
         assert np.array_equal(np.max(np.abs(b2 * x), axis=1) < 1e-8, [False, False, True, True])
-        h, dh = _dexp_basis(b2, x)
+        h, dh = _dexp_basis(b2, x, True)
         y, shift = _data_side(np.tile(p, (len(b2), 1)), None)
-        reference = kaufman_reference(h, y, shift, True, dh[:, None])
-        resid, (jtj, jtr), _, _ = _project(h, y, shift, True, dh[None].copy())  # centres dg
+        reference = kaufman_reference(h, y, shift, True, dh[0][:, None])
+        resid, (jtj, jtr), _, _ = _project(h, y, shift, True, dh.copy())  # centres dg
         assert_same_normal_eqs(resid, jtj, jtr, reference)
 
     def test_engine_searches_shape_parameters_only(self, peru_index, monkeypatch):
@@ -845,7 +855,8 @@ class TestFitDoubleExp:
         # bit, so the refined double-exponential objective cannot exceed it.
         t = peru_index.times()
         p = peru_index.log_index
-        h, _ = _dexp_basis(np.array([[0.0], [1e-4], [0.3]]), t - t[0])
+        h, dh = _dexp_basis(np.array([[0.0], [1e-4], [0.3]]), t - t[0], False)
+        assert dh is None
         resid, _, c0, p0 = _project(h, *_data_side(p, None), True)
         ssr = fitting._ssr(resid)
         linear = fit_linear(peru_index)
