@@ -4,12 +4,14 @@ On each of the five bundled episodes, noiseless and with seeded
 perturbations (rates resampled at 10 % relative error, as in the benchmark's
 fit-direct inputs), this times per call, in milliseconds:
 
-- ``grid_ms``: ``fitting._sing_grid_seed``, p0 free, on its 48 x 32 grid,
-  given the tc window; labels recorded before ``_sing_grid_seed`` placed
-  its own nodes timed the call with the nodes passed in, so they leave out
-  placing them, and labels recorded before it took the window from its
-  caller include computing the window (a tree from before either change
-  cannot be the ``--parent-src`` of a later one);
+- ``grid_ms``: ``fitting._sing_grid_seed``, p0 free, on its
+  ``_GRID_TC`` x ``_GRID_ALPHA`` grid (20 x 16 from ``coarse-change`` on,
+  48 x 32 in the labels before it and in ``coarse-parent``), given the tc
+  window; labels recorded before ``_sing_grid_seed`` placed its own nodes
+  timed the call with the nodes passed in, so they leave out placing them,
+  and labels recorded before it took the window from its caller include
+  computing the window (a tree from before either change cannot be the
+  ``--parent-src`` of a later one);
 - ``singularity_ms``: ``fitting.fit_singularity``, grid seed and refine;
 - ``doubleexp_ms``: ``fitting.fit_double_exp``, b2 grid and refine; from
   ``parabola-*`` on, the refine starts at two parabola vertices around the

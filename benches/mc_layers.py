@@ -14,7 +14,7 @@ refit ran all 400 LM rounds far outside the search box), this times one
 An untimed ``run_mc`` pass then counts the Levenberg-Marquardt engine's
 model work in the whole call, direct refine and refit, through a wrapper
 around ``fitting._sing_residuals`` (the grid seed's one call over its
-48 x 32 nodes is left out):
+``_GRID_TC`` x ``_GRID_ALPHA`` nodes is left out):
 
 - ``model_calls``: calls of the model;
 - ``model_rows``: rows evaluated, summed over the calls;

@@ -120,6 +120,9 @@ def _emit(report: AnalysisReport, out: Path | None) -> None:
 
 
 def _cmd_fit(args) -> int:
+    if args.pin_p0 and args.model != "singularity":
+        raise LoadError(f"--pin-p0 applies to --model singularity only; "
+                        f"the {args.model} fit always fits p0")
     _, index = _load_index(args)
     config = FitConfig(pin_p0=args.pin_p0)
     fit = _FITTERS[args.model](index, config=config)

@@ -114,6 +114,21 @@ class TestCmdFit:
         assert data["fit.chi_n_minus_k"] == math.sqrt(data["fit.objective"] / (n - k))
         assert "fit.chi_divisor" not in data and "fit.chi_n" not in data
 
+    @pytest.mark.parametrize("model", ["linear", "doubleexp"])
+    def test_pin_p0_with_a_model_that_fits_p0_exits_2_before_any_work(
+            self, capsys, tmp_path, monkeypatch, model):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("input loaded despite --pin-p0 with a p0-free model")
+
+        monkeypatch.setattr(cli, "load_series", no_loading)
+        out_file = tmp_path / "report.json"
+        code, out, err = run(capsys, "fit", PERU_CSV, "--model", model, "--pin-p0",
+                             "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error: ") and "--pin-p0" in err and model in err
+        assert out == ""
+        assert not out_file.exists()
+
     def test_chi_divisor_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fit", PERU_CSV, "--chi-divisor", "n"])
