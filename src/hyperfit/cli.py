@@ -73,7 +73,6 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=sorted(_FITTERS), default="singularity")
     p.add_argument("--pin-p0", action="store_true",
                    help="pin p0 to the observed ln P(t0) instead of fitting it")
     p.add_argument("--out", type=Path, help="write the machine-readable report here")
@@ -158,6 +157,8 @@ def _cmd_mc(args) -> int:
             replace(mc_config, di=di, m=sweep_m)
     except ValueError as exc:
         raise LoadError(f"bad mc argument or HYPERFIT_SEED: {exc}") from exc
+    if sweep is None and (args.sweep_out is not None or args.sweep_m is not None):
+        raise LoadError("--sweep-out and --sweep-m apply only with --sweep FROM:TO:STEP")
     rates, index = _load_index(args)
     if rates is None:
         raise LoadError("mc needs --kind rate: the resampling error model "
@@ -167,14 +168,11 @@ def _cmd_mc(args) -> int:
     _emit(build_report(mc.direct, index, source=_source_meta(args), mc=mc), args.out)
 
     if sweep is not None:
-        rows = sweep_error(rates, config, sweep, m=sweep_m, seed=seed, direct=mc.direct)
         lines = ["di_pct,std_tc,std_alpha,std_c0,std_p0,sd_tc_rel_pct,sd_gamma_rel_pct"]
-        for row in rows:
-            lines.append(",".join([
-                repr(row.di * 100.0), repr(row.std_tc), repr(row.std_alpha),
-                repr(row.std_c0), repr(row.std_p0),
-                repr(row.sd_tc_rel_pct), repr(row.sd_gamma_rel_pct),
-            ]))
+        for r in sweep_error(rates, config, sweep, m=sweep_m, seed=seed, direct=mc.direct):
+            lines.append(",".join(map(repr, [
+                r.config.di * 100.0, *(r.params[k].std for k in ("tc", "alpha", "c0", "p0")),
+                r.sd_tc_rel_pct, r.sd_gamma_rel_pct])))
         args.sweep_out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
@@ -287,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit one model and print a report")
     _add_input_flags(p_fit)
+    p_fit.add_argument("--model", choices=sorted(_FITTERS), default="singularity")
     _add_fit_flags(p_fit)
     p_fit.set_defaults(func=_cmd_fit)
 

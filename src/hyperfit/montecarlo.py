@@ -86,14 +86,26 @@ class ParamStats:
     direct: float
     mean: float
     std: float
-    ratio: float          # |mean - direct| / std; 0 when std == 0 and mean == direct
-    accepted: bool
+
+    @property
+    def ratio(self) -> float:
+        """Displacement of the resampled mean in units of the resampled spread.
+
+        A zero spread (all generations identical, as with di = 0) gives 0
+        when the mean is the direct fit and infinity otherwise: a refit
+        started at a converged fit returns it bit for bit, so any gap is a
+        real displacement.
+        """
+        if self.std == 0.0:
+            return 0.0 if self.mean == self.direct else math.inf
+        return abs(self.mean - self.direct) / self.std
 
 
 @dataclass(frozen=True)
 class MCReport:
-    """Aggregated outcome of one resampling run around the ``direct`` fit.
+    """What one resampling run under ``config`` found around the ``direct`` fit.
 
+    ``params`` holds the moments of tc, alpha, c0, p0 and gamma.
     ``outcome`` puts every generation in one class, so its counts sum to m:
     ``converged_interior``; ``on_alpha_floor`` (converged with alpha exactly
     on the lower bound of ``fitting._ALPHA_BOUNDS``, where the box
@@ -101,46 +113,53 @@ class MCReport:
     ``stalled`` (no convergence within ``fitting._MAX_ITER`` rounds, inside
     the box) and ``out_of_box`` (ended with tc beyond the search window or
     alpha above its upper bound, where a refit is held at most one box width
-    beyond the box), both excluded from the moments.
-    ``n_nonconverged`` counts all but the converged-interior ones;
-    ``unreliable`` is set when it exceeds ``_MAX_NONCONVERGED_FRAC`` of m.
+    beyond the box), both excluded from the moments.  The flags and the
+    relative spreads are properties computed from these fields on each read,
+    never cached: a report's digest hashes ``vars(report)``.
     """
 
-    di: float
-    m: int
-    seed: int
-    threshold: float
+    config: MCConfig
+    direct: FitResult
     params: dict[str, ParamStats]        # tc, alpha, c0, p0, gamma
-    accepted: bool                       # all of tc/alpha/c0/p0 below threshold
-    n_nonconverged: int
-    unreliable: bool
+    outcome: dict[str, int]
     truncated_draws: int
     tc_hist_edges: np.ndarray
     tc_hist_counts: np.ndarray
     tc_skewness: float
     tc_excess_kurtosis: float
-    gaussian_ok: bool
-    outcome: dict[str, int]
-    direct: FitResult
 
+    @property
+    def accepted(self) -> bool:
+        """Every ratio of tc, alpha, c0 and p0 below the threshold; gamma is not judged."""
+        return all(self.params[k].ratio < self.config.threshold
+                   for k in ("tc", "alpha", "c0", "p0"))
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Standard deviations at one relative-error setting.
+    @property
+    def n_nonconverged(self) -> int:
+        """Generations outside the converged interior."""
+        return self.config.m - self.outcome["converged_interior"]
 
-    Absolute stds per parameter, plus the relative (percent) standard
-    deviations of the time to the singularity tc - t0 and of the growth
-    exponent gamma, the two headline uncertainty measures.
-    """
+    @property
+    def unreliable(self) -> bool:
+        """More than ``_MAX_NONCONVERGED_FRAC`` of m outside the converged interior."""
+        return bool(self.n_nonconverged > _MAX_NONCONVERGED_FRAC * self.config.m)
 
-    di: float
-    std_tc: float
-    std_alpha: float
-    std_c0: float
-    std_p0: float
-    sd_tc_rel_pct: float
-    sd_gamma_rel_pct: float
-    accepted: bool
+    @property
+    def gaussian_ok(self) -> bool:
+        """The tc sample looks gaussian: |skewness| < 0.5 and |excess kurtosis| < 1."""
+        return bool(abs(self.tc_skewness) < 0.5 and abs(self.tc_excess_kurtosis) < 1.0)
+
+    @property
+    def sd_tc_rel_pct(self) -> float:
+        """Std of tc in percent of the direct fit's time to the singularity, tc - t0."""
+        d = self.direct.params
+        return 100.0 * self.params["tc"].std / (d.tc - d.t0)
+
+    @property
+    def sd_gamma_rel_pct(self) -> float:
+        """Std of the growth exponent gamma in percent of its direct value."""
+        gamma = self.params["gamma"]
+        return 100.0 * gamma.std / abs(gamma.direct)
 
 
 # ---------------------------------------------------------------------------
@@ -407,18 +426,6 @@ def _population_moments(x: np.ndarray) -> tuple[float, float]:
     return float(x[0]) + shift, float(np.sqrt(np.mean((dev - shift) ** 2)))
 
 
-def _ratio(direct: float, mean: float, std: float) -> float:
-    """Displacement of the resampled mean in units of the resampled spread.
-
-    A zero spread (all generations identical, as with di = 0) gives 0 when
-    the mean is the direct fit and infinity otherwise: a refit started at a
-    converged fit returns it bit for bit, so any gap is a real displacement.
-    """
-    if std == 0.0:
-        return 0.0 if mean == direct else math.inf
-    return abs(mean - direct) / std
-
-
 def _skew_kurtosis(x: np.ndarray) -> tuple[float, float]:
     """Biased sample skewness m3 / m2^1.5 and excess kurtosis m4 / m2^2 - 3."""
     dev = x - x.mean()
@@ -513,53 +520,33 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
         "stalled": int(np.count_nonzero(~converged & ~out_of_box)),
         "out_of_box": int(np.count_nonzero(out_of_box)),
     }
-    n_bad = mc.m - outcome["converged_interior"]
     if not ok.any():
         raise FitError("no Monte Carlo generation produced a usable refit")
 
-    gamma_direct = alpha_to_gamma(dp.alpha)
-    gamma = (2.0 + alpha[ok]) / (1.0 + alpha[ok])
     values = {
         "tc": (dp.tc, tc[ok]),
         "alpha": (dp.alpha, alpha[ok]),
         "c0": (dp.c0, c0[ok]),
         "p0": (dp.p0, p0[ok]),
-        "gamma": (gamma_direct, gamma),
+        "gamma": (alpha_to_gamma(dp.alpha), (2.0 + alpha[ok]) / (1.0 + alpha[ok])),
     }
-    params: dict[str, ParamStats] = {}
-    for name, (direct_value, sample) in values.items():
-        mean, std = _population_moments(sample)
-        ratio = _ratio(direct_value, mean, std)
-        params[name] = ParamStats(
-            direct=direct_value,
-            mean=mean,
-            std=std,
-            ratio=ratio,
-            accepted=bool(ratio < mc.threshold),
-        )
-    accepted = all(params[k].accepted for k in ("tc", "alpha", "c0", "p0"))
+    params = {name: ParamStats(direct_value, *_population_moments(sample))
+              for name, (direct_value, sample) in values.items()}
 
     tc_ok = tc[ok]
     skew, kurt = _skew_kurtosis(tc_ok) if params["tc"].std > 0 else (0.0, 0.0)
     counts, edges = np.histogram(tc_ok, bins=40)
 
     return MCReport(
-        di=mc.di,
-        m=mc.m,
-        seed=mc.seed,
-        threshold=mc.threshold,
+        config=mc,
+        direct=direct,
         params=params,
-        accepted=accepted,
-        n_nonconverged=n_bad,
-        unreliable=bool(n_bad > _MAX_NONCONVERGED_FRAC * mc.m),
+        outcome=outcome,
         truncated_draws=truncated,
         tc_hist_edges=edges,
         tc_hist_counts=counts,
         tc_skewness=skew,
         tc_excess_kurtosis=kurt,
-        gaussian_ok=bool(abs(skew) < 0.5 and abs(kurt) < 1.0),
-        outcome=outcome,
-        direct=direct,
     )
 
 
@@ -570,38 +557,21 @@ def sweep_error(
     m: int = 4000,
     seed: int = 0,
     direct: FitResult | None = None,
-) -> list[SweepRow]:
-    """Repeat run_mc over a list of relative errors and tabulate the stds.
+) -> list[MCReport]:
+    """Repeat run_mc over a list of relative errors: one report per di, in order.
 
     The direct fit is made once and anchors every run; pass ``direct`` (a
     converged ``fit_singularity`` of ``rates`` under ``fit_config``, such
     as ``MCReport.direct``) to reuse one already made.  Each run takes
     ``MCConfig``'s default threshold.  Every run reuses
     the same master seed, so the underlying gaussian draws are common
-    across error settings (the classic common-random-numbers device); std
-    columns then vary smoothly with di.
+    across error settings (the classic common-random-numbers device); the
+    stds then vary smoothly with di.
     """
     fit_config = fit_config or FitConfig()
     if direct is None:
         direct, index = _direct_fit(rates, fit_config)
     else:
         index = build_price_index(rates)
-    span = direct.params.tc - float(index.times()[0])
-    rows: list[SweepRow] = []
-    for di in di_values:
-        mc = MCConfig(di=float(di), m=m, seed=seed)
-        report = _resample(rates, fit_config, mc, direct, index)
-        rows.append(
-            SweepRow(
-                di=float(di),
-                std_tc=report.params["tc"].std,
-                std_alpha=report.params["alpha"].std,
-                std_c0=report.params["c0"].std,
-                std_p0=report.params["p0"].std,
-                sd_tc_rel_pct=100.0 * report.params["tc"].std / span,
-                sd_gamma_rel_pct=100.0 * report.params["gamma"].std
-                / abs(report.params["gamma"].direct),
-                accepted=report.accepted,
-            )
-        )
-    return rows
+    return [_resample(rates, fit_config, MCConfig(di=float(di), m=m, seed=seed), direct, index)
+            for di in di_values]

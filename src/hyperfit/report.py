@@ -129,10 +129,10 @@ def build_report(
         data["derived.tc_label"] = tc_label(params.tc, index)
 
     if mc is not None:
-        data["mc.di"] = float(mc.di)
-        data["mc.m"] = int(mc.m)
-        data["mc.seed"] = int(mc.seed)
-        data["mc.threshold"] = float(mc.threshold)
+        data["mc.di"] = float(mc.config.di)
+        data["mc.m"] = int(mc.config.m)
+        data["mc.seed"] = int(mc.config.seed)
+        data["mc.threshold"] = float(mc.config.threshold)
         data["mc.accepted"] = bool(mc.accepted)
         data["mc.unreliable"] = bool(mc.unreliable)
         data["mc.n_nonconverged"] = int(mc.n_nonconverged)
@@ -148,7 +148,7 @@ def build_report(
             # JSON has no Infinity; an unbounded ratio (zero spread around a
             # displaced mean) is stored as null.
             data[f"mc.ratio.{name}"] = float(st.ratio) if st.ratio < float("inf") else None
-            data[f"mc.param_accepted.{name}"] = bool(st.accepted)
+            data[f"mc.param_accepted.{name}"] = bool(st.ratio < mc.config.threshold)
         data["mc.tc_uncertainty"] = float(mc.params["tc"].std)
         unit = "years" if index.resolution == YEARLY else "days"
         data["mc.tc_uncertainty_unit"] = unit

@@ -235,8 +235,11 @@ class TestCmdMc:
         (("--sweep", "nan:5:1"), None, "sweep"),
         (("--sweep", "0:inf:1"), None, "sweep"),
         (("--sweep", "0:5:inf"), None, "sweep"),
+        ((), None, "only with --sweep"),
+        (("--sweep-m", "5"), None, "only with --sweep"),
     ], ids=["m", "workers", "di", "seed", "env-seed", "sweep-m", "di-nan", "di-inf",
-            "threshold-inf", "sweep-nan", "sweep-inf", "sweep-step-inf"])
+            "threshold-inf", "sweep-nan", "sweep-inf", "sweep-step-inf",
+            "sweep-out-alone", "sweep-m-alone"])
     def test_bad_mc_argument_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch,
                                                       argv, env_seed, flag):
         def no_loading(*args, **kwargs):
@@ -274,6 +277,19 @@ class TestCmdMc:
         assert code == 0
         assert len(calls) == 1
         assert len(sweep_file.read_text().splitlines()) == 4
+
+    def test_model_flag_is_fit_only(self, capsys, monkeypatch):
+        # mc always fits the singular model; a --model it would ignore is a
+        # usage error.
+        def no_loading(*args, **kwargs):
+            raise AssertionError("input loaded despite a bad argument")
+
+        monkeypatch.setattr(cli, "load_series", no_loading)
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", PERU_CSV, "--model", "linear", "--m", "20", "--seed", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--model" in captured.err and captured.out == ""
 
     def test_mc_requires_rates(self, capsys, tmp_path):
         f = write_exact_line_index(tmp_path)

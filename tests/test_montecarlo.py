@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import os
@@ -25,10 +26,11 @@ from hyperfit.fitting import (
 from hyperfit.fixtures import PRESETS, episode, synthetic_rates
 from hyperfit.montecarlo import (
     MCConfig,
+    MCReport,
+    ParamStats,
     _draw_generations,
     _pcg64_state,
     _population_moments,
-    _ratio,
     _sample_rates,
     _skew_kurtosis,
     _substream_words,
@@ -100,10 +102,10 @@ class TestSampleGeneration:
             sample_generation(peru_rates, di, np.random.default_rng(0))
 
     def test_ratio_edge_cases(self):
-        assert _ratio(1.0, 1.0, 0.0) == 0.0
-        assert _ratio(1.0, 1.0 + 2.0**-52, 0.0) == math.inf
-        assert _ratio(1.0, 1.1, 0.0) == math.inf
-        assert _ratio(1.0, 1.2, 0.1) == pytest.approx(2.0)
+        assert ParamStats(1.0, 1.0, 0.0).ratio == 0.0
+        assert ParamStats(1.0, 1.0 + 2.0**-52, 0.0).ratio == math.inf
+        assert ParamStats(1.0, 1.1, 0.0).ratio == math.inf
+        assert ParamStats(1.0, 1.2, 0.1).ratio == pytest.approx(2.0)
 
 
 def normal_sample_rates(rates, di, rng):
@@ -419,7 +421,8 @@ class TestRunMC:
     def test_acceptance_rule_is_conjunction_over_four_params(self, peru_rates):
         rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.25, m=150, seed=4, threshold=1e9))
         assert rep.accepted
-        assert all(rep.params[k].accepted for k in ("tc", "alpha", "c0", "p0"))
+        assert all(rep.params[k].ratio < rep.config.threshold
+                   for k in ("tc", "alpha", "c0", "p0"))
         rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.25, m=150, seed=4, threshold=1e-12))
         assert not rep.accepted
 
@@ -434,7 +437,7 @@ class TestRunMC:
         # only out-of-box refits (one here) leave the tc histogram.
         rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.5, m=100, seed=2))
         in_moments = int(rep.tc_hist_counts.sum())
-        assert rep.m - rep.n_nonconverged < in_moments < rep.m
+        assert rep.config.m - rep.n_nonconverged < in_moments < rep.config.m
 
     def test_direct_fit_on_alpha_floor_seeds_refit(self, peru_rates, monkeypatch):
         # With the floor above Peru's alpha = 0.29 the direct fit sits on
@@ -588,13 +591,60 @@ OUTCOMES = ("converged_interior", "on_alpha_floor", "stalled", "out_of_box")
 def test_outcome_counts_partition_the_generations(peru_rates):
     rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.25, m=4000, seed=20080605))
     assert tuple(rep.outcome) == OUTCOMES
-    assert sum(rep.outcome.values()) == rep.m
-    assert rep.n_nonconverged == rep.m - rep.outcome["converged_interior"]
+    assert sum(rep.outcome.values()) == rep.config.m
+    assert rep.n_nonconverged == rep.config.m - rep.outcome["converged_interior"]
     # Converged generations on the alpha floor enter the moments.
     in_moments = rep.outcome["converged_interior"] + rep.outcome["on_alpha_floor"]
     assert int(rep.tc_hist_counts.sum()) == in_moments
     data = build_report(rep.direct, build_price_index(peru_rates), mc=rep).data
     assert sum(data[f"mc.outcome.{kind}"] for kind in OUTCOMES) == data["mc.m"]
+
+
+def hand_report(m=100, converged_interior=100, ratios=None, threshold=0.1):
+    """An MCReport built by hand: params[k] has ratio ratios[k] (0 by default)."""
+    ratios = {"tc": 0.0, "alpha": 0.0, "c0": 0.0, "p0": 0.0, "gamma": 0.0, **(ratios or {})}
+    bad = m - converged_interior
+    return MCReport(
+        config=MCConfig(m=m, threshold=threshold),
+        direct=None,
+        params={k: ParamStats(direct=0.0, mean=r, std=1.0) for k, r in ratios.items()},
+        outcome={"converged_interior": converged_interior, "on_alpha_floor": 0,
+                 "stalled": bad, "out_of_box": 0},
+        truncated_draws=0,
+        tc_hist_edges=np.linspace(0.0, 1.0, 41),
+        tc_hist_counts=np.zeros(40, dtype=np.int64),
+        tc_skewness=0.0,
+        tc_excess_kurtosis=0.0,
+    )
+
+
+@pytest.mark.parametrize("m", [20, 100, 4000, 4001])
+def test_unreliable_from_one_generation_past_the_limit(m):
+    limit = math.floor(montecarlo._MAX_NONCONVERGED_FRAC * m)
+    at = hand_report(m=m, converged_interior=m - limit)
+    past = hand_report(m=m, converged_interior=m - limit - 1)
+    assert (at.n_nonconverged, at.unreliable) == (limit, False)
+    assert (past.n_nonconverged, past.unreliable) == (limit + 1, True)
+
+
+def test_accepted_is_strict_on_four_params_and_ignores_gamma():
+    assert hand_report(ratios=dict.fromkeys(("tc", "alpha", "c0", "p0"), 0.0999)).accepted
+    assert hand_report(ratios={"gamma": 1e9}).accepted
+    for name in ("tc", "alpha", "c0", "p0"):
+        rep = hand_report(ratios={name: 0.1})
+        assert rep.params[name].ratio == rep.config.threshold
+        assert not rep.accepted
+
+
+def test_reading_a_report_adds_no_instance_state(peru_rates):
+    # Digests of a report hash vars(report): a value cached on first read
+    # would make two equal runs hash differently.
+    rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.25, m=20, seed=1))
+    for obj in (rep, *rep.params.values()):
+        for name in dir(obj):
+            if not name.startswith("_"):
+                getattr(obj, name)
+        assert set(vars(obj)) == {f.name for f in dataclasses.fields(obj)}
 
 
 def test_fit_and_run_mc_import_no_numpy_ma():
@@ -639,7 +689,7 @@ def test_tc_is_lognormal_in_its_distance_to_the_last_epoch(peru_rates, monkeypat
 def test_out_of_box_generations_are_counted(peru_rates):
     rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.5, m=100, seed=2))
     assert rep.outcome["out_of_box"] >= 1
-    assert int(rep.tc_hist_counts.sum()) == rep.m - rep.outcome["out_of_box"] - rep.outcome["stalled"]
+    assert int(rep.tc_hist_counts.sum()) == rep.config.m - rep.outcome["out_of_box"] - rep.outcome["stalled"]
 
 
 def refit_row(name: str, di: float, seed: int, row: int, config: FitConfig):
@@ -836,7 +886,7 @@ def test_spread_at_one_percent_is_the_linear_spread(name):
     rep, linear = oracle_run(name, 0.01)
     for k, param in enumerate(("tc", "alpha")):
         std = rep.params[param].std
-        assert abs(std - linear[k]) <= 3.0 * std / math.sqrt(2 * rep.m)
+        assert abs(std - linear[k]) <= 3.0 * std / math.sqrt(2 * rep.config.m)
 
 
 @pytest.mark.parametrize("di", [0.01, 0.05, 0.10])
@@ -874,20 +924,21 @@ def count_direct_fits(monkeypatch):
 class TestSweepError:
     def test_one_direct_fit_per_sweep(self, peru_rates, monkeypatch):
         calls = count_direct_fits(monkeypatch)
-        rows = sweep_error(peru_rates, FitConfig(), [0.05, 0.15, 0.25], m=40, seed=3)
+        reports = sweep_error(peru_rates, FitConfig(), [0.05, 0.15, 0.25], m=40, seed=3)
         assert len(calls) == 1
-        # Each row is what a separate run_mc at that error gives.
-        for row in rows:
-            rep = run_mc(peru_rates, FitConfig(), MCConfig(di=row.di, m=40, seed=3))
-            assert row.std_tc == rep.params["tc"].std
-            assert row.std_alpha == rep.params["alpha"].std
-            assert row.std_p0 == rep.params["p0"].std
-
+        # Each report is what a separate run_mc at that error gives, field
+        # for field as the analysis report writes them.
+        index = build_price_index(peru_rates)
+        assert len(reports) == 3
+        for di, swept in zip([0.05, 0.15, 0.25], reports):
+            rep = run_mc(peru_rates, FitConfig(), MCConfig(di=di, m=40, seed=3))
+            assert (build_report(swept.direct, index, mc=swept).to_json()
+                    == build_report(rep.direct, index, mc=rep).to_json())
 
     def test_zero_error_row_is_all_zero(self, peru_rates):
         rows = sweep_error(peru_rates, FitConfig(), [0.0], m=10, seed=3)
         row = rows[0]
-        assert row.std_tc == row.std_alpha == row.std_c0 == row.std_p0 == 0.0
+        assert all(row.params[k].std == 0.0 for k in ("tc", "alpha", "c0", "p0"))
         assert row.sd_tc_rel_pct == 0.0 and row.sd_gamma_rel_pct == 0.0
         assert row.accepted
 
