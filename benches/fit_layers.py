@@ -1,4 +1,4 @@
-"""Layer timings of the direct fits: grid seed, singular fit, double-exponential fit.
+"""Layer timings of the direct fits: grid seed, linear, singular and double-exponential fit.
 
 On each of the five bundled episodes, noiseless and with seeded
 perturbations (rates resampled at 10 % relative error, as in the benchmark's
@@ -12,6 +12,8 @@ fit-direct inputs), this times per call, in milliseconds:
   and labels recorded before it took the window from its caller include
   computing the window (a tree from before either change cannot be the
   ``--parent-src`` of a later one);
+- ``linear_ms`` (from ``ladder-*`` on): ``fitting.fit_linear``, a closed
+  form, where reading the time axis and checking the input weigh most;
 - ``singularity_ms``: ``fitting.fit_singularity``, grid seed and refine;
 - ``doubleexp_ms``: ``fitting.fit_double_exp``, b2 grid and refine; from
   ``parabola-*`` on, the refine starts at two parabola vertices around the
@@ -36,7 +38,11 @@ cannot (process-to-process drift moves these layers by 10-20 %):
 This imports the parent's ``hyperfit`` a second time, as the package
 ``hyperfit_parent``, and calls each layer of the two trees in alternation on
 the same inputs, flipping which goes first after every input; the two sets
-of samples go under ``NAME-parent`` and ``NAME-change``.
+of samples go under ``NAME-parent`` and ``NAME-change``.  From ``ladder-*``
+on, each tree fits series objects built by its own ``series`` module, so
+each pays for its own ``times()``; before, the parent fitted the change's
+objects.  The first call on each object builds its time axis where a tree
+caches it, and that call is one of the ``CALLS`` averaged.
 
 Times are raw wall milliseconds (``time.perf_counter``, per call) after one
 warm-up pass, each the mean over ``CALLS`` passes through the case's inputs,
@@ -51,6 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
+import hyperfit
 from hyperfit import fitting
 from hyperfit.fixtures import PRESETS, episode, synthetic_rates
 from hyperfit.montecarlo import sample_generation
@@ -63,19 +70,19 @@ DI = 0.1
 CALLS = 10
 
 
-def per_call_ms(fns: dict, args: list) -> dict[str, float]:
+def per_call_ms(fns: dict, args: dict) -> dict[str, float]:
     """Per tree, the mean milliseconds of ``fns[tree](*a)`` over ``CALLS`` passes
-    through ``args``, the trees taking turns on each input."""
+    through its inputs ``args[tree]``, the trees taking turns on each input."""
     total = dict.fromkeys(fns, 0.0)
     order = list(fns)
     for _ in range(CALLS):
-        for a in args:
+        for k in range(len(args[order[0]])):
             for tree in order:
                 started = time.perf_counter()
-                fns[tree](*a)
+                fns[tree](*args[tree][k])
                 total[tree] += time.perf_counter() - started
             order.reverse()
-    return {tree: seconds / (CALLS * len(args)) * 1e3 for tree, seconds in total.items()}
+    return {tree: seconds / (CALLS * len(args[tree])) * 1e3 for tree, seconds in total.items()}
 
 
 def case_indexes(name: str, seed: int) -> list:
@@ -90,21 +97,25 @@ def case_indexes(name: str, seed: int) -> list:
 def time_case(name: str, seed: int, parent=None) -> dict:
     """This tree's layers on one case and seed; with ``parent`` (a ``hyperfit``
     package), {"parent": layers, "change": layers}, timed call by call in turn."""
-    trees = {"change": fitting} if parent is None else {"parent": parent.fitting,
-                                                        "change": fitting}
+    trees = {"change": hyperfit} if parent is None else {"parent": parent, "change": hyperfit}
     indexes = case_indexes(name, seed)
     grid_args = [(i.times(), i.log_index, fitting.tc_search_window(i.times()), None)
                  for i in indexes]
-    layers = (("grid_ms", "_sing_grid_seed", grid_args),
-              ("singularity_ms", "fit_singularity", [(i,) for i in indexes]),
-              ("doubleexp_ms", "fit_double_exp", [(i,) for i in indexes]))
+    own = {side: [(tree.series.PriceIndexSeries(i.epochs, i.index, i.log_index),)
+                  for i in indexes] for side, tree in trees.items()}
+    layers = (("grid_ms", "_sing_grid_seed", dict.fromkeys(trees, grid_args)),
+              ("linear_ms", "fit_linear", own),
+              ("singularity_ms", "fit_singularity", own),
+              ("doubleexp_ms", "fit_double_exp", own))
     with warnings.catch_warnings():         # perturbed ends may not be strictly rising
         warnings.simplefilter("ignore")
-        times = {layer: per_call_ms({side: getattr(tree, fn) for side, tree in trees.items()},
-                                    args) for layer, fn, args in layers}
+        times = {layer: per_call_ms({side: getattr(tree.fitting, fn)
+                                     for side, tree in trees.items()}, args)
+                 for layer, fn, args in layers}
         values = {side: {layer: times[layer][side] for layer in times} | {
-            "singularity_rounds": sum(tree.fit_singularity(i).iterations for i in indexes),
-            "doubleexp_rounds": sum(tree.fit_double_exp(i).iterations for i in indexes),
+            "singularity_rounds": sum(tree.fitting.fit_singularity(i).iterations
+                                      for i in indexes),
+            "doubleexp_rounds": sum(tree.fitting.fit_double_exp(i).iterations for i in indexes),
         } for side, tree in trees.items()}
     return values["change"] if parent is None else values
 

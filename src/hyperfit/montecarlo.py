@@ -232,7 +232,9 @@ def _substream_words(seed: int, m: int) -> np.ndarray:
                 x = pool[dst] * _MIX_L - hashmix(pool[src] if src < 4 else value, _MULT_A) * _MIX_R
                 pool[dst] = x ^ x >> 16
     hash_const = _INIT_B
-    state = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
+    state = np.empty((m, 8), np.uint32)
+    for i in range(8):
+        state[:, i] = hashmix(pool[i % 4], _MULT_B)
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 

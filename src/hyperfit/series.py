@@ -21,6 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from datetime import date as _date
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -184,8 +185,35 @@ def _validate_epochs(epochs: tuple[Epoch, ...]) -> str:
     return resolution
 
 
+class _Epochs:
+    """What a series derives from its validated epochs alone."""
+
+    epochs: tuple[Epoch, ...]
+
+    @property
+    def resolution(self) -> str:
+        return self.epochs[0].resolution
+
+    def __len__(self) -> int:
+        return len(self.epochs)
+
+    def times(self) -> np.ndarray:
+        """``epoch_times(epochs)``: built on the first call, then the same read-only array.
+
+        Every fit reads the time axis, and rebuilding it from calendar dates
+        costs more than a linear fit's arithmetic on a monthly series.
+        """
+        return self._times
+
+    @cached_property
+    def _times(self) -> np.ndarray:
+        t = epoch_times(self.epochs)
+        t.flags.writeable = False
+        return t
+
+
 @dataclass(frozen=True)
-class InflationSeries:
+class InflationSeries(_Epochs):
     """Per-period inflation rates i(t_k) at equally spaced epochs.
 
     Rates are dimensionless fractions (0.062 means 6.2 percent over one
@@ -209,19 +237,9 @@ class InflationSeries:
                 f"inflation rate at {self.epochs[k].label()} is {self.rates[k]}, must be > -1"
             )
 
-    @property
-    def resolution(self) -> str:
-        return self.epochs[0].resolution
-
-    def __len__(self) -> int:
-        return len(self.epochs)
-
-    def times(self) -> np.ndarray:
-        return epoch_times(self.epochs)
-
 
 @dataclass(frozen=True)
-class PriceIndexSeries:
+class PriceIndexSeries(_Epochs):
     """Cumulated price index P(t_k) with its natural logarithm p = ln P."""
 
     epochs: tuple[Epoch, ...]
@@ -256,18 +274,8 @@ class PriceIndexSeries:
         return cls(epochs=tuple(epochs), index=index, log_index=np.log(index))
 
     @property
-    def resolution(self) -> str:
-        return self.epochs[0].resolution
-
-    @property
     def t0(self) -> Epoch:
         return self.epochs[0]
-
-    def __len__(self) -> int:
-        return len(self.epochs)
-
-    def times(self) -> np.ndarray:
-        return epoch_times(self.epochs)
 
     @property
     def period(self) -> float:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hyperfit import fitting
 from hyperfit.fitting import (
@@ -356,6 +357,55 @@ class TestEngine:
 
 
 # ---------------------------------------------------------------------------
+# Grid nodes
+# ---------------------------------------------------------------------------
+
+positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
+                            allow_infinity=False)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power")  # both, near 1.8e308
+@settings(max_examples=500, deadline=None)
+@given(positive_floats, positive_floats, st.integers(2, 64))
+def test_ladder_is_geomspace_bit_for_bit(a, b, num):
+    assume(a != b)
+    lo, hi = min(a, b), max(a, b)
+    assert fitting._ladder(lo, hi, num).tobytes() == np.geomspace(lo, hi, num).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_grid_nodes_are_the_geomspace_nodes(name, monkeypatch):
+    # The fitters place their grids with _ladder; on every bundled episode
+    # the nodes they score are np.geomspace's, bit for bit.
+    index = build_price_index(
+        load_series(fixture_path(name), day_convention=episode(name).day_convention))
+    t = index.times()
+    seen = {}
+
+    def spy(f, key):
+        def call(*args, **kwargs):
+            seen.setdefault(key, args[0].copy())
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(fitting, "_sing_basis", spy(fitting._sing_basis, "tc"))
+    monkeypatch.setattr(fitting, "_dexp_basis", spy(fitting._dexp_basis, "b2"))
+    fit_singularity(index)
+    fit_double_exp(index)
+
+    t_last, span = float(t[-1]), float(t[-1] - t[0])
+    tc_lo, tc_hi = tc_search_window(t)
+    tc_nodes = t_last + np.geomspace(tc_lo - t_last, tc_hi - t_last, fitting._GRID_TC)
+    b2_nodes = np.concatenate(([0.0], np.geomspace(1e-4 / span, fitting._B2_SPAN_MAX / span,
+                                                   fitting._GRID_B2 - 1)))
+    assert seen["tc"].ravel().tobytes() == tc_nodes.tobytes()
+    assert seen["b2"].ravel().tobytes() == b2_nodes.tobytes()
+    assert fitting._ALPHA_NODES.tobytes() == np.geomspace(*fitting._ALPHA_BOUNDS,
+                                                          fitting._GRID_ALPHA).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # fit_linear
 # ---------------------------------------------------------------------------
 
@@ -474,7 +524,7 @@ class TestFitSingularity:
         config = FitConfig(pin_p0=pin)
         coarse = [fit_singularity(index, config) for index in indexes]
         monkeypatch.setattr(fitting, "_GRID_TC", 48)
-        monkeypatch.setattr(fitting, "_GRID_ALPHA", 32)
+        monkeypatch.setattr(fitting, "_ALPHA_NODES", np.geomspace(*fitting._ALPHA_BOUNDS, 32))
         fine = [fit_singularity(index, config) for index in indexes]
         for k, (c, f) in enumerate(zip(coarse, fine)):
             at_floor = k == 0 and max(c.objective, f.objective) <= 1e-20

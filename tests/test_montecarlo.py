@@ -667,6 +667,23 @@ def test_fit_and_run_mc_import_no_numpy_ma():
     assert proc.stdout.split() == ["True", "False"]
 
 
+def test_fits_and_run_mc_call_no_geomspace_or_stack(peru_rates, monkeypatch):
+    # Python-level numpy helpers cost more than the arithmetic they wrap at
+    # these sizes (2-vCPU VM, Python 3.11, numpy 2.4): np.geomspace about
+    # 20 us a call against 4 us for fitting._ladder, and np.stack about 3 us,
+    # once per LM round in the damped step, where a ufunc does the same.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on a fit path")
+
+    index = build_price_index(peru_rates)
+    monkeypatch.setattr(np, "geomspace", forbidden)
+    monkeypatch.setattr(np, "stack", forbidden)
+    fitting.fit_linear(index)
+    fitting.fit_double_exp(index)
+    fit_singularity(index)
+    run_mc(peru_rates, FitConfig(), MCConfig(di=0.25, m=50, seed=1))
+
+
 def test_tc_is_lognormal_in_its_distance_to_the_last_epoch(peru_rates, monkeypatch):
     # Criterion 4(b) fails on skew(tc) = 1.06 at di = 0.25; on the same
     # generations log(tc - t_last) is close to gaussian (skew -0.083; seeds

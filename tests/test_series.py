@@ -290,6 +290,28 @@ def test_monthly_times_are_days_from_first_epoch():
     assert epoch_times(epochs) == pytest.approx([0.0, 31.0, 61.0], abs=0.0)
 
 
+@pytest.mark.parametrize("name", ["peru", "yugoslavia"])  # yearly, monthly
+def test_times_is_built_once_and_read_only(name):
+    rates = load_series(fixture_path(name), day_convention=PRESETS[name].day_convention)
+    index = build_price_index(rates)
+    for series in (rates, index):
+        t = series.times()
+        assert t.tobytes() == epoch_times(series.epochs).tobytes()
+        assert series.times() is t
+        with pytest.raises(ValueError):
+            t[0] = 1.0
+        with pytest.raises(ValueError):
+            t += 1.0
+    # Series built from another carry their own axis, not the source's.
+    assert index.times() is not rates.times()
+    cut = slice_window(index, index.epochs[2], index.epochs[-3])
+    for sub in (cut, slice_window(rates, index.epochs[2], None)):
+        assert sub.times().tobytes() == epoch_times(sub.epochs).tobytes()
+    assert len(cut.times()) == len(index) - 4
+    if name == "yugoslavia":                 # days from the window's own first epoch
+        assert cut.times()[0] == 0.0 != index.times()[2]
+
+
 def test_days_per_month_constant():
     assert DAYS_PER_MONTH == pytest.approx(30.4375, abs=0.0)
 
