@@ -54,8 +54,8 @@ Then each seed runs both trees in turn, flipping which goes first from one
 seed to the next, under ``NAME-parent`` and ``NAME-change``.  Every label
 ending in ``change`` that has a matching ``parent`` label gets its ratios of
 medians, change over parent, under ``change_over_parent``.  ``run_bench``
-holds that bookkeeping and the command line for every layer bench in this
-directory.
+holds that bookkeeping and the command line for every in-process layer
+bench in this directory (``cli_layers.py`` times fresh processes).
 
 Labels recorded before ``seeding-*`` timed ``draw_s`` with the seed
 spawning left outside.  Labels before ``inflight-*`` timed ``draw_s``,

@@ -15,6 +15,8 @@ resampling, and curve export together.
 
 __version__ = "1.0.0"
 
+import importlib
+
 from .series import (
     Epoch,
     InflationSeries,
@@ -43,7 +45,6 @@ from .models import (
     simulate_recursion,
 )
 from .fitting import FitConfig, FitResult, fit_linear, fit_double_exp, fit_singularity, predict
-from .montecarlo import MCConfig, MCReport, sample_generation, run_mc, sweep_error
 
 __all__ = [
     "Epoch",
@@ -81,3 +82,14 @@ __all__ = [
     "run_mc",
     "sweep_error",
 ]
+
+#: Names of the Monte Carlo module, imported on first use (PEP 562), so a
+#: `hyperfit fit` process never loads it; `hyperfit.montecarlo` resolves too.
+_MONTECARLO = frozenset({"MCConfig", "MCReport", "sample_generation", "run_mc", "sweep_error"})
+
+
+def __getattr__(name: str):
+    if name == "montecarlo" or name in _MONTECARLO:
+        montecarlo = importlib.import_module(".montecarlo", __name__)
+        return montecarlo if name == "montecarlo" else getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .fitting import FitResult
@@ -21,7 +22,6 @@ from .models import (
     ab_coefficients,
     alpha_to_gamma,
 )
-from .montecarlo import MCReport
 from .series import (
     DAYS_PER_MONTH,
     MONTHLY,
@@ -29,6 +29,9 @@ from .series import (
     PriceIndexSeries,
     epoch_from_time,
 )
+
+if TYPE_CHECKING:   # an annotation only: `hyperfit fit` does not import the Monte Carlo
+    from .montecarlo import MCReport
 
 FORMAT_VERSION = 1
 

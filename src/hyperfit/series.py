@@ -262,7 +262,7 @@ class PriceIndexSeries(_Epochs):
     @classmethod
     def from_index(cls, epochs, index) -> "PriceIndexSeries":
         index = np.asarray(index, dtype=float)
-        with np.errstate(invalid="ignore"):  # validation raises on P <= 0
+        with np.errstate(divide="ignore", invalid="ignore"):  # validation raises on P <= 0
             return cls(epochs=tuple(epochs), index=index, log_index=np.log(index))
 
     @classmethod

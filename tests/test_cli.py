@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import subprocess
@@ -237,9 +238,10 @@ class TestCmdMc:
         (("--sweep", "0:5:inf"), None, "sweep"),
         ((), None, "only with --sweep"),
         (("--sweep-m", "5"), None, "only with --sweep"),
+        (("--kind", "index"), None, "--kind rate"),
     ], ids=["m", "workers", "di", "seed", "env-seed", "sweep-m", "di-nan", "di-inf",
             "threshold-inf", "sweep-nan", "sweep-inf", "sweep-step-inf",
-            "sweep-out-alone", "sweep-m-alone"])
+            "sweep-out-alone", "sweep-m-alone", "kind-index"])
     def test_bad_mc_argument_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch,
                                                       argv, env_seed, flag):
         def no_loading(*args, **kwargs):
@@ -298,15 +300,86 @@ class TestCmdMc:
         assert "rate" in err
 
 
-def test_cli_import_loads_no_scipy():
+# ---------------------------------------------------------------------------
+# the process: imports and exit
+# ---------------------------------------------------------------------------
+
+def src_env() -> dict:
+    """The environment with this checkout's hyperfit first on PYTHONPATH."""
     src = str(Path(hyperfit.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def hyperfit_process(*args, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=src_env(), capture_output=True,
+                          text=True, **kwargs)
+
+
+def test_cli_import_loads_no_scipy():
     code = ("import sys, hyperfit.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
+    proc = hyperfit_process("-c", code, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_fit_loads_no_monte_carlo(tmp_path):
+    argv = ["fit", PERU_CSV, "--out", str(tmp_path / "r.json")]
+    code = (f"import sys, hyperfit.cli; code = hyperfit.cli.main({argv!r}); "
+            "print(code, sorted(m for m in sys.modules if m.startswith('hyperfit.montecarlo')))")
+    proc = hyperfit_process("-c", code, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_package_names_resolve_on_first_use():
+    for name in hyperfit.__all__:
+        assert getattr(hyperfit, name) is not None, name
+    assert hyperfit.run_mc is montecarlo.run_mc
+    assert hyperfit.MCReport is montecarlo.MCReport
+    assert hyperfit.montecarlo is montecarlo
+    with pytest.raises(AttributeError, match="no attribute 'run_mcmc'"):
+        hyperfit.run_mcmc
+
+
+def test_module_run_writes_what_main_writes(capsys, tmp_path):
+    argv = ["fit", PERU_CSV, "--model", "singularity", "--pin-p0"]
+    code, out, _ = run(capsys, *argv, "--out", str(tmp_path / "main.json"))
+    proc = hyperfit_process("-m", "hyperfit.cli", *argv, "--out", str(tmp_path / "module.json"))
+    assert (code, proc.returncode) == (0, 0)
+    assert proc.stdout == out
+    assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
+def test_module_run_keeps_the_exit_codes(tmp_path):
+    flat = tmp_path / "flat.csv"
+    flat.write_text("date,value\n" + "".join(f"{1970 + k},0.0\n" for k in range(12)))
+    missing = hyperfit_process("-m", "hyperfit.cli", "fit", str(tmp_path / "missing.csv"))
+    no_fit = hyperfit_process("-m", "hyperfit.cli", "fit", str(flat))
+    assert (missing.returncode, no_fit.returncode) == (2, 3)
+    assert missing.stderr.startswith("error: ") and "C0 > 0" in no_fit.stderr
+
+
+def test_main_leaves_the_collector_alone(capsys, tmp_path):
+    code, _, _ = run(capsys, "fit", PERU_CSV, "--out", str(tmp_path / "r.json"))
+    assert code == 0
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+
+
+def test_script_exits_with_main_code_and_a_frozen_collector(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts["hyperfit"] == "hyperfit.cli:script"
+
+    monkeypatch.setattr(cli, "main", lambda: 3)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.script()
+        assert exc.value.code == 3
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
 
 
 # ---------------------------------------------------------------------------

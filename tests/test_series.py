@@ -126,6 +126,13 @@ class TestBuildPriceIndex:
         index = build_price_index(yearly(1970, [0.0, 0.3, 0.7]))
         assert index.index[0] == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [0.0, -2.0])
+    def test_non_positive_index_raises_without_a_warning(self, value):
+        epochs = tuple(Epoch(year=1970 + k) for k in range(3))
+        with pytest.raises(SeriesError, match="1971 is not positive"):
+            PriceIndexSeries.from_index(epochs, np.array([1.0, value, 3.0]))
+
 
 # ---------------------------------------------------------------------------
 # growth_rates
