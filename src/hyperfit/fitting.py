@@ -18,6 +18,17 @@ equations, which ``_project`` builds from a few inner products per row
 (Kaufman 1975) without forming the Jacobian.  Everything is deterministic
 for a given input and ``FitConfig``; grid ties are broken toward the smaller
 critical time.
+
+Trial points may overflow or divide by zero; the engine rejects their
+non-finite objectives and the grid skips them.  So every entry point that
+evaluates a model (``fit_linear``, ``fit_singularity``, ``fit_double_exp``,
+``fit_singular_rows``, ``_sing_grid_seed`` and ``_sing_linearization``)
+runs under one floating-point state, ``_FP_STATE``, which ignores division
+by zero, invalid operations and overflow, and the functions they call set
+none of their own: one ``np.errstate`` per fit, not one per model call.
+Inner products go straight to numpy's C einsum (``c_einsum``), which
+``np.einsum`` forwards to without optimization, bit for bit, after about
+1 us of Python per call (2-vCPU VM, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from .models import DoubleExpParams, LinearParams, SingularityParams, evaluate
 from .series import PriceIndexSeries
@@ -64,6 +76,9 @@ _B2_SPAN_MAX = 20.0
 _GRID_TC, _GRID_ALPHA, _GRID_B2 = 20, 16, 48
 _XTOL, _FTOL = 1e-9, 1e-12
 _MAX_ITER = 400
+
+#: The floating-point state of every fit (module docstring), as a decorator.
+_FP_STATE = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
 def _ladder(lo: float, hi: float, num: int) -> np.ndarray:
@@ -133,12 +148,15 @@ class FitResult:
 
 def _ssr(resid: np.ndarray) -> np.ndarray:
     """Sum of squared residuals along the last axis."""
-    return np.einsum("...k,...k->...", resid, resid)
+    return c_einsum("...k,...k->...", resid, resid)
 
 
 def _data_side(p: np.ndarray, pinned_p0: float | None):
     """(p - shift, shift) per row of p: shift is the row mean, or the pinned p0."""
-    shift = p.mean(axis=-1) if pinned_p0 is None else np.full(p.shape[:-1], float(pinned_p0))
+    if pinned_p0 is None:                # p.mean's add.reduce and true_divide, unwrapped
+        shift = p.sum(axis=-1) / p.shape[-1]
+    else:
+        shift = np.full(p.shape[:-1], float(pinned_p0))
     return p - shift[..., None], shift
 
 
@@ -163,29 +181,28 @@ def _project(g: np.ndarray, y: np.ndarray, shift, centre: bool, dg=None):
     of J.  The part of C0 dg/dx dropped from J lies in span{1, g},
     orthogonal to resid, so J^T resid is exactly -grad(SSR / 2).
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # inf trials
-        n = g.shape[-1]
-        g_mean = np.einsum("...k->...", g) / n if centre else np.zeros(g.shape[:-1])
-        g = g - g_mean[..., None]
-        den = _ssr(g)
-        c0 = np.einsum("...k,...k->...", g, y) / den
-        resid = y - c0[..., None] * g
-        p0 = shift - c0 * g_mean
-        if dg is None:
-            return resid, None, c0, p0
-        if centre:
-            dg -= (np.einsum("jik->ji", dg) / n)[..., None]
-        b = np.einsum("jik,ik->ji", dg, g)
-        a = b / den
-        diag = _ssr(dg) - a * b
-        if len(dg) == 1:
-            jtj = diag[None]
-        else:                               # J^T J is symmetric: three products
-            off = np.einsum("ik,ik->i", dg[0], dg[1]) - a[0] * b[1]
-            jtj = np.array([[diag[0], off], [off, diag[1]]])
-        jtr = np.einsum("jik,ik->ji", dg, resid) - a * np.einsum("ik,ik->i", g, resid)
-        jtj *= c0 * c0
-        jtr *= c0
+    n = g.shape[-1]
+    g_mean = c_einsum("...k->...", g) / n if centre else np.zeros(g.shape[:-1])
+    g = g - g_mean[..., None]
+    den = _ssr(g)
+    c0 = c_einsum("...k,...k->...", g, y) / den
+    resid = y - c0[..., None] * g
+    p0 = shift - c0 * g_mean
+    if dg is None:
+        return resid, None, c0, p0
+    if centre:
+        dg -= (c_einsum("jik->ji", dg) / n)[..., None]
+    b = c_einsum("jik,ik->ji", dg, g)
+    a = b / den
+    diag = _ssr(dg) - a * b
+    if len(dg) == 1:
+        jtj = diag[None]
+    else:                               # J^T J is symmetric: three products
+        off = c_einsum("ik,ik->i", dg[0], dg[1]) - a[0] * b[1]
+        jtj = np.array([[diag[0], off], [off, diag[1]]])
+    jtr = c_einsum("jik,ik->ji", dg, resid) - a * c_einsum("ik,ik->i", g, resid)
+    jtj *= c0 * c0
+    jtr *= c0
     return resid, (jtj.transpose(2, 0, 1), jtr.T), c0, p0
 
 
@@ -198,11 +215,11 @@ def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: np.ndarray, free: np.nda
     delta = 0.  Solved in closed form for k = 1 or 2, the only sizes the
     engine serves, so no row pays for a LAPACK call.
     """
-    d = np.einsum("ikk->ik", jtj)
+    d = c_einsum("ikk->ik", jtj)
     if curv is None:
         curv, c = jtj, d
     else:
-        c = np.einsum("ikk->ik", curv)
+        c = c_einsum("ikk->ik", curv)
     d = np.where(free, c + lam[:, None] * np.maximum(d, 1e-30), 1.0)
     b = np.where(free, jtr, 0.0)
     if jtj.shape[-1] == 1:
@@ -336,8 +353,7 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
             upd = live[better]
             jtj_u, jtr_u = jtj_e[:s][better], jtr_e[:s][better]
             if curv is not None:            # the secant slope of the gradient, while > 0
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    slope = ((jtr[upd] - jtr_u) / step[better])[:, :, None]
+                slope = ((jtr[upd] - jtr_u) / step[better])[:, :, None]
                 curv[upd] = np.where(slope > 0.0, slope, jtj_u)
             x[upd] = trial[better]
             ssr[upd], jtj[upd], jtr[upd] = ssr_new[better], jtj_u, jtr_u
@@ -360,6 +376,7 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
 # Linear model
 # ---------------------------------------------------------------------------
 
+@_FP_STATE
 def fit_linear(index: PriceIndexSeries, config: FitConfig | None = None) -> FitResult:
     """Ordinary least squares of the log index on time: global optimum in closed form.
 
@@ -414,21 +431,18 @@ def _sing_basis(tc, alpha, t: np.ndarray, t0: float, with_jac: bool):
     s0 = tc - t0
     ratio = s0 / (tc - t)
     log_ratio = np.log(ratio)
-    # Wild trial steps may overflow; they produce non-finite objectives and
-    # are rejected by the damping loop.
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = alpha * log_ratio
-        np.exp(f, out=f)
-        scale = s0 / alpha
-        g = f - 1.0
-        g *= scale
-        dg = None
-        if with_jac:
-            dg = np.empty((2, *g.shape))
-            np.multiply(f, ratio, out=dg[0])
-            np.subtract(1.0, dg[0], out=dg[0])
-            np.multiply(f, log_ratio, out=dg[1])
-            dg[1] *= scale
+    f = alpha * log_ratio
+    np.exp(f, out=f)
+    scale = s0 / alpha
+    g = f - 1.0
+    g *= scale
+    dg = None
+    if with_jac:
+        dg = np.empty((2, *g.shape))
+        np.multiply(f, ratio, out=dg[0])
+        np.subtract(1.0, dg[0], out=dg[0])
+        np.multiply(f, log_ratio, out=dg[1])
+        dg[1] *= scale
     return g, dg
 
 
@@ -445,6 +459,7 @@ def _sing_residuals(tc: np.ndarray, alpha: np.ndarray, t: np.ndarray, t0: float,
     return resid, normal, c0, p0
 
 
+@_FP_STATE
 def _sing_linearization(t: np.ndarray, tc: float, alpha: float, centre: bool):
     """First-order response (A, w) of a singular fit at (tc, alpha) to its data.
 
@@ -476,6 +491,7 @@ def _sing_linearization(t: np.ndarray, tc: float, alpha: float, centre: bool):
 _REACH_BOXES = 2.0
 
 
+@_FP_STATE
 def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float, float],
                       seed: tuple[float, float] | np.ndarray, bounded_above: bool = True,
                       pinned_p0: float | None = None):
@@ -512,6 +528,7 @@ def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float,
     return (tc_lo + x[:, 0], a_lo + x[:, 1], c0, p0), ssr, converged, rounds
 
 
+@_FP_STATE
 def _sing_grid_seed(t, p, tc_window, pinned_p0):
     """Best (tc, alpha, c0, p0) over the initialization grid.
 
@@ -537,6 +554,7 @@ def _sing_grid_seed(t, p, tc_window, pinned_p0):
     return float(tc_nodes[i]), float(_ALPHA_NODES[j]), float(c0[i, j]), float(p0[i, j])
 
 
+@_FP_STATE
 def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) -> FitResult:
     """Fit the finite-time-singularity model to a log price index.
 
@@ -558,7 +576,7 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
         warnings.warn(
             "log price index is not strictly increasing near the end of the "
             "window; the singular model may be inappropriate",
-            stacklevel=2,
+            stacklevel=3,                   # past _FP_STATE's wrapper, to the caller
         )
     t0 = float(t[0])
     pinned = float(p[0]) if config.pin_p0 else None
@@ -590,13 +608,12 @@ def _dexp_basis(b2: np.ndarray, x: np.ndarray, with_jac: bool):
     b2x = b2 * x
     small = np.abs(b2x).max(axis=-1, keepdims=True) < 1e-8
     b2_safe = np.where(small, 1.0, b2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        em1 = np.expm1(b2x)
-        h = np.where(small, x * (1.0 + b2x / 2.0 + b2x * b2x / 6.0), em1 / b2_safe)
-        dh = None
-        if with_jac:
-            dh = np.where(small, x * x / 2.0 * (1.0 + 2.0 * b2x / 3.0),
-                          (x * (em1 + 1.0) - h) / b2_safe)[None]
+    em1 = np.expm1(b2x)
+    h = np.where(small, x * (1.0 + b2x / 2.0 + b2x * b2x / 6.0), em1 / b2_safe)
+    dh = None
+    if with_jac:
+        dh = np.where(small, x * x / 2.0 * (1.0 + 2.0 * b2x / 3.0),
+                      (x * (em1 + 1.0) - h) / b2_safe)[None]
     return h, dh
 
 
@@ -650,6 +667,7 @@ def _dexp_start(nodes: np.ndarray, ssr: np.ndarray, score, hi: float) -> float:
     return float(bracket[low]) if start is None else start
 
 
+@_FP_STATE
 def fit_double_exp(index: PriceIndexSeries, config: FitConfig | None = None) -> FitResult:
     """Fit the double-exponential model over (b2, C0, p0) with b2 >= 0.
 

@@ -373,6 +373,31 @@ def test_ladder_is_geomspace_bit_for_bit(a, b, num):
     assert fitting._ladder(lo, hi, num).tobytes() == np.geomspace(lo, hi, num).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 1100), st.integers(6, 60), st.integers(0, 2**32 - 1))
+def test_c_einsum_is_np_einsum_bit_for_bit(rows, n, seed):
+    # The fits call numpy's C einsum, which np.einsum forwards to when not
+    # optimizing; a numpy that changed that would move the fits' bits.
+    # Every product the fits take, on the shapes and views they pass: rows
+    # of g, y and resid, the (2, rows, n) derivatives and their first row
+    # alone, the 20 x 16 grid, and the (k, k, rows) J^T J transposed.
+    rng = np.random.default_rng(seed)
+    g, y = rng.standard_normal((2, rows, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, rows, 1))
+    dg = rng.standard_normal((2, rows, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, rows, 1))
+    grid = rng.standard_normal((fitting._GRID_TC, fitting._GRID_ALPHA, n))
+    jtj = rng.standard_normal((2, 2, rows))
+    products = [("...k,...k->...", g, y), ("...k,...k->...", g[0], y[0]),
+                ("...k,...k->...", dg, dg), ("...k,...k->...", grid, grid),
+                ("...k->...", g), ("...k->...", g[0]), ("...k->...", grid),
+                ("jik->ji", dg), ("jik->ji", dg[:1]),
+                ("jik,ik->ji", dg, g), ("jik,ik->ji", dg[:1], y),
+                ("ik,ik->i", dg[0], dg[1]), ("ik,ik->i", g, y),
+                ("ikk->ik", jtj.transpose(2, 0, 1)), ("ikk->ik", jtj[:1, :1].transpose(2, 0, 1))]
+    for subscripts, *operands in products:
+        assert (fitting.c_einsum(subscripts, *operands).tobytes()
+                == np.einsum(subscripts, *operands).tobytes()), subscripts
+
+
 @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
 @pytest.mark.parametrize("name", list(PRESETS))
 def test_grid_nodes_are_the_geomspace_nodes(name, monkeypatch):
@@ -477,8 +502,10 @@ class TestFitSingularity:
     def test_non_increasing_tail_warns(self):
         epochs = yearly_epochs(1970, 1979)
         p = np.array([0.0, 0.5, 1.0, 1.5, 2.2, 3.0, 4.2, 6.0, 9.0, 8.5])
-        with pytest.warns(UserWarning, match="not strictly increasing"):
+        with pytest.warns(UserWarning, match="not strictly increasing") as record:
             fit_singularity(PriceIndexSeries.from_log_index(epochs, p))
+        # at the caller, past the floating-point state's wrapper
+        assert [w.filename for w in record] == [__file__]
 
     @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
     @pytest.mark.parametrize("pin", [False, True])

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -670,18 +671,76 @@ def test_fit_and_run_mc_import_no_numpy_ma():
 def test_fits_and_run_mc_call_no_geomspace_or_stack(peru_rates, monkeypatch):
     # Python-level numpy helpers cost more than the arithmetic they wrap at
     # these sizes (2-vCPU VM, Python 3.11, numpy 2.4): np.geomspace about
-    # 20 us a call against 4 us for fitting._ladder, and np.stack about 3 us,
-    # once per LM round in the damped step, where a ufunc does the same.
+    # 20 us a call against 4 us for fitting._ladder, np.stack about 3 us,
+    # once per LM round in the damped step, where a ufunc does the same, and
+    # np.einsum 1.87 us against 0.91 us for the C einsum it forwards to,
+    # about 43 times a fit.
     def forbidden(*args, **kwargs):
         raise AssertionError("called on a fit path")
 
     index = build_price_index(peru_rates)
     monkeypatch.setattr(np, "geomspace", forbidden)
     monkeypatch.setattr(np, "stack", forbidden)
+    monkeypatch.setattr(np, "einsum", forbidden)
     fitting.fit_linear(index)
     fitting.fit_double_exp(index)
     fit_singularity(index)
     run_mc(peru_rates, FitConfig(), MCConfig(di=0.25, m=50, seed=1))
+
+
+def outcome_bits(call):
+    """What ``call()`` returns, or the error it raises, as bytes: equal bytes, equal bits."""
+    try:
+        return pickle.dumps(call())
+    except FitError as err:
+        return pickle.dumps(repr(err))
+
+
+def test_fits_keep_the_callers_floating_point_state(peru_rates):
+    # Each entry point that evaluates a model sets the fits' one
+    # floating-point state itself, so a caller that raises on every
+    # floating-point event gets the same bits as numpy's default state, and
+    # gets its own state back.
+    calls = []
+    for name in PRESETS:
+        rates = synthetic_rates(episode(name))
+        children = np.random.SeedSequence(26).spawn(4)
+        for series in [rates] + [sample_generation(rates, 1.0, np.random.default_rng(child))
+                                 for child in children]:
+            index = build_price_index(series)
+            calls += [functools.partial(fitting.fit_linear, index),
+                      functools.partial(fitting.fit_double_exp, index),
+                      functools.partial(fit_singularity, index),
+                      functools.partial(fit_singularity, index, FitConfig(pin_p0=True))]
+    calls.append(functools.partial(run_mc, peru_rates, FitConfig(),
+                                   MCConfig(di=0.5, m=200, seed=3)))
+
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "log price index is not strictly increasing")
+            with np.errstate(all="raise"):
+                state = np.geterr()
+                strict = outcome_bits(call)
+                assert np.geterr() == state
+            state = np.geterr()
+            default = outcome_bits(call)
+            assert np.geterr() == state
+        assert strict == default
+
+
+def test_a_refit_started_on_an_epoch_raises_no_floating_point_error(peru_rates):
+    # At tc on the last epoch the singular model divides by zero.  The
+    # bundled fits never get there, so this is the case that shows that
+    # fit_singular_rows sets the fits' floating-point state itself: under a
+    # caller that raises on everything the row is retired, not an error.
+    index = build_price_index(peru_rates)
+    t = index.times()
+    t_last = float(t[-1])
+    with np.errstate(all="raise"):
+        _, ssr, converged, rounds = fit_singular_rows(index.log_index[None], t,
+                                                      (t_last, t_last + 10.0), (t_last, 0.5))
+    assert np.isnan(ssr[0]) and not converged[0] and rounds[0] == 0
 
 
 def test_tc_is_lognormal_in_its_distance_to_the_last_epoch(peru_rates, monkeypatch):
