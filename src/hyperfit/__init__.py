@@ -22,22 +22,18 @@ from .series import (
     InflationSeries,
     PriceIndexSeries,
     build_price_index,
-    growth_rates,
     load_series,
 )
 from .models import (
     LinearParams,
     DoubleExpParams,
     SingularityParams,
-    RegimeTwoParams,
     RecursionParams,
     eval_linear,
     eval_double_exp,
     eval_singularity,
-    eval_regime_two,
     growth_rate_curve,
     alpha_to_gamma,
-    gamma_to_alpha,
     ab_coefficients,
     doubling_time,
     doubling_time_from_ab,
@@ -51,20 +47,16 @@ __all__ = [
     "InflationSeries",
     "PriceIndexSeries",
     "build_price_index",
-    "growth_rates",
     "load_series",
     "LinearParams",
     "DoubleExpParams",
     "SingularityParams",
-    "RegimeTwoParams",
     "RecursionParams",
     "eval_linear",
     "eval_double_exp",
     "eval_singularity",
-    "eval_regime_two",
     "growth_rate_curve",
     "alpha_to_gamma",
-    "gamma_to_alpha",
     "ab_coefficients",
     "doubling_time",
     "doubling_time_from_ab",

@@ -38,7 +38,6 @@ class EpisodePreset:
     day_convention: str
     start: Epoch
     end: Epoch
-    tc_epoch: Epoch | None      # critical calendar date (monthly presets)
     params: SingularityParams   # native time coordinates
 
     def epochs(self) -> tuple[Epoch, ...]:
@@ -59,15 +58,14 @@ def _yearly(name, year0, year1, tc, alpha, c0, p0) -> EpisodePreset:
         day_convention=MID_MONTH,
         start=Epoch(year=year0),
         end=Epoch(year=year1),
-        tc_epoch=None,
         params=SingularityParams(tc=tc, alpha=alpha, c0=c0, p0=p0, t0=float(year0)),
     )
 
 
-def _monthly(name, start, end, tc_epoch, alpha, c0_per_month, p0, convention) -> EpisodePreset:
+def _monthly(name, start, end, tc_date, alpha, c0_per_month, p0, convention) -> EpisodePreset:
     t0 = Epoch(year=start[0], month=start[1], day_convention=convention)
     tc_days = float(
-        Epoch(year=tc_epoch[0], month=tc_epoch[1], day=tc_epoch[2]).ordinal() - t0.ordinal()
+        Epoch(year=tc_date[0], month=tc_date[1], day=tc_date[2]).ordinal() - t0.ordinal()
     )
     return EpisodePreset(
         name=name,
@@ -75,7 +73,6 @@ def _monthly(name, start, end, tc_epoch, alpha, c0_per_month, p0, convention) ->
         day_convention=convention,
         start=t0,
         end=Epoch(year=end[0], month=end[1], day_convention=convention),
-        tc_epoch=Epoch(year=tc_epoch[0], month=tc_epoch[1], day=tc_epoch[2]),
         params=SingularityParams(
             tc=tc_days, alpha=alpha, c0=c0_per_month / DAYS_PER_MONTH, p0=p0, t0=0.0
         ),

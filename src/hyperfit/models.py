@@ -13,9 +13,6 @@ The model family, nested from slowest to fastest growth:
 
   which diverges at the critical time tc, where the per-period growth
   rate r(t) = C0 dt ((tc - t0)/(tc - t))^(1 + alpha) blows up.
-
-For gamma > 2 the growth rate still diverges at tc but the log price
-plateaus; that regime is evaluable here but never fitted to data.
 """
 
 from __future__ import annotations
@@ -95,29 +92,6 @@ class SingularityParams:
     @property
     def gamma(self) -> float:
         return alpha_to_gamma(self.alpha)
-
-
-@dataclass(frozen=True)
-class RegimeTwoParams:
-    """Diverging growth rate but plateauing log price (gamma > 2).
-
-    alpha_prime = (gamma - 2)/(gamma - 1) lies in (0, 1); the log price
-    converges to p0 + C0 (tc - t0)/alpha_prime at tc.
-    """
-
-    tc: float
-    alpha_prime: float
-    c0: float
-    p0: float
-    t0: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.tc > self.t0:
-            raise ModelDomainError(f"tc must exceed t0, got tc={self.tc}, t0={self.t0}")
-        if not 0.0 < self.alpha_prime < 1.0:
-            raise ModelDomainError(f"alpha_prime must be in (0, 1), got {self.alpha_prime}")
-        if not self.c0 > 0:
-            raise ModelDomainError(f"C0 must be > 0, got {self.c0}")
 
 
 @dataclass(frozen=True)
@@ -216,21 +190,6 @@ def eval_singularity(params: SingularityParams, t) -> float | np.ndarray:
     return _ret(params.p0 + params.c0 * span / params.alpha * bracket, scalar)
 
 
-def eval_regime_two(params: RegimeTwoParams, t) -> float | np.ndarray:
-    """Log price in the plateau regime; finite for all t <= tc.
-
-    p(t) = p0 + C0 (tc - t0)/a' [1 - ((tc - t)/(tc - t0))^a'], reaching
-    p0 + C0 (tc - t0)/a' at t = tc.
-    """
-    arr, scalar = _as_array(t)
-    if np.any(arr > params.tc):
-        raise ModelDomainError(f"plateau model not defined after tc = {params.tc}")
-    span = params.tc - params.t0
-    frac = (params.tc - arr) / span
-    bracket = 1.0 - frac ** params.alpha_prime
-    return _ret(params.p0 + params.c0 * span / params.alpha_prime * bracket, scalar)
-
-
 def evaluate(params, t) -> float | np.ndarray:
     """Evaluate the log price of whichever model the parameters describe."""
     if isinstance(params, LinearParams):
@@ -239,8 +198,6 @@ def evaluate(params, t) -> float | np.ndarray:
         return eval_double_exp(params, t)
     if isinstance(params, SingularityParams):
         return eval_singularity(params, t)
-    if isinstance(params, RegimeTwoParams):
-        return eval_regime_two(params, t)
     raise TypeError(f"unknown parameter type: {type(params).__name__}")
 
 
@@ -264,17 +221,10 @@ def growth_rate_curve(params: SingularityParams, dt: float, t) -> float | np.nda
 # ---------------------------------------------------------------------------
 
 def alpha_to_gamma(alpha: float) -> float:
-    """Growth exponent gamma = (2 + alpha)/(1 + alpha); inverse of gamma_to_alpha."""
+    """Growth exponent gamma = (2 + alpha)/(1 + alpha)."""
     if alpha == -1.0:
         raise ModelDomainError("alpha = -1 has no growth exponent")
     return (2.0 + alpha) / (1.0 + alpha)
-
-
-def gamma_to_alpha(gamma: float) -> float:
-    """Price exponent alpha = (2 - gamma)/(gamma - 1); inverse of alpha_to_gamma."""
-    if gamma == 1.0:
-        raise ModelDomainError("gamma = 1 has no price exponent")
-    return (2.0 - gamma) / (gamma - 1.0)
 
 
 def ab_coefficients(params: SingularityParams) -> tuple[float, float]:
@@ -331,14 +281,6 @@ def critical_time(r0: float, gamma: float, a1: float, t0: float = 0.0) -> float:
             f"blow-up requires r0 > 0, gamma > 1, a1 > 0; got {(r0, gamma, a1)}"
         )
     return t0 + 1.0 / (a1 * (gamma - 1.0) * r0 ** (gamma - 1.0))
-
-
-def rate_power_solution(r0: float, gamma: float, t0: float, tc: float, t) -> float | np.ndarray:
-    """Growth rate r(t) = r0 ((tc - t0)/(tc - t))^(1/(gamma - 1)) for t < tc."""
-    arr, scalar = _as_array(t)
-    if np.any(arr >= tc):
-        raise ModelDomainError(f"rate requested at or after the singularity (tc = {tc})")
-    return _ret(r0 * ((tc - t0) / (tc - arr)) ** (1.0 / (gamma - 1.0)), scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,16 @@ class _Epochs:
         return t
 
 
+def _check_rates(series: InflationSeries) -> None:
+    """Raise naming the first epoch whose inflation rate is not above -1."""
+    ok = series.rates > -1.0
+    if not ok.all():
+        k = int(ok.argmin())
+        raise SeriesError(
+            f"inflation rate at {series.epochs[k].label()} is {series.rates[k]}, must be > -1"
+        )
+
+
 @dataclass(frozen=True)
 class InflationSeries(_Epochs):
     """Per-period inflation rates i(t_k) at equally spaced epochs.
@@ -230,12 +240,7 @@ class InflationSeries(_Epochs):
         _validate_epochs(self.epochs)
         if len(self.epochs) != len(self.rates):
             raise SeriesError("epochs and rates differ in length")
-        bad = np.nonzero(~(self.rates > -1.0))[0]
-        if bad.size:
-            k = int(bad[0])
-            raise SeriesError(
-                f"inflation rate at {self.epochs[k].label()} is {self.rates[k]}, must be > -1"
-            )
+        _check_rates(self)
 
 
 @dataclass(frozen=True)
@@ -277,11 +282,6 @@ class PriceIndexSeries(_Epochs):
     def t0(self) -> Epoch:
         return self.epochs[0]
 
-    @property
-    def period(self) -> float:
-        """Measurement period in coordinate units (1 year, or days per month)."""
-        return 1.0 if self.resolution == YEARLY else DAYS_PER_MONTH
-
 
 def cumulate(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P(t_n) = prod(1 + i(t_k)) and p = ln P along the last axis of rates.
@@ -296,21 +296,8 @@ def cumulate(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_price_index(rates: InflationSeries) -> PriceIndexSeries:
     """Cumulate inflation rates into a price index; P(t_0) = 1 when i(t_0) = 0."""
-    if not np.all(rates.rates > -1.0):  # re-checked so the error names the epoch
-        raise SeriesError("inflation rates must exceed -1")
+    _check_rates(rates)  # again: the rates array can change in place after __post_init__
     return PriceIndexSeries(rates.epochs, *cumulate(rates.rates))
-
-
-def growth_rates(index: PriceIndexSeries) -> list[tuple[Epoch, float]]:
-    """Log growth over one period, r(t_k) = p(t_{k+1}) - p(t_k).
-
-    Returns one pair per interval, stamped at the interval's left epoch;
-    output length is one less than the input length.
-    """
-    if len(index) < 2:
-        raise SeriesError("growth rates need at least 2 index entries")
-    r = np.diff(index.log_index)
-    return list(zip(index.epochs[:-1], (float(v) for v in r)))
 
 
 def rates_from_index(index: PriceIndexSeries) -> InflationSeries:

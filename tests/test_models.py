@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
@@ -11,7 +10,6 @@ from hyperfit.models import (
     LinearParams,
     ModelDomainError,
     RecursionParams,
-    RegimeTwoParams,
     SingularityParams,
     ab_coefficients,
     alpha_to_gamma,
@@ -20,11 +18,8 @@ from hyperfit.models import (
     doubling_time_from_ab,
     eval_double_exp,
     eval_linear,
-    eval_regime_two,
     eval_singularity,
-    gamma_to_alpha,
     growth_rate_curve,
-    rate_power_solution,
     simulate_recursion,
 )
 
@@ -133,29 +128,6 @@ class TestEvalSingularity:
             SingularityParams(tc=2000.0, alpha=0.3, c0=-0.1, p0=0.0, t0=1969.0)
 
 
-class TestEvalRegimeTwo:
-    def test_plateau_value_at_tc(self):
-        params = RegimeTwoParams(tc=2.0, alpha_prime=0.5, c0=1.0, p0=0.0, t0=0.0)
-        assert eval_regime_two(params, 2.0) == pytest.approx(4.0, abs=0.0)
-
-    def test_value_at_t0_is_p0(self):
-        params = RegimeTwoParams(tc=2.0, alpha_prime=0.5, c0=1.0, p0=-3.0, t0=0.0)
-        assert eval_regime_two(params, 0.0) == -3.0
-
-    def test_quadrature_oracle_mid_domain(self):
-        # Same growth-rate integral with exponent 1 + alpha and alpha = -a'.
-        params = RegimeTwoParams(tc=10.0, alpha_prime=0.4, c0=0.3, p0=0.0, t0=0.0)
-        oracle, _ = quad(
-            lambda u: 0.3 * (10.0 / (10.0 - u)) ** (1.0 - 0.4), 0.0, 6.0,
-            epsabs=1e-13, epsrel=1e-13,
-        )
-        assert eval_regime_two(params, 6.0) == pytest.approx(oracle, rel=1e-8)
-
-    def test_alpha_prime_bounds(self):
-        with pytest.raises(ModelDomainError):
-            RegimeTwoParams(tc=2.0, alpha_prime=1.2, c0=1.0, p0=0.0, t0=0.0)
-
-
 class TestGrowthRateCurve:
     def test_base_value_is_r0(self):
         assert growth_rate_curve(PERU, 1.0, 1969.0) == pytest.approx(0.18, abs=0.0)
@@ -199,13 +171,7 @@ class TestExponentConversion:
     def test_alpha_zero_boundary(self):
         assert alpha_to_gamma(0.0) == 2.0
 
-    @given(st.floats(1e-6, 3.0))
-    def test_round_trip(self, alpha):
-        assert gamma_to_alpha(alpha_to_gamma(alpha)) == pytest.approx(alpha, rel=1e-14, abs=1e-14)
-
     def test_domain_errors(self):
-        with pytest.raises(ModelDomainError):
-            gamma_to_alpha(1.0)
         with pytest.raises(ModelDomainError):
             alpha_to_gamma(-1.0)
 
@@ -309,10 +275,6 @@ class TestCriticalTime:
     def test_ode_oracle(self):
         tc = critical_time(0.1, 1.5, 0.2)
         assert ode_blowup_time(0.1, 1.5, 0.2) == pytest.approx(tc, rel=1e-4)
-
-    def test_rate_solution_reproduces_r0_at_t0(self):
-        tc = critical_time(0.1, 1.5, 0.2, t0=3.0)
-        assert rate_power_solution(0.1, 1.5, 3.0, tc, 3.0) == pytest.approx(0.1, abs=0.0)
 
     def test_degenerate_inputs_rejected(self):
         for bad in [(0.0, 2.0, 1.0), (1.0, 1.0, 1.0), (1.0, 2.0, 0.0)]:

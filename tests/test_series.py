@@ -16,7 +16,6 @@ from hyperfit.series import (
     date_to_time,
     epoch_from_time,
     epoch_times,
-    growth_rates,
     load_series,
     rates_from_index,
     slice_window,
@@ -117,6 +116,13 @@ class TestBuildPriceIndex:
         with pytest.raises(SeriesError, match="1972"):
             yearly(1970, [0.0, 0.5, -1.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_rate_changed_in_place_names_epoch(self):
+        series = yearly(1970, [0.0, 0.5, 0.2, 0.1])
+        series.rates[2] = -1.5
+        with pytest.raises(SeriesError, match="rate at 1972 is -1.5, must be > -1"):
+            build_price_index(series)
+
     def test_non_uniform_spacing_rejected(self):
         epochs = (Epoch(year=1970), Epoch(year=1971), Epoch(year=1973))
         with pytest.raises(SeriesError, match="spacing"):
@@ -135,46 +141,6 @@ class TestBuildPriceIndex:
 
 
 # ---------------------------------------------------------------------------
-# growth_rates
-# ---------------------------------------------------------------------------
-
-class TestGrowthRates:
-    def test_constant_index_gives_zero(self):
-        index = PriceIndexSeries.from_index(
-            tuple(Epoch(year=2000 + k) for k in range(5)), np.full(5, 3.7)
-        )
-        assert all(r == 0.0 for _, r in growth_rates(index))
-
-    def test_known_decade_ratio(self):
-        # One step spanning a price ratio of 10**2.556 has log growth
-        # 2.556 ln 10 (about 5.885).
-        index = PriceIndexSeries.from_index(
-            (Epoch(year=1923, month=10), Epoch(year=1923, month=11)),
-            np.array([1.0, 10.0 ** 2.556]),
-        )
-        (_, r), = growth_rates(index)
-        assert r == pytest.approx(2.556 * math.log(10.0), rel=1e-12)
-        assert r == pytest.approx(5.885, abs=5e-4)
-
-    def test_exponential_series_gives_constant_rate(self):
-        epochs = tuple(Epoch(year=1950 + k) for k in range(12))
-        index = PriceIndexSeries.from_log_index(epochs, 0.3 * np.arange(12))
-        for _, r in growth_rates(index):
-            assert r == pytest.approx(0.3, rel=1e-12)
-
-    def test_needs_two_entries(self):
-        index = PriceIndexSeries.from_index((Epoch(year=1970),), np.array([1.0]))
-        with pytest.raises(SeriesError):
-            growth_rates(index)
-
-    def test_rates_stamped_at_left_epoch_and_shorter_by_one(self):
-        index = build_price_index(yearly(1970, [0.0, 0.1, 0.2]))
-        out = growth_rates(index)
-        assert len(out) == 2
-        assert out[0][0] == Epoch(year=1970)
-
-
-# ---------------------------------------------------------------------------
 # Identities
 # ---------------------------------------------------------------------------
 
@@ -190,10 +156,9 @@ def test_rates_index_round_trip_identity():
 @given(st.lists(st.floats(-0.9, 9.0), min_size=2, max_size=40))
 def test_growth_of_built_index_equals_log1p_of_rates(raw):
     rates = np.array([0.0] + raw)
-    series = yearly(1900, rates)
-    out = growth_rates(build_price_index(series))
-    for k, (_, r) in enumerate(out):
-        assert r == pytest.approx(math.log1p(rates[k + 1]), rel=1e-12, abs=1e-12)
+    growth = np.diff(build_price_index(yearly(1900, rates)).log_index)
+    for g, rate in zip(growth, rates[1:]):
+        assert g == pytest.approx(math.log1p(rate), rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
