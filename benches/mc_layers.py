@@ -31,6 +31,8 @@ wrapper around ``montecarlo._pcg64_state``:
 - ``state_sets``: every generation before ``bulk-*``, then only the rows the
   bulk ziggurat leaves to numpy, plus, in both, each row with a value at or
   below -1 (``truncated_draws`` counts that row's redraws, not the row).
+  Before ``onepath-*`` a row that was both was set twice; from ``onepath-*``
+  on, ``_sample_rates`` draws it once.
 
 The counts depend only on the tree and the seed, not on the machine.
 

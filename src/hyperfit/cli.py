@@ -180,9 +180,10 @@ def _cmd_mc(args) -> int:
 
 
 def _params_from_args(args):
+    """The curve's parameters and resolution, from ``--report`` or from ``--param``."""
     if args.report is not None:
         report = AnalysisReport.from_json(Path(args.report).read_text(encoding="utf-8"))
-        return params_from_report(report), report.data
+        return params_from_report(report), report.data.get("series.resolution", YEARLY)
     if not args.param:
         raise LoadError("curve needs --report FILE or --model with --param NAME=VALUE")
     values = {}
@@ -192,9 +193,8 @@ def _params_from_args(args):
             values[name] = float(raw)
         except ValueError as exc:
             raise LoadError(f"bad --param {item!r}, expected NAME=VALUE") from exc
-    data = {"model": args.model, "series.resolution": args.resolution}
-    data.update({f"fit.{k}": v for k, v in values.items()})
-    return params_from_report(AnalysisReport(data={"format": 1, **data})), data
+    data = {"format": 1, "model": args.model, **{f"fit.{k}": v for k, v in values.items()}}
+    return params_from_report(AnalysisReport(data=data)), args.resolution
 
 
 def _cmd_curve(args) -> int:
@@ -203,8 +203,7 @@ def _cmd_curve(args) -> int:
     for flag, value in (("--from", args.t_from), ("--to", args.t_to)):
         if not math.isfinite(value):
             raise LoadError(f"{flag} must be finite, got {value}")
-    params, meta = _params_from_args(args)
-    resolution = meta.get("series.resolution", YEARLY)
+    params, resolution = _params_from_args(args)
     dt = 1.0 if resolution == YEARLY else DAYS_PER_MONTH
 
     t = np.linspace(args.t_from, args.t_to, args.points)
@@ -254,7 +253,7 @@ def _parse_target_date(text: str, resolution: str, report_data: dict) -> float:
     epoch = Epoch.parse(text, day_convention)
     if epoch.resolution == YEARLY:
         raise LoadError(f"monthly report needs YYYY-MM or YYYY-MM-DD, got {text!r}")
-    return float(epoch.ordinal() - int(report_data["series.t0_ordinal"]))
+    return float(epoch.ordinal() - report_data["series.t0_ordinal"])
 
 
 def _cmd_predict(args) -> int:

@@ -13,12 +13,11 @@ Determinism: generation j draws from a substream derived only from the
 master seed and j: bit for bit ``default_rng(SeedSequence(seed).spawn(m)[j])``.
 The draws run in bulk, with no generator object per generation: every
 substream's state, its PCG64 outputs and numpy's ziggurat normals on them
-are computed for all j at once, and only the few generations that reach
-the ziggurat's tail or a near-tie are drawn one by one by numpy itself.
-A generation with a truncation draws its normals and a few more in one
-numpy call, and the redraws then run on all such generations at once.  All
-aggregation is order-independent, so reports are bit-identical for a fixed
-seed however many generations the refit engine holds in flight.
+are computed for all j at once.  The few generations the bulk path cannot
+finish (a ziggurat tail or near-tie, or a value at or below -1 to redraw)
+are drawn again by ``_sample_rates`` itself, on one generator set to their
+state.  All aggregation is order-independent, so reports are bit-identical
+for a fixed seed however many generations the refit engine holds in flight.
 """
 
 from __future__ import annotations
@@ -169,38 +168,29 @@ class MCReport:
 _MAX_REDRAW_ROUNDS = 10000
 
 
-def _redraw(vals: np.ndarray, loc: np.ndarray, sd: np.ndarray,
-            rng: np.random.Generator) -> int:
-    """Redraw in place, as loc + sd * z, every value of vals at or below -1.
-
-    Draws one standard normal per offending value, in index order, round
-    after round until none is left; returns the number of redraws.
-    """
-    redraws = 0
-    bad = vals <= -1.0
-    rounds = 0
-    while bad.any():
-        count = int(bad.sum())
-        redraws += count
-        vals[bad] = loc[bad] + sd[bad] * rng.standard_normal(count)
-        bad = vals <= -1.0
-        rounds += 1
-        if rounds > _MAX_REDRAW_ROUNDS:
-            raise RuntimeError("rate resampling failed to stay above -1")
-    return redraws
-
-
 def _sample_rates(rates: np.ndarray, di: float, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """One gaussian resample of a rate vector; redraws any value <= -1.
 
     The first rate has zero assigned error (it is zero by the loading
-    convention), so it is reproduced exactly.  Returns the sample and the
-    number of redraws forced by the i > -1 positivity requirement.
-    ``rates + sd * z`` is bit for bit what ``rng.normal(rates, sd)`` draws.
+    convention), so it is reproduced exactly.  Each round redraws every
+    value still at or below -1 from one standard normal apiece, in index
+    order.  Returns the sample and the number of redraws forced by the
+    i > -1 positivity requirement.  ``rates + sd * z`` is bit for bit what
+    ``rng.normal(rates, sd)`` draws.
     """
     sd = di * np.abs(rates)
     vals = rates + sd * rng.standard_normal(len(rates))
-    return vals, _redraw(vals, rates, sd, rng)
+    redraws = rounds = 0
+    bad = vals <= -1.0
+    while bad.any():
+        count = int(bad.sum())
+        redraws += count
+        vals[bad] = rates[bad] + sd[bad] * rng.standard_normal(count)
+        bad = vals <= -1.0
+        rounds += 1
+        if rounds > _MAX_REDRAW_ROUNDS:
+            raise RuntimeError("rate resampling failed to stay above -1")
+    return vals, redraws
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's multiplier.
@@ -259,8 +249,6 @@ _RABS = 2**52 - 1
 
 #: Outputs drawn per generation beyond its n normals; a wedge draw takes two.
 _SPARE_OUTPUTS = 8
-#: Normals drawn past its n for a row with a value at or below -1, for its redraws.
-_REDRAW_NORMALS = 8
 #: Generations per block of the bulk ziggurat, which bounds its scratch arrays.
 _DRAW_BLOCK = 1024
 #: A wedge test whose two sides differ by at most this, relative, is left to numpy.
@@ -303,9 +291,10 @@ def _ziggurat_normals(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
     level 0 samples the tail, and level i >= 1 (a wedge) takes the next
     output as U and returns x if (fi[i-1] - fi[i]) * U + fi[i] < exp(-x**2/2),
     else draws again.  A wedge takes two outputs either way, so along a run
-    of adjacent slow outputs every other one starts a draw.  Returns the
-    rows whose n draws reach a tail, a wedge test within ``_WEDGE_TIE`` of a
-    tie, or the end of raw; their out rows hold no numpy draw.
+    of adjacent slow outputs every other one starts a draw.  Returns a mask
+    of the rows whose n draws reach a tail, a wedge test within
+    ``_WEDGE_TIE`` of a tie, or the end of raw; their out rows hold no numpy
+    draw.
     """
     n, k = out.shape[1], raw.shape[1]
     raw = raw.ravel()                   # output j of row r at r * k + j
@@ -333,7 +322,7 @@ def _ziggurat_normals(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
     take[skipped[~left[row]]] = False
     chosen = raw[take]
     out[:] = ((chosen >> 9 & _RABS) * _ZIG_W[(chosen & 0x1FF).view(np.int64)]).reshape(-1, n)
-    return np.flatnonzero(left)
+    return left
 
 
 def _draw_generations(rates: np.ndarray, di: float, seed: int, out: np.ndarray) -> int:
@@ -342,61 +331,26 @@ def _draw_generations(rates: np.ndarray, di: float, seed: int, out: np.ndarray) 
     Row j is bit for bit ``_sample_rates(rates, di, default_rng(child))`` for
     child j of ``SeedSequence(seed).spawn(m)``.  Every row's PCG64 outputs
     are computed at once, and numpy's ziggurat runs on them in blocks of
-    rows.  A row that needs a draw the bulk path leaves to numpy (a tail,
-    a near-tie or more than ``_SPARE_OUTPUTS`` spare outputs) is drawn by one
-    generator set to its state.  Rows with a value at or below -1 redraw in
-    bulk (``_redraw_rows``).  Returns the total redraws.
+    rows.  A row the bulk path cannot finish, because it needs a draw left
+    to numpy (a tail, a near-tie or more than ``_SPARE_OUTPUTS`` spare
+    outputs) or holds a value at or below -1 to redraw, is drawn again by
+    ``_sample_rates`` on one generator set to its state.  Returns the total
+    redraws.
     """
     words = _substream_words(seed, len(out))
     raw = _pcg64_outputs(words, out.shape[1] + _SPARE_OUTPUTS)
-    rng = np.random.Generator(np.random.PCG64())
+    left = np.empty(len(out), dtype=bool)
     for b in range(0, len(out), _DRAW_BLOCK):
-        for j in b + _ziggurat_normals(raw[b:b + _DRAW_BLOCK], out[b:b + _DRAW_BLOCK]):
-            rng.bit_generator.state = _pcg64_state(*words[j].tolist())
-            rng.standard_normal(out=out[j])
-    sd = di * np.abs(rates)
-    out *= sd
+        left[b:b + _DRAW_BLOCK] = _ziggurat_normals(raw[b:b + _DRAW_BLOCK],
+                                                   out[b:b + _DRAW_BLOCK])
+    out *= di * np.abs(rates)
     out += rates
-    return _redraw_rows(out, rates, sd, words, rng)
-
-
-def _redraw_rows(out: np.ndarray, rates: np.ndarray, sd: np.ndarray, words: np.ndarray,
-                 rng: np.random.Generator) -> int:
-    """``_redraw`` on every row of out with a value at or below -1, in place.
-
-    Each such row draws its n normals again and ``_REDRAW_NORMALS`` more from
-    its substream, in one generator call; then the redraw rounds run on all
-    these rows at once, each bad value taking its row's next unused normal in
-    index order.  A row that would need more normals than that returns to its
-    state, skips its n normals and runs ``_redraw`` alone.  Returns the total
-    redraws.
-    """
-    rows = np.flatnonzero((out <= -1.0).any(axis=1))
-    n = out.shape[1]
-    z = np.empty((len(rows), n + _REDRAW_NORMALS))
-    for i, j in enumerate(rows):
+    rng = np.random.Generator(np.random.PCG64())
+    truncated = 0
+    for j in np.flatnonzero(left | (out <= -1.0).any(axis=1)):
         rng.bit_generator.state = _pcg64_state(*words[j].tolist())
-        rng.standard_normal(out=z[i])
-    vals = out[rows]
-    used = np.full(len(rows), n)
-    bulk = np.ones(len(rows), dtype=bool)   # rows whose redraws fit in z
-    bad = vals <= -1.0
-    while True:
-        count = np.count_nonzero(bad, axis=1)
-        bulk &= used + count <= z.shape[1]
-        bad &= bulk[:, None]
-        if not bad.any():
-            break
-        r, c = np.nonzero(bad)
-        vals[r, c] = rates[c] + sd[c] * z[r, used[r] + np.cumsum(bad, axis=1)[r, c] - 1]
-        used += count                      # spent only on bulk rows
-        bad = vals <= -1.0
-    out[rows[bulk]] = vals[bulk]
-    truncated = int((used - n)[bulk].sum())
-    for j in rows[~bulk]:
-        rng.bit_generator.state = _pcg64_state(*words[j].tolist())
-        rng.standard_normal(n)
-        truncated += _redraw(out[j], rates, sd, rng)
+        out[j], redraws = _sample_rates(rates, di, rng)
+        truncated += redraws
     return truncated
 
 

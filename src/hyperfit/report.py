@@ -10,6 +10,7 @@ recomputable from the stored parameters with the model functions.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -25,6 +26,9 @@ from .models import (
 from .series import (
     DAYS_PER_MONTH,
     MONTHLY,
+    YEAR_END,
+    YEAR_MID,
+    YEAR_START,
     YEARLY,
     PriceIndexSeries,
     epoch_from_time,
@@ -159,20 +163,43 @@ def build_report(
     return AnalysisReport(data=data)
 
 
+#: The parameters each model's report stores, as ``fit.<name>`` keys.
+_PARAMS = {
+    "linear": (LinearParams, ("p0", "c0", "t0")),
+    "doubleexp": (DoubleExpParams, ("p0", "c0", "b2", "t0")),
+    "singularity": (SingularityParams, ("tc", "alpha", "c0", "p0", "t0")),
+}
+
+
 def params_from_report(report: AnalysisReport):
-    """Rebuild the fitted parameter object stored in a report."""
+    """Rebuild the fitted parameter object stored in a report.
+
+    Checks what ``predict`` and ``curve`` read: every parameter is a finite
+    number (``json`` reads NaN and Infinity, and true is no number), the
+    resolution is yearly (also when absent) or monthly, a monthly report
+    holds its first epoch's integer ordinal, and a yearly date's convention,
+    if given, is start, mid or end.  Anything else raises ReportError; a
+    value outside the model's domain still raises ModelDomainError.
+    """
     d = report.data
-    try:
-        model = d["model"]
-        if model == "linear":
-            return LinearParams(p0=d["fit.p0"], c0=d["fit.c0"], t0=d["fit.t0"])
-        if model == "doubleexp":
-            return DoubleExpParams(p0=d["fit.p0"], c0=d["fit.c0"], b2=d["fit.b2"], t0=d["fit.t0"])
-        if model == "singularity":
-            return SingularityParams(
-                tc=d["fit.tc"], alpha=d["fit.alpha"], c0=d["fit.c0"],
-                p0=d["fit.p0"], t0=d["fit.t0"],
-            )
-    except KeyError as exc:
-        raise ReportError(f"report is missing key {exc}") from exc
-    raise ReportError(f"unknown model {model!r} in report")
+    resolution = d.get("series.resolution", YEARLY)
+    if resolution not in (YEARLY, MONTHLY):
+        raise ReportError(f"unknown series.resolution {resolution!r} in report")
+    if resolution == MONTHLY and type(d.get("series.t0_ordinal")) is not int:
+        raise ReportError("monthly report needs an integer series.t0_ordinal, "
+                          f"got {d.get('series.t0_ordinal')!r}")
+    convention = d.get("input.year_convention", YEAR_START)
+    if convention not in (YEAR_START, YEAR_MID, YEAR_END):
+        raise ReportError(f"unknown input.year_convention {convention!r} in report")
+    model = d.get("model")
+    if not isinstance(model, str) or model not in _PARAMS:
+        raise ReportError(f"unknown model {model!r} in report")
+    cls, names = _PARAMS[model]
+    values = {}
+    for name in names:
+        value = d.get(f"fit.{name}")
+        # NaN, Infinity and ints beyond the float range all fail the bound.
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ReportError(f"report needs a finite number at fit.{name}, got {value!r}")
+        values[name] = float(value)
+    return cls(**values)

@@ -212,14 +212,11 @@ class _Epochs:
         return t
 
 
-def _check_rates(series: InflationSeries) -> None:
-    """Raise naming the first epoch whose inflation rate is not above -1."""
-    ok = series.rates > -1.0
-    if not ok.all():
-        k = int(ok.argmin())
-        raise SeriesError(
-            f"inflation rate at {series.epochs[k].label()} is {series.rates[k]}, must be > -1"
-        )
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy: a series' values cannot change after its checks ran."""
+    values = np.array(values, dtype=float)
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)
@@ -228,32 +225,37 @@ class InflationSeries(_Epochs):
 
     Rates are dimensionless fractions (0.062 means 6.2 percent over one
     period).  Every rate must exceed -1, otherwise the cumulated price index
-    would hit zero or go negative.
+    would hit zero or go negative.  ``rates`` is a read-only copy.
     """
 
     epochs: tuple[Epoch, ...]
     rates: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rates", np.asarray(self.rates, dtype=float))
+        object.__setattr__(self, "rates", _frozen(self.rates))
         object.__setattr__(self, "epochs", tuple(self.epochs))
         _validate_epochs(self.epochs)
         if len(self.epochs) != len(self.rates):
             raise SeriesError("epochs and rates differ in length")
-        _check_rates(self)
+        ok = self.rates > -1.0
+        if not ok.all():
+            k = int(ok.argmin())
+            raise SeriesError(
+                f"inflation rate at {self.epochs[k].label()} is {self.rates[k]}, must be > -1"
+            )
 
 
 @dataclass(frozen=True)
 class PriceIndexSeries(_Epochs):
-    """Cumulated price index P(t_k) with its natural logarithm p = ln P."""
+    """Cumulated price index P(t_k) with its natural logarithm p = ln P, as read-only copies."""
 
     epochs: tuple[Epoch, ...]
     index: np.ndarray
     log_index: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "index", np.asarray(self.index, dtype=float))
-        object.__setattr__(self, "log_index", np.asarray(self.log_index, dtype=float))
+        object.__setattr__(self, "index", _frozen(self.index))
+        object.__setattr__(self, "log_index", _frozen(self.log_index))
         object.__setattr__(self, "epochs", tuple(self.epochs))
         _validate_epochs(self.epochs)
         if not (len(self.epochs) == len(self.index) == len(self.log_index)):
@@ -296,7 +298,6 @@ def cumulate(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_price_index(rates: InflationSeries) -> PriceIndexSeries:
     """Cumulate inflation rates into a price index; P(t_0) = 1 when i(t_0) = 0."""
-    _check_rates(rates)  # again: the rates array can change in place after __post_init__
     return PriceIndexSeries(rates.epochs, *cumulate(rates.rates))
 
 

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import os
 import subprocess
@@ -552,3 +553,65 @@ class TestCmdPredict:
         values = self.parse(out)
         assert values["price_index"] > 1.0
         assert values["yoy_inflation_pct"] > 100.0
+
+
+# ---------------------------------------------------------------------------
+# Malformed reports
+# ---------------------------------------------------------------------------
+
+#: A fitted report (fixture, model) with keys replaced (None deletes the key).
+#: Before these were checked, a string tc and a monthly report without its
+#: ordinal ended in a traceback, as did a list for the year convention (on a
+#: YYYY-MM-DD date), and NaN b2, true p0 and an unknown resolution exited 0.
+MALFORMED_REPORTS = {
+    "tc-string": ("peru", "singularity", {"fit.tc": "x"}),
+    "monthly-without-ordinal": ("germany", "singularity", {"series.t0_ordinal": None}),
+    "ordinal-fraction": ("germany", "singularity", {"series.t0_ordinal": 702000.5}),
+    "b2-nan": ("peru", "doubleexp", {"fit.b2": math.nan}),
+    "c0-infinite": ("peru", "linear", {"fit.c0": -math.inf}),
+    "c0-beyond-float": ("peru", "linear", {"fit.c0": 10**400}),
+    "p0-true": ("peru", "singularity", {"fit.p0": True}),
+    "resolution-unknown": ("peru", "singularity", {"series.resolution": "weekly"}),
+    "year-convention-unknown": ("peru", "singularity", {"input.year_convention": "weird"}),
+    "year-convention-list": ("peru", "singularity", {"input.year_convention": ["start"]}),
+}
+
+
+@pytest.mark.parametrize("command", ["predict", "curve"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_malformed_report_exits_2(capsys, tmp_path, command, case):
+    name, model, edits = MALFORMED_REPORTS[case]
+    report_file = tmp_path / "report.json"
+    run(capsys, "fit", str(fixture_path(name)), "--model", model, "--out", str(report_file))
+    data = read_report(report_file).data | edits
+    data = {key: value for key, value in data.items() if value is not None}
+    report_file.write_text(json.dumps(data), encoding="utf-8")
+    monthly = data.get("series.resolution") == "monthly"
+    if command == "predict":
+        argv = ["--date", "1922-06" if monthly else "1980"]
+    else:
+        argv = ["--from", "0" if monthly else "1980", "--to", "100" if monthly else "1985",
+                "--points", "5", "--out", str(tmp_path / "curve.csv")]
+    code, out, err = run(capsys, command, "--report", str(report_file), *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert not (tmp_path / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_param_exits_2(capsys, tmp_path, value):
+    out = tmp_path / "curve.csv"
+    code, _, err = run(capsys, "curve", "--model", "linear", "--param", f"p0={value}",
+                       "--param", "c0=0", "--param", "t0=1970",
+                       "--from", "1970", "--to", "1990", "--out", str(out))
+    assert code == 2 and f"finite number at fit.p0, got {float(value)!r}" in err
+    assert not out.exists()
+
+
+def test_domain_error_in_a_report_still_exits_3(capsys, tmp_path):
+    report_file = tmp_path / "report.json"
+    run(capsys, "fit", PERU_CSV, "--out", str(report_file))
+    data = read_report(report_file).data
+    data["fit.c0"] = -0.1
+    report_file.write_text(json.dumps(data), encoding="utf-8")
+    code, _, _ = run(capsys, "predict", "--report", str(report_file), "--date", "1980")
+    assert code == 3

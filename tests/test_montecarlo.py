@@ -153,28 +153,29 @@ class TestDrawGenerations:
             total += redraws
         assert truncated == total > 0
 
-    # With no normals past n, every truncated row falls back to its own
-    # generator; with one, only the rows that need two or more redraws do
-    # (none of 14 at di 0.5, 51 of 121 at di 1.0).
-    @pytest.mark.parametrize("spare", [0, 1])
+    # The rows the bulk ziggurat leaves to numpy, and those with a value at or
+    # below -1 (14 at di 0.5, 121 at di 1.0), are drawn again by _sample_rates
+    # on a generator set once to the row's state.  Row 148 is both, at either di.
     @pytest.mark.parametrize("di", [0.5, 1.0])
-    def test_rows_out_of_redraw_normals(self, germany, monkeypatch, spare, di):
+    def test_unfinished_rows_are_redrawn_once_per_row(self, germany, monkeypatch, di):
         rates, children = germany
-        monkeypatch.setattr(montecarlo, "_REDRAW_NORMALS", spare)
-        truncating = []                     # per _redraw call: has the row a value <= -1?
-        redraw = montecarlo._redraw
-        monkeypatch.setattr(montecarlo, "_redraw", lambda vals, *args: truncating.append(
-            bool((vals <= -1.0).any())) or redraw(vals, *args))
+        row_of = {tuple(w): j for j, w in enumerate(_substream_words(20080605, self.M).tolist())}
+        set_rows, left = [], []
+        state, ziggurat = montecarlo._pcg64_state, montecarlo._ziggurat_normals
+        monkeypatch.setattr(montecarlo, "_pcg64_state",
+                            lambda *w: set_rows.append(row_of[w]) or state(*w))
+        monkeypatch.setattr(montecarlo, "_ziggurat_normals",
+                            lambda raw, out: left.append(ziggurat(raw, out)) or left[-1])
         out = np.empty((self.M, len(rates)))
         truncated = _draw_generations(rates, di, 20080605, out)
-        fallback = sum(truncating)
-        truncating.clear()
-        ref, ref_truncated = per_row_reference(rates, di, map(np.random.default_rng, children))
-        assert out.tobytes() == ref.tobytes() and truncated == ref_truncated
-        rows = sum(truncating)
-        assert 0 < rows and (fallback == rows if spare == 0 else fallback < rows)
-        if spare == 1 and di == 1.0:        # here some rows need two or more redraws
-            assert fallback > 0
+        rows = [_sample_rates(rates, di, np.random.default_rng(child)) for child in children]
+        ref = np.array([vals for vals, _ in rows])
+        assert out.tobytes() == ref.tobytes()
+        assert truncated == sum(redraws for _, redraws in rows)
+        truncating = {j for j, (_, redraws) in enumerate(rows) if redraws}
+        leftovers = set(np.flatnonzero(np.concatenate(left)).tolist())
+        assert truncating and leftovers & truncating
+        assert sorted(set_rows) == sorted(leftovers | truncating)
 
     # One generation, and a count that is no multiple of the bulk draw's blocks.
     @pytest.mark.parametrize("m", [1, 1037])
@@ -337,8 +338,8 @@ class TestBulkDraws:
         assert out.tobytes() == ref.tobytes()
         assert set_rows == {0}
 
-    @given(seed=st.integers(0, 2**70), di=st.sampled_from([0.05, 0.25, 0.5, 1.0]),
-           name=st.sampled_from(["peru", "yugoslavia", "germany"]))
+    @given(seed=st.integers(0, 2**70), di=st.sampled_from([0.05, 0.25, 0.5, 1.0, 2.0]),
+           name=st.sampled_from(sorted(PRESETS)))
     @settings(max_examples=30, deadline=None)
     def test_matches_default_rng_per_generation(self, seed, di, name):
         rates = synthetic_rates(episode(name)).rates

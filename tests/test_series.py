@@ -116,12 +116,23 @@ class TestBuildPriceIndex:
         with pytest.raises(SeriesError, match="1972"):
             yearly(1970, [0.0, 0.5, -1.0])
 
-    @pytest.mark.filterwarnings("error")
-    def test_rate_changed_in_place_names_epoch(self):
-        series = yearly(1970, [0.0, 0.5, 0.2, 0.1])
-        series.rates[2] = -1.5
-        with pytest.raises(SeriesError, match="rate at 1972 is -1.5, must be > -1"):
-            build_price_index(series)
+    def test_series_values_are_read_only_copies(self):
+        # A value changed after the checks ran would reach the fits unchecked.
+        raw = np.array([0.0, 0.5, 0.2, 0.1])
+        series = yearly(1970, raw)
+        index = build_price_index(series)
+        for values in (series.rates, index.index, index.log_index):
+            with pytest.raises(ValueError, match="read-only"):
+                values[2] = -1.5
+        # The caller's own arrays stay writable and no longer reach the series.
+        p, log_p = np.array(index.index), np.array(index.log_index)
+        own = PriceIndexSeries(epochs=series.epochs, index=p, log_index=log_p)
+        for caller in (raw, p, log_p):
+            caller[2] = -1.5
+            assert caller.flags.writeable
+        assert series.rates[2] == 0.2
+        assert own.index.tobytes() == index.index.tobytes()
+        assert own.log_index.tobytes() == index.log_index.tobytes()
 
     def test_non_uniform_spacing_rejected(self):
         epochs = (Epoch(year=1970), Epoch(year=1971), Epoch(year=1973))
