@@ -8,10 +8,12 @@ fit-direct inputs), this times per call, in milliseconds:
   ``_GRID_TC`` x ``_GRID_ALPHA`` grid (20 x 16 from ``coarse-change`` on,
   48 x 32 in the labels before it and in ``coarse-parent``), given the tc
   window; labels recorded before ``_sing_grid_seed`` placed its own nodes
-  timed the call with the nodes passed in, so they leave out placing them,
-  and labels recorded before it took the window from its caller include
-  computing the window (a tree from before either change cannot be the
-  ``--parent-src`` of a later one);
+  timed the call with the nodes passed in, so they leave out placing them;
+  labels recorded before it took the window from its caller include
+  computing the window, and so do those from ``derive-*`` on, where it
+  computes the window again itself (about 2-3 us); each tree is given the
+  arguments its own signature takes (a tree from before nodes were placed
+  inside cannot be the ``--parent-src`` of a later one);
 - ``linear_ms`` (from ``ladder-*`` on): ``fitting.fit_linear``, a closed
   form, where reading the time axis and checking the input weigh most;
 - ``singularity_ms``: ``fitting.fit_singularity``, grid seed and refine;
@@ -51,6 +53,7 @@ and again reference-scaled under ``*_ms_ref`` (see ``mc_layers.run_bench``).
 
 from __future__ import annotations
 
+import inspect
 import time
 import warnings
 from pathlib import Path
@@ -58,7 +61,6 @@ from pathlib import Path
 import numpy as np
 
 import hyperfit
-from hyperfit import fitting
 from hyperfit.fixtures import PRESETS, episode, synthetic_rates
 from hyperfit.montecarlo import sample_generation
 from hyperfit.series import build_price_index
@@ -94,16 +96,24 @@ def case_indexes(name: str, seed: int) -> list:
         for child in children]
 
 
+def grid_args(tree, index) -> tuple:
+    """``tree``'s ``_sing_grid_seed`` arguments for ``index``, p0 free; a tree
+    from before ``derive-*`` takes the tc window from its caller."""
+    t = index.times()
+    takes_window = "tc_window" in inspect.signature(tree.fitting._sing_grid_seed).parameters
+    window = (tree.fitting.tc_search_window(t),) if takes_window else ()
+    return (t, index.log_index, *window, None)
+
+
 def time_case(name: str, seed: int, parent=None) -> dict:
     """This tree's layers on one case and seed; with ``parent`` (a ``hyperfit``
     package), {"parent": layers, "change": layers}, timed call by call in turn."""
     trees = {"change": hyperfit} if parent is None else {"parent": parent, "change": hyperfit}
     indexes = case_indexes(name, seed)
-    grid_args = [(i.times(), i.log_index, fitting.tc_search_window(i.times()), None)
-                 for i in indexes]
     own = {side: [(tree.series.PriceIndexSeries(i.epochs, i.index, i.log_index),)
                   for i in indexes] for side, tree in trees.items()}
-    layers = (("grid_ms", "_sing_grid_seed", dict.fromkeys(trees, grid_args)),
+    grid = {side: [grid_args(tree, i) for i in indexes] for side, tree in trees.items()}
+    layers = (("grid_ms", "_sing_grid_seed", grid),
               ("linear_ms", "fit_linear", own),
               ("singularity_ms", "fit_singularity", own),
               ("doubleexp_ms", "fit_double_exp", own))

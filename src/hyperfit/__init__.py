@@ -40,7 +40,7 @@ from .models import (
     critical_time,
     simulate_recursion,
 )
-from .fitting import FitConfig, FitResult, fit_linear, fit_double_exp, fit_singularity, predict
+from .fitting import FitConfig, FitResult, fit_linear, fit_double_exp, fit_singularity
 
 __all__ = [
     "Epoch",
@@ -67,7 +67,6 @@ __all__ = [
     "fit_linear",
     "fit_double_exp",
     "fit_singularity",
-    "predict",
     "MCConfig",
     "MCReport",
     "sample_generation",

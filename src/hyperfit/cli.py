@@ -246,7 +246,7 @@ def _parse_target_date(text: str, resolution: str, report_data: dict) -> float:
                 return float(int(parts[0]))
             y, m, d = (int(v) for v in parts)   # other part counts fail to unpack
             convention = report_data.get("input.year_convention", "start")
-            return date_to_time(_date(y, m, d), YEARLY, Epoch(year=y), convention)
+            return date_to_time(_date(y, m, d), convention)
         except ValueError as exc:               # also a calendar date out of range
             raise LoadError(f"bad yearly date {text!r}, expected YYYY or YYYY-MM-DD") from exc
     day_convention = report_data.get("series.day_convention", "mid")
@@ -266,8 +266,12 @@ def _cmd_predict(args) -> int:
             f"target date lies beyond the singularity (tc = {params.tc})"
         )
     one_year = 1.0 if resolution == YEARLY else DAYS_PER_YEAR
-    price = float(np.exp(evaluate(params, t)))
-    prior = float(np.exp(evaluate(params, t - one_year)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned
+        price = float(np.exp(evaluate(params, t)))
+        prior = float(np.exp(evaluate(params, t - one_year)))
+    if not (0.0 < price < math.inf and 0.0 < prior < math.inf):
+        raise ModelDomainError(f"the price index at {args.date} ({price!r}) or a year before "
+                               f"it ({prior!r}) is not a finite positive number")
     yoy_pct = 100.0 * (price / prior - 1.0)
     sys.stdout.write(f"t : {repr(float(t))}\n")
     sys.stdout.write(f"price_index : {repr(price)}\n")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy._core.multiarray import c_einsum
 
-from .models import DoubleExpParams, LinearParams, SingularityParams, evaluate
+from .models import DoubleExpParams, LinearParams, SingularityParams
 from .series import PriceIndexSeries
 
 
@@ -236,7 +236,7 @@ def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: np.ndarray, free: np.nda
 _IN_FLIGHT = 1024
 
 
-def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
+def _lm(model, x0, lb, ub):
     """Projected Levenberg-Marquardt over a batch of independent fits.
 
     ``model(x, rows, with_jac)`` returns a tuple that starts with the
@@ -254,7 +254,7 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
     re-solves the kept ones with ten times the damping.  At most
     ``_IN_FLIGHT`` rows are in flight; as rows finish, pending rows join in
     index order, evaluated at their start in the same model call.  Each row
-    runs at most ``max_iter`` rounds of its own.  Rows keep their own damping
+    runs at most ``_MAX_ITER`` rounds of its own.  Rows keep their own damping
     and stop state, so a row's result depends on neither the batch nor how
     many rows are in flight.  A step is only accepted when it does not raise
     the row's objective.
@@ -284,13 +284,13 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
     box in one round when the damped step points there.
 
     A row converges when a trial with a finite objective steps every
-    coordinate by less than xtol (relative to |x| + 1), accepted or not, or
-    when a trial changes the objective by at most ftol relative, up or down
+    coordinate by less than ``_XTOL`` (relative to |x| + 1), accepted or not,
+    or when a trial changes the objective by at most ``_FTOL`` relative, up or down
     (MINPACK's xtol test, also after an unsuccessful step, and its two-sided
     ftol test; Moré 1978).  A trial that raises the objective is not taken,
     so a row that ends on one keeps its x.  A row at the round-off floor
     thus stops at once instead of damping a futile step until it rounds to
-    zero, even where rounding moves its objective by more than ftol.  A row
+    zero, even where rounding moves its objective by more than ``_FTOL``.  A row
     whose first trial ends it keeps its start, even when that trial scores
     lower, so a row started at a converged fit returns that fit bit for bit.
     A non-finite trial never ends a row, and a row whose objective starts
@@ -345,8 +345,8 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
             finite = np.isfinite(ssr_new)
             better = finite & (ssr_new <= ssr[live])
             step = trial - xa
-            step_small = (np.abs(step) / (np.abs(xa) + 1.0)).max(axis=1) < xtol
-            flat = finite & (np.abs(ssr_new - ssr[live]) <= ftol * np.maximum(ssr_new, 1e-300))
+            step_small = (np.abs(step) / (np.abs(xa) + 1.0)).max(axis=1) < _XTOL
+            flat = finite & (np.abs(ssr_new - ssr[live]) <= _FTOL * np.maximum(ssr_new, 1e-300))
             done = flat | (finite & step_small)
             better &= ~(done & (rounds[live] == 1))     # a converged start keeps its bits
 
@@ -367,7 +367,7 @@ def _lm(model, x0, lb, ub, xtol, ftol, max_iter):
 
         if new.size:
             live = np.concatenate([live, new[np.isfinite(ssr[new])]])
-        live = live[rounds[live] < max_iter]
+        live = live[rounds[live] < _MAX_ITER]
 
     return x, ssr, converged, rounds, *(kept or ())
 
@@ -412,12 +412,13 @@ def tc_search_window(times: np.ndarray) -> tuple[float, float]:
     return t_last + dt / 2.0, t_last + (t_last - float(times[0]))
 
 
-def _sing_basis(tc, alpha, t: np.ndarray, t0: float, with_jac: bool):
+def _sing_basis(tc, alpha, t: np.ndarray, with_jac: bool):
     """The singular model's basis g and, with ``with_jac``, dg/d(tc, alpha).
 
-    g = (tc - t0) / alpha * (((tc - t0) / (tc - t))^alpha - 1), with tc and
-    alpha broadcasting against each other, each with a trailing unit axis:
-    (rows, 1) in the engine; (n_tc, 1, 1) and (n_alpha, 1) in the grid.
+    g = (tc - t0) / alpha * (((tc - t0) / (tc - t))^alpha - 1), t0 = t[0],
+    with tc and alpha broadcasting against each other, each with a trailing
+    unit axis: (rows, 1) in the engine; (n_tc, 1, 1) and (n_alpha, 1) in the
+    grid.
     ``_project`` needs dg/d(tc, alpha) only up to span{1, g}; with
     ratio = (tc - t0) / (tc - t) and f = ratio^alpha they are, up to a
     multiple of g,
@@ -428,7 +429,7 @@ def _sing_basis(tc, alpha, t: np.ndarray, t0: float, with_jac: bool):
     (the 1 matters only with p0 pinned), returned as (2, *g.shape), or None
     without ``with_jac``.
     """
-    s0 = tc - t0
+    s0 = tc - t[0]
     ratio = s0 / (tc - t)
     log_ratio = np.log(ratio)
     f = alpha * log_ratio
@@ -446,14 +447,14 @@ def _sing_basis(tc, alpha, t: np.ndarray, t0: float, with_jac: bool):
     return g, dg
 
 
-def _sing_residuals(tc: np.ndarray, alpha: np.ndarray, t: np.ndarray, t0: float,
-                    y: np.ndarray, shift, centre: bool, with_jac: bool):
+def _sing_residuals(tc: np.ndarray, alpha: np.ndarray, t: np.ndarray, y: np.ndarray, shift,
+                    centre: bool, with_jac: bool):
     """``_project``'s (resid, normal, c0, p0) for the singular model (``_sing_basis``).
 
     C0 <= 0 is outside the model: such rows get NaN residuals, which the
     engine rejects and the grid skips.
     """
-    g, dg = _sing_basis(tc, alpha, t, t0, with_jac)
+    g, dg = _sing_basis(tc, alpha, t, with_jac)
     resid, normal, c0, p0 = _project(g, y, shift, centre, dg)
     resid[~(c0 > 0)] = np.nan
     return resid, normal, c0, p0
@@ -472,7 +473,7 @@ def _sing_linearization(t: np.ndarray, tc: float, alpha: float, centre: bool):
     w = g / |g|^2, g centred with p0 free, gives C0 at fixed (tc, alpha):
     it moves by w.dp.
     """
-    g, dg = _sing_basis(tc, alpha, t, float(t[0]), True)
+    g, dg = _sing_basis(tc, alpha, t, True)
     if centre:
         g = g - g.mean()
         dg -= dg.mean(axis=1, keepdims=True)
@@ -492,15 +493,14 @@ _REACH_BOXES = 2.0
 
 
 @_FP_STATE
-def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float, float],
-                      seed: tuple[float, float] | np.ndarray, bounded_above: bool = True,
-                      pinned_p0: float | None = None):
+def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, seed: tuple[float, float] | np.ndarray,
+                      bounded_above: bool = True, pinned_p0: float | None = None):
     """Singular-model fits of every row of p_data from (tc, alpha) seeds.
 
     ``seed`` is one (tc, alpha) pair for all rows, or an (m, 2) array of
     one pair per row.  The engine refines (tc, alpha); (C0, p0) are solved
     in closed form, p0 held at ``pinned_p0`` if given.  tc and alpha are
-    held at or above the lower edges of ``tc_window`` and
+    held at or above the lower edges of ``tc_search_window(t)`` and
     ``_ALPHA_BOUNDS``, and at or below the upper edges with
     ``bounded_above``, or else at most one box width beyond them
     (``_REACH_BOXES``); a seed outside those bounds starts on them.  A row
@@ -511,8 +511,7 @@ def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float,
     Returns ((tc, alpha, c0, p0), ssr, converged, rounds), one array entry
     per row.
     """
-    t0 = float(t[0])
-    tc_lo, tc_hi = tc_window
+    tc_lo, tc_hi = tc_search_window(t)
     a_lo, a_hi = _ALPHA_BOUNDS
     box = np.array([tc_hi - tc_lo, a_hi - a_lo])
     ub = box if bounded_above else _REACH_BOXES * box
@@ -521,30 +520,28 @@ def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, tc_window: tuple[float,
     x0[:] = np.asarray(seed, dtype=float) - (tc_lo, a_lo)
 
     def model(x, rows, with_jac):
-        return _sing_residuals(tc_lo + x[:, :1], a_lo + x[:, 1:], t, t0, y[rows], shift[rows],
+        return _sing_residuals(tc_lo + x[:, :1], a_lo + x[:, 1:], t, y[rows], shift[rows],
                                pinned_p0 is None, with_jac)
 
-    x, ssr, converged, rounds, c0, p0 = _lm(model, x0, np.zeros(2), ub, _XTOL, _FTOL, _MAX_ITER)
+    x, ssr, converged, rounds, c0, p0 = _lm(model, x0, np.zeros(2), ub)
     return (tc_lo + x[:, 0], a_lo + x[:, 1], c0, p0), ssr, converged, rounds
 
 
 @_FP_STATE
-def _sing_grid_seed(t, p, tc_window, pinned_p0):
+def _sing_grid_seed(t, p, pinned_p0):
     """Best (tc, alpha, c0, p0) over the initialization grid.
 
-    ``_GRID_TC`` tc nodes span ``tc_window``, the caller's
-    ``tc_search_window(t)``, and ``_GRID_ALPHA`` alpha nodes span
-    ``_ALPHA_BOUNDS``, both spaced geometrically (tc in its distance to the
-    last epoch).  tc is the outer grid axis in ascending
+    ``_GRID_TC`` tc nodes span ``tc_search_window(t)`` and ``_GRID_ALPHA``
+    alpha nodes span ``_ALPHA_BOUNDS``, both spaced geometrically (tc in its
+    distance to the last epoch).  tc is the outer grid axis in ascending
     order, so the first minimum of the flattened objective (what argmin
     returns) is the smallest-tc tie.
     """
     t_last = float(t[-1])
-    tc_lo, tc_hi = tc_window
+    tc_lo, tc_hi = tc_search_window(t)
     tc_nodes = t_last + _ladder(tc_lo - t_last, tc_hi - t_last, _GRID_TC)
     resid, _, c0, p0 = _sing_residuals(tc_nodes[:, None, None], _ALPHA_NODES[:, None], t,
-                                       float(t[0]), *_data_side(p, pinned_p0), pinned_p0 is None,
-                                       False)
+                                       *_data_side(p, pinned_p0), pinned_p0 is None, False)
     ssr = _ssr(resid)
     finite = np.isfinite(ssr)
     if not finite.any() or np.ptp(p) == 0.0:  # C0 of flat data is 0 up to rounding
@@ -580,13 +577,12 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
         )
     t0 = float(t[0])
     pinned = float(p[0]) if config.pin_p0 else None
-    window = tc_search_window(t)
-    tc_s, a_s, _, _ = _sing_grid_seed(t, p, window, pinned)
+    tc_s, a_s, _, _ = _sing_grid_seed(t, p, pinned)
     (tc, alpha, c0, p0), _, converged, rounds = fit_singular_rows(
-        p[None, :], t, window, (tc_s, a_s), pinned_p0=pinned)
+        p[None, :], t, (tc_s, a_s), pinned_p0=pinned)
     params = SingularityParams(tc=float(tc[0]), alpha=float(alpha[0]), c0=float(c0[0]),
                                p0=float(p0[0]), t0=t0)
-    resid, *_ = _sing_residuals(tc[:, None], alpha[:, None], t, t0,
+    resid, *_ = _sing_residuals(tc[:, None], alpha[:, None], t,
                                 *_data_side(p[None, :], pinned), pinned is None, False)
     return FitResult("singularity", params, resid[0], converged=bool(converged[0]),
                      iterations=int(rounds[0]), n_free_params=3 if config.pin_p0 else 4,
@@ -701,22 +697,9 @@ def fit_double_exp(index: PriceIndexSeries, config: FitConfig | None = None) -> 
 
     start = _dexp_start(b2_nodes, score(b2_nodes), score, b2_hi)
     v, _, converged, rounds, c0, p0 = _lm(model, np.array([[start]]), np.zeros(1),
-                                          np.array([b2_hi]), _XTOL, _FTOL, _MAX_ITER)
+                                          np.array([b2_hi]))
     params = DoubleExpParams(p0=float(p0[0]), c0=float(c0[0]), b2=float(v[0, 0]), t0=t0)
     resid, *_ = model(v, None, False)
     return FitResult("doubleexp", params, resid[0], converged=bool(converged[0]),
                      iterations=int(rounds[0]), n_free_params=3)
 
-
-# ---------------------------------------------------------------------------
-# Prediction
-# ---------------------------------------------------------------------------
-
-def predict(fit: FitResult, t) -> float | np.ndarray:
-    """Price index P(t) = exp(p_model(t)) from a fit result.
-
-    For singularity fits the target must lie strictly before tc; at or
-    beyond it the model has no finite price and a domain error is raised.
-    """
-    p = evaluate(fit.params, t)
-    return np.exp(p) if isinstance(p, np.ndarray) else float(np.exp(p))

@@ -89,10 +89,6 @@ class SingularityParams:
         if not self.c0 > 0:
             raise ModelDomainError(f"C0 must be > 0, got {self.c0}")
 
-    @property
-    def gamma(self) -> float:
-        return alpha_to_gamma(self.alpha)
-
 
 @dataclass(frozen=True)
 class RecursionParams:

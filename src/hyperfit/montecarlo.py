@@ -464,7 +464,7 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
     # first rate carries no error, so all share the observed ln P(t0).
     starts = _refit_starts(p_data, index.log_index, t, dp, not fit_config.pin_p0)
     (tc, alpha, c0, p0), _, converged, _ = fit_singular_rows(
-        p_data, t, window, starts, bounded_above=False,
+        p_data, t, starts, bounded_above=False,
         pinned_p0=dp.p0 if fit_config.pin_p0 else None)
 
     out_of_box = (tc > window[1]) | (alpha > a_hi)

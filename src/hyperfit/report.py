@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -84,7 +84,7 @@ def tc_label(tc: float, index: PriceIndexSeries) -> str:
     """
     if index.resolution == YEARLY:
         return f"{tc:.2f}"
-    epoch = epoch_from_time(tc, MONTHLY, index.t0)
+    epoch = epoch_from_time(tc, index.t0)
     return f"{epoch.year:04d}:{epoch.month:02d}:{epoch.day:02d}"
 
 
@@ -103,9 +103,6 @@ def build_report(
         "series.n_points": fit.n_points,
         "series.t0_label": index.t0.label(),
         "series.end_label": index.epochs[-1].label(),
-        "fit.t0": float(fit.params.t0),
-        "fit.p0": float(fit.params.p0),
-        "fit.c0": float(fit.params.c0),
         "fit.chi": float(fit.chi),
         "fit.chi_n_minus_k": float(fit.chi_n_minus_k),
         "fit.converged": bool(fit.converged),
@@ -113,6 +110,8 @@ def build_report(
         "fit.objective": float(fit.objective),
         "fit.p0_pinned": bool(fit.p0_pinned),
     }
+    for field in fields(fit.params):
+        data[f"fit.{field.name}"] = float(getattr(fit.params, field.name))
     if index.resolution == MONTHLY:
         data["series.t0_ordinal"] = index.t0.ordinal()
         data["series.day_convention"] = index.t0.day_convention
@@ -123,13 +122,9 @@ def build_report(
     for key, value in (source or {}).items():
         data[f"input.{key}"] = value
 
-    if isinstance(fit.params, DoubleExpParams):
-        data["fit.b2"] = float(fit.params.b2)
-    elif isinstance(fit.params, SingularityParams):
+    if isinstance(fit.params, SingularityParams):
         params = fit.params
         a_coeff, b_coeff = ab_coefficients(params)
-        data["fit.tc"] = float(params.tc)
-        data["fit.alpha"] = float(params.alpha)
         data["derived.gamma"] = alpha_to_gamma(params.alpha)
         data["derived.A"] = float(a_coeff)
         data["derived.B"] = float(b_coeff)
@@ -163,12 +158,8 @@ def build_report(
     return AnalysisReport(data=data)
 
 
-#: The parameters each model's report stores, as ``fit.<name>`` keys.
-_PARAMS = {
-    "linear": (LinearParams, ("p0", "c0", "t0")),
-    "doubleexp": (DoubleExpParams, ("p0", "c0", "b2", "t0")),
-    "singularity": (SingularityParams, ("tc", "alpha", "c0", "p0", "t0")),
-}
+#: The parameter class of each model; a report stores its fields as ``fit.<name>`` keys.
+_PARAMS = {"linear": LinearParams, "doubleexp": DoubleExpParams, "singularity": SingularityParams}
 
 
 def params_from_report(report: AnalysisReport):
@@ -194,12 +185,12 @@ def params_from_report(report: AnalysisReport):
     model = d.get("model")
     if not isinstance(model, str) or model not in _PARAMS:
         raise ReportError(f"unknown model {model!r} in report")
-    cls, names = _PARAMS[model]
+    cls = _PARAMS[model]
     values = {}
-    for name in names:
-        value = d.get(f"fit.{name}")
+    for field in fields(cls):
+        value = d.get(f"fit.{field.name}")
         # NaN, Infinity and ints beyond the float range all fail the bound.
         if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-            raise ReportError(f"report needs a finite number at fit.{name}, got {value!r}")
-        values[name] = float(value)
+            raise ReportError(f"report needs a finite number at fit.{field.name}, got {value!r}")
+        values[field.name] = float(value)
     return cls(**values)

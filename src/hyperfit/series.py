@@ -148,15 +148,12 @@ def epoch_times(epochs: tuple[Epoch, ...]) -> np.ndarray:
     return np.array([float(e.ordinal() - base) for e in epochs])
 
 
-def epoch_from_time(t: float, resolution: str, t0: Epoch) -> Epoch:
-    """Map a continuous coordinate back to a calendar epoch.
+def epoch_from_time(t: float, t0: Epoch) -> Epoch:
+    """Map a monthly series' coordinate, days since its first epoch ``t0``, to a calendar day.
 
-    Inverse of :func:`epoch_times` at the declared resolution: exact for the
-    on-grid coordinates of data epochs, nearest calendar day or year
-    otherwise.
+    Inverse of :func:`epoch_times` on monthly epochs: exact for the on-grid
+    coordinates of data epochs, the nearest calendar day otherwise.
     """
-    if resolution == YEARLY:
-        return Epoch(year=int(round(t)))
     d = _date.fromordinal(t0.ordinal() + int(round(t)))
     return Epoch(year=d.year, month=d.month, day=d.day, day_convention=t0.day_convention)
 
@@ -344,20 +341,12 @@ YEAR_END = "end"
 _YEAR_OFFSETS = {YEAR_START: 0.0, YEAR_MID: 0.5, YEAR_END: 1.0}
 
 
-def date_to_time(
-    d: _date,
-    resolution: str,
-    t0: Epoch,
-    year_convention: str = YEAR_START,
-) -> float:
-    """Map a calendar date to the continuous coordinate of a series.
+def date_to_time(d: _date, year_convention: str) -> float:
+    """Map a calendar date to the continuous coordinate of a yearly series.
 
-    Monthly series: days since the first epoch's resolved date.  Yearly
-    series: fractional year shifted so that the conventional instant of year
-    Y maps to Y exactly (start: Jan 1, end: Dec 31, mid: halfway).
+    The fractional year, shifted so that the conventional instant of year Y
+    maps to Y exactly (start: Jan 1, end: Dec 31, mid: halfway).
     """
-    if resolution == MONTHLY:
-        return float(d.toordinal() - t0.ordinal())
     if year_convention not in _YEAR_OFFSETS:
         raise SeriesError(f"unknown year convention: {year_convention!r}")
     if year_convention == YEAR_END:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import hyperfit
 from hyperfit import cli, montecarlo
 from hyperfit.cli import main
 from hyperfit.fixtures import episode, fixture_path
-from hyperfit.models import eval_singularity
+from hyperfit.models import eval_double_exp, eval_singularity
 from hyperfit.report import AnalysisReport, params_from_report
 
 
@@ -99,6 +100,24 @@ class TestCmdFit:
         f.write_text("1969,0.0\nbogus-line\n")
         code, _, err = run(capsys, "fit", str(f))
         assert code == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("date,value\n1969,0.0\n1970,nan\n", "line 3: non-finite value 'nan'"),
+        ("date,value\n1969,0.0\n1970,inf\n", "line 3: non-finite value 'inf'"),
+        ("date,value\n# no rows yet\n\n", "no data rows"),
+    ], ids=["nan", "inf", "header-only"])
+    def test_unusable_csv_exits_2(self, capsys, tmp_path, text, message):
+        f = tmp_path / "rates.csv"
+        f.write_text(text)
+        code, out, err = run(capsys, "fit", str(f))
+        assert (code, out) == (2, "") and message in err
+
+    def test_window_without_colon_exits_2(self, capsys, tmp_path):
+        out_file = tmp_path / "report.json"
+        code, out, err = run(capsys, "fit", PERU_CSV, "--window", "1970",
+                             "--out", str(out_file))
+        assert (code, out) == (2, "") and "bad window '1970', expected FROM:TO" in err
+        assert not out_file.exists()
 
     def test_report_json_round_trips(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
@@ -237,11 +256,12 @@ class TestCmdMc:
         (("--sweep", "nan:5:1"), None, "sweep"),
         (("--sweep", "0:inf:1"), None, "sweep"),
         (("--sweep", "0:5:inf"), None, "sweep"),
+        (("--sweep", "a:b:c"), None, "bad sweep 'a:b:c'"),
         ((), None, "only with --sweep"),
         (("--sweep-m", "5"), None, "only with --sweep"),
         (("--kind", "index"), None, "--kind rate"),
     ], ids=["m", "workers", "di", "seed", "env-seed", "sweep-m", "di-nan", "di-inf",
-            "threshold-inf", "sweep-nan", "sweep-inf", "sweep-step-inf",
+            "threshold-inf", "sweep-nan", "sweep-inf", "sweep-step-inf", "sweep-text",
             "sweep-out-alone", "sweep-m-alone", "kind-index"])
     def test_bad_mc_argument_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch,
                                                       argv, env_seed, flag):
@@ -451,6 +471,42 @@ class TestCmdCurve:
         data = self.read_curve(out)
         assert np.all(np.diff(data[:, 1]) < 0)
 
+    def test_price_curve_is_exp_of_logprice(self, capsys, tmp_path, peru_report):
+        curves = {}
+        for quantity in ("logprice", "price"):
+            out = tmp_path / f"{quantity}.csv"
+            code, _, _ = run(capsys, "curve", "--report", str(peru_report),
+                             "--quantity", quantity, "--from", "1970", "--to", "1990",
+                             "--points", "41", "--out", str(out))
+            assert code == 0
+            curves[quantity] = self.read_curve(out)
+        assert curves["price"][:, 0].tobytes() == curves["logprice"][:, 0].tobytes()
+        assert curves["price"][:, 1].tobytes() == np.exp(curves["logprice"][:, 1]).tobytes()
+
+    @pytest.mark.parametrize("quantity", ["rate", "tau2"])
+    @pytest.mark.parametrize("model", ["linear", "doubleexp"])
+    def test_singular_quantities_of_other_models_exit_3(self, capsys, tmp_path, model,
+                                                         quantity):
+        report_file = tmp_path / "report.json"
+        run(capsys, "fit", PERU_CSV, "--model", model, "--out", str(report_file))
+        out = tmp_path / "curve.csv"
+        code, _, err = run(capsys, "curve", "--report", str(report_file),
+                           "--quantity", quantity, "--from", "1970", "--to", "1980",
+                           "--out", str(out))
+        assert code == 3 and "need a singularity model" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params, message", [
+        ((), "curve needs --report FILE or --model with --param NAME=VALUE"),
+        (("--param", "p0=1", "--param", "c0"), "bad --param 'c0', expected NAME=VALUE"),
+    ], ids=["no-input", "param-without-equals"])
+    def test_missing_or_bad_param_exits_2(self, capsys, tmp_path, params, message):
+        out = tmp_path / "curve.csv"
+        code, _, err = run(capsys, "curve", "--model", "linear", *params,
+                           "--from", "1970", "--to", "1990", "--out", str(out))
+        assert code == 2 and message in err
+        assert not out.exists()
+
     def test_entirely_beyond_tc_exits_3(self, capsys, tmp_path, peru_report):
         out = tmp_path / "curve.csv"
         code, _, _ = run(capsys, "curve", "--report", str(peru_report),
@@ -543,6 +599,43 @@ class TestCmdPredict:
         params = params_from_report(report)
         assert values["price_index"] == float(np.exp(eval_singularity(params, 1988.0)))
 
+    @pytest.fixture
+    def dexp_report(self, capsys, tmp_path):
+        out_file = tmp_path / "dexp.json"
+        run(capsys, "fit", PERU_CSV, "--model", "doubleexp", "--out", str(out_file))
+        capsys.readouterr()
+        return out_file
+
+    def test_double_exp_report_predict(self, capsys, dexp_report):
+        code, out, _ = run(capsys, "predict", "--report", str(dexp_report), "--date", "1985")
+        assert code == 0
+        params = params_from_report(read_report(dexp_report))
+        price = float(np.exp(eval_double_exp(params, 1985.0)))
+        prior = float(np.exp(eval_double_exp(params, 1984.0)))
+        assert self.parse(out) == {"t": 1985.0, "price_index": price,
+                                   "yoy_inflation_pct": 100.0 * (price / prior - 1.0)}
+
+    @pytest.mark.parametrize("date", ["2009", "2010"])
+    def test_overflowing_price_exits_3(self, capsys, dexp_report, date):
+        # The double-exponential price of Peru overflows in 2010 (2009 is
+        # finite a year before it): this printed inf and nan, with numpy's
+        # overflow warnings, and exited 0.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "predict", "--report", str(dexp_report),
+                                 "--date", date)
+        assert (code, out) == (3, "") and f"price index at {date} " in err
+        assert "not a finite positive number" in err
+        assert caught == []
+
+    def test_monthly_report_needs_a_month(self, capsys, tmp_path):
+        out_file = tmp_path / "g.json"
+        run(capsys, "fit", str(fixture_path("germany")), "--out", str(out_file))
+        capsys.readouterr()
+        code, out, err = run(capsys, "predict", "--report", str(out_file), "--date", "1923")
+        assert (code, out) == (2, "")
+        assert "monthly report needs YYYY-MM or YYYY-MM-DD, got '1923'" in err
+
     def test_monthly_report_predict(self, capsys, tmp_path):
         out_file = tmp_path / "g.json"
         run(capsys, "fit", str(fixture_path("germany")), "--out", str(out_file))
@@ -574,6 +667,7 @@ MALFORMED_REPORTS = {
     "resolution-unknown": ("peru", "singularity", {"series.resolution": "weekly"}),
     "year-convention-unknown": ("peru", "singularity", {"input.year_convention": "weird"}),
     "year-convention-list": ("peru", "singularity", {"input.year_convention": ["start"]}),
+    "model-unknown": ("peru", "singularity", {"model": "quadratic"}),
 }
 
 

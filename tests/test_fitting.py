@@ -22,12 +22,10 @@ from hyperfit.fitting import (
     fit_double_exp,
     fit_linear,
     fit_singularity,
-    predict,
     tc_search_window,
 )
 from hyperfit.models import (
     DoubleExpParams,
-    ModelDomainError,
     SingularityParams,
     eval_double_exp,
     eval_singularity,
@@ -43,6 +41,15 @@ def linear_index(p0, c0, year0, n):
     epochs = yearly_epochs(year0, year0 + n - 1)
     t = np.array([float(e.year) for e in epochs])
     return PriceIndexSeries.from_log_index(epochs, p0 + c0 * (t - t[0]))
+
+
+def lm(model, x0, lb, ub, xtol=1e-12, ftol=1e-14, max_iter=100):
+    """``_lm`` run under the stopping rule given, set on the module constants it reads."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fitting, "_XTOL", xtol)
+        patch.setattr(fitting, "_FTOL", ftol)
+        patch.setattr(fitting, "_MAX_ITER", max_iter)
+        return _lm(model, x0, lb, ub)
 
 
 def normal_eqs(r, jac):
@@ -69,8 +76,7 @@ class TestEngine:
         return model
 
     def run(self, y, x0, lb, ub):
-        v, _, converged, _ = _lm(self.line_model(y), np.array([x0]), np.array(lb),
-                                 np.array(ub), 1e-12, 1e-14, 100)
+        v, _, converged, _ = lm(self.line_model(y), np.array([x0]), np.array(lb), np.array(ub))
         assert converged[0]
         return v[0]
 
@@ -106,7 +112,7 @@ class TestEngine:
         deflating = -0.1 * np.arange(12)
         growing = eval_singularity(SingularityParams(tc=1984.0, alpha=0.4, c0=0.5, p0=0.1,
                                                      t0=1970.0), t)
-        args = (t, (1982.5, 1994.0), (1983.0, 0.3))
+        args = (t, (1983.0, 0.3))
         params, ssr, converged, rounds = fitting.fit_singular_rows(
             np.stack([deflating, growing]), *args)
         alone = fitting.fit_singular_rows(growing[None, :], *args)
@@ -123,17 +129,16 @@ class TestEngine:
         p = np.stack([eval_singularity(SingularityParams(tc=tc, alpha=a, c0=0.5, p0=0.1,
                                                          t0=1970.0), t)
                       for tc, a in ((1984.0, 0.4), (1986.0, 0.8), (1983.0, 0.2))])
-        window = (1982.5, 1994.0)
         seeds = np.array([[1983.0, 0.3], [1990.0, 1.5], [2100.0, 9.0]])
-        rows = fitting.fit_singular_rows(p, t, window, seeds)
+        rows = fitting.fit_singular_rows(p, t, seeds)
         for j, seed in enumerate(seeds):
-            alone = fitting.fit_singular_rows(p[j:j + 1], t, window, tuple(seed))
+            alone = fitting.fit_singular_rows(p[j:j + 1], t, tuple(seed))
             assert np.array(rows[0])[:, j].tobytes() == np.array(alone[0])[:, 0].tobytes()
             assert rows[3][j] == alone[3][0]
-        edge = fitting.fit_singular_rows(p[2:], t, window, (1994.0, 5.0))
+        edge = fitting.fit_singular_rows(p[2:], t, (tc_search_window(t)[1], 5.0))
         assert np.array(rows[0])[:, 2].tobytes() == np.array(edge[0])[:, 0].tobytes()
-        one = fitting.fit_singular_rows(p, t, window, (1983.0, 0.3))
-        same = fitting.fit_singular_rows(p, t, window, np.tile([1983.0, 0.3], (3, 1)))
+        one = fitting.fit_singular_rows(p, t, (1983.0, 0.3))
+        same = fitting.fit_singular_rows(p, t, np.tile([1983.0, 0.3], (3, 1)))
         assert np.array(one[0]).tobytes() == np.array(same[0]).tobytes()
 
     def test_one_model_evaluation_per_round(self):
@@ -146,8 +151,8 @@ class TestEngine:
             calls.append(with_jac)
             return model(v, rows, with_jac)
 
-        _, _, converged, rounds = _lm(spy, np.array([[0.0, 0.0]]), np.full(2, -np.inf),
-                                      np.full(2, np.inf), 1e-12, 1e-14, 100)
+        _, _, converged, rounds = lm(spy, np.array([[0.0, 0.0]]), np.full(2, -np.inf),
+                                     np.full(2, np.inf))
         assert converged[0] and rounds[0] > 1
         assert len(calls) == rounds[0] + 1
 
@@ -167,7 +172,7 @@ class TestEngine:
         runs = []
         for in_flight in (2, 5):
             monkeypatch.setattr(fitting, "_IN_FLIGHT", in_flight)
-            runs.append(_lm(model, x0, *bounds, 1e-12, 1e-14, 3))
+            runs.append(lm(model, x0, *bounds, max_iter=3))
         narrow, wide = runs
         assert np.all(narrow[3] == 3) and not narrow[2].any()
         for a, b in zip(narrow, wide):
@@ -188,8 +193,8 @@ class TestEngine:
             return resid, normal_eqs(resid, wrong_sign)
 
         x0 = np.array([[0.3]])
-        x, ssr, converged, rounds = _lm(model, x0, x0[0] - 50.0, np.full(1, np.inf),
-                                        1e-12, 1e-10, 10)
+        x, ssr, converged, rounds = lm(model, x0, x0[0] - 50.0, np.full(1, np.inf),
+                                       ftol=1e-10, max_iter=10)
         assert ssrs[0] < ssrs[1] <= ssrs[0] * (1.0 + 1e-10)
         assert converged[0] and rounds[0] == 1
         assert x.tobytes() == x0.tobytes() and ssr[0] == ssrs[0]
@@ -207,8 +212,8 @@ class TestEngine:
             return resid, normal_eqs(resid, np.stack([v[:, 1:] * self.X * e, e], axis=-1))
 
         bounds = np.full(2, -np.inf), np.full(2, np.inf)
-        x, ssr, _, _ = _lm(model, np.array([[0.0, 1.0]]), *bounds, 1e-12, 1e-14, 100)
-        again, ssr_again, converged, rounds = _lm(model, x, *bounds, 1e-12, 1e-14, 100)
+        x, ssr, _, _ = lm(model, np.array([[0.0, 1.0]]), *bounds)
+        again, ssr_again, converged, rounds = lm(model, x, *bounds)
         assert converged[0] and rounds[0] == 1
         assert again.tobytes() == x.tobytes() and ssr_again[0] == ssr[0]
 
@@ -226,10 +231,9 @@ class TestEngine:
         t, p = index.times(), index.log_index
         pinned = float(p[0]) if pin else None
         resid, _, c0, p0 = _sing_residuals(np.array([[preset.tc]]), np.array([[preset.alpha]]),
-                                           t, float(t[0]), *_data_side(p[None, :], pinned),
-                                           not pin, False)
+                                           t, *_data_side(p[None, :], pinned), not pin, False)
         (tc, alpha, c0_fit, p0_fit), ssr, converged, rounds = fitting.fit_singular_rows(
-            p[None, :], t, tc_search_window(t), (preset.tc, preset.alpha), pinned_p0=pinned)
+            p[None, :], t, (preset.tc, preset.alpha), pinned_p0=pinned)
         assert converged[0] and rounds[0] == 1
         assert (tc[0], alpha[0]) == (preset.tc, preset.alpha)
         assert (c0_fit[0], p0_fit[0], ssr[0]) == (c0[0], p0[0], _ssr(resid)[0])
@@ -241,7 +245,7 @@ class TestEngine:
         # slope b pinned at 0), not in steps of some cap.
         y = np.full_like(self.X, 1000.0)
         x0, lb, ub = np.zeros((1, 2)), np.array([-5e3, 0.0]), np.array([5e3, 0.0])
-        x, _, _, rounds = _lm(self.line_model(y), x0, lb, ub, 1e-12, 1e-14, 2)
+        x, _, _, rounds = lm(self.line_model(y), x0, lb, ub, max_iter=2)
         assert rounds[0] == 2 and x[0, 0] == pytest.approx(1000.0, abs=1e-3)
         assert self.run(y, x0[0], lb, ub)[0] == pytest.approx(1000.0, rel=1e-12)
 
@@ -260,8 +264,8 @@ class TestEngine:
             return resid, normal_eqs(resid, jac)
 
         x0 = np.zeros((2, 2))
-        x, ssr, converged, rounds = _lm(model, x0, np.full(2, -np.inf), np.full(2, np.inf),
-                                        1e-12, 1e-14, 20)
+        x, ssr, converged, rounds = lm(model, x0, np.full(2, -np.inf), np.full(2, np.inf),
+                                       max_iter=20)
         assert not converged.any() and np.all(rounds == 20)
         assert x.tobytes() == x0.tobytes() and np.all(ssr == _ssr(y))
 
@@ -327,8 +331,8 @@ class TestEngine:
                                           options={"xatol": 1e-12}).x
         offset = optimize.minimize_scalar(lambda u: ssr(coarse + u), bounds=(-1e-6, 1e-6),
                                           method="bounded", options={"xatol": 1e-15}).x
-        b, _, converged, rounds = _lm(model, np.array([[1.0]]), np.zeros(1), np.array([10.0]),
-                                      1e-9, 1e-12, 100)
+        b, _, converged, rounds = lm(model, np.array([[1.0]]), np.zeros(1), np.array([10.0]),
+                                     xtol=1e-9, ftol=1e-12)
         assert converged[0] and rounds[0] <= 7
         assert b[0, 0] == pytest.approx(coarse + offset, rel=1e-9)
 
@@ -346,8 +350,8 @@ class TestEngine:
             r, jac = -np.sin(v), np.cos(v)
             return r, (jac[:, :, None] * jac[:, None, :], jac * r)
 
-        v, _, converged, rounds = _lm(model, np.array([[1.4]]), np.full(1, -np.inf),
-                                      np.full(1, np.inf), 1e-12, 1e-14, 100)
+        v, _, converged, rounds = lm(model, np.array([[1.4]]), np.full(1, -np.inf),
+                                     np.full(1, np.inf))
         assert converged[0] and rounds[0] <= 8 and abs(v[0, 0]) < 1e-12
         current = trials[0]
         for trial in trials[1:]:
@@ -528,7 +532,7 @@ class TestFitSingularity:
         # the grid-search seed's.
         t = peru_index.times()
         p = peru_index.log_index
-        tc_s, a_s, c0_s, p0_s = _sing_grid_seed(t, p, tc_search_window(t), None)
+        tc_s, a_s, c0_s, p0_s = _sing_grid_seed(t, p, None)
         seed = SingularityParams(tc=tc_s, alpha=a_s, c0=max(c0_s, 1e-12), p0=p0_s, t0=float(t[0]))
         seed_ssr = float(np.sum((p - eval_singularity(seed, t)) ** 2))
         fit = fit_singularity(peru_index)
@@ -567,9 +571,8 @@ class TestFitSingularity:
 
         monkeypatch.setattr(fitting, "_sing_residuals", equal_everywhere)
         t, p = peru_index.times(), peru_index.log_index
-        window = tc_search_window(t)
-        tc, alpha, _, _ = _sing_grid_seed(t, p, window, None)
-        assert (tc, alpha) == (window[0], fitting._ALPHA_BOUNDS[0])
+        tc, alpha, _, _ = _sing_grid_seed(t, p, None)
+        assert (tc, alpha) == (tc_search_window(t)[0], fitting._ALPHA_BOUNDS[0])
 
     def test_deterministic(self, peru_index):
         a = fit_singularity(peru_index)
@@ -750,7 +753,7 @@ class TestVariableProjection:
         t0, tc_lo, a_lo = float(t[0]), 1991.0, 0.0
         pinned = float(p[0]) if pin else None
         x = np.array([1.5, 0.6])
-        _, (_, jtr), c0, _ = _sing_residuals(tc_lo + x[None, :1], a_lo + x[None, 1:], t, t0,
+        _, (_, jtr), c0, _ = _sing_residuals(tc_lo + x[None, :1], a_lo + x[None, 1:], t,
                                              *_data_side(p[None], pinned), not pin, True)
         assert c0[0] > 0
 
@@ -786,7 +789,7 @@ class TestVariableProjection:
         tc = np.array([tc_hat, tc_hat + 0.01, tc_hat + 0.5, tc_hat + 3.0, tc_hat])[:, None]
         alpha = np.array([a_hat, 0.99 * a_hat, 1.5 * a_hat, 0.05, 2.0])[:, None]
         y, shift = _data_side(np.tile(p, (len(tc), 1)), float(p[0]) if pin else None)
-        resid, (jtj, jtr), c0, _ = _sing_residuals(tc, alpha, t, t0, y, shift, not pin, True)
+        resid, (jtj, jtr), c0, _ = _sing_residuals(tc, alpha, t, y, shift, not pin, True)
         assert np.all(c0 > 0)
         g, dg = full_singular_columns(tc, alpha, t, t0)
         assert_same_normal_eqs(resid, jtj, jtr, kaufman_reference(g, y, shift, not pin, dg))
@@ -825,8 +828,8 @@ class TestVariableProjection:
         dp[:, 0] = 0.0                      # p0 pinned keeps the first log price
         h = 1e-4
         (tc, alpha, *_), _, converged, _ = fitting.fit_singular_rows(
-            np.concatenate([p + h * dp, p - h * dp]), t, tc_search_window(t),
-            (fit.tc, fit.alpha), pinned_p0=fit.p0 if pin else None)
+            np.concatenate([p + h * dp, p - h * dp]), t, (fit.tc, fit.alpha),
+            pinned_p0=fit.p0 if pin else None)
         assert converged.all()
         moved = np.stack([tc[:2] - tc[2:], alpha[:2] - alpha[2:]], axis=1) / (2.0 * h)
         linear = dp @ a.T / fit.c0
@@ -851,9 +854,9 @@ class TestVariableProjection:
         widths = []
         engine = fitting._lm
 
-        def spy(model, x0, *args):
+        def spy(model, x0, lb, ub):
             widths.append(x0.shape[1])
-            return engine(model, x0, *args)
+            return engine(model, x0, lb, ub)
 
         monkeypatch.setattr(fitting, "_lm", spy)
         fit_singularity(peru_index)
@@ -1015,27 +1018,3 @@ class TestFitDoubleExp:
             assert dexp.objective <= fit_linear(index).objective
         assert dexp.params.b2 == 0.0
 
-
-# ---------------------------------------------------------------------------
-# predict
-# ---------------------------------------------------------------------------
-
-class TestPredict:
-    def test_value_at_t0(self, peru_index):
-        fit = fit_singularity(peru_index)
-        assert predict(fit, fit.params.t0) == pytest.approx(math.exp(fit.params.p0), rel=1e-12)
-
-    def test_matches_model_evaluation(self, peru_index):
-        fit = fit_singularity(peru_index)
-        t = 1984.5
-        assert predict(fit, t) == pytest.approx(
-            math.exp(eval_singularity(fit.params, t)), rel=1e-12)
-
-    def test_beyond_singularity_rejected(self, peru_index):
-        fit = fit_singularity(peru_index)
-        with pytest.raises(ModelDomainError):
-            predict(fit, fit.params.tc + 1.0)
-
-    def test_linear_prediction(self):
-        fit = fit_linear(linear_index(0.5, 0.2, 1970, 10))
-        assert predict(fit, 1980.0) == pytest.approx(math.exp(0.5 + 0.2 * 10.0), rel=1e-10)

@@ -475,7 +475,7 @@ def refit(p_data, index, direct, config):
     t = index.times()
     starts = montecarlo._refit_starts(p_data, index.log_index, t, direct, not config.pin_p0)
     (tc, alpha, c0, p0), ssr, converged, _ = fit_singular_rows(
-        p_data, t, tc_search_window(t), starts, bounded_above=False,
+        p_data, t, starts, bounded_above=False,
         pinned_p0=direct.p0 if config.pin_p0 else None)
     return tc, alpha, c0, p0, ssr, converged
 
@@ -731,17 +731,21 @@ def test_fits_keep_the_callers_floating_point_state(peru_rates):
 
 
 def test_a_refit_started_on_an_epoch_raises_no_floating_point_error(peru_rates):
-    # At tc on the last epoch the singular model divides by zero.  The
-    # bundled fits never get there, so this is the case that shows that
     # fit_singular_rows sets the fits' floating-point state itself: under a
-    # caller that raises on everything the row is retired, not an error.
+    # caller that raises on everything, a row whose objective overflows is
+    # retired, not an error.  No row can start on an epoch, where the model
+    # divides by zero, as the tc window lies beyond the last one; log prices
+    # scaled by 1e200 overflow the SSR, which the bundled fits never do, so
+    # this is the case that shows it.
     index = build_price_index(peru_rates)
     t = index.times()
-    t_last = float(t[-1])
+    p_data = 1e200 * index.log_index[None]
+    seed = (tc_search_window(t)[0] + 1.0, 0.5)
     with np.errstate(all="raise"):
-        _, ssr, converged, rounds = fit_singular_rows(index.log_index[None], t,
-                                                      (t_last, t_last + 10.0), (t_last, 0.5))
-    assert np.isnan(ssr[0]) and not converged[0] and rounds[0] == 0
+        _, ssr, converged, rounds = fit_singular_rows(p_data, t, seed)
+        with pytest.raises(FloatingPointError):
+            fit_singular_rows.__wrapped__(p_data, t, seed)
+    assert ssr[0] == np.inf and not converged[0] and rounds[0] == 0
 
 
 def test_tc_is_lognormal_in_its_distance_to_the_last_epoch(peru_rates, monkeypatch):
@@ -840,9 +844,8 @@ def spy_refits(monkeypatch):
     calls = []
     fit_rows = montecarlo.fit_singular_rows
 
-    def spy(p_data, t, window, seed, *args, **kwargs):
-        calls.append((p_data.copy(), np.array(seed),
-                      fit_rows(p_data, t, window, seed, *args, **kwargs)))
+    def spy(p_data, t, seed, *args, **kwargs):
+        calls.append((p_data.copy(), np.array(seed), fit_rows(p_data, t, seed, *args, **kwargs)))
         return calls[-1][2]
 
     monkeypatch.setattr(montecarlo, "fit_singular_rows", spy)
@@ -913,7 +916,7 @@ def test_refits_start_one_gauss_newton_step_from_the_direct_fit(name, pin, monke
     d = rep.direct.params
     t = rates.times()
     rows = np.ones((len(p_data), 1))
-    _, (jtj, jtr), _, _ = _sing_residuals(d.tc * rows, d.alpha * rows, t, float(t[0]),
+    _, (jtj, jtr), _, _ = _sing_residuals(d.tc * rows, d.alpha * rows, t,
                                           *_data_side(p_data, d.p0 if pin else None),
                                           not pin, True)
     step = np.linalg.solve(jtj, jtr[..., None])[..., 0]

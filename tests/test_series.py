@@ -64,12 +64,8 @@ class TestEpoch:
         t0 = Epoch(year=1800, month=1, day_convention=convention)
         e = Epoch(year=y, month=m, day_convention=convention)
         t = float(e.ordinal() - t0.ordinal())
-        back = epoch_from_time(t, "monthly", t0)
+        back = epoch_from_time(t, t0)
         assert (back.year, back.month) == (y, m)
-
-    def test_yearly_round_trip(self):
-        for y in (1969, 1990, 2007):
-            assert epoch_from_time(float(y), "yearly", Epoch(year=1969)).year == y
 
     def test_bad_dates_rejected(self):
         with pytest.raises(LoadError):
@@ -80,13 +76,13 @@ class TestEpoch:
 
 def test_year_end_convention_maps_dec31_to_the_year():
     from datetime import date
-    t = date_to_time(date(2008, 12, 31), "yearly", Epoch(year=1979), "end")
+    t = date_to_time(date(2008, 12, 31), "end")
     assert t == 2008.0
 
 
 def test_year_start_convention_maps_jan1_to_the_year():
     from datetime import date
-    t = date_to_time(date(2009, 1, 1), "yearly", Epoch(year=1979), "start")
+    t = date_to_time(date(2009, 1, 1), "start")
     assert t == 2009.0
 
 
