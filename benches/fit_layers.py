@@ -23,8 +23,12 @@ fit-direct inputs), this times per call, in milliseconds:
 
 It also records, per case, the Levenberg-Marquardt rounds the fits take,
 ``FitResult.iterations`` summed over the case's inputs (p0 free): the
-counts ``singularity_rounds`` and ``doubleexp_rounds``.  They depend only
-on the tree and the seed, not on the machine.
+counts ``singularity_rounds`` and ``doubleexp_rounds``; and, from
+``dexpkeep-*`` on, ``doubleexp_calls``, the double-exponential model calls
+(calls of ``fitting._dexp_basis``: the grid, the parabola bracket and the
+engine's, and before ``dexpkeep-change`` one more for the final residuals),
+summed the same way.  They depend only on the tree and the seed, not on
+the machine.
 
 Run it like ``mc_layers.py``, whose ``run_bench`` it shares, alternating the
 two trees:
@@ -64,7 +68,7 @@ import hyperfit
 from hyperfit.fixtures import PRESETS, episode, synthetic_rates
 from hyperfit.montecarlo import sample_generation
 from hyperfit.series import build_price_index
-from mc_layers import load_parent, run_bench
+from mc_layers import load_parent, run_bench, spied
 
 CASES = tuple((name,) for name in PRESETS)
 PERTURBATIONS = 7
@@ -105,6 +109,14 @@ def grid_args(tree, index) -> tuple:
     return (t, index.log_index, *window, None)
 
 
+def doubleexp_work(tree, indexes) -> dict[str, int]:
+    """LM rounds and model calls of ``tree``'s double-exponential fits of ``indexes``."""
+    calls = []
+    with spied(tree.fitting, "_dexp_basis", lambda *_: calls.append(None)):
+        rounds = sum(tree.fitting.fit_double_exp(i).iterations for i in indexes)
+    return {"doubleexp_rounds": rounds, "doubleexp_calls": len(calls)}
+
+
 def time_case(name: str, seed: int, parent=None) -> dict:
     """This tree's layers on one case and seed; with ``parent`` (a ``hyperfit``
     package), {"parent": layers, "change": layers}, timed call by call in turn."""
@@ -125,8 +137,7 @@ def time_case(name: str, seed: int, parent=None) -> dict:
         values = {side: {layer: times[layer][side] for layer in times} | {
             "singularity_rounds": sum(tree.fitting.fit_singularity(i).iterations
                                       for i in indexes),
-            "doubleexp_rounds": sum(tree.fitting.fit_double_exp(i).iterations for i in indexes),
-        } for side, tree in trees.items()}
+        } | doubleexp_work(tree, indexes) for side, tree in trees.items()}
     return values["change"] if parent is None else values
 
 

@@ -219,18 +219,23 @@ def _cmd_curve(args) -> int:
         if t.size == 0:
             raise ModelDomainError("requested range lies entirely at or beyond tc")
 
-    if args.quantity in ("logprice", "price"):
-        values = evaluate(params, t)
-        if args.quantity == "price":
-            values = np.exp(values)
-    elif args.quantity == "rate":
-        if not isinstance(params, SingularityParams):
-            raise ModelDomainError("growth-rate curves need a singularity model")
-        values = growth_rate_curve(params, dt, t)
-    else:  # tau2
-        if not isinstance(params, SingularityParams):
-            raise ModelDomainError("doubling-time curves need a singularity model")
-        values = doubling_time(params, t)
+    if args.quantity in ("rate", "tau2") and not isinstance(params, SingularityParams):
+        kind = "growth-rate" if args.quantity == "rate" else "doubling-time"
+        raise ModelDomainError(f"{kind} curves need a singularity model")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        if args.quantity in ("logprice", "price"):
+            values = evaluate(params, t)
+            if args.quantity == "price":
+                values = np.exp(values)
+        elif args.quantity == "rate":
+            values = growth_rate_curve(params, dt, t)
+        else:  # tau2
+            values = doubling_time(params, t)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise ModelDomainError(f"the {args.quantity} at t = {float(t[first])!r} "
+                               f"({float(values[first])!r}) is not a finite number")
 
     lines = ["t,value"] + [f"{repr(float(a))},{repr(float(b))}" for a, b in zip(t, values)]
     args.out.write_text("\n".join(lines) + "\n", encoding="utf-8")

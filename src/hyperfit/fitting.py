@@ -243,10 +243,11 @@ def _lm(model, x0, lb, ub):
     residuals r (data - model) of batch rows ``rows`` at parameters x
     (len(rows), k) and, if asked, their normal equations (J^T J, J^T r) as
     (len(rows), k, k) and (len(rows), k), J = d(model)/dx; further items are
-    per-row values, such as the closed-form (C0, p0).  The engine never
-    sees J itself, so a model may build the two products from inner
-    products (``_project``).  k is 1 or 2: the damped step is solved in
-    closed form (``_damped_step``), with no LAPACK call.
+    per-row values, such as the closed-form (C0, p0), or per-row arrays, such
+    as the residuals.  The engine never sees J itself, so a model may build
+    the two products from inner products (``_project``).  k is 1 or 2: the
+    damped step is solved in closed form (``_damped_step``), with no LAPACK
+    call.
 
     Each round evaluates the model once, with normal equations, at every row's
     trial point.  A row keeps its normal equations (J^T J, J^T r) at its
@@ -582,6 +583,7 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
         p[None, :], t, (tc_s, a_s), pinned_p0=pinned)
     params = SingularityParams(tc=float(tc[0]), alpha=float(alpha[0]), c0=float(c0[0]),
                                p0=float(p0[0]), t0=t0)
+    # Evaluated again, not kept by the engine: keeping them would cost every Monte Carlo refit.
     resid, *_ = _sing_residuals(tc[:, None], alpha[:, None], t,
                                 *_data_side(p[None, :], pinned), pinned is None, False)
     return FitResult("singularity", params, resid[0], converged=bool(converged[0]),
@@ -598,18 +600,24 @@ def _dexp_basis(b2: np.ndarray, x: np.ndarray, with_jac: bool):
 
     Rows whose |b2 x| stays below 1e-8 use the series of the b2 -> 0 limit
     (h = x exactly at b2 = 0), which avoids amplified rounding in
-    expm1(b2 x) / b2 and its derivative when b2 is tiny.  dh/db2 is
-    returned as (1, *h.shape), or None without ``with_jac``.
+    expm1(b2 x) / b2 and its derivative when b2 is tiny; the series is
+    computed only when some row needs it.  Every caller passes b2 >= 0 and
+    x = t - t0, ascending from 0, so the largest |b2 x| of a row is its
+    last b2 x.  dh/db2 is returned as (1, *h.shape), or None without
+    ``with_jac``.
     """
     b2x = b2 * x
-    small = np.abs(b2x).max(axis=-1, keepdims=True) < 1e-8
+    small = b2x[..., -1:] < 1e-8
     b2_safe = np.where(small, 1.0, b2)
     em1 = np.expm1(b2x)
-    h = np.where(small, x * (1.0 + b2x / 2.0 + b2x * b2x / 6.0), em1 / b2_safe)
+    h = em1 / b2_safe
     dh = None
     if with_jac:
-        dh = np.where(small, x * x / 2.0 * (1.0 + 2.0 * b2x / 3.0),
-                      (x * (em1 + 1.0) - h) / b2_safe)[None]
+        dh = ((x * (em1 + 1.0) - h) / b2_safe)[None]
+    if small.any():
+        np.copyto(h, x * (1.0 + b2x / 2.0 + b2x * b2x / 6.0), where=small)
+        if with_jac:
+            np.copyto(dh[0], x * x / 2.0 * (1.0 + 2.0 * b2x / 3.0), where=small)
     return h, dh
 
 
@@ -671,8 +679,11 @@ def fit_double_exp(index: PriceIndexSeries, config: FitConfig | None = None) -> 
     sign.  At b2 = 0 the model is the linear one (the Cagan limit).  One
     model call scores the b2 grid; the engine starts from two parabola
     vertices around its best node (``_dexp_start``), which take it 3 rounds
-    on the benchmark inputs where the best node took 4-6.  ``config`` is
-    taken for the fitters' common signature: p0 is always free.
+    on the benchmark inputs where the best node took 4-6.  The residuals are
+    the ones the engine scored at the final b2, kept by ``_lm`` as a further
+    item, so the fit makes no model call after the engine: 6 calls a fit on
+    those inputs, where evaluating them again made 7.  ``config`` is taken
+    for the fitters' common signature: p0 is always free.
     """
     t = index.times()
     p = index.log_index
@@ -689,17 +700,17 @@ def fit_double_exp(index: PriceIndexSeries, config: FitConfig | None = None) -> 
 
     def model(v, rows, with_jac):
         h, dh = _dexp_basis(v, x, with_jac)
-        return _project(h, y, shift, True, dh)
+        resid, normal, c0, p0 = _project(h, y, shift, True, dh)
+        return resid, normal, c0, p0, resid
 
     def score(b2):
         ssr = _ssr(model(b2[:, None], None, False)[0])
         return np.where(np.isfinite(ssr), ssr, np.inf)
 
     start = _dexp_start(b2_nodes, score(b2_nodes), score, b2_hi)
-    v, _, converged, rounds, c0, p0 = _lm(model, np.array([[start]]), np.zeros(1),
-                                          np.array([b2_hi]))
+    v, _, converged, rounds, c0, p0, resid = _lm(model, np.array([[start]]), np.zeros(1),
+                                                 np.array([b2_hi]))
     params = DoubleExpParams(p0=float(p0[0]), c0=float(c0[0]), b2=float(v[0, 0]), t0=t0)
-    resid, *_ = model(v, None, False)
     return FitResult("doubleexp", params, resid[0], converged=bool(converged[0]),
                      iterations=int(rounds[0]), n_free_params=3)
 

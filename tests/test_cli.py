@@ -539,6 +539,33 @@ class TestCmdCurve:
         assert code == 2 and f"{flag} must be finite" in err
         assert not out.exists()
 
+    def test_overflowing_price_exits_3(self, capsys, tmp_path):
+        # The double-exponential price of Peru overflows from 2009 on: this
+        # wrote 2009.0,inf and 2010.0,inf, with numpy's overflow warning,
+        # and exited 0.
+        report = tmp_path / "dexp.json"
+        run(capsys, "fit", PERU_CSV, "--model", "doubleexp", "--out", str(report))
+        out = tmp_path / "curve.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "curve", "--report", str(report), "--quantity", "price",
+                               "--from", "2000", "--to", "2010", "--points", "11",
+                               "--out", str(out))
+        assert code == 3 and "the price at t = 2009.0 (inf) is not a finite number" in err
+        assert caught == [] and not out.exists()
+
+    def test_overflowing_logprice_exits_3(self, capsys, tmp_path):
+        # expm1(b2 x) overflows once b2 x passes about 709.8: x = 8 here.
+        out = tmp_path / "curve.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "curve", "--model", "doubleexp", "--param", "p0=0",
+                               "--param", "c0=1", "--param", "b2=100", "--param", "t0=2000",
+                               "--quantity", "logprice", "--from", "2000", "--to", "2010",
+                               "--points", "11", "--out", str(out))
+        assert code == 3 and "the logprice at t = 2008.0 (inf)" in err
+        assert caught == [] and not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # predict

@@ -1006,7 +1006,8 @@ class TestFitDoubleExp:
     def test_never_worse_than_linear(self):
         # Three perturbations of each episode at di = 0.1, and one of Peru at
         # di = 1 whose fit ends at b2 = 0, the linear fit: residuals taken as
-        # p - evaluate(params, t) put its objective a rounding above it.
+        # p - evaluate(params, t) put its objective a rounding above it, and
+        # FitResult promises the linear fit's residuals bit for bit there.
         cases = [(name, 0.1, child) for name in PRESETS
                  for child in np.random.SeedSequence(17).spawn(3)]
         cases.append(("peru", 1.0, np.random.SeedSequence(5).spawn(100)[42]))
@@ -1017,4 +1018,68 @@ class TestFitDoubleExp:
             assert dexp.converged
             assert dexp.objective <= fit_linear(index).objective
         assert dexp.params.b2 == 0.0
+        assert dexp.residuals.tobytes() == fit_linear(index).residuals.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
+    def test_residuals_are_a_fresh_projection_at_the_final_b2(self):
+        # The fit keeps the residuals the engine scored at its final b2.
+        for index in self.forty_indexes():
+            fit = fit_double_exp(index)
+            t, p = index.times(), index.log_index
+            h, _ = _dexp_basis(np.array([[fit.params.b2]]), t - t[0], False)
+            resid, *_ = _project(h, *_data_side(p, None), True)
+            assert fit.residuals.tobytes() == resid[0].tobytes()
+
+    def test_no_model_call_after_the_engine_returns(self, peru_index, monkeypatch):
+        calls = []
+        basis, engine = fitting._dexp_basis, fitting._lm
+
+        def basis_spy(*args):
+            calls.append("model call")
+            return basis(*args)
+
+        def engine_spy(*args):
+            result = engine(*args)
+            calls.append("engine returned")
+            return result
+
+        monkeypatch.setattr(fitting, "_dexp_basis", basis_spy)
+        monkeypatch.setattr(fitting, "_lm", engine_spy)
+        fit_double_exp(peru_index)
+        assert calls[-1] == "engine returned"
+
+    @staticmethod
+    def two_branch_basis(b2, x, with_jac):
+        """``_dexp_basis`` as two ``np.where`` branches, series and closed form, on every row."""
+        b2x = b2 * x
+        small = np.abs(b2x).max(axis=-1, keepdims=True) < 1e-8
+        b2_safe = np.where(small, 1.0, b2)
+        em1 = np.expm1(b2x)
+        h = np.where(small, x * (1.0 + b2x / 2.0 + b2x * b2x / 6.0), em1 / b2_safe)
+        if not with_jac:
+            return h, None
+        return h, np.where(small, x * x / 2.0 * (1.0 + 2.0 * b2x / 3.0),
+                           (x * (em1 + 1.0) - h) / b2_safe)[None]
+
+    @pytest.mark.parametrize("with_jac", [True, False])
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_basis_has_the_bits_of_the_two_branch_form(self, name, with_jac):
+        # Columns of series rows only, closed-form rows only, and both:
+        # b2 = 0, |b2 x| < 1e-8 (up to just below it) and ordinary b2 up to
+        # the grid's top, 20 / span.
+        t = build_price_index(
+            load_series(fixture_path(name), day_convention=episode(name).day_convention)).times()
+        x = t - t[0]
+        span = float(x[-1])
+        small = np.array([0.0, 1e-14, 1e-10 / span, 0.999e-8 / span])
+        ordinary = np.array([1.001e-8 / span, 1e-6, 1e-4 / span, 0.1 / span, 3.0 / span,
+                             20.0 / span])
+        for b2 in (small, ordinary, np.concatenate([ordinary[::2], small, ordinary[1::2]])):
+            b2 = b2[:, None]
+            h, dh = _dexp_basis(b2, x, with_jac)
+            h_ref, dh_ref = self.two_branch_basis(b2, x, with_jac)
+            assert h.tobytes() == h_ref.tobytes()
+            assert (dh is None) == (dh_ref is None) == (not with_jac)
+            if with_jac:
+                assert dh.shape == dh_ref.shape and dh.tobytes() == dh_ref.tobytes()
 
