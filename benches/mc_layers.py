@@ -25,6 +25,18 @@ around ``fitting._sing_residuals`` (the grid seed's one call over its
   rows (read off ``montecarlo.fit_singular_rows``);
 - ``max_rounds``: the longest refit row's rounds.
 
+From ``rowmove-*`` on, the same pass splits the refit's time (the
+``montecarlo.fit_singular_rows`` call) in two:
+
+- ``model_s``: the seconds spent in the model, its ``_sing_residuals``
+  calls, which build the residuals and normal equations;
+- ``engine_s``: the rest, ``fitting._lm``'s own bookkeeping (gathering and
+  updating each round's rows, the damped step, the stop tests) and the
+  closure that hands the model its rows.
+
+These two are wall times of the counting pass, so they include the
+wrappers' own cost, about a microsecond per model call, in ``engine_s``.
+
 The same pass counts the generators set one row at a time, through a
 wrapper around ``montecarlo._pcg64_state``:
 
@@ -38,10 +50,12 @@ The counts depend only on the tree and the seed, not on the machine.
 
 The package is imported from wherever PYTHONPATH points, so the same script
 measures two source trees.  Each call appends its samples under ``--label``
-in the output file and recomputes the median and quartiles of every label
-that has samples (a label whose raw samples were dropped from the file keeps
-its recorded summary); run the two trees in alternation to spread machine
-drift over both:
+in the output file and recomputes the median and quartiles of the labels it
+writes.  The file keeps raw samples for that label family only (``NAME``,
+``NAME-parent``, ``NAME-change``): older labels keep their recorded
+``summary`` and ``change_over_parent``, so that a new family's diff of the
+file holds only its own labels.  Run the two trees in alternation to spread
+machine drift over both:
 
     PYTHONPATH=src python benches/mc_layers.py --label NAME-change
     PYTHONPATH=/path/to/parent/src python benches/mc_layers.py --label NAME-parent
@@ -134,12 +148,15 @@ def tree_layers(package, name: str, di: float, seed: int) -> dict[str, float]:
 
 
 @contextmanager
-def spied(module, name: str, spy):
+def spied(module, name: str, spy, before=None):
     """Within the block, each call of ``module.name`` is followed by
-    ``spy(seconds, result, *args)``, ``seconds`` being the call's wall time."""
+    ``spy(seconds, result, *args)``, ``seconds`` being the call's wall time,
+    and, given ``before``, preceded by ``before(*args)``."""
     original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
+        if before:
+            before(*args)
         started = time.perf_counter()
         result = original(*args, **kwargs)
         spy(time.perf_counter() - started, result, *args)
@@ -152,32 +169,43 @@ def spied(module, name: str, spy):
         setattr(module, name, original)
 
 
-def count_work(package, call) -> dict[str, int]:
+def count_work(package, call) -> dict[str, float]:
     """The engine's model calls, rows and rows with derivatives in ``call()``;
     the Monte Carlo refit's LM rounds, over all rows and its longest row's;
-    and the generators set to one row's state (calls of ``_pcg64_state``).
+    the generators set to one row's state (calls of ``_pcg64_state``); and
+    the refit's seconds inside and outside its model.
 
     Engine calls pass tc as a (rows, 1) column; the grid seed's are 3-d.
     """
     counts = dict.fromkeys(("model_calls", "model_rows", "jac_rows", "row_rounds",
                             "max_rounds", "state_sets"), 0)
+    model_s = []                            # each model call's seconds, during the refit
+    refitting = False
 
-    def model_spy(_, __, tc, *args):
+    def model_spy(seconds, __, tc, *args):
         if np.ndim(tc) == 2:
             counts["model_calls"] += 1
             counts["model_rows"] += len(tc)
             counts["jac_rows"] += len(tc) if args[-1] else 0
+        if refitting:
+            model_s.append(seconds)
 
-    def refit_spy(_, result, *args):
+    def refit_spy(seconds, result, *args):
         rounds = result[3]
         counts["row_rounds"] += int(rounds.sum())
         counts["max_rounds"] = max(counts["max_rounds"], int(rounds.max()))
+        counts["model_s"] = sum(model_s)
+        counts["engine_s"] = seconds - counts["model_s"]
+
+    def refit_starts(*_):
+        nonlocal refitting
+        refitting = True
 
     def state_spy(*_):
         counts["state_sets"] += 1
 
     with spied(package.fitting, "_sing_residuals", model_spy), \
-            spied(package.montecarlo, "fit_singular_rows", refit_spy), \
+            spied(package.montecarlo, "fit_singular_rows", refit_spy, refit_starts), \
             spied(package.montecarlo, "_pcg64_state", state_spy):
         call()
     return counts
@@ -208,8 +236,10 @@ def run_bench(description: str, cases, time_case, settings: dict, default_out: P
     returns {layer: value} for one seed.  After one warm-up pass over the
     cases, ``--repeats`` seeds from ``--seed`` on are timed, appended under
     ``--label`` in ``--out``, and the summary of every label with samples
-    and every ``change_over_parent`` are recomputed; a label without raw
-    samples keeps its recorded summary.  ``settings`` joins the Python,
+    and every ``change_over_parent`` are recomputed.  Only the label family
+    this call writes (``--label`` less a ``-parent`` or ``-change`` suffix,
+    with and without either) keeps raw samples; the samples of other labels
+    are dropped and their recorded summaries kept.  ``settings`` joins the Python,
     numpy and CPU count in the file's ``environment``.
 
     A bench that passes ``load_parent`` also takes ``--parent-src PATH``:
@@ -248,7 +278,12 @@ def run_bench(description: str, cases, time_case, settings: dict, default_out: P
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data["environment"] = {"python": platform.python_version(), "numpy": np.__version__,
                            "cpus": os.cpu_count(), **settings}
-    samples = data.setdefault("samples", {})
+    def family(label: str) -> str:
+        return label.removesuffix("-parent").removesuffix("-change")
+
+    samples = data["samples"] = {label: recorded
+                                 for label, recorded in data.get("samples", {}).items()
+                                 if family(label) == family(args.label)}
     calibrator = Calibrator(python_loop)
     for k in range(args.repeats):
         for case in cases:
