@@ -266,10 +266,6 @@ def _cmd_predict(args) -> int:
     params = params_from_report(report)
     resolution = report.data.get("series.resolution", YEARLY)
     t = _parse_target_date(args.date, resolution, report.data)
-    if isinstance(params, SingularityParams) and t >= params.tc:
-        raise ModelDomainError(
-            f"target date lies beyond the singularity (tc = {params.tc})"
-        )
     one_year = 1.0 if resolution == YEARLY else DAYS_PER_YEAR
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned
         price = float(np.exp(evaluate(params, t)))

@@ -13,7 +13,12 @@ alone (variable projection, Golub & Pereyra 1973): a coarse grid seeds one
 projected Levenberg-Marquardt engine (``_lm``), which refines (tc, alpha)
 or b2 and refits every Monte Carlo generation.  The grid, the refine and
 the refit call one residual function per model (``_sing_residuals``, or
-``model`` in ``fit_double_exp``).  The engine takes each row's normal
+``model`` in ``fit_double_exp``), which evaluates the model's basis from
+``hyperfit.models`` (``_sing_basis`` with t0 = t[0], ``_dexp_basis``): the
+one coding of each formula, the one ``evaluate`` reads too, so a fit's
+residuals are the log index less ``evaluate`` at its parameters, up to the
+rounding of the (C0, p0) solve.  This module holds no model formula.  The
+engine takes each row's normal
 equations, which ``_project`` builds from a few inner products per row
 (Kaufman 1975) without forming the Jacobian.  Everything is deterministic
 for a given input and ``FitConfig``; grid ties are broken toward the smaller
@@ -41,7 +46,7 @@ from functools import cache
 import numpy as np
 from numpy._core.multiarray import c_einsum
 
-from .models import DoubleExpParams, LinearParams, SingularityParams
+from .models import DoubleExpParams, LinearParams, SingularityParams, _dexp_basis, _sing_basis
 from .series import PriceIndexSeries
 
 
@@ -326,7 +331,8 @@ def _lm(model, x0, lb, ub):
     lower, so a row started at a converged fit returns that fit bit for bit.
     A non-finite trial never ends a row, and a row whose objective starts
     non-finite runs no round.  Returns (x, ssr, converged, rounds run), then
-    each further item of the model at every row's final x.
+    each further item of the model at every row's final x; a batch of 0 rows
+    takes those from one model call on 0 rows, the only call it makes.
 
     Per-round state moves by ``take`` along the row axis or by 1-D items,
     never by advanced indexing of (rows, k) or (rows, k, k) arrays, and the
@@ -432,7 +438,9 @@ def _lm(model, x0, lb, ub):
             live = np.concatenate([live, new[np.isfinite(ssr[fresh])]])
         live = live[rounds[live] < _MAX_ITER]
 
-    return x, ssr, converged, rounds, *(kept or ())
+    if kept is None:                        # 0 rows: the further items, as 0 rows
+        kept = model(x, live, False)[2:]
+    return x, ssr, converged, rounds, *kept
 
 
 # ---------------------------------------------------------------------------
@@ -475,41 +483,6 @@ def tc_search_window(times: np.ndarray) -> tuple[float, float]:
     return t_last + dt / 2.0, t_last + (t_last - float(times[0]))
 
 
-def _sing_basis(tc, alpha, t: np.ndarray, with_jac: bool):
-    """The singular model's basis g and, with ``with_jac``, dg/d(tc, alpha).
-
-    g = (tc - t0) / alpha * (((tc - t0) / (tc - t))^alpha - 1), t0 = t[0],
-    with tc and alpha broadcasting against each other, each with a trailing
-    unit axis: (rows, 1) in the engine; (n_tc, 1, 1) and (n_alpha, 1) in the
-    grid.
-    ``_project`` needs dg/d(tc, alpha) only up to span{1, g}; with
-    ratio = (tc - t0) / (tc - t) and f = ratio^alpha they are, up to a
-    multiple of g,
-
-        dg/dtc    = 1 - f ratio
-        dg/dalpha = (tc - t0) / alpha * f log(ratio)
-
-    (the 1 matters only with p0 pinned), returned as (2, *g.shape), or None
-    without ``with_jac``.
-    """
-    s0 = tc - t[0]
-    ratio = s0 / (tc - t)
-    log_ratio = np.log(ratio)
-    f = alpha * log_ratio
-    np.exp(f, out=f)
-    scale = s0 / alpha
-    g = f - 1.0
-    g *= scale
-    dg = None
-    if with_jac:
-        dg = np.empty((2, *g.shape))
-        np.multiply(f, ratio, out=dg[0])
-        np.subtract(1.0, dg[0], out=dg[0])
-        np.multiply(f, log_ratio, out=dg[1])
-        dg[1] *= scale
-    return g, dg
-
-
 def _sing_residuals(tc: np.ndarray, alpha: np.ndarray, t: np.ndarray, y: np.ndarray, shift,
                     centre: bool, with_jac: bool):
     """``_project``'s (resid, normal, c0, p0) for the singular model (``_sing_basis``).
@@ -517,7 +490,7 @@ def _sing_residuals(tc: np.ndarray, alpha: np.ndarray, t: np.ndarray, y: np.ndar
     C0 <= 0 is outside the model: such rows get NaN residuals, which the
     engine rejects and the grid skips.
     """
-    g, dg = _sing_basis(tc, alpha, t, with_jac)
+    g, dg = _sing_basis(tc, alpha, t, t[0], with_jac)
     resid, normal, c0, p0 = _project(g, y, shift, centre, dg)
     resid[~(c0 > 0)] = np.nan
     return resid, normal, c0, p0
@@ -536,7 +509,7 @@ def _sing_linearization(t: np.ndarray, tc: float, alpha: float, centre: bool):
     w = g / |g|^2, g centred with p0 free, gives C0 at fixed (tc, alpha):
     it moves by w.dp.
     """
-    g, dg = _sing_basis(tc, alpha, t, True)
+    g, dg = _sing_basis(tc, alpha, t, t[0], True)
     if centre:
         g = g - g.mean()
         dg -= dg.mean(axis=1, keepdims=True)
@@ -656,32 +629,6 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
 # ---------------------------------------------------------------------------
 # Double-exponential model
 # ---------------------------------------------------------------------------
-
-def _dexp_basis(b2: np.ndarray, x: np.ndarray, with_jac: bool):
-    """h = expm1(b2 x) / b2 for a column of b2 values and, with ``with_jac``, dh/db2.
-
-    Rows whose |b2 x| stays below 1e-8 use the series of the b2 -> 0 limit
-    (h = x exactly at b2 = 0), which avoids amplified rounding in
-    expm1(b2 x) / b2 and its derivative when b2 is tiny; the series is
-    computed only when some row needs it.  Every caller passes b2 >= 0 and
-    x = t - t0, ascending from 0, so the largest |b2 x| of a row is its
-    last b2 x.  dh/db2 is returned as (1, *h.shape), or None without
-    ``with_jac``.
-    """
-    b2x = b2 * x
-    small = b2x[..., -1:] < 1e-8
-    b2_safe = np.where(small, 1.0, b2)
-    em1 = np.expm1(b2x)
-    h = em1 / b2_safe
-    dh = None
-    if with_jac:
-        dh = ((x * (em1 + 1.0) - h) / b2_safe)[None]
-    if small.any():
-        np.copyto(h, x * (1.0 + b2x / 2.0 + b2x * b2x / 6.0), where=small)
-        if with_jac:
-            np.copyto(dh[0], x * x / 2.0 * (1.0 + 2.0 * b2x / 3.0), where=small)
-    return h, dh
-
 
 #: Half-width of the second bracket of ``_dexp_start``, relative to its middle b2.
 _BRACKET = 0.01

@@ -13,6 +13,13 @@ The model family, nested from slowest to fastest growth:
 
   which diverges at the critical time tc, where the per-period growth
   rate r(t) = C0 dt ((tc - t0)/(tc - t))^(1 + alpha) blows up.
+
+The two nonlinear models are affine in (C0, p0): p(t) = p0 + C0 g(t), with
+the basis g coded once, in ``_sing_basis`` and ``_dexp_basis``.  The fits
+score those bases (``hyperfit.fitting``), the evaluators return p0 + C0
+times them, and the growth rate and doubling time read the powers the
+singular basis forms (``_sing_ratio``), so a curve, a prediction and a fit
+all evaluate one formula per model.
 """
 
 from __future__ import annotations
@@ -137,16 +144,106 @@ class RecursionResult:
 
 
 # ---------------------------------------------------------------------------
+# Model bases: the one coding of each nonlinear model
+# ---------------------------------------------------------------------------
+
+def _sing_ratio(tc, alpha, t, t0):
+    """(tc - t0, ratio, log ratio, f) of the singular model at t, ratio = (tc - t0)/(tc - t).
+
+    f = ratio^alpha, formed as exp(alpha log ratio), and f ratio =
+    ratio^(1 + alpha) are the model's only powers: the log price, the
+    growth rate, the doubling time and the fits' derivatives all read them
+    here.  tc and alpha broadcast against t; ``f`` must come out an array,
+    as it is exponentiated in place.
+    """
+    s0 = tc - t0
+    ratio = s0 / (tc - t)
+    log_ratio = np.log(ratio)
+    f = alpha * log_ratio
+    np.exp(f, out=f)
+    return s0, ratio, log_ratio, f
+
+
+def _sing_basis(tc, alpha, t: np.ndarray, t0, with_jac: bool):
+    """The singular model's basis g and, with ``with_jac``, dg/d(tc, alpha).
+
+    p(t) = p0 + C0 g with g = (tc - t0) / alpha * (f - 1), f = ratio^alpha
+    (``_sing_ratio``).  tc and alpha broadcast against each other, each with
+    a trailing unit axis: (rows, 1) in the fitting engine; (n_tc, 1, 1) and
+    (n_alpha, 1) in its grid; floats for a model evaluation.  The fits pass
+    t0 = t[0].  Their closed-form (C0, p0) solve needs dg/d(tc, alpha) only
+    up to span{1, g}; up to a multiple of g they are
+
+        dg/dtc    = 1 - f ratio
+        dg/dalpha = (tc - t0) / alpha * f log(ratio)
+
+    (the 1 matters only with p0 pinned), returned as (2, *g.shape), or None
+    without ``with_jac``.
+    """
+    s0, ratio, log_ratio, f = _sing_ratio(tc, alpha, t, t0)
+    scale = s0 / alpha
+    g = f - 1.0
+    g *= scale
+    dg = None
+    if with_jac:
+        dg = np.empty((2, *g.shape))
+        np.multiply(f, ratio, out=dg[0])
+        np.subtract(1.0, dg[0], out=dg[0])
+        np.multiply(f, log_ratio, out=dg[1])
+        dg[1] *= scale
+    return g, dg
+
+
+def _dexp_basis(b2, x: np.ndarray, with_jac: bool):
+    """The double-exponential basis h = expm1(b2 x) / b2 and, with ``with_jac``, dh/db2.
+
+    p(t) = p0 + C0 h with x = t - t0.  b2 is a float or a column of values
+    against rows of x.  A row whose every |b2 x| is below 1e-8 uses the
+    series of the b2 -> 0 limit (h = x exactly at b2 = 0), which avoids
+    amplified rounding in expm1(b2 x) / b2 and its derivative when b2 is
+    tiny; the series is computed only when some row needs it.  The rule
+    reads the whole row, so it holds for x of any sign and order (times
+    before t0, descending times); in a fit, where x ascends from 0 and
+    b2 >= 0, it picks the rows whose last b2 x is below 1e-8.  dh/db2 is
+    returned as (1, *h.shape), or None without ``with_jac``.
+    """
+    b2x = b2 * x
+    small = np.abs(b2x).max(axis=-1, keepdims=True, initial=0.0) < 1e-8
+    b2_safe = np.where(small, 1.0, b2)
+    em1 = np.expm1(b2x)
+    h = em1 / b2_safe
+    dh = None
+    if with_jac:
+        dh = ((x * (em1 + 1.0) - h) / b2_safe)[None]
+    if np.count_nonzero(small):     # 0.2 us; small.any() 0.6 us (2-vCPU VM, numpy 2.4)
+        np.copyto(h, x * (1.0 + b2x / 2.0 + b2x * b2x / 6.0), where=small)
+        if with_jac:
+            np.copyto(dh[0], x * x / 2.0 * (1.0 + 2.0 * b2x / 3.0), where=small)
+    return h, dh
+
+
+# ---------------------------------------------------------------------------
 # Model evaluation
 # ---------------------------------------------------------------------------
 
 def _as_array(t) -> tuple[np.ndarray, bool]:
+    """t as a float array of at least one dimension, and whether it was a scalar."""
     arr = np.asarray(t, dtype=float)
-    return arr, arr.ndim == 0
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
 def _ret(values: np.ndarray, scalar: bool):
-    return float(values) if scalar else values
+    return float(values[0]) if scalar else values
+
+
+def _before_tc(params: SingularityParams, t, quantity: str) -> tuple[np.ndarray, bool]:
+    """``_as_array(t)``, after checking that every t lies before the singularity."""
+    arr, scalar = _as_array(t)
+    if np.any(arr >= params.tc):
+        raise ModelDomainError(
+            f"{quantity} requested at or after the singularity (tc = {params.tc})"
+        )
+    return arr, scalar
 
 
 def eval_linear(params: LinearParams, t) -> float | np.ndarray:
@@ -156,34 +253,25 @@ def eval_linear(params: LinearParams, t) -> float | np.ndarray:
 
 
 def eval_double_exp(params: DoubleExpParams, t) -> float | np.ndarray:
-    """Log price of the double-exponential model.
+    """Log price of the double-exponential model, p0 + C0 ``_dexp_basis``.
 
     p(t) = p0 + (C0/b2) [exp(b2 (t - t0)) - 1].  The b2 -> 0 limit is the
-    linear model; expm1 keeps the bracket fully accurate for small b2 and
-    the b2 = 0 case returns the analytic limit directly.
+    linear model, which b2 = 0 gives exactly.
     """
     arr, scalar = _as_array(t)
-    x = arr - params.t0
-    if params.b2 == 0.0:
-        return _ret(params.p0 + params.c0 * x, scalar)
-    return _ret(params.p0 + params.c0 * np.expm1(params.b2 * x) / params.b2, scalar)
+    h, _ = _dexp_basis(params.b2, arr - params.t0, False)
+    return _ret(params.p0 + params.c0 * h, scalar)
 
 
 def eval_singularity(params: SingularityParams, t) -> float | np.ndarray:
-    """Log price of the singular model; defined only for t < tc.
+    """Log price of the singular model, p0 + C0 ``_sing_basis``; defined only for t < tc.
 
     Strictly increasing on [t0, tc) and divergent as t -> tc.  At t = t0
     the bracket vanishes and p(t0) = p0 exactly.
     """
-    arr, scalar = _as_array(t)
-    if np.any(arr >= params.tc):
-        raise ModelDomainError(
-            f"log price requested at or after the singularity (tc = {params.tc})"
-        )
-    span = params.tc - params.t0
-    ratio = span / (params.tc - arr)
-    bracket = ratio ** params.alpha - 1.0
-    return _ret(params.p0 + params.c0 * span / params.alpha * bracket, scalar)
+    arr, scalar = _before_tc(params, t, "log price")
+    g, _ = _sing_basis(params.tc, params.alpha, arr, params.t0, False)
+    return _ret(params.p0 + params.c0 * g, scalar)
 
 
 def evaluate(params, t) -> float | np.ndarray:
@@ -203,22 +291,18 @@ def growth_rate_curve(params: SingularityParams, dt: float, t) -> float | np.nda
     r(t0) = C0 dt = r0, and r blows up as t -> tc.  ``dt`` is the
     measurement period in the same units as t.
     """
-    arr, scalar = _as_array(t)
-    if np.any(arr >= params.tc):
-        raise ModelDomainError(
-            f"growth rate requested at or after the singularity (tc = {params.tc})"
-        )
-    ratio = (params.tc - params.t0) / (params.tc - arr)
-    return _ret(params.c0 * dt * ratio ** (1.0 + params.alpha), scalar)
+    arr, scalar = _before_tc(params, t, "growth rate")
+    _, ratio, _, f = _sing_ratio(params.tc, params.alpha, arr, params.t0)
+    return _ret(params.c0 * dt * (f * ratio), scalar)
 
 
 # ---------------------------------------------------------------------------
 # Derived quantities
 # ---------------------------------------------------------------------------
 
-def alpha_to_gamma(alpha: float) -> float:
-    """Growth exponent gamma = (2 + alpha)/(1 + alpha)."""
-    if alpha == -1.0:
+def alpha_to_gamma(alpha: float | np.ndarray) -> float | np.ndarray:
+    """Growth exponent gamma = (2 + alpha)/(1 + alpha), of a float or elementwise of an array."""
+    if np.any(alpha == -1.0):
         raise ModelDomainError("alpha = -1 has no growth exponent")
     return (2.0 + alpha) / (1.0 + alpha)
 
@@ -244,11 +328,9 @@ def doubling_time(params: SingularityParams, t) -> float | np.ndarray:
     strictly decreasing, and -> 0 as t -> tc.  The expression is exact only
     asymptotically (for tau2 much smaller than tc - t).
     """
-    arr, scalar = _as_array(t)
-    if np.any(arr >= params.tc):
-        raise ModelDomainError(f"doubling time not defined at or after tc = {params.tc}")
-    frac = (params.tc - arr) / (params.tc - params.t0)
-    return _ret(LN2 / params.c0 * frac ** (1.0 + params.alpha), scalar)
+    arr, scalar = _before_tc(params, t, "doubling time")
+    _, ratio, _, f = _sing_ratio(params.tc, params.alpha, arr, params.t0)
+    return _ret(LN2 / (params.c0 * (f * ratio)), scalar)
 
 
 def doubling_time_from_ab(alpha: float, b_coeff: float, time_to_tc) -> float | np.ndarray:

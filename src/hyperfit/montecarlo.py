@@ -484,7 +484,7 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
         "alpha": (dp.alpha, alpha[ok]),
         "c0": (dp.c0, c0[ok]),
         "p0": (dp.p0, p0[ok]),
-        "gamma": (alpha_to_gamma(dp.alpha), (2.0 + alpha[ok]) / (1.0 + alpha[ok])),
+        "gamma": (alpha_to_gamma(dp.alpha), alpha_to_gamma(alpha[ok])),
     }
     params = {name: ParamStats(direct_value, *_population_moments(sample))
               for name, (direct_value, sample) in values.items()}

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
+from hyperfit.fixtures import PRESETS
 from hyperfit.models import (
     DoubleExpParams,
     LinearParams,
@@ -82,6 +83,27 @@ class TestEvalDoubleExp:
         d = DoubleExpParams(p0=0.1, c0=0.25, b2=0.0, t0=1.0)
         assert eval_double_exp(d, 9.0) == pytest.approx(0.1 + 0.25 * 8.0, abs=0.0)
 
+    def test_any_sign_and_order_of_t_is_the_closed_form(self):
+        # Times before t0, descending, out of order, and a scalar.  With
+        # p0 = 0 and C0 = 1 the value is expm1(b2 (t - t0)) / b2 bit for bit
+        # wherever some |b2 (t - t0)| of the row reaches 1e-8, and within
+        # 1e-15 where every one stays below it and the b2 -> 0 series
+        # applies.  A series chosen on a row's last point alone gave -1550 at
+        # 1919, where the closed form gives -3.33, and one chosen on its two
+        # ends would take the out-of-order row for a series row.
+        closed = lambda b2, t: np.expm1(b2 * (np.asarray(t) - 1969.0)) / b2
+        d = DoubleExpParams(p0=0.0, c0=1.0, b2=0.3, t0=1969.0)
+        for t in (np.array([1919.0, 1944.0, 1969.0]), np.array([2000.0, 1969.0, 1919.0]),
+                  np.array([1969.0, 1919.0, 1969.0])):
+            assert eval_double_exp(d, t).tobytes() == closed(0.3, t).tobytes()
+        assert eval_double_exp(d, 1919.0) == float(closed(0.3, 1919.0))
+        assert eval_double_exp(d, np.array([])).shape == (0,)
+        tiny = DoubleExpParams(p0=0.0, c0=1.0, b2=1e-12, t0=1969.0)
+        t = np.array([1990.0, 1969.0, 1919.0])
+        assert eval_double_exp(tiny, t) == pytest.approx(closed(1e-12, t), rel=1e-15)
+        assert eval_double_exp(tiny, 1919.0) == pytest.approx(float(closed(1e-12, 1919.0)),
+                                                              rel=1e-15)
+
     def test_negative_b2_rejected(self):
         with pytest.raises(ModelDomainError):
             DoubleExpParams(p0=0.0, c0=0.1, b2=-0.1)
@@ -155,6 +177,19 @@ class TestGrowthRateCurve:
         with pytest.raises(ModelDomainError):
             growth_rate_curve(PERU, 1.0, PERU.tc)
 
+    def test_the_power_form_within_a_few_ulp(self):
+        # The rate reads ratio^(1 + alpha) as f ratio, f = exp(alpha log ratio)
+        # of the model's basis; the ratio ** (1 + alpha) it replaced differs
+        # by the rounding of exp, within 8 ulp on every episode up to 1e-6
+        # of its span before tc (6 measured).
+        for preset in PRESETS.values():
+            params = preset.params
+            t = np.linspace(params.t0, params.tc - 1e-6 * (params.tc - params.t0), 2000)
+            ratio = (params.tc - params.t0) / (params.tc - t)
+            power_form = params.c0 * 30.0 * ratio ** (1.0 + params.alpha)
+            rate = growth_rate_curve(params, 30.0, t)
+            assert np.all(np.abs(rate - power_form) <= 8.0 * np.spacing(power_form))
+
 
 # ---------------------------------------------------------------------------
 # Exponent conversions
@@ -174,6 +209,13 @@ class TestExponentConversion:
     def test_domain_errors(self):
         with pytest.raises(ModelDomainError):
             alpha_to_gamma(-1.0)
+
+    def test_an_array_is_its_values_bit_for_bit(self):
+        alpha = np.array([0.01, 0.17, 0.29, 0.56, 1.0, 4.99])
+        gamma = alpha_to_gamma(alpha)
+        assert gamma.tobytes() == np.array([alpha_to_gamma(float(a)) for a in alpha]).tobytes()
+        with pytest.raises(ModelDomainError):
+            alpha_to_gamma(np.array([0.5, -1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +304,18 @@ class TestDoublingTime:
         params = SingularityParams(tc=10.0, alpha=0.5, c0=0.2, p0=0.0, t0=0.0)
         with pytest.raises(ModelDomainError):
             doubling_time(params, 10.0)
+
+    def test_the_power_form_within_a_few_ulp(self):
+        # As the growth rate: ln 2 / (C0 f ratio) against the
+        # (ln 2 / C0) ((tc - t)/(tc - t0)) ** (1 + alpha) it replaced, within
+        # 8 ulp (6 measured).
+        for preset in PRESETS.values():
+            params = preset.params
+            t = np.linspace(params.t0, params.tc - 1e-6 * (params.tc - params.t0), 2000)
+            frac = (params.tc - t) / (params.tc - params.t0)
+            power_form = math.log(2.0) / params.c0 * frac ** (1.0 + params.alpha)
+            tau = doubling_time(params, t)
+            assert np.all(np.abs(tau - power_form) <= 8.0 * np.spacing(power_form))
 
 
 # ---------------------------------------------------------------------------
