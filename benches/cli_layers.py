@@ -33,9 +33,11 @@ Run it from the repository root, with the parent tree unpacked elsewhere:
     PYTHONPATH=src python benches/cli_layers.py --label NAME --parent-src /path/to/parent/src
 
 Samples are appended under ``NAME-parent`` and ``NAME-change`` in ``--out``
-and every summary is recomputed.  Times are raw wall seconds after one
-untimed warm-up round; the pairing, not a reference kernel, takes out the
-machine's drift.
+and their summaries recomputed.  As in ``mc_layers.run_bench``, the file
+keeps raw samples and paired ratios for that label family only: older
+labels keep their recorded ``summary`` and ``change_over_parent``, and git
+keeps their samples.  Times are raw wall seconds after one untimed warm-up
+round; the pairing, not a reference kernel, takes out the machine's drift.
 """
 
 from __future__ import annotations
@@ -136,8 +138,11 @@ def main() -> None:
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data["environment"] = {"python": platform.python_version(), "cpus": os.cpu_count(),
                            "pairs": [f"{f} {m}" for f, m in PAIRS]}
-    samples = data.setdefault("samples", {})
-    paired = data.setdefault("paired", {}).setdefault(change, {"command_s": [], "rounds_won": []})
+    samples = data["samples"] = {label: recorded
+                                 for label, recorded in data.get("samples", {}).items()
+                                 if label in (parent, change)}
+    paired = data.get("paired", {}).get(change, {"command_s": [], "rounds_won": []})
+    data["paired"] = {change: paired}
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "report.json"
         time_round(trees, 0, out)                    # warm-up: file cache, bytecode
@@ -151,9 +156,10 @@ def main() -> None:
                                         < sum(values["parent"]["command_s"]))
             print(f"round {k}: change / parent {statistics.median(ratios):.3f}", flush=True)
 
-    data["summary"] = {label: {layer: summary(vals) for layer, vals in layers.items()}
-                       for label, layers in samples.items()}
-    data["change_over_parent"] = {
+    data["summary"] = data.get("summary", {}) | {
+        label: {layer: summary(vals) for layer, vals in layers.items()}
+        for label, layers in samples.items()}
+    data["change_over_parent"] = data.get("change_over_parent", {}) | {
         label: {layer: data["summary"][label][layer]["median"]
                 / data["summary"][label.removesuffix("change") + "parent"][layer]["median"]
                 for layer in data["summary"][label]}

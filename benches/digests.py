@@ -18,8 +18,12 @@ For the hyperfit tree on PYTHONPATH this prints five digests:
   the drift budget of an engine change: it reaches the Greece and Zimbabwe
   refits and the di = 0.5 tails that the ``mc`` cases do not.
 
-``fit`` and ``mc`` take every field: floats at full precision, arrays as
-bytes (residuals included), and each fit's ``iterations`` and ``converged``.
+Every input starts from the bundled CSVs (``mc_layers.fixture_rates``), not
+from the tree's own fixture generator, so two trees are compared on the
+same inputs.  ``fit`` and ``mc`` take every field: floats at full
+precision, arrays as bytes (residuals included), and each fit's
+``iterations`` and ``converged``; a fit's model and free-parameter count
+too, which it derives from its parameters (``FIT_VALUES``).
 Equal digests on two trees mean the same results, bit for bit.  A change
 that moves values only at optimizer tolerance changes those two, and an
 equal ``counts`` digest then shows that every generation still lands in the
@@ -59,9 +63,11 @@ import numpy as np
 
 from fit_layers import case_indexes
 from hyperfit import montecarlo
-from hyperfit.fitting import FitConfig, FitError, fit_double_exp, fit_linear, fit_singularity
-from hyperfit.fixtures import PRESETS, episode, synthetic_rates
+from hyperfit.fitting import (FitConfig, FitError, FitResult, fit_double_exp, fit_linear,
+                              fit_singularity)
+from hyperfit.fixtures import PRESETS
 from hyperfit.montecarlo import MCConfig, run_mc
+from mc_layers import fixture_rates
 
 MC_CASES = (("peru", 0.25), ("yugoslavia", 0.25), ("germany", 0.5))
 MC_SEEDS = (*range(1_000_000, 1_000_045), 20080605)
@@ -72,12 +78,22 @@ FIT_SEED = 1
 CONFIGS = (FitConfig(), FitConfig(pin_p0=True))
 COUNT_FIELDS = ("outcome", "tc_hist_counts", "n_nonconverged", "accepted", "gaussian_ok",
                 "unreliable")
+#: What a ``FitResult`` digest hashes, stored or derived: a value that moves
+#: between a field and a property moves no digest.
+FIT_VALUES = ("model", "params", "residuals", "converged", "iterations", "n_free_params",
+              "p0_pinned")
 
 
 def feed(h, value) -> None:
-    """Hash value's type and content, recursing into dataclasses and dicts."""
+    """Hash value's type and content, recursing into dataclasses and dicts.
+
+    A ``FitResult`` is hashed as the dict of its ``FIT_VALUES``, any other
+    dataclass as the dict of its fields.
+    """
     h.update(type(value).__name__.encode())
-    if dataclasses.is_dataclass(value):
+    if isinstance(value, FitResult):
+        value = {name: getattr(value, name) for name in FIT_VALUES}
+    elif dataclasses.is_dataclass(value):
         value = vars(value)
     if isinstance(value, dict):
         for key in sorted(value):
@@ -98,7 +114,7 @@ def draws_digest() -> str:
     """The ``draws`` digest: each case and seed's samples and truncation count."""
     h = hashlib.sha256()
     for name, di in MC_CASES:
-        rates = synthetic_rates(episode(name)).rates
+        rates = fixture_rates(name).rates
         out = np.empty((M, len(rates)))
         for seed in MC_SEEDS:
             feed(h, montecarlo._draw_generations(rates, di, seed, out))
@@ -127,7 +143,7 @@ def mc_digests(cases, seeds, moments: dict, counts: dict) -> tuple[str, str]:
     whole, counted = hashlib.sha256(), hashlib.sha256()
     tag_di = len({name for name, _ in cases}) < len(cases)
     for name, di in cases:
-        rates = synthetic_rates(episode(name))
+        rates = fixture_rates(name)
         for config in CONFIGS:
             for seed in seeds:
                 report = run_mc(rates, config, MCConfig(di=di, m=M, seed=seed))

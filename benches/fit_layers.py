@@ -65,10 +65,10 @@ from pathlib import Path
 import numpy as np
 
 import hyperfit
-from hyperfit.fixtures import PRESETS, episode, synthetic_rates
+from hyperfit.fixtures import PRESETS
 from hyperfit.montecarlo import sample_generation
 from hyperfit.series import build_price_index
-from mc_layers import load_parent, run_bench, spied
+from mc_layers import fixture_rates, load_parent, run_bench, spied
 
 CASES = tuple((name,) for name in PRESETS)
 PERTURBATIONS = 7
@@ -91,13 +91,17 @@ def per_call_ms(fns: dict, args: dict) -> dict[str, float]:
     return {tree: seconds / (CALLS * len(args[tree])) * 1e3 for tree, seconds in total.items()}
 
 
-def case_indexes(name: str, seed: int) -> list:
-    """The episode's noiseless index, then PERTURBATIONS resampled at DI from ``seed``."""
-    rates = synthetic_rates(episode(name))
+def case_rates(name: str, seed: int) -> list:
+    """The episode's bundled rates, then PERTURBATIONS resampled at DI from ``seed``."""
+    rates = fixture_rates(name)
     children = np.random.SeedSequence(seed).spawn(PERTURBATIONS)
-    return [build_price_index(rates)] + [
-        build_price_index(sample_generation(rates, DI, np.random.default_rng(child)))
-        for child in children]
+    return [rates] + [sample_generation(rates, DI, np.random.default_rng(child))
+                      for child in children]
+
+
+def case_indexes(name: str, seed: int) -> list:
+    """The price indexes of ``case_rates``."""
+    return [build_price_index(rates) for rates in case_rates(name, seed)]
 
 
 def grid_args(tree, index) -> tuple:
@@ -121,9 +125,10 @@ def time_case(name: str, seed: int, parent=None) -> dict:
     """This tree's layers on one case and seed; with ``parent`` (a ``hyperfit``
     package), {"parent": layers, "change": layers}, timed call by call in turn."""
     trees = {"change": hyperfit} if parent is None else {"parent": parent, "change": hyperfit}
-    indexes = case_indexes(name, seed)
-    own = {side: [(tree.series.PriceIndexSeries(i.epochs, i.index, i.log_index),)
-                  for i in indexes] for side, tree in trees.items()}
+    rates = case_rates(name, seed)
+    indexes = [build_price_index(r) for r in rates]
+    own = {side: [(tree.series.build_price_index(r),) for r in rates]
+           for side, tree in trees.items()}
     grid = {side: [grid_args(tree, i) for i in indexes] for side, tree in trees.items()}
     layers = (("grid_ms", "_sing_grid_seed", grid),
               ("linear_ms", "fit_linear", own),

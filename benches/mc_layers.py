@@ -98,7 +98,8 @@ from pathlib import Path
 import numpy as np
 
 import hyperfit
-from hyperfit.fixtures import episode, synthetic_rates
+from hyperfit.fixtures import episode, fixture_path
+from hyperfit.series import load_series
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 from calibrate import Calibrator, python_loop  # noqa: E402
@@ -119,14 +120,19 @@ def time_case(name: str, di: float, seed: int, parent=None) -> dict:
         seed = STALL_SEEDS[seed % len(STALL_SEEDS)]
     trees = {"change": hyperfit} if parent is None else {"parent": parent, "change": hyperfit}
     order = list(trees) if seed % 2 else list(reversed(trees))
-    values = {side: tree_layers(trees[side], name, di, seed) for side in order}
+    rates = fixture_rates(name)
+    values = {side: tree_layers(trees[side], rates, di, seed) for side in order}
     return values["change"] if parent is None else values
 
 
-def tree_layers(package, name: str, di: float, seed: int) -> dict[str, float]:
-    """One timed ``run_mc`` of ``package`` on the case, then one counted."""
+def fixture_rates(name: str):
+    """The episode's bundled CSV rates: every bench's input, the same on any tree."""
+    return load_series(fixture_path(name), day_convention=episode(name).day_convention)
+
+
+def tree_layers(package, rates, di: float, seed: int) -> dict[str, float]:
+    """One timed ``run_mc`` of ``package`` on the rates, then one counted."""
     mc = package.montecarlo
-    rates = synthetic_rates(episode(name))
     config = package.fitting.FitConfig()
 
     def run():

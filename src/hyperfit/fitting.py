@@ -40,13 +40,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 
 import numpy as np
 from numpy._core.multiarray import c_einsum
 
-from .models import DoubleExpParams, LinearParams, SingularityParams, _dexp_basis, _sing_basis
+from .models import (MODEL_PARAMS, DoubleExpParams, LinearParams, SingularityParams,
+                     _dexp_basis, _sing_basis)
 from .series import PriceIndexSeries
 
 
@@ -115,9 +116,12 @@ _ALPHA_NODES.flags.writeable = False
 class FitResult:
     """What one fit found: its parameters, its residuals and how the engine ended.
 
-    ``residuals`` is p_data - p_model, and everything else about the fit's
-    quality derives from it: ``objective`` is its sum of squares and
-    ``chi`` and ``chi_n_minus_k`` the residue sqrt(objective / N) and
+    The parameters fix the model, ``model`` (its name in ``MODEL_PARAMS``),
+    and with ``p0_pinned`` the number of free parameters, ``n_free_params``:
+    every parameter but t0, less p0 when it is pinned.  ``residuals`` is
+    p_data - p_model, and everything else about the fit's quality derives
+    from it: ``objective`` is its sum of squares and ``chi`` and
+    ``chi_n_minus_k`` the residue sqrt(objective / N) and
     sqrt(objective / (N - k)), k = ``n_free_params`` (inf when N <= k), so
     a published residue can be compared under either convention.  The
     nonlinear fits take the residuals from the closed-form (C0, p0) solve at
@@ -126,13 +130,19 @@ class FitResult:
     bit.
     """
 
-    model: str
     params: LinearParams | DoubleExpParams | SingularityParams
     residuals: np.ndarray
     converged: bool
     iterations: int                      # LM rounds run; 0 for closed forms
-    n_free_params: int
     p0_pinned: bool = False
+
+    @property
+    def model(self) -> str:
+        return next(name for name, cls in MODEL_PARAMS.items() if type(self.params) is cls)
+
+    @property
+    def n_free_params(self) -> int:
+        return len(fields(self.params)) - 1 - self.p0_pinned
 
     @property
     def objective(self) -> float:
@@ -460,7 +470,7 @@ def fit_linear(index: PriceIndexSeries, config: FitConfig | None = None) -> FitR
     t0 = float(t[0])
     resid, _, c0, p0 = _project(t - t0, *_data_side(p, None), True)
     params = LinearParams(p0=float(p0), c0=float(c0), t0=t0)
-    return FitResult("linear", params, resid, converged=True, iterations=0, n_free_params=2)
+    return FitResult(params, resid, converged=True, iterations=0)
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +631,7 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
     # Evaluated again, not kept by the engine: keeping them would cost every Monte Carlo refit.
     resid, *_ = _sing_residuals(tc[:, None], alpha[:, None], t,
                                 *_data_side(p[None, :], pinned), pinned is None, False)
-    return FitResult("singularity", params, resid[0], converged=bool(converged[0]),
-                     iterations=int(rounds[0]), n_free_params=3 if config.pin_p0 else 4,
+    return FitResult(params, resid[0], converged=bool(converged[0]), iterations=int(rounds[0]),
                      p0_pinned=config.pin_p0)
 
 
@@ -720,6 +729,5 @@ def fit_double_exp(index: PriceIndexSeries, config: FitConfig | None = None) -> 
     v, _, converged, rounds, c0, p0, resid = _lm(model, np.array([[start]]), np.zeros(1),
                                                  np.array([b2_hi]))
     params = DoubleExpParams(p0=float(p0[0]), c0=float(c0[0]), b2=float(v[0, 0]), t0=t0)
-    return FitResult("doubleexp", params, resid[0], converged=bool(converged[0]),
-                     iterations=int(rounds[0]), n_free_params=3)
+    return FitResult(params, resid[0], converged=bool(converged[0]), iterations=int(rounds[0]))
 

@@ -19,7 +19,6 @@ from .series import (
     DAYS_PER_MONTH,
     END_MONTH,
     MID_MONTH,
-    MONTHLY,
     YEARLY,
     Epoch,
     InflationSeries,
@@ -31,14 +30,24 @@ from .series import (
 
 @dataclass(frozen=True)
 class EpisodePreset:
-    """Window plus fitted singular-model parameters of one episode."""
+    """Window plus fitted singular-model parameters of one episode.
+
+    The first epoch, ``start``, gives the episode's resolution and day
+    convention.
+    """
 
     name: str
-    resolution: str
-    day_convention: str
     start: Epoch
     end: Epoch
     params: SingularityParams   # native time coordinates
+
+    @property
+    def resolution(self) -> str:
+        return self.start.resolution
+
+    @property
+    def day_convention(self) -> str:
+        return self.start.day_convention
 
     def epochs(self) -> tuple[Epoch, ...]:
         if self.resolution == YEARLY:
@@ -54,8 +63,6 @@ class EpisodePreset:
 def _yearly(name, year0, year1, tc, alpha, c0, p0) -> EpisodePreset:
     return EpisodePreset(
         name=name,
-        resolution=YEARLY,
-        day_convention=MID_MONTH,
         start=Epoch(year=year0),
         end=Epoch(year=year1),
         params=SingularityParams(tc=tc, alpha=alpha, c0=c0, p0=p0, t0=float(year0)),
@@ -69,8 +76,6 @@ def _monthly(name, start, end, tc_date, alpha, c0_per_month, p0, convention) -> 
     )
     return EpisodePreset(
         name=name,
-        resolution=MONTHLY,
-        day_convention=convention,
         start=t0,
         end=Epoch(year=end[0], month=end[1], day_convention=convention),
         params=SingularityParams(

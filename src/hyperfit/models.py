@@ -97,6 +97,12 @@ class SingularityParams:
             raise ModelDomainError(f"C0 must be > 0, got {self.c0}")
 
 
+#: The parameter class of each model, by the name a report and the command
+#: line give the model; a fit's model is the name of its parameters' class.
+MODEL_PARAMS = {"linear": LinearParams, "doubleexp": DoubleExpParams,
+                "singularity": SingularityParams}
+
+
 @dataclass(frozen=True)
 class RecursionParams:
     """Discrete feedback recursion r(t + dt) = r(t - dt) + a [r(t - dt)]^gamma.

@@ -455,7 +455,7 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
     truncated = _draw_generations(rates.rates, mc.di, mc.seed, samples)
 
     # Cumulate each generation exactly as the direct fit's data.
-    p_data = cumulate(samples)[1]
+    p_data = cumulate(samples)
 
     # Refit every generation from its first-order start, held at or above the
     # box's lower edges and at most one box width beyond its upper ones, so

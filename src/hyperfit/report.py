@@ -16,13 +16,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .fitting import FitResult
-from .models import (
-    DoubleExpParams,
-    LinearParams,
-    SingularityParams,
-    ab_coefficients,
-    alpha_to_gamma,
-)
+from .models import MODEL_PARAMS, SingularityParams, ab_coefficients, alpha_to_gamma
 from .series import (
     DAYS_PER_MONTH,
     MONTHLY,
@@ -158,10 +152,6 @@ def build_report(
     return AnalysisReport(data=data)
 
 
-#: The parameter class of each model; a report stores its fields as ``fit.<name>`` keys.
-_PARAMS = {"linear": LinearParams, "doubleexp": DoubleExpParams, "singularity": SingularityParams}
-
-
 def params_from_report(report: AnalysisReport):
     """Rebuild the fitted parameter object stored in a report.
 
@@ -183,9 +173,9 @@ def params_from_report(report: AnalysisReport):
     if convention not in (YEAR_START, YEAR_MID, YEAR_END):
         raise ReportError(f"unknown input.year_convention {convention!r} in report")
     model = d.get("model")
-    if not isinstance(model, str) or model not in _PARAMS:
+    if not isinstance(model, str) or model not in MODEL_PARAMS:
         raise ReportError(f"unknown model {model!r} in report")
-    cls = _PARAMS[model]
+    cls = MODEL_PARAMS[model]
     values = {}
     for field in fields(cls):
         value = d.get(f"fit.{field.name}")

@@ -26,6 +26,7 @@ from hyperfit.fitting import (
     tc_search_window,
 )
 from hyperfit.models import (
+    MODEL_PARAMS,
     DoubleExpParams,
     SingularityParams,
     eval_double_exp,
@@ -808,8 +809,23 @@ class TestFitSingularity:
     def test_stores_only_what_the_fit_decides(self):
         assert [f.name for f in dataclasses.fields(FitConfig)] == ["pin_p0"]
         assert [f.name for f in dataclasses.fields(FitResult)] == [
-            "model", "params", "residuals", "converged", "iterations", "n_free_params",
-            "p0_pinned"]
+            "params", "residuals", "converged", "iterations", "p0_pinned"]
+
+    @pytest.mark.parametrize("fit, model, k_free, k_pinned", [
+        (fit_linear, "linear", 2, 2),
+        (fit_double_exp, "doubleexp", 3, 3),
+        (fit_singularity, "singularity", 4, 3),
+    ])
+    def test_model_and_free_parameters_come_from_the_parameters(
+            self, peru_index, fit, model, k_free, k_pinned):
+        # Every parameter but t0 is free, less p0 when pinned; only the
+        # singular fit pins it.
+        for pin, k in ((False, k_free), (True, k_pinned)):
+            result = fit(peru_index, FitConfig(pin_p0=pin))
+            assert result.model == model
+            assert MODEL_PARAMS[model] is type(result.params)
+            assert result.n_free_params == k
+            assert result.p0_pinned == (pin and model == "singularity")
 
 
 # ---------------------------------------------------------------------------

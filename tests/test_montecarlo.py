@@ -517,7 +517,7 @@ def refits_in_flight(rates, counts, monkeypatch):
     direct = fit_singularity(index, config).params
     samples = np.empty((50, len(rates)))
     _draw_generations(rates.rates, 0.25, 5, samples)
-    p_data = cumulate(samples)[1]
+    p_data = cumulate(samples)
     runs = []
     for count in counts:
         monkeypatch.setattr(fitting, "_IN_FLIGHT", count)

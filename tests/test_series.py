@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperfit.fixtures import PRESETS, fixture_path, write_fixture_csvs
+from hyperfit.fixtures import PRESETS, EpisodePreset, fixture_path, write_fixture_csvs
 from hyperfit.series import (
     DAYS_PER_MONTH,
     Epoch,
@@ -122,13 +123,15 @@ class TestBuildPriceIndex:
                 values[2] = -1.5
         # The caller's own arrays stay writable and no longer reach the series.
         p, log_p = np.array(index.index), np.array(index.log_index)
-        own = PriceIndexSeries(epochs=series.epochs, index=p, log_index=log_p)
+        own = PriceIndexSeries(epochs=series.epochs, log_index=log_p)
+        from_p = PriceIndexSeries.from_index(series.epochs, p)
         for caller in (raw, p, log_p):
             caller[2] = -1.5
             assert caller.flags.writeable
         assert series.rates[2] == 0.2
-        assert own.index.tobytes() == index.index.tobytes()
-        assert own.log_index.tobytes() == index.log_index.tobytes()
+        for built in (own, from_p):
+            assert built.index.tobytes() == index.index.tobytes()
+            assert built.log_index.tobytes() == index.log_index.tobytes()
 
     def test_non_uniform_spacing_rejected(self):
         epochs = (Epoch(year=1970), Epoch(year=1971), Epoch(year=1973))
@@ -145,6 +148,20 @@ class TestBuildPriceIndex:
         epochs = tuple(Epoch(year=1970 + k) for k in range(3))
         with pytest.raises(SeriesError, match="1971 is not positive"):
             PriceIndexSeries.from_index(epochs, np.array([1.0, value, 3.0]))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_log_index_names_epoch(self, value):
+        epochs = tuple(Epoch(year=1970 + k) for k in range(3))
+        with pytest.raises(SeriesError, match="1972 is .*, must be finite"):
+            PriceIndexSeries(epochs, np.array([0.0, 1.0, value]))
+
+    def test_stores_the_log_index_only(self):
+        # P is exp(p), derived on each read, so the two cannot disagree.
+        index = build_price_index(yearly(1970, [0.0, 0.5, 0.2]))
+        assert [f.name for f in dataclasses.fields(PriceIndexSeries)] == ["epochs", "log_index"]
+        assert index.index.tobytes() == np.exp(index.log_index).tobytes()
+        with pytest.raises(AttributeError):
+            index.index = np.ones(3)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +306,33 @@ def test_times_is_built_once_and_read_only(name):
     assert len(cut.times()) == len(index) - 4
     if name == "yugoslavia":                 # days from the window's own first epoch
         assert cut.times()[0] == 0.0 != index.times()[2]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_an_index_written_out_loads_to_the_same_log_index(name, tmp_path):
+    # cumulate takes the log of exp of the summed logs, so p is ln of a float
+    # P: the index written at repr precision and read back as kind="index"
+    # gives p bit for bit.
+    convention = PRESETS[name].day_convention
+    index = build_price_index(load_series(fixture_path(name), day_convention=convention))
+    path = tmp_path / f"{name}_index.csv"
+    path.write_text("date,value\n" + "".join(
+        f"{e.label()},{float(v)!r}\n" for e, v in zip(index.epochs, index.index)))
+    loaded = load_series(path, kind="index", day_convention=convention)
+    assert loaded.epochs == index.epochs
+    assert loaded.log_index.tobytes() == index.log_index.tobytes()
+
+
+def test_a_preset_reads_its_resolution_and_convention_from_its_first_epoch():
+    assert [f.name for f in dataclasses.fields(EpisodePreset)] == [
+        "name", "start", "end", "params"]
+    expected = {"peru": ("yearly", "mid"), "zimbabwe": ("yearly", "mid"),
+                "germany": ("monthly", "mid"), "greece": ("monthly", "end"),
+                "yugoslavia": ("monthly", "mid")}
+    for name, preset in PRESETS.items():
+        assert (preset.resolution, preset.day_convention) == expected[name]
+        assert {e.resolution for e in preset.epochs()} == {preset.resolution}
+        assert {e.day_convention for e in preset.epochs()} == {preset.day_convention}
 
 
 def test_days_per_month_constant():
