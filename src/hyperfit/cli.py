@@ -34,6 +34,7 @@ from .fitting import (
     fit_singularity,
 )
 from .models import (
+    MODEL_PARAMS,
     ModelDomainError,
     SingularityParams,
     doubling_time,
@@ -56,6 +57,7 @@ from .series import (
     slice_window,
 )
 
+#: The fitter of each model, by its name in ``models.MODEL_PARAMS``.
 _FITTERS = {"linear": fit_linear, "doubleexp": fit_double_exp, "singularity": fit_singularity}
 
 
@@ -165,13 +167,12 @@ def _cmd_mc(args) -> int:
     if sweep is None and (args.sweep_out is not None or args.sweep_m is not None):
         raise LoadError("--sweep-out and --sweep-m apply only with --sweep FROM:TO:STEP")
     rates, index = _load_index(args)
-    config = FitConfig(pin_p0=args.pin_p0)
-    mc = run_mc(rates, config, mc_config)
+    mc = run_mc(rates, FitConfig(pin_p0=args.pin_p0), mc_config)
     _emit(build_report(mc.direct, index, source=_source_meta(args), mc=mc), args.out)
 
     if sweep is not None:
         lines = ["di_pct,std_tc,std_alpha,std_c0,std_p0,sd_tc_rel_pct,sd_gamma_rel_pct"]
-        for r in sweep_error(rates, config, sweep, m=sweep_m, seed=seed, direct=mc.direct):
+        for r in sweep_error(rates, di_values=sweep, m=sweep_m, seed=seed, direct=mc.direct):
             lines.append(",".join(map(repr, [
                 r.config.di * 100.0, *(r.params[k].std for k in ("tc", "alpha", "c0", "p0")),
                 r.sd_tc_rel_pct, r.sd_gamma_rel_pct])))
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit one model and print a report")
     _add_input_flags(p_fit)
-    p_fit.add_argument("--model", choices=sorted(_FITTERS), default="singularity")
+    p_fit.add_argument("--model", choices=sorted(MODEL_PARAMS), default="singularity")
     _add_fit_flags(p_fit)
     p_fit.set_defaults(func=_cmd_fit)
 
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="tabulate a fitted curve as CSV")
     p_curve.add_argument("--report", help="report JSON produced by fit/mc")
-    p_curve.add_argument("--model", choices=sorted(_FITTERS), default="singularity",
+    p_curve.add_argument("--model", choices=sorted(MODEL_PARAMS), default="singularity",
                          help="model for explicit --param input")
     p_curve.add_argument("--param", action="append", metavar="NAME=VALUE",
                          help="explicit parameter instead of --report (repeatable)")

@@ -52,12 +52,8 @@ class EpisodePreset:
     def epochs(self) -> tuple[Epoch, ...]:
         if self.resolution == YEARLY:
             return tuple(Epoch(year=y) for y in range(self.start.year, self.end.year + 1))
-        out = []
-        y, m = self.start.year, self.start.month
-        while (y, m) <= (self.end.year, self.end.month):
-            out.append(Epoch(year=y, month=m, day_convention=self.day_convention))
-            y, m = (y + 1, 1) if m == 12 else (y, m + 1)
-        return tuple(out)
+        return tuple(Epoch(year=n // 12, month=n % 12 + 1, day_convention=self.day_convention)
+                     for n in range(self.start.order_key(), self.end.order_key() + 1))
 
 
 def _yearly(name, year0, year1, tc, alpha, c0, p0) -> EpisodePreset:

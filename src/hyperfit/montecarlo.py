@@ -389,16 +389,6 @@ def _skew_kurtosis(x: np.ndarray) -> tuple[float, float]:
     return float(np.mean(dev ** 3) / m2 ** 1.5), float(np.mean(dev ** 4) / m2 ** 2 - 3.0)
 
 
-def _direct_fit(rates: InflationSeries,
-                fit_config: FitConfig) -> tuple[FitResult, PriceIndexSeries]:
-    """Direct fit of the unperturbed series, and the price index it fitted."""
-    index = build_price_index(rates)
-    direct = fit_singularity(index, fit_config)
-    if not direct.converged:
-        raise FitError("direct fit did not converge; refusing to resample around it")
-    return direct, index
-
-
 def run_mc(
     rates: InflationSeries,
     fit_config: FitConfig | None = None,
@@ -406,21 +396,20 @@ def run_mc(
 ) -> MCReport:
     """Resample the rate series m times, refit each generation, aggregate.
 
-    The direct fit of the unperturbed series anchors the comparison and
-    seeds every refit.  Each refit keeps tc beyond the data and alpha at
-    or above the lower bound of ``fitting._ALPHA_BOUNDS``, as the direct fit does.
-    A generation enters the moments unless its refit stalled or ended
-    outside the box (tc beyond the search window, alpha above its upper
-    bound); a refit is held at most one box width beyond the box.  A refit
-    that converged with alpha on the lower bound enters at the bound, like a
-    direct fit accepted there.
-    ``MCReport.outcome`` counts each kind; more than
-    ``_MAX_NONCONVERGED_FRAC`` of the generations outside the converged
-    interior marks the report unreliable.
+    The direct fit of the unperturbed series under ``fit_config`` anchors
+    the comparison, seeds every refit and sets its p0 rule; one that did
+    not converge raises ``FitError``.  Each refit keeps tc beyond the data
+    and alpha at or above the lower bound of ``fitting._ALPHA_BOUNDS``, as
+    the direct fit does.  A generation enters the moments unless its refit
+    stalled or ended outside the box (tc beyond the search window, alpha
+    above its upper bound); a refit is held at most one box width beyond
+    the box.  A refit that converged with alpha on the lower bound enters
+    at the bound, like a direct fit accepted there.  ``MCReport.outcome``
+    counts each kind; more than ``_MAX_NONCONVERGED_FRAC`` of the
+    generations outside the converged interior marks the report unreliable.
     """
-    fit_config = fit_config or FitConfig()
-    return _resample(rates, fit_config, mc_config or MCConfig(),
-                     *_direct_fit(rates, fit_config))
+    index = build_price_index(rates)
+    return _resample(rates, mc_config or MCConfig(), fit_singularity(index, fit_config), index)
 
 
 def _refit_starts(p_data: np.ndarray, p_direct: np.ndarray, t: np.ndarray,
@@ -442,10 +431,17 @@ def _refit_starts(p_data: np.ndarray, p_direct: np.ndarray, t: np.ndarray,
         return np.where((c0 > 0)[:, None], start + move[:, :2] / c0[:, None], start)
 
 
-def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
-              direct: FitResult, index: PriceIndexSeries) -> MCReport:
-    """run_mc around a given direct fit of ``index``, the price index of ``rates``."""
-    dp = direct.params
+def _resample(rates: InflationSeries, mc: MCConfig, direct: FitResult,
+              index: PriceIndexSeries) -> MCReport:
+    """run_mc around ``direct``, a fit of ``index``, the price index of ``rates``.
+
+    The direct fit defines the run: its ``p0_pinned`` is every refit's p0
+    rule (the pinned p0, and whether ``_refit_starts`` centres), and one
+    that did not converge raises ``FitError``.
+    """
+    if not direct.converged:
+        raise FitError("direct fit did not converge; refusing to resample around it")
+    dp, pin = direct.params, direct.p0_pinned
     t = index.times()
     window = tc_search_window(t)
     a_lo, a_hi = fitting._ALPHA_BOUNDS
@@ -460,12 +456,11 @@ def _resample(rates: InflationSeries, fit_config: FitConfig, mc: MCConfig,
     # Refit every generation from its first-order start, held at or above the
     # box's lower edges and at most one box width beyond its upper ones, so
     # a generation that leaves the box is seen (and excluded), not clamped at
-    # its edge.  With pin_p0 every generation keeps the direct fit's p0: the
+    # its edge.  Under a pinned direct fit every generation keeps its p0: the
     # first rate carries no error, so all share the observed ln P(t0).
-    starts = _refit_starts(p_data, index.log_index, t, dp, not fit_config.pin_p0)
+    starts = _refit_starts(p_data, index.log_index, t, dp, not pin)
     (tc, alpha, c0, p0), _, converged, _ = fit_singular_rows(
-        p_data, t, starts, bounded_above=False,
-        pinned_p0=dp.p0 if fit_config.pin_p0 else None)
+        p_data, t, starts, bounded_above=False, pinned_p0=dp.p0 if pin else None)
 
     out_of_box = (tc > window[1]) | (alpha > a_hi)
     ok = converged & ~out_of_box
@@ -516,18 +511,18 @@ def sweep_error(
 ) -> list[MCReport]:
     """Repeat run_mc over a list of relative errors: one report per di, in order.
 
-    The direct fit is made once and anchors every run; pass ``direct`` (a
-    converged ``fit_singularity`` of ``rates`` under ``fit_config``, such
-    as ``MCReport.direct``) to reuse one already made.  Each run takes
-    ``MCConfig``'s default threshold.  Every run reuses
-    the same master seed, so the underlying gaussian draws are common
-    across error settings (the classic common-random-numbers device); the
-    stds then vary smoothly with di.
+    One direct fit anchors every run, and its own p0 rule is every refit's.
+    Pass ``direct`` (a ``fit_singularity`` of ``rates``, such as
+    ``MCReport.direct``) to reuse one already made; otherwise the direct fit
+    is made here under ``fit_config``, which applies to that fit alone.  A
+    direct fit that did not converge, passed or made, raises ``FitError``.
+    Each run takes ``MCConfig``'s default threshold.  Every run reuses the
+    same master seed, so the underlying gaussian draws are common across
+    error settings (the classic common-random-numbers device); the stds
+    then vary smoothly with di.
     """
-    fit_config = fit_config or FitConfig()
+    index = build_price_index(rates)
     if direct is None:
-        direct, index = _direct_fit(rates, fit_config)
-    else:
-        index = build_price_index(rates)
-    return [_resample(rates, fit_config, MCConfig(di=float(di), m=m, seed=seed), direct, index)
+        direct = fit_singularity(index, fit_config)
+    return [_resample(rates, MCConfig(di=float(di), m=m, seed=seed), direct, index)
             for di in di_values]

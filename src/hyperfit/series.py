@@ -96,14 +96,14 @@ class Epoch:
         """Proleptic-Gregorian ordinal of a monthly epoch (strictly monotone)."""
         return self.date().toordinal()
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.year, self.month or 0)
+    def order_key(self) -> int:
+        """Months since January of year 0, a yearly epoch counting from its January.
 
-    def month_number(self) -> int:
-        """Months since year 0, for uniform-spacing checks."""
-        if self.month is None:
-            raise SeriesError("yearly epoch has no month number")
-        return self.year * 12 + (self.month - 1)
+        Epochs of one resolution sort by it, a monthly step is 1 and a
+        yearly step 12; ``order_key() // 12`` is the year, the key at yearly
+        resolution.
+        """
+        return self.year * 12 + (self.month or 1) - 1
 
     def label(self) -> str:
         if self.month is None:
@@ -158,28 +158,24 @@ def epoch_from_time(t: float, t0: Epoch) -> Epoch:
     return Epoch(year=d.year, month=d.month, day=d.day, day_convention=t0.day_convention)
 
 
-def _validate_epochs(epochs: tuple[Epoch, ...]) -> str:
-    """Check ordering, single resolution and uniform spacing; return resolution."""
+def _validate_epochs(epochs: tuple[Epoch, ...]) -> None:
+    """Check ordering, single resolution and uniform spacing."""
     if not epochs:
         raise SeriesError("series is empty")
     resolutions = {e.resolution for e in epochs}
     if len(resolutions) > 1:
         raise SeriesError("mixed yearly/monthly epochs in one series")
-    resolution = epochs[0].resolution
-    if resolution == YEARLY:
-        steps = [b.year - a.year for a, b in zip(epochs, epochs[1:])]
-    else:
-        steps = [b.month_number() - a.month_number() for a, b in zip(epochs, epochs[1:])]
-    for k, step in enumerate(steps):
+    unit = 12 if epochs[0].resolution == YEARLY else 1
+    for k, (a, b) in enumerate(zip(epochs, epochs[1:])):
+        step = b.order_key() - a.order_key()
         if step <= 0:
             raise SeriesError(
                 f"epochs not strictly increasing at {epochs[k + 1].label()}"
             )
-        if step != 1:
+        if step != unit:
             raise SeriesError(
                 f"non-uniform spacing between {epochs[k].label()} and {epochs[k + 1].label()}"
             )
-    return resolution
 
 
 class _Epochs:
@@ -326,12 +322,20 @@ def slice_window(
     start: Epoch | None = None,
     end: Epoch | None = None,
 ):
-    """Restrict a series to epochs within [start, end] (inclusive)."""
+    """Restrict a series to epochs within [start, end] (inclusive).
+
+    Each bound is compared at the coarser of its own resolution and the
+    series': a year keeps every epoch of that year at either end, and a
+    month bound on a yearly series keeps its whole year.
+    """
+    def unit(bound: Epoch) -> int:
+        return 1 if bound.resolution == series.resolution == MONTHLY else 12
+
     keep = [
         k
         for k, e in enumerate(series.epochs)
-        if (start is None or e.sort_key() >= start.sort_key())
-        and (end is None or e.sort_key() <= end.sort_key())
+        if (start is None or e.order_key() // unit(start) >= start.order_key() // unit(start))
+        and (end is None or e.order_key() // unit(end) <= end.order_key() // unit(end))
     ]
     if not keep:
         raise SeriesError("window selects no epochs")
@@ -427,12 +431,12 @@ def load_series(
             epoch = Epoch.parse(date_text, day_convention=day_convention)
         except LoadError as exc:
             raise LoadError(f"line {line_no}: {exc}") from exc
-        if epochs and epoch.sort_key() == epochs[-1].sort_key():
-            raise LoadError(f"line {line_no}: duplicate epoch {epoch.label()}")
-        if epochs and epoch.sort_key() < epochs[-1].sort_key():
-            raise LoadError(f"line {line_no}: epoch {epoch.label()} out of order")
         if epochs and epoch.resolution != epochs[0].resolution:
             raise LoadError(f"line {line_no}: mixed yearly and monthly dates")
+        if epochs and epoch.order_key() == epochs[-1].order_key():
+            raise LoadError(f"line {line_no}: duplicate epoch {epoch.label()}")
+        if epochs and epoch.order_key() < epochs[-1].order_key():
+            raise LoadError(f"line {line_no}: epoch {epoch.label()} out of order")
         epochs.append(epoch)
         values.append(_parse_value(value_text, line_no))
 

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import math
@@ -14,8 +15,9 @@ import hyperfit
 from hyperfit import cli, montecarlo
 from hyperfit.cli import main
 from hyperfit.fixtures import episode, fixture_path
-from hyperfit.models import eval_double_exp, eval_singularity
+from hyperfit.models import MODEL_PARAMS, eval_double_exp, eval_singularity
 from hyperfit.report import AnalysisReport, params_from_report
+from hyperfit.series import build_price_index, load_series
 
 
 PERU_CSV = str(fixture_path("peru"))
@@ -351,6 +353,19 @@ def test_fit_loads_no_monte_carlo(tmp_path):
             "print(code, sorted(m for m in sys.modules if m.startswith('hyperfit.montecarlo')))")
     proc = hyperfit_process("-c", code, check=True)
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_model_names_come_from_one_table():
+    # --model offers the names reports read, and each names its own fitter.
+    assert sorted(cli._FITTERS) == sorted(MODEL_PARAMS)
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in ("fit", "curve"):
+        flag = next(a for a in sub.choices[command]._actions if a.dest == "model")
+        assert flag.choices == sorted(MODEL_PARAMS)
+    index = build_price_index(load_series(PERU_CSV))
+    for name, fitter in cli._FITTERS.items():
+        assert fitter(index).model == name
 
 
 def test_package_names_resolve_on_first_use():

@@ -457,6 +457,13 @@ class TestRunMC:
         monkeypatch.setattr(fitting, "_MAX_ITER", 2)
         with pytest.raises(FitError):
             run_mc(peru_rates, FitConfig(), MCConfig(di=0.1, m=5, seed=1))
+        stuck = fit_singularity(build_price_index(peru_rates))
+        assert not stuck.converged
+        # A non-converged fit passed in is refused too, whatever the refits
+        # could do: they run with their full round budget here.
+        monkeypatch.undo()
+        with pytest.raises(FitError, match="did not converge"):
+            sweep_error(peru_rates, FitConfig(), [0.1], m=5, seed=1, direct=stuck)
 
     def test_gamma_stats_derived_from_alpha(self, peru_rates):
         rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.1, m=100, seed=6))
@@ -985,6 +992,18 @@ def test_tc_skew_is_the_lognormal_skew_of_the_linear_spread(name, di):
     assert abs(rep.tc_skewness - (e + 2.0) * math.sqrt(e - 1.0)) <= 0.2
 
 
+def bits(value):
+    """value as nested dicts of its fields, with arrays as bytes and floats by
+    repr: two values are the same bit for bit when their ``bits`` are equal."""
+    if dataclasses.is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, dict):
+        return {key: bits(v) for key, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return type(value).__name__, repr(value)
+
+
 def count_direct_fits(monkeypatch):
     calls = []
     fit = montecarlo.fit_singularity
@@ -1014,6 +1033,18 @@ class TestSweepError:
             rep = run_mc(peru_rates, FitConfig(), MCConfig(di=di, m=40, seed=3))
             assert (build_report(swept.direct, index, mc=swept).to_json()
                     == build_report(rep.direct, index, mc=rep).to_json())
+
+    @pytest.mark.parametrize("direct_pin", [True, False])
+    def test_refits_take_the_direct_fits_own_p0_rule(self, peru_rates, direct_pin):
+        # A direct fit swept under a FitConfig of the other p0 rule: the
+        # config applies to a fit sweep_error makes itself, not to this one.
+        direct = fit_singularity(build_price_index(peru_rates), FitConfig(pin_p0=direct_pin))
+        other = FitConfig(pin_p0=not direct_pin)
+        zero, swept = sweep_error(peru_rates, other, [0.0, 0.1], m=200, seed=1, direct=direct)
+        assert all(stats.ratio == 0.0 for stats in zero.params.values())
+        assert zero.accepted
+        own = run_mc(peru_rates, FitConfig(pin_p0=direct_pin), MCConfig(di=0.1, m=200, seed=1))
+        assert bits(swept) == bits(own)
 
     def test_zero_error_row_is_all_zero(self, peru_rates):
         rows = sweep_error(peru_rates, FitConfig(), [0.0], m=10, seed=3)

@@ -54,9 +54,9 @@ class TestEpoch:
     def test_monthly_coordinate_monotone_in_calendar_order(self, y1, m1, y2, m2, convention):
         a = Epoch(year=y1, month=m1, day_convention=convention)
         b = Epoch(year=y2, month=m2, day_convention=convention)
-        if a.sort_key() < b.sort_key():
+        if a.order_key() < b.order_key():
             assert a.ordinal() < b.ordinal()
-        elif a.sort_key() > b.sort_key():
+        elif a.order_key() > b.order_key():
             assert a.ordinal() > b.ordinal()
 
     @given(y=st.integers(1800, 2200), m=st.integers(1, 12),
@@ -245,9 +245,10 @@ class TestLoadSeries:
 
     def test_mixed_resolution_rejected(self, tmp_path):
         f = tmp_path / "a.csv"
-        f.write_text("1969,0.0\n1970-05,0.1\n")
-        with pytest.raises(LoadError, match="mixed"):
-            load_series(f, kind="rate")
+        for text in ("1969,0.0\n1970-05,0.1\n", "1970,0.0\n1970-01,0.1\n"):
+            f.write_text(text)
+            with pytest.raises(LoadError, match="mixed"):
+                load_series(f, kind="rate")
 
     def test_monthly_day_conventions(self, tmp_path):
         f = tmp_path / "a.csv"
@@ -279,6 +280,20 @@ def test_slice_window_inclusive():
     assert [e.year for e in sub.epochs] == [1971, 1972, 1973]
     with pytest.raises(SeriesError):
         slice_window(series, Epoch(year=1990), None)
+
+
+def test_a_yearly_bound_keeps_its_whole_year_of_a_monthly_series():
+    germany = load_series(fixture_path("germany"))          # 1921-05 to 1923-11
+    sub = slice_window(germany, None, Epoch.parse("1922"))
+    assert len(sub) == 20 and sub.epochs[-1].label() == "1922-12"
+    sub = slice_window(germany, Epoch.parse("1922"), Epoch.parse("1922"))
+    assert [e.label() for e in (sub.epochs[0], sub.epochs[-1])] == ["1922-01", "1922-12"]
+
+
+def test_a_monthly_bound_keeps_its_year_of_a_yearly_series():
+    peru = load_series(fixture_path("peru"))                # 1969 to 1990
+    sub = slice_window(peru, Epoch.parse("1972-06"), Epoch.parse("1975-03"))
+    assert [e.year for e in sub.epochs] == [1972, 1973, 1974, 1975]
 
 
 def test_monthly_times_are_days_from_first_epoch():
