@@ -453,6 +453,14 @@ def _lm(model, x0, lb, ub):
     return x, ssr, converged, rounds, *kept
 
 
+def _points(index: PriceIndexSeries, model: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """A fit's data (t, p), refusing a series of fewer than k points."""
+    t = index.times()
+    if len(t) < k:
+        raise FitError(f"{model} fit needs at least {k} points, got {len(t)}")
+    return t, index.log_index
+
+
 # ---------------------------------------------------------------------------
 # Linear model
 # ---------------------------------------------------------------------------
@@ -463,10 +471,7 @@ def fit_linear(index: PriceIndexSeries, config: FitConfig | None = None) -> FitR
 
     ``config`` is taken for the fitters' common signature: p0 is always free.
     """
-    t = index.times()
-    p = index.log_index
-    if len(t) < 3:
-        raise FitError(f"linear fit needs at least 3 points, got {len(t)}")
+    t, p = _points(index, "linear", 3)
     t0 = float(t[0])
     resid, _, c0, p0 = _project(t - t0, *_data_side(p, None), True)
     params = LinearParams(p0=float(p0), c0=float(c0), t0=t0)
@@ -610,11 +615,7 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
     ``config.pin_p0``.
     """
     config = config or FitConfig()
-    t = index.times()
-    p = index.log_index
-    n = len(t)
-    if n < 6:
-        raise FitError(f"singularity fit needs at least 6 points, got {n}")
+    t, p = _points(index, "singularity", 6)
     if not (p[-3:] > p[-4:-1]).all():
         warnings.warn(
             "log price index is not strictly increasing near the end of the "
@@ -703,11 +704,7 @@ def fit_double_exp(index: PriceIndexSeries, config: FitConfig | None = None) -> 
     those inputs, where evaluating them again made 7.  ``config`` is taken
     for the fitters' common signature: p0 is always free.
     """
-    t = index.times()
-    p = index.log_index
-    n = len(t)
-    if n < 6:
-        raise FitError(f"double-exponential fit needs at least 6 points, got {n}")
+    t, p = _points(index, "double-exponential", 6)
     t0 = float(t[0])
     x = t - t0
     span = float(x[-1])

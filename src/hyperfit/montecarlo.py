@@ -1,7 +1,8 @@
 """Monte Carlo propagation of inflation-rate measurement error.
 
 Each measured rate i(t_k) is treated as gaussian with mean i(t_k) and
-standard deviation di * |i(t_k)| (the same relative error everywhere).
+standard deviation di * |i(t_k)| (the same relative error everywhere),
+except the first rate, the base of the cumulated index, which carries none.
 A generation is one full resample of the rate series; it is cumulated
 into a price index and refitted to the singular model, and the parameter
 means and standard deviations over all generations quantify the fit
@@ -168,17 +169,28 @@ class MCReport:
 _MAX_REDRAW_ROUNDS = 10000
 
 
+def _rate_sd(rates: np.ndarray, di: float) -> np.ndarray:
+    """Each rate's assigned standard deviation: di * |i|, and 0 for the first rate.
+
+    The first rate sets the index's base ln P(t0), which every generation
+    shares with the direct fit: a windowed series' first rate need not be
+    the 0 the loader gives a file's first rate.
+    """
+    sd = di * np.abs(rates)
+    sd[0] = 0.0
+    return sd
+
+
 def _sample_rates(rates: np.ndarray, di: float, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """One gaussian resample of a rate vector; redraws any value <= -1.
 
-    The first rate has zero assigned error (it is zero by the loading
-    convention), so it is reproduced exactly.  Each round redraws every
-    value still at or below -1 from one standard normal apiece, in index
-    order.  Returns the sample and the number of redraws forced by the
-    i > -1 positivity requirement.  ``rates + sd * z`` is bit for bit what
-    ``rng.normal(rates, sd)`` draws.
+    The first rate has zero assigned error (``_rate_sd``), so it is
+    reproduced exactly.  Each round redraws every value still at or below
+    -1 from one standard normal apiece, in index order.  Returns the sample
+    and the number of redraws forced by the i > -1 positivity requirement.
+    ``rates + sd * z`` is bit for bit what ``rng.normal(rates, sd)`` draws.
     """
-    sd = di * np.abs(rates)
+    sd = _rate_sd(rates, di)
     vals = rates + sd * rng.standard_normal(len(rates))
     redraws = rounds = 0
     bad = vals <= -1.0
@@ -343,7 +355,7 @@ def _draw_generations(rates: np.ndarray, di: float, seed: int, out: np.ndarray) 
     for b in range(0, len(out), _DRAW_BLOCK):
         left[b:b + _DRAW_BLOCK] = _ziggurat_normals(raw[b:b + _DRAW_BLOCK],
                                                    out[b:b + _DRAW_BLOCK])
-    out *= di * np.abs(rates)
+    out *= _rate_sd(rates, di)
     out += rates
     rng = np.random.Generator(np.random.PCG64())
     truncated = 0

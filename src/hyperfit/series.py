@@ -68,8 +68,7 @@ class Epoch:
         if self.day is not None:
             if self.month is None:
                 raise SeriesError("a day of month requires a month")
-            last = calendar.monthrange(self.year, self.month)[1]
-            if not 1 <= self.day <= last:
+            if not 1 <= self.day <= self._last_day():
                 raise SeriesError(f"day out of range for {self.year}-{self.month:02d}: {self.day}")
         if self.day_convention not in (MID_MONTH, END_MONTH):
             raise SeriesError(f"unknown day convention: {self.day_convention!r}")
@@ -78,23 +77,19 @@ class Epoch:
     def resolution(self) -> str:
         return YEARLY if self.month is None else MONTHLY
 
-    def resolved_day(self) -> int:
-        """Day of month, applying the convention when no explicit day is set."""
-        if self.month is None:
-            raise SeriesError("yearly epoch has no day of month")
-        if self.day is not None:
-            return self.day
-        if self.day_convention == MID_MONTH:
-            return 15
+    def _last_day(self) -> int:
         return calendar.monthrange(self.year, self.month)[1]
 
-    def date(self) -> _date:
-        """Calendar date of a monthly epoch."""
-        return _date(self.year, self.month, self.resolved_day())
-
     def ordinal(self) -> int:
-        """Proleptic-Gregorian ordinal of a monthly epoch (strictly monotone)."""
-        return self.date().toordinal()
+        """Proleptic-Gregorian ordinal of a monthly epoch (strictly monotone).
+
+        The day is the explicit one, else 15 (mid-month) or the month's last
+        day (end of month), by ``day_convention``.
+        """
+        if self.month is None:
+            raise SeriesError("yearly epoch has no day of month")
+        day = self.day or (15 if self.day_convention == MID_MONTH else self._last_day())
+        return _date(self.year, self.month, day).toordinal()
 
     def order_key(self) -> int:
         """Months since January of year 0, a yearly epoch counting from its January.
@@ -158,28 +153,35 @@ def epoch_from_time(t: float, t0: Epoch) -> Epoch:
     return Epoch(year=d.year, month=d.month, day=d.day, day_convention=t0.day_convention)
 
 
+def _step_error(a: Epoch, b: Epoch) -> str | None:
+    """Why epoch ``b`` cannot follow epoch ``a`` in one series; None if it can."""
+    monthly = a.month is not None
+    if monthly != (b.month is not None):
+        return "mixed yearly and monthly dates"
+    if monthly and a.day_convention != b.day_convention:
+        return (f"mixed day conventions: {a.label()} is {a.day_convention!r}, "
+                f"{b.label()} is {b.day_convention!r}")
+    step = b.order_key() - a.order_key()
+    if step == 0:
+        return f"duplicate epoch {b.label()}"
+    if step < 0:
+        return f"epoch {b.label()} out of order"
+    if step != (1 if monthly else 12):
+        return f"non-uniform spacing between {a.label()} and {b.label()}"
+    return None
+
+
 def _validate_epochs(epochs: tuple[Epoch, ...]) -> None:
-    """Check ordering, single resolution and uniform spacing."""
+    """One resolution and day convention, strictly increasing, one period apart."""
     if not epochs:
         raise SeriesError("series is empty")
-    resolutions = {e.resolution for e in epochs}
-    if len(resolutions) > 1:
-        raise SeriesError("mixed yearly/monthly epochs in one series")
-    unit = 12 if epochs[0].resolution == YEARLY else 1
-    for k, (a, b) in enumerate(zip(epochs, epochs[1:])):
-        step = b.order_key() - a.order_key()
-        if step <= 0:
-            raise SeriesError(
-                f"epochs not strictly increasing at {epochs[k + 1].label()}"
-            )
-        if step != unit:
-            raise SeriesError(
-                f"non-uniform spacing between {epochs[k].label()} and {epochs[k + 1].label()}"
-            )
+    for a, b in zip(epochs, epochs[1:]):
+        if reason := _step_error(a, b):
+            raise SeriesError(reason)
 
 
 class _Epochs:
-    """What a series derives from its validated epochs alone."""
+    """What both series kinds share: the epoch checks, the value check, the time axis."""
 
     epochs: tuple[Epoch, ...]
 
@@ -204,6 +206,19 @@ class _Epochs:
         t.flags.writeable = False
         return t
 
+    def _check(self, field: str, what: str, ok, rule: str) -> None:
+        """Freeze ``field`` and the epochs, check both, and name the first value ``ok`` fails."""
+        values = _frozen(getattr(self, field))
+        object.__setattr__(self, field, values)
+        object.__setattr__(self, "epochs", tuple(self.epochs))
+        _validate_epochs(self.epochs)
+        if len(self.epochs) != len(values):
+            raise SeriesError(f"epochs and {field} differ in length")
+        good = ok(values)
+        if not good.all():
+            k = int(good.argmin())
+            raise SeriesError(f"{what} at {self.epochs[k].label()} is {values[k]}, must be {rule}")
+
 
 def _frozen(values) -> np.ndarray:
     """A read-only float copy: a series' values cannot change after its checks ran."""
@@ -217,25 +232,17 @@ class InflationSeries(_Epochs):
     """Per-period inflation rates i(t_k) at equally spaced epochs.
 
     Rates are dimensionless fractions (0.062 means 6.2 percent over one
-    period).  Every rate must exceed -1, otherwise the cumulated price index
-    would hit zero or go negative.  ``rates`` is a read-only copy.
+    period).  Every rate must be finite and exceed -1, otherwise the
+    cumulated price index would hit zero, go negative or overflow.
+    ``rates`` is a read-only copy.
     """
 
     epochs: tuple[Epoch, ...]
     rates: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rates", _frozen(self.rates))
-        object.__setattr__(self, "epochs", tuple(self.epochs))
-        _validate_epochs(self.epochs)
-        if len(self.epochs) != len(self.rates):
-            raise SeriesError("epochs and rates differ in length")
-        ok = self.rates > -1.0
-        if not ok.all():
-            k = int(ok.argmin())
-            raise SeriesError(
-                f"inflation rate at {self.epochs[k].label()} is {self.rates[k]}, must be > -1"
-            )
+        self._check("rates", "inflation rate", lambda r: np.isfinite(r) & (r > -1.0),
+                    "finite and > -1")
 
 
 @dataclass(frozen=True)
@@ -250,16 +257,7 @@ class PriceIndexSeries(_Epochs):
     log_index: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "log_index", _frozen(self.log_index))
-        object.__setattr__(self, "epochs", tuple(self.epochs))
-        _validate_epochs(self.epochs)
-        if len(self.epochs) != len(self.log_index):
-            raise SeriesError("epochs and log_index differ in length")
-        finite = np.isfinite(self.log_index)
-        if not finite.all():
-            k = int(finite.argmin())
-            raise SeriesError(f"log price index at {self.epochs[k].label()} is "
-                              f"{self.log_index[k]}, must be finite")
+        self._check("log_index", "log price index", np.isfinite, "finite")
 
     @property
     def index(self) -> np.ndarray:
@@ -397,8 +395,9 @@ def load_series(
     their first rate forced to zero (with a warning if the file disagrees),
     which normalizes the cumulated index to P(t_0) = 1.
 
-    Raises :class:`LoadError` naming the offending line for malformed rows,
-    duplicate or unordered epochs, and mixed resolutions.
+    Raises :class:`LoadError` naming the offending line for malformed rows
+    and for an epoch that cannot follow the one before it (mixed
+    resolutions, a duplicate, out of order, or a gap in the spacing).
     """
     if kind not in ("rate", "index"):
         raise LoadError(f"unknown kind {kind!r}, expected 'rate' or 'index'")
@@ -431,12 +430,8 @@ def load_series(
             epoch = Epoch.parse(date_text, day_convention=day_convention)
         except LoadError as exc:
             raise LoadError(f"line {line_no}: {exc}") from exc
-        if epochs and epoch.resolution != epochs[0].resolution:
-            raise LoadError(f"line {line_no}: mixed yearly and monthly dates")
-        if epochs and epoch.order_key() == epochs[-1].order_key():
-            raise LoadError(f"line {line_no}: duplicate epoch {epoch.label()}")
-        if epochs and epoch.order_key() < epochs[-1].order_key():
-            raise LoadError(f"line {line_no}: epoch {epoch.label()} out of order")
+        if epochs and (reason := _step_error(epochs[-1], epoch)):
+            raise LoadError(f"line {line_no}: {reason}")
         epochs.append(epoch)
         values.append(_parse_value(value_text, line_no))
 

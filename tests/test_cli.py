@@ -2,7 +2,6 @@ import argparse
 import gc
 import json
 import math
-import os
 import subprocess
 import sys
 import warnings
@@ -18,6 +17,8 @@ from hyperfit.fixtures import episode, fixture_path
 from hyperfit.models import MODEL_PARAMS, eval_double_exp, eval_singularity
 from hyperfit.report import AnalysisReport, params_from_report
 from hyperfit.series import build_price_index, load_series
+
+from conftest import src_env
 
 
 PERU_CSV = str(fixture_path("peru"))
@@ -327,32 +328,16 @@ class TestCmdMc:
 # the process: imports and exit
 # ---------------------------------------------------------------------------
 
-def src_env() -> dict:
-    """The environment with this checkout's hyperfit first on PYTHONPATH."""
-    src = str(Path(hyperfit.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
+def hyperfit_process(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=src_env(), capture_output=True, text=True)
 
 
-def hyperfit_process(*args, **kwargs) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, *args], env=src_env(), capture_output=True,
-                          text=True, **kwargs)
+def test_cli_import_loads_no_scipy(fresh_process):
+    assert fresh_process["scipy after import"] == []
 
 
-def test_cli_import_loads_no_scipy():
-    code = ("import sys, hyperfit.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = hyperfit_process("-c", code, check=True)
-    assert proc.stdout.strip() == "[]"
-
-
-def test_fit_loads_no_monte_carlo(tmp_path):
-    argv = ["fit", PERU_CSV, "--out", str(tmp_path / "r.json")]
-    code = (f"import sys, hyperfit.cli; code = hyperfit.cli.main({argv!r}); "
-            "print(code, sorted(m for m in sys.modules if m.startswith('hyperfit.montecarlo')))")
-    proc = hyperfit_process("-c", code, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 []"
+def test_fit_loads_no_monte_carlo(fresh_process):
+    assert (fresh_process["fit exit code"], fresh_process["montecarlo after fit"]) == (0, [])
 
 
 def test_model_names_come_from_one_table():

@@ -611,7 +611,7 @@ class TestFitLinear:
         assert fit.params.c0 == pytest.approx(-0.008, abs=1e-12)
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(FitError):
+        with pytest.raises(FitError, match="^linear fit needs at least 3 points, got 2$"):
             fit_linear(linear_index(0.0, 0.1, 1970, 2))
 
     def test_window_argument(self):
@@ -637,7 +637,7 @@ class TestFitSingularity:
         assert fit.params.p0 == pytest.approx(peru_params.p0, rel=1e-4)
 
     def test_too_few_points_rejected(self, peru_params):
-        with pytest.raises(FitError):
+        with pytest.raises(FitError, match="^singularity fit needs at least 6 points, got 5$"):
             fit_singularity(synthetic_yearly_index(peru_params, 1969, 1973))
 
     def test_non_increasing_tail_warns(self):
@@ -1139,7 +1139,8 @@ class TestFitDoubleExp:
         assert dexp.chi >= sing.chi
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(FitError):
+        with pytest.raises(FitError,
+                           match="^double-exponential fit needs at least 6 points, got 4$"):
             fit_double_exp(linear_index(0.0, 0.1, 1970, 4))
 
     def test_b2_zero_grid_node_is_the_linear_fit(self, peru_index):

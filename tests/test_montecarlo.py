@@ -1,18 +1,13 @@
 import dataclasses
 import functools
 import math
-import os
 import pickle
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import hyperfit
 from hyperfit import fitting, montecarlo
 from hyperfit.fitting import (
     FitConfig,
@@ -40,7 +35,7 @@ from hyperfit.montecarlo import (
     sweep_error,
 )
 from hyperfit.report import build_report
-from hyperfit.series import Epoch, InflationSeries, build_price_index, cumulate
+from hyperfit.series import Epoch, InflationSeries, build_price_index, cumulate, slice_window
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +79,19 @@ class TestSampleGeneration:
     def test_first_rate_never_perturbed(self, peru_rates):
         out = sample_generation(peru_rates, 0.25, np.random.default_rng(7))
         assert out.rates[0] == 0.0
+
+    def test_a_windowed_series_keeps_its_own_first_rate(self, peru_rates):
+        # A window's first rate is the base of its index, not the loader's 0:
+        # every generation keeps it, so each shares the direct fit's ln P(t0).
+        window = slice_window(peru_rates, Epoch(year=1975), Epoch(year=1990))
+        first = window.rates[0]
+        assert first == pytest.approx(0.296, abs=5e-4)
+        out = np.empty((2000, len(window)))
+        _draw_generations(window.rates, 0.25, 7, out)
+        assert (out[:, 0] == first).all()
+        assert (cumulate(out)[:, 0] == build_price_index(window).log_index[0]).all()
+        for child in np.random.SeedSequence(7).spawn(20):
+            assert sample_generation(window, 0.25, np.random.default_rng(child)).rates[0] == first
 
     def test_redraws_keep_rates_above_minus_one_and_are_counted(self):
         # i = -0.95 with 25% relative error puts sizable mass below -1.
@@ -428,16 +436,20 @@ class TestRunMC:
         rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.25, m=150, seed=4, threshold=1e-12))
         assert not rep.accepted
 
-    def test_unreliable_flag_on_heavy_nonconvergence(self, peru_rates):
-        rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.5, m=100, seed=2))
+    @pytest.fixture(scope="class")
+    def heavy_error_run(self, peru_rates):
+        return run_mc(peru_rates, FitConfig(), MCConfig(di=0.5, m=100, seed=2))
+
+    def test_unreliable_flag_on_heavy_nonconvergence(self, heavy_error_run):
+        rep = heavy_error_run
         assert rep.n_nonconverged > 5
         assert rep.unreliable
 
-    def test_alpha_floor_generations_enter_moments_and_are_counted(self, peru_rates):
+    def test_alpha_floor_generations_enter_moments_and_are_counted(self, heavy_error_run):
         # At 50 percent error many refits end with alpha on its lower bound.
         # They are counted in n_nonconverged but still enter the moments;
         # only out-of-box refits (one here) leave the tc histogram.
-        rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.5, m=100, seed=2))
+        rep = heavy_error_run
         in_moments = int(rep.tc_hist_counts.sum())
         assert rep.config.m - rep.n_nonconverged < in_moments < rep.config.m
 
@@ -656,24 +668,11 @@ def test_reading_a_report_adds_no_instance_state(peru_rates):
         assert set(vars(obj)) == {f.name for f in dataclasses.fields(obj)}
 
 
-def test_fit_and_run_mc_import_no_numpy_ma():
+def test_fit_and_run_mc_import_no_numpy_ma(fresh_process):
     # np.median and np.unique import numpy.ma on first use, 10-14 ms of a
     # cold process; a truncated Germany draw reaches the redraw path too.
-    src = str(Path(hyperfit.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys\n"
-            "from hyperfit.fitting import FitConfig, fit_singularity\n"
-            "from hyperfit.fixtures import episode, synthetic_rates\n"
-            "from hyperfit.montecarlo import MCConfig, run_mc\n"
-            "from hyperfit.series import build_price_index\n"
-            "rates = synthetic_rates(episode('germany'))\n"
-            "fit_singularity(build_price_index(rates))\n"
-            "rep = run_mc(rates, FitConfig(), MCConfig(di=0.5, m=200, seed=3))\n"
-            "print(rep.truncated_draws > 0, 'numpy.ma' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.split() == ["True", "False"]
+    assert (fresh_process["truncated draws"], fresh_process["numpy.ma after run_mc"]) == \
+        (True, False)
 
 
 def test_fits_and_run_mc_call_no_geomspace_or_stack(peru_rates, monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from datetime import date
 
 import numpy as np
 import pytest
@@ -39,12 +40,18 @@ class TestEpoch:
         assert Epoch.parse("1994:03:10") == Epoch(year=1994, month=3, day=10)
 
     def test_mid_month_is_day_15(self):
-        assert Epoch(year=1921, month=5, day_convention="mid").resolved_day() == 15
+        assert Epoch(year=1921, month=5, day_convention="mid").ordinal() == \
+            date(1921, 5, 15).toordinal()
 
     def test_end_month_is_last_calendar_day(self):
-        assert Epoch(year=1943, month=2, day_convention="end").resolved_day() == 28
-        assert Epoch(year=1944, month=2, day_convention="end").resolved_day() == 29
-        assert Epoch(year=1944, month=10, day_convention="end").resolved_day() == 31
+        for y, m, last in ((1943, 2, 28), (1944, 2, 29), (1944, 10, 31)):
+            assert Epoch(year=y, month=m, day_convention="end").ordinal() == \
+                date(y, m, last).toordinal()
+
+    @pytest.mark.parametrize("convention", ["mid", "end"])
+    def test_an_explicit_day_overrides_the_convention(self, convention):
+        assert Epoch(year=1944, month=2, day=3, day_convention=convention).ordinal() == \
+            date(1944, 2, 3).toordinal()
 
     @given(
         y1=st.integers(1800, 2200), m1=st.integers(1, 12),
@@ -76,13 +83,11 @@ class TestEpoch:
 
 
 def test_year_end_convention_maps_dec31_to_the_year():
-    from datetime import date
     t = date_to_time(date(2008, 12, 31), "end")
     assert t == 2008.0
 
 
 def test_year_start_convention_maps_jan1_to_the_year():
-    from datetime import date
     t = date_to_time(date(2009, 1, 1), "start")
     assert t == 2009.0
 
@@ -137,6 +142,22 @@ class TestBuildPriceIndex:
         epochs = (Epoch(year=1970), Epoch(year=1971), Epoch(year=1973))
         with pytest.raises(SeriesError, match="spacing"):
             InflationSeries(epochs=epochs, rates=np.zeros(3))
+
+    def test_mixed_day_conventions_rejected(self):
+        # Mid and end months alternating put the points 0, 44, 59, 105 days apart.
+        epochs = tuple(Epoch(year=1985, month=m, day_convention=("mid", "end")[m % 2 == 0])
+                       for m in (1, 2, 3, 4))
+        assert [e.ordinal() - epochs[0].ordinal() for e in epochs] == [0, 44, 59, 105]
+        with pytest.raises(SeriesError, match="mixed day conventions: 1985-01 is 'mid', "
+                                              "1985-02 is 'end'"):
+            InflationSeries(epochs=epochs, rates=np.zeros(4))
+        with pytest.raises(SeriesError, match="mixed day conventions"):
+            PriceIndexSeries(epochs, np.zeros(4))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rate_names_epoch(self, value):
+        with pytest.raises(SeriesError, match=r"inflation rate at 1972 is .*, must be finite"):
+            yearly(1970, [0.0, 0.1, value, 0.2])
 
     def test_first_entry_is_exactly_one(self):
         index = build_price_index(yearly(1970, [0.0, 0.3, 0.7]))
@@ -237,6 +258,12 @@ class TestLoadSeries:
         with pytest.raises(LoadError, match="line 2"):
             load_series(f, kind="rate")
 
+    def test_a_gap_names_its_line(self, tmp_path):
+        f = tmp_path / "gap.csv"
+        f.write_text("1969,0.0\n1970,0.1\n1972,0.2\n")
+        with pytest.raises(LoadError, match="^line 3: non-uniform spacing between 1970 and 1972$"):
+            load_series(f, kind="rate")
+
     def test_unordered_epochs_rejected(self, tmp_path):
         f = tmp_path / "a.csv"
         f.write_text("1970,0.0\n1969,0.1\n")
@@ -255,8 +282,8 @@ class TestLoadSeries:
         f.write_text("1943-02,0.0\n1943-03,0.1\n")
         mid = load_series(f, kind="rate", day_convention="mid")
         end = load_series(f, kind="rate", day_convention="end")
-        assert mid.epochs[0].resolved_day() == 15
-        assert end.epochs[0].resolved_day() == 28
+        assert mid.epochs[0].ordinal() == date(1943, 2, 15).toordinal()
+        assert end.epochs[0].ordinal() == date(1943, 2, 28).toordinal()
         # 1943-02-28 -> 1943-03-31 is 31 days.
         assert end.times()[1] == 31.0
 
