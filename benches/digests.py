@@ -12,7 +12,7 @@ For the hyperfit tree on PYTHONPATH this prints five digests:
   di = 0.25, Germany at di = 0.5), m = 4000, master seeds
   1000000-1000044 and 20080605, p0 free and pinned;
 - ``counts``: the same runs, hashing only each report's ``COUNT_FIELDS``:
-  the outcome counts, the tc histogram counts and the flags;
+  the outcome counts and the flags;
 - ``wide``: ``run_mc`` on every bundled episode at di = 0.25 and 0.5,
   m = 4000, master seeds 1000000-1000011, p0 free and pinned (240 runs),
   the drift budget of an engine change: it reaches the Greece and Zimbabwe
@@ -20,14 +20,15 @@ For the hyperfit tree on PYTHONPATH this prints five digests:
 
 Every input starts from the bundled CSVs (``mc_layers.fixture_rates``), not
 from the tree's own fixture generator, so two trees are compared on the
-same inputs.  ``fit`` and ``mc`` take every field: floats at full
-precision, arrays as bytes (residuals included), and each fit's
-``iterations`` and ``converged``; a fit's model and free-parameter count
-too, which it derives from its parameters (``FIT_VALUES``).
-Equal digests on two trees mean the same results, bit for bit.  A change
-that moves values only at optimizer tolerance changes those two, and an
-equal ``counts`` digest then shows that every generation still lands in the
-same class and histogram bin:
+same inputs.  ``fit`` and ``mc`` take named values, stored or derived
+(``FIT_VALUES``, ``MC_VALUES``): floats at full precision, arrays as bytes
+(residuals included), each fit's ``iterations``, ``converged``, model and
+free-parameter count, and each report's moments, outcome counts and flags.
+Equal digests on two trees mean the same results, bit for bit, however each
+tree splits them between fields and properties.  A change that moves values
+only at optimizer tolerance changes those two, and an equal ``counts``
+digest then shows that every run still puts as many generations in each
+class:
 
     PYTHONPATH=src python benches/digests.py
     PYTHONPATH=/path/to/parent/src python benches/digests.py
@@ -66,7 +67,7 @@ from hyperfit import montecarlo
 from hyperfit.fitting import (FitConfig, FitError, FitResult, fit_double_exp, fit_linear,
                               fit_singularity)
 from hyperfit.fixtures import PRESETS
-from hyperfit.montecarlo import MCConfig, run_mc
+from hyperfit.montecarlo import MCConfig, MCReport, run_mc
 from mc_layers import fixture_rates
 
 MC_CASES = (("peru", 0.25), ("yugoslavia", 0.25), ("germany", 0.5))
@@ -76,23 +77,26 @@ WIDE_SEEDS = tuple(range(1_000_000, 1_000_012))
 M = 4000
 FIT_SEED = 1
 CONFIGS = (FitConfig(), FitConfig(pin_p0=True))
-COUNT_FIELDS = ("outcome", "tc_hist_counts", "n_nonconverged", "accepted", "gaussian_ok",
-                "unreliable")
-#: What a ``FitResult`` digest hashes, stored or derived: a value that moves
-#: between a field and a property moves no digest.
+COUNT_FIELDS = ("outcome", "n_nonconverged", "accepted", "gaussian_ok", "unreliable")
+#: What a ``FitResult`` and an ``MCReport`` digest hash, stored or derived: a
+#: value that moves between a field and a property moves no digest.
 FIT_VALUES = ("model", "params", "residuals", "converged", "iterations", "n_free_params",
               "p0_pinned")
+MC_VALUES = ("config", "direct", "params", "outcome", "truncated_draws", "tc_skewness",
+             "tc_excess_kurtosis", "n_nonconverged", "accepted", "gaussian_ok", "unreliable")
 
 
 def feed(h, value) -> None:
     """Hash value's type and content, recursing into dataclasses and dicts.
 
-    A ``FitResult`` is hashed as the dict of its ``FIT_VALUES``, any other
-    dataclass as the dict of its fields.
+    A ``FitResult`` is hashed as the dict of its ``FIT_VALUES``, an
+    ``MCReport`` as that of its ``MC_VALUES``, any other dataclass as the
+    dict of its fields.
     """
     h.update(type(value).__name__.encode())
-    if isinstance(value, FitResult):
-        value = {name: getattr(value, name) for name in FIT_VALUES}
+    named = {FitResult: FIT_VALUES, MCReport: MC_VALUES}.get(type(value))
+    if named:
+        value = {name: getattr(value, name) for name in named}
     elif dataclasses.is_dataclass(value):
         value = vars(value)
     if isinstance(value, dict):
@@ -127,8 +131,7 @@ def run_counts(report) -> dict:
     counts = {f"outcome.{kind}": n for kind, n in report.outcome.items()}
     for field in COUNT_FIELDS:
         if field != "outcome":
-            value = getattr(report, field)
-            counts[field] = value.tolist() if isinstance(value, np.ndarray) else value
+            counts[field] = getattr(report, field)
     return counts
 
 

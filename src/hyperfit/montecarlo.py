@@ -101,38 +101,79 @@ class ParamStats:
         return abs(self.mean - self.direct) / self.std
 
 
+#: Each generation's outcome class, in ``MCReport.status`` by its index here.
+#: The classes before ``stalled``, the converged ones, enter the moments.
+OUTCOMES = ("converged_interior", "on_alpha_floor", "stalled", "out_of_box")
+_ON_FLOOR, _STALLED, _OUT_OF_BOX = range(1, len(OUTCOMES))
+
+
 @dataclass(frozen=True)
 class MCReport:
     """What one resampling run under ``config`` found around the ``direct`` fit.
 
-    ``params`` holds the moments of tc, alpha, c0, p0 and gamma.
-    ``outcome`` puts every generation in one class, so its counts sum to m:
-    ``converged_interior``; ``on_alpha_floor`` (converged with alpha exactly
-    on the lower bound of ``fitting._ALPHA_BOUNDS``, where the box
-    projection holds a floored refit, kept in the moments at the bound);
+    ``refits`` holds each generation's refit, one (tc, alpha, c0, p0) row
+    per generation, and ``status`` its outcome class, an index into
+    ``OUTCOMES``: ``converged_interior``; ``on_alpha_floor`` (converged with
+    alpha exactly on the lower bound of ``fitting._ALPHA_BOUNDS``, where the
+    box projection holds a floored refit, kept in the moments at the bound);
     ``stalled`` (no convergence within ``fitting._MAX_ITER`` rounds, inside
     the box) and ``out_of_box`` (ended with tc beyond the search window or
     alpha above its upper bound, where a refit is held at most one box width
-    beyond the box), both excluded from the moments.  The flags and the
-    relative spreads are properties computed from these fields on each read,
-    never cached: a report's digest hashes ``vars(report)``.
+    beyond the box), both excluded from the moments.  Every statistic is a
+    property of these arrays, computed on each read and never cached:
+    ``outcome`` counts each class, so its counts sum to m; ``params`` holds
+    the moments of tc, alpha, c0, p0 and gamma over the converged
+    generations, in generation order, as do ``tc_skewness`` and
+    ``tc_excess_kurtosis`` for tc; the flags and the relative spreads
+    derive from those.
     """
 
     config: MCConfig
     direct: FitResult
-    params: dict[str, ParamStats]        # tc, alpha, c0, p0, gamma
-    outcome: dict[str, int]
+    refits: np.ndarray                   # (m, 4): tc, alpha, c0, p0
+    status: np.ndarray                   # (m,) int8: index into OUTCOMES
     truncated_draws: int
-    tc_hist_edges: np.ndarray
-    tc_hist_counts: np.ndarray
-    tc_skewness: float
-    tc_excess_kurtosis: float
+
+    def _in_moments(self) -> list[np.ndarray]:
+        """tc, alpha, c0 and p0 of the generations in the moments, in generation order."""
+        keep = self.status < _STALLED
+        return [column[keep] for column in self.refits.T]
+
+    @property
+    def outcome(self) -> dict[str, int]:
+        """Generations per outcome class, in ``OUTCOMES`` order."""
+        return dict(zip(OUTCOMES, np.bincount(self.status, minlength=len(OUTCOMES)).tolist()))
+
+    @property
+    def params(self) -> dict[str, ParamStats]:
+        """Direct value, mean and std of tc, alpha, c0, p0 and gamma."""
+        d = self.direct.params
+        tc, alpha, c0, p0 = self._in_moments()
+        values = {"tc": (d.tc, tc), "alpha": (d.alpha, alpha), "c0": (d.c0, c0), "p0": (d.p0, p0),
+                  "gamma": (alpha_to_gamma(d.alpha), alpha_to_gamma(alpha))}
+        return {name: ParamStats(direct_value, *_population_moments(sample))
+                for name, (direct_value, sample) in values.items()}
+
+    def _tc_shape(self) -> tuple[float, float]:
+        """Skewness and excess kurtosis of tc; both 0.0 when its spread is zero."""
+        tc = self._in_moments()[0]
+        return _skew_kurtosis(tc) if _population_moments(tc)[1] > 0 else (0.0, 0.0)
+
+    @property
+    def tc_skewness(self) -> float:
+        """Biased sample skewness of tc over the generations in the moments."""
+        return self._tc_shape()[0]
+
+    @property
+    def tc_excess_kurtosis(self) -> float:
+        """Biased sample excess kurtosis of tc over the generations in the moments."""
+        return self._tc_shape()[1]
 
     @property
     def accepted(self) -> bool:
         """Every ratio of tc, alpha, c0 and p0 below the threshold; gamma is not judged."""
-        return all(self.params[k].ratio < self.config.threshold
-                   for k in ("tc", "alpha", "c0", "p0"))
+        return all(stats.ratio < self.config.threshold
+                   for name, stats in self.params.items() if name != "gamma")
 
     @property
     def n_nonconverged(self) -> int:
@@ -147,7 +188,8 @@ class MCReport:
     @property
     def gaussian_ok(self) -> bool:
         """The tc sample looks gaussian: |skewness| < 0.5 and |excess kurtosis| < 1."""
-        return bool(abs(self.tc_skewness) < 0.5 and abs(self.tc_excess_kurtosis) < 1.0)
+        skew, kurt = self._tc_shape()
+        return bool(abs(skew) < 0.5 and abs(kurt) < 1.0)
 
     @property
     def sd_tc_rel_pct(self) -> float:
@@ -474,43 +516,17 @@ def _resample(rates: InflationSeries, mc: MCConfig, direct: FitResult,
     (tc, alpha, c0, p0), _, converged, _ = fit_singular_rows(
         p_data, t, starts, bounded_above=False, pinned_p0=dp.p0 if pin else None)
 
-    out_of_box = (tc > window[1]) | (alpha > a_hi)
-    ok = converged & ~out_of_box
-    on_floor = ok & (alpha == a_lo)
-    outcome = {
-        "converged_interior": int(np.count_nonzero(ok & ~on_floor)),
-        "on_alpha_floor": int(np.count_nonzero(on_floor)),
-        "stalled": int(np.count_nonzero(~converged & ~out_of_box)),
-        "out_of_box": int(np.count_nonzero(out_of_box)),
-    }
-    if not ok.any():
+    # Each generation's class: out of the box before stalled before on the floor.
+    status = np.zeros(mc.m, dtype=np.int8)
+    status[alpha == a_lo] = _ON_FLOOR
+    status[~converged] = _STALLED
+    status[(tc > window[1]) | (alpha > a_hi)] = _OUT_OF_BOX
+    if not (status < _STALLED).any():
         raise FitError("no Monte Carlo generation produced a usable refit")
-
-    values = {
-        "tc": (dp.tc, tc[ok]),
-        "alpha": (dp.alpha, alpha[ok]),
-        "c0": (dp.c0, c0[ok]),
-        "p0": (dp.p0, p0[ok]),
-        "gamma": (alpha_to_gamma(dp.alpha), alpha_to_gamma(alpha[ok])),
-    }
-    params = {name: ParamStats(direct_value, *_population_moments(sample))
-              for name, (direct_value, sample) in values.items()}
-
-    tc_ok = tc[ok]
-    skew, kurt = _skew_kurtosis(tc_ok) if params["tc"].std > 0 else (0.0, 0.0)
-    counts, edges = np.histogram(tc_ok, bins=40)
-
-    return MCReport(
-        config=mc,
-        direct=direct,
-        params=params,
-        outcome=outcome,
-        truncated_draws=truncated,
-        tc_hist_edges=edges,
-        tc_hist_counts=counts,
-        tc_skewness=skew,
-        tc_excess_kurtosis=kurt,
-    )
+    refits = np.array((tc, alpha, c0, p0)).T    # by columns: each one contiguous
+    refits.flags.writeable = status.flags.writeable = False
+    return MCReport(config=mc, direct=direct, refits=refits, status=status,
+                    truncated_draws=truncated)
 
 
 def sweep_error(

@@ -80,16 +80,15 @@ class Epoch:
     def _last_day(self) -> int:
         return calendar.monthrange(self.year, self.month)[1]
 
-    def ordinal(self) -> int:
-        """Proleptic-Gregorian ordinal of a monthly epoch (strictly monotone).
+    def _resolved_day(self) -> int:
+        """A monthly epoch's day: the explicit one, else 15 (mid) or the last (end)."""
+        return self.day or (15 if self.day_convention == MID_MONTH else self._last_day())
 
-        The day is the explicit one, else 15 (mid-month) or the month's last
-        day (end of month), by ``day_convention``.
-        """
+    def ordinal(self) -> int:
+        """Proleptic-Gregorian ordinal of a monthly epoch (strictly monotone), on its day."""
         if self.month is None:
             raise SeriesError("yearly epoch has no day of month")
-        day = self.day or (15 if self.day_convention == MID_MONTH else self._last_day())
-        return _date(self.year, self.month, day).toordinal()
+        return _date(self.year, self.month, self._resolved_day()).toordinal()
 
     def order_key(self) -> int:
         """Months since January of year 0, a yearly epoch counting from its January.
@@ -168,11 +167,21 @@ def _step_error(a: Epoch, b: Epoch) -> str | None:
         return f"epoch {b.label()} out of order"
     if step != (1 if monthly else 12):
         return f"non-uniform spacing between {a.label()} and {b.label()}"
+    # One day of month throughout, clipped to each month's length; after a
+    # month's last day, any day from it on (a day 29-31 clipped in a short
+    # month).  So every monthly step spans 28-31 days.
+    if monthly:
+        day_a, day_b = a._resolved_day(), b._resolved_day()
+        if not (day_b == min(day_a, b._last_day()) or day_a == a._last_day() <= day_b):
+            return f"day of month changes between {a.label()} and {b.label()}"
     return None
 
 
 def _validate_epochs(epochs: tuple[Epoch, ...]) -> None:
-    """One resolution and day convention, strictly increasing, one period apart."""
+    """One resolution and day convention, strictly increasing, one period apart.
+
+    A monthly series also keeps one day of month (``_step_error``).
+    """
     if not epochs:
         raise SeriesError("series is empty")
     for a, b in zip(epochs, epochs[1:]):

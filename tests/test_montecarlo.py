@@ -1,7 +1,10 @@
 import dataclasses
 import functools
+import importlib.util
 import math
 import pickle
+import sys
+import types
 import warnings
 
 import numpy as np
@@ -21,6 +24,7 @@ from hyperfit.fitting import (
 )
 from hyperfit.fixtures import PRESETS, episode, synthetic_rates
 from hyperfit.montecarlo import (
+    OUTCOMES,
     MCConfig,
     MCReport,
     ParamStats,
@@ -412,7 +416,8 @@ class TestRunMC:
             assert a.params[name].mean == b.params[name].mean
             assert a.params[name].std == b.params[name].std
         assert a.tc_skewness == b.tc_skewness
-        assert np.array_equal(a.tc_hist_counts, b.tc_hist_counts)
+        assert a.refits.tobytes() == b.refits.tobytes()
+        assert np.array_equal(a.status, b.status)
 
     def test_moment_matching(self, peru_rates):
         # Sample moments match the assigned gaussian within 3/sqrt(m)
@@ -447,11 +452,15 @@ class TestRunMC:
 
     def test_alpha_floor_generations_enter_moments_and_are_counted(self, heavy_error_run):
         # At 50 percent error many refits end with alpha on its lower bound.
-        # They are counted in n_nonconverged but still enter the moments;
-        # only out-of-box refits (one here) leave the tc histogram.
+        # They are counted in n_nonconverged but still enter the moments,
+        # at the bound; only out-of-box refits (one here) leave them.
         rep = heavy_error_run
-        in_moments = int(rep.tc_hist_counts.sum())
+        in_moments = rep.outcome["converged_interior"] + rep.outcome["on_alpha_floor"]
         assert rep.config.m - rep.n_nonconverged < in_moments < rep.config.m
+        entered = rep.status <= OUTCOMES.index("on_alpha_floor")
+        alpha = rep.refits[entered, 1]
+        assert np.count_nonzero(alpha == fitting._ALPHA_BOUNDS[0]) == rep.outcome["on_alpha_floor"]
+        assert rep.params["alpha"].mean == _population_moments(alpha)[0]
 
     def test_direct_fit_on_alpha_floor_seeds_refit(self, peru_rates, monkeypatch):
         # With the floor above Peru's alpha = 0.29 the direct fit sits on
@@ -606,55 +615,131 @@ def test_skew_kurtosis_match_scipy():
         assert kurt == pytest.approx(stats.kurtosis(sample, fisher=True, bias=True), rel=1e-12)
 
 
-OUTCOMES = ("converged_interior", "on_alpha_floor", "stalled", "out_of_box")
-
-
 def test_outcome_counts_partition_the_generations(peru_rates):
     rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.25, m=4000, seed=20080605))
+    assert OUTCOMES == ("converged_interior", "on_alpha_floor", "stalled", "out_of_box")
     assert tuple(rep.outcome) == OUTCOMES
     assert sum(rep.outcome.values()) == rep.config.m
     assert rep.n_nonconverged == rep.config.m - rep.outcome["converged_interior"]
-    # Converged generations on the alpha floor enter the moments.
+    # Converged generations on the alpha floor enter the moments: the tc
+    # moments are those of exactly these rows.
     in_moments = rep.outcome["converged_interior"] + rep.outcome["on_alpha_floor"]
-    assert int(rep.tc_hist_counts.sum()) == in_moments
+    tc = rep.refits[rep.status <= OUTCOMES.index("on_alpha_floor"), 0]
+    assert len(tc) == in_moments
+    assert (rep.params["tc"].mean, rep.params["tc"].std) == _population_moments(tc)
     data = build_report(rep.direct, build_price_index(peru_rates), mc=rep).data
     assert sum(data[f"mc.outcome.{kind}"] for kind in OUTCOMES) == data["mc.m"]
 
 
-def hand_report(m=100, converged_interior=100, ratios=None, threshold=0.1):
-    """An MCReport built by hand: params[k] has ratio ratios[k] (0 by default)."""
-    ratios = {"tc": 0.0, "alpha": 0.0, "c0": 0.0, "p0": 0.0, "gamma": 0.0, **(ratios or {})}
-    bad = m - converged_interior
-    return MCReport(
-        config=MCConfig(m=m, threshold=threshold),
-        direct=None,
-        params={k: ParamStats(direct=0.0, mean=r, std=1.0) for k, r in ratios.items()},
-        outcome={"converged_interior": converged_interior, "on_alpha_floor": 0,
-                 "stalled": bad, "out_of_box": 0},
-        truncated_draws=0,
-        tc_hist_edges=np.linspace(0.0, 1.0, 41),
-        tc_hist_counts=np.zeros(40, dtype=np.int64),
-        tc_skewness=0.0,
-        tc_excess_kurtosis=0.0,
-    )
+def alternating(m):
+    """(m, 4) refits of +2 and -2 in turn in every column: a mean of 0 and a std of 2 exactly."""
+    return np.where(np.arange(m) % 2 == 0, 2.0, -2.0)[:, None].repeat(4, axis=1)
+
+
+def hand_report(status, refits=None, direct=(0.0, 0.0, 0.0, 0.0), threshold=0.1):
+    """An MCReport built by hand from each generation's status and refit.
+
+    ``refits`` defaults to ``alternating``.  The direct fit stands in for a
+    ``FitResult`` by its (tc, alpha, c0, p0) alone, so that any value can be
+    set.  The arrays are stored as given, so a test can change them between
+    reads.
+    """
+    status = np.asarray(status, dtype=np.int8)
+    refits = alternating(len(status)) if refits is None else refits
+    params = types.SimpleNamespace(**dict(zip(("tc", "alpha", "c0", "p0"), direct)), t0=0.0)
+    return MCReport(config=MCConfig(m=len(status), threshold=threshold),
+                    direct=types.SimpleNamespace(params=params), refits=refits, status=status,
+                    truncated_draws=0)
+
+
+def converged_report(**ratios):
+    """100 converged generations whose tc, alpha, c0 and p0 ratios are ``ratios`` (0 if unset).
+
+    Around ``alternating`` refits a direct value of 2 r gives a ratio of exactly r.
+    """
+    return hand_report(np.zeros(100), direct=[2.0 * ratios.get(k, 0.0)
+                                              for k in ("tc", "alpha", "c0", "p0")])
 
 
 @pytest.mark.parametrize("m", [20, 100, 4000, 4001])
 def test_unreliable_from_one_generation_past_the_limit(m):
     limit = math.floor(montecarlo._MAX_NONCONVERGED_FRAC * m)
-    at = hand_report(m=m, converged_interior=m - limit)
-    past = hand_report(m=m, converged_interior=m - limit - 1)
+    stalled = OUTCOMES.index("stalled")
+    at = hand_report(np.repeat([0, stalled], [m - limit, limit]))
+    past = hand_report(np.repeat([0, stalled], [m - limit - 1, limit + 1]))
     assert (at.n_nonconverged, at.unreliable) == (limit, False)
     assert (past.n_nonconverged, past.unreliable) == (limit + 1, True)
 
 
 def test_accepted_is_strict_on_four_params_and_ignores_gamma():
-    assert hand_report(ratios=dict.fromkeys(("tc", "alpha", "c0", "p0"), 0.0999)).accepted
-    assert hand_report(ratios={"gamma": 1e9}).accepted
+    assert converged_report(**dict.fromkeys(("tc", "alpha", "c0", "p0"), 0.0999)).accepted
+    # alpha alternates u + 1 and u - 1 around its direct value u = -1 + 2**-30:
+    # its ratio is 0, and that of gamma = (2 + alpha) / (1 + alpha) about 2**30.
+    u = -1.0 + 2.0**-30
+    refits = alternating(100)
+    refits[:, 1] = u + refits[:, 1] / 2.0
+    rep = hand_report(np.zeros(100), refits, direct=(0.0, u, 0.0, 0.0))
+    assert rep.params["alpha"].ratio == 0.0
+    assert rep.params["gamma"].ratio > 1e9
+    assert rep.accepted
     for name in ("tc", "alpha", "c0", "p0"):
-        rep = hand_report(ratios={name: 0.1})
+        rep = converged_report(**{name: 0.1})
         assert rep.params[name].ratio == rep.config.threshold
         assert not rep.accepted
+
+
+def test_a_hand_built_report_reads_numpys_statistics_of_its_converged_rows():
+    rng = np.random.default_rng(36)
+    m = 500
+    refits = 1.0 + rng.gamma(2.0, size=(m, 4))
+    status = rng.integers(0, len(OUTCOMES), m)
+    direct = (3.0, 2.5, 2.0, 1.5)
+    rep = hand_report(status, refits, direct)
+    assert rep.outcome == {kind: int(np.sum(status == k)) for k, kind in enumerate(OUTCOMES)}
+    assert rep.n_nonconverged == m - int(np.sum(status == 0))
+    rows = refits[status <= 1]
+    columns = {"tc": rows[:, 0], "alpha": rows[:, 1], "c0": rows[:, 2], "p0": rows[:, 3],
+               "gamma": (2.0 + rows[:, 1]) / (1.0 + rows[:, 1])}
+    assert list(rep.params) == list(columns)
+    for (name, x), value in zip(columns.items(), (*direct, (2.0 + 2.5) / (1.0 + 2.5))):
+        stats = rep.params[name]
+        assert stats.direct == value
+        assert stats.mean == pytest.approx(np.mean(x), rel=1e-14)
+        assert stats.std == pytest.approx(np.std(x), rel=1e-12)
+    dev = rows[:, 0] - np.mean(rows[:, 0])
+    m2 = np.mean(dev**2)
+    assert rep.tc_skewness == pytest.approx(np.mean(dev**3) / m2**1.5, rel=1e-12)
+    assert rep.tc_excess_kurtosis == pytest.approx(np.mean(dev**4) / m2**2 - 3.0, rel=1e-12)
+    # Identical tc refits have no shape: skewness and excess kurtosis read 0.
+    flat = hand_report(status, np.full((m, 4), 2.0), direct)
+    assert (flat.params["tc"].std, flat.tc_skewness, flat.tc_excess_kurtosis) == (0.0, 0.0, 0.0)
+    assert flat.gaussian_ok
+
+
+def test_a_changed_status_moves_params_on_the_next_read():
+    refits = np.arange(1.0, 41.0).reshape(10, 4)
+    status = np.zeros(10, dtype=np.int8)
+    rep = hand_report(status, refits)
+    before = rep.params["tc"]
+    assert (before.mean, before.std) == _population_moments(refits[:, 0])
+    status[0] = OUTCOMES.index("out_of_box")
+    after = rep.params["tc"]
+    assert (after.mean, after.std) == _population_moments(refits[1:, 0])
+    assert after.mean != before.mean
+    assert rep.outcome["out_of_box"] == 1
+
+
+def test_a_report_stores_its_generations_read_only(peru_rates):
+    assert [f.name for f in dataclasses.fields(MCReport)] == [
+        "config", "direct", "refits", "status", "truncated_draws"]
+    for name in ("outcome", "params", "tc_skewness", "tc_excess_kurtosis"):
+        assert isinstance(getattr(MCReport, name), property)
+    rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.25, m=20, seed=1))
+    assert (rep.refits.shape, rep.refits.dtype) == ((20, 4), np.float64)
+    assert (rep.status.shape, rep.status.dtype) == ((20,), np.int8)
+    for array in (rep.refits, rep.status):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_reading_a_report_adds_no_instance_state(peru_rates):
@@ -693,6 +778,30 @@ def test_fits_and_run_mc_call_no_geomspace_or_stack(peru_rates, monkeypatch):
     fitting.fit_double_exp(index)
     fit_singularity(index)
     run_mc(peru_rates, FitConfig(), MCConfig(di=0.25, m=50, seed=1))
+
+
+def test_fits_and_run_mc_keep_their_bits_on_numpys_public_einsum(peru_rates, monkeypatch):
+    # Where numpy has no private c_einsum, fitting takes np.einsum in its
+    # place: the same bits on the three fits of every bundled episode and on
+    # every generation's refit and class.
+    def results():
+        fits = [bits(fit(build_price_index(synthetic_rates(episode(name)))))
+                for name in PRESETS
+                for fit in (fitting.fit_linear, fitting.fit_double_exp, fit_singularity)]
+        rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.25, m=200, seed=1))
+        return fits, rep.refits.tobytes(), rep.status.tobytes()
+
+    fast = results()
+    monkeypatch.setattr(fitting, "c_einsum", np.einsum)
+    assert results() == fast
+    monkeypatch.undo()
+    # The fallback itself: fitting imported where numpy has no c_einsum.
+    monkeypatch.delattr(np._core.multiarray, "c_einsum")
+    spec = importlib.util.spec_from_file_location("hyperfit._fitting_copy", fitting.__file__)
+    copy = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, copy)     # dataclasses look their module up
+    spec.loader.exec_module(copy)
+    assert copy.c_einsum is np.einsum
 
 
 def outcome_bits(call):
@@ -754,21 +863,15 @@ def test_a_refit_started_on_an_epoch_raises_no_floating_point_error(peru_rates):
     assert ssr[0] == np.inf and not converged[0] and rounds[0] == 0
 
 
-def test_tc_is_lognormal_in_its_distance_to_the_last_epoch(peru_rates, monkeypatch):
+def test_tc_is_lognormal_in_its_distance_to_the_last_epoch(peru_rates):
     # Criterion 4(b) fails on skew(tc) = 1.06 at di = 0.25; on the same
     # generations log(tc - t_last) is close to gaussian (skew -0.083; seeds
-    # 1 and 2 give -0.084 and -0.111).  _skew_kurtosis sees exactly the tc
-    # of the generations that enter the moments.
-    entered = []
-
-    def spy(x):
-        entered.append(x.copy())
-        return _skew_kurtosis(x)
-
-    monkeypatch.setattr(montecarlo, "_skew_kurtosis", spy)
+    # 1 and 2 give -0.084 and -0.111).  The skew is taken over exactly the
+    # tc of the generations that enter the moments.
     rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.25, m=4000, seed=20080605))
-    (tc,) = entered
+    tc = rep.refits[rep.status <= OUTCOMES.index("on_alpha_floor"), 0]
     assert len(tc) == rep.outcome["converged_interior"] + rep.outcome["on_alpha_floor"]
+    assert _skew_kurtosis(tc) == (rep.tc_skewness, rep.tc_excess_kurtosis)
     skew, _ = _skew_kurtosis(np.log(tc - float(peru_rates.times()[-1])))
     assert abs(skew) < 0.5
 
@@ -776,7 +879,13 @@ def test_tc_is_lognormal_in_its_distance_to_the_last_epoch(peru_rates, monkeypat
 def test_out_of_box_generations_are_counted(peru_rates):
     rep = run_mc(peru_rates, FitConfig(), MCConfig(di=0.5, m=100, seed=2))
     assert rep.outcome["out_of_box"] >= 1
-    assert int(rep.tc_hist_counts.sum()) == rep.config.m - rep.outcome["out_of_box"] - rep.outcome["stalled"]
+    # Each generation counted out of the box ended beyond it, and every
+    # other one inside it.
+    tc, alpha = rep.refits[:, 0], rep.refits[:, 1]
+    beyond = (tc > tc_search_window(peru_rates.times())[1]) | (alpha > fitting._ALPHA_BOUNDS[1])
+    assert np.array_equal(beyond, rep.status == OUTCOMES.index("out_of_box"))
+    in_moments = np.count_nonzero(rep.status <= OUTCOMES.index("on_alpha_floor"))
+    assert in_moments == rep.config.m - rep.outcome["out_of_box"] - rep.outcome["stalled"]
 
 
 def refit_row(name: str, di: float, seed: int, row: int, config: FitConfig):

@@ -287,6 +287,28 @@ class TestLoadSeries:
         # 1943-02-28 -> 1943-03-31 is 31 days.
         assert end.times()[1] == 31.0
 
+    def test_a_day_of_month_that_moves_names_its_line(self, tmp_path):
+        # These epochs used to load with times 0, 58, 59, 119, 134 and 165
+        # days: each rate is one period's inflation, so a month's growth sat
+        # on a 1-day step.
+        f = tmp_path / "a.csv"
+        f.write_text("date,rate\n1985-01-01,0.0\n1985-02-28,0.1\n1985-03-01,0.1\n"
+                     "1985-04-30,0.1\n1985-05-15,0.1\n1985-06-15,0.1\n")
+        with pytest.raises(LoadError, match="^line 3: day of month changes between "
+                                            "1985-01-01 and 1985-02-28$"):
+            load_series(f, kind="rate")
+        epochs = (Epoch(year=1985, month=4, day=30), Epoch(year=1985, month=5, day=15))
+        with pytest.raises(SeriesError, match="day of month changes"):
+            InflationSeries(epochs=epochs, rates=[0.0, 0.1])
+
+    @pytest.mark.parametrize("days", [(31, 28, 31, 30, 31, 30), (30, 28, 30, 30, 30, 30),
+                                      (29, 28, 29, 29, 29, 29), (10, 10, 10, 10, 10, 10)])
+    def test_one_day_of_month_clipped_to_each_month_loads(self, tmp_path, days):
+        f = tmp_path / "a.csv"
+        f.write_text("".join(f"1943-{m:02d}-{d:02d},0.0\n" for m, d in enumerate(days, 1)))
+        steps = np.diff(load_series(f, kind="rate").times())
+        assert ((28.0 <= steps) & (steps <= 31.0)).all()
+
     def test_index_kind_loads_price_series(self, tmp_path):
         f = tmp_path / "a.csv"
         f.write_text("1969,1.0\n1970,2.5\n")
