@@ -19,13 +19,15 @@ fit-direct inputs), this times per call, in milliseconds:
 - ``singularity_ms``: ``fitting.fit_singularity``, grid seed and refine;
 - ``doubleexp_ms``: ``fitting.fit_double_exp``, b2 grid and refine; from
   ``parabola-*`` on, the refine starts at two parabola vertices around the
-  best b2 node (``fitting._dexp_start``), one more model call of three b2.
+  best b2 node (``fitting._dexp_start``), one more model call of three b2;
+  from ``bracket-change`` on, at four, three more model calls of three b2
+  (``fitting._BRACKETS``), after which the engine takes 1 round.
 
 It also records, per case, the Levenberg-Marquardt rounds the fits take,
 ``FitResult.iterations`` summed over the case's inputs (p0 free): the
 counts ``singularity_rounds`` and ``doubleexp_rounds``; and, from
 ``dexpkeep-*`` on, ``doubleexp_calls``, the double-exponential model calls
-(calls of ``fitting._dexp_basis``: the grid, the parabola bracket and the
+(calls of ``fitting._dexp_basis``: the grid, the parabola brackets and the
 engine's, and before ``dexpkeep-change`` one more for the final residuals),
 summed the same way.  They depend only on the tree and the seed, not on
 the machine.

@@ -171,10 +171,16 @@ def _cmd_mc(args) -> int:
     _emit(build_report(mc.direct, index, source=_source_meta(args), mc=mc), args.out)
 
     if sweep is not None:
+        # At --di and --m the sweep's run is the main run: the same seed, the
+        # same refits.  Only the threshold may differ, and no column reads it.
+        main_di = args.di if sweep_m == args.m else None
+        runs = iter(sweep_error(rates, di_values=[di for di in sweep if di != main_di],
+                                m=sweep_m, seed=seed, direct=mc.direct))
         lines = ["di_pct,std_tc,std_alpha,std_c0,std_p0,sd_tc_rel_pct,sd_gamma_rel_pct"]
-        for r in sweep_error(rates, di_values=sweep, m=sweep_m, seed=seed, direct=mc.direct):
+        for di in sweep:
+            r = mc if di == main_di else next(runs)
             lines.append(",".join(map(repr, [
-                r.config.di * 100.0, *(r.params[k].std for k in ("tc", "alpha", "c0", "p0")),
+                di * 100.0, *(r.params[k].std for k in ("tc", "alpha", "c0", "p0")),
                 r.sd_tc_rel_pct, r.sd_gamma_rel_pct])))
         args.sweep_out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0

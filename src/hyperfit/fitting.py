@@ -118,7 +118,7 @@ _ALPHA_NODES = _ladder(*_ALPHA_BOUNDS, _GRID_ALPHA)
 _ALPHA_NODES.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """What one fit found: its parameters, its residuals and how the engine ended.
 
@@ -646,8 +646,8 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
 # Double-exponential model
 # ---------------------------------------------------------------------------
 
-#: Half-width of the second bracket of ``_dexp_start``, relative to its middle b2.
-_BRACKET = 0.01
+#: Half-widths of the brackets of ``_dexp_start``, each relative to its middle b2.
+_BRACKETS = (1e-2, 1e-4, 1e-6)
 
 
 def _vertex(x: list, f: list) -> float | None:
@@ -666,34 +666,39 @@ def _dexp_start(nodes: np.ndarray, ssr: np.ndarray, score, hi: float) -> float:
 
     ``nodes`` are the b2 grid in ascending order, ``ssr`` their objectives
     and ``score`` gives the objectives of an array of b2 values in one call;
-    both give a non-finite objective as inf.  Two parabola vertices
-    (``_vertex``) refine the best node (the first of equal ones): the first
-    through it and its two neighbours, the second through v (1 - h), v and
-    v (1 + h), v the first vertex, h = ``_BRACKET``, clipped at ``hi``.  A
-    vertex is taken only when its parabola opens upward and its bracket
-    holds the lowest point scored so far; otherwise the start is that
-    point.  So a best node that is the first (b2 = 0, the linear fit) or
-    the last node, or that has a non-finite neighbour, is the start.  The
-    grid spaces b2 about 30 % apart, and each vertex saves the engine about
-    one round.  The second vertex is not scored.  On 2505 fits (the five
-    bundled episodes, noiseless and 100 perturbations each at di 0.05, 0.1,
-    0.25, 0.5 and 1) all 2327 starts off the grid scored below the best
-    node, so the engine, which never raises a row's objective, ended below
-    it too.
+    both give a non-finite objective as inf.  Successive parabola vertices
+    (``_vertex``; Brent 1973) refine the best node (the first of equal
+    ones): the first through it and its two neighbours, each next one
+    through v (1 - h), v and v (1 + h), v the vertex before it and h the
+    next of ``_BRACKETS``, clipped at ``hi``.  A vertex is taken only when
+    its parabola opens upward and its bracket holds the lowest point scored
+    so far; otherwise the start is that point.  So a best node that is the
+    first (b2 = 0, the linear fit) or the last node, or that has a
+    non-finite neighbour, is the start.  The last vertex is not scored.
+    The grid spaces b2 about 30 % apart, and after the three brackets the
+    start nearly always lies within the engine's ``_FTOL`` of the minimum,
+    so the engine's first trial ends the row at the start.  On 2505 fits
+    (the five bundled episodes, noiseless and 100 perturbations each at di
+    0.05, 0.1, 0.25, 0.5 and 1) all 2327 starts off the grid scored below
+    the best node, so the engine, which never raises a row's objective,
+    ended below it too; 2322 of them took 1 round and 5 took 3.
     """
     best = int(np.argmin(ssr))
+    low_b2, low_ssr = float(nodes[best]), float(ssr[best])
     if not 0 < best < len(nodes) - 1:
-        return float(nodes[best])
+        return low_b2
     v = _vertex(nodes[best - 1:best + 2].tolist(), ssr[best - 1:best + 2].tolist())
-    if v is None:
-        return float(nodes[best])
-    bracket = np.minimum(v * np.array([1.0 - _BRACKET, 1.0, 1.0 + _BRACKET]), hi)
-    scores = score(bracket)
-    low = int(np.argmin(scores))
-    if not scores[low] <= ssr[best]:
-        return float(nodes[best])
-    start = _vertex(bracket.tolist(), scores.tolist())
-    return float(bracket[low]) if start is None else start
+    for h in _BRACKETS:
+        if v is None:
+            return low_b2
+        bracket = np.minimum(v * np.array([1.0 - h, 1.0, 1.0 + h]), hi)
+        scores = score(bracket)
+        low = int(np.argmin(scores))
+        if not scores[low] <= low_ssr:
+            return low_b2
+        low_b2, low_ssr = float(bracket[low]), float(scores[low])
+        v = _vertex(bracket.tolist(), scores.tolist())
+    return low_b2 if v is None else v
 
 
 @_FP_STATE
@@ -702,13 +707,14 @@ def fit_double_exp(index: PriceIndexSeries, config: FitConfig | None = None) -> 
 
     The search runs over b2, with (C0, p0) in closed form and C0 of either
     sign.  At b2 = 0 the model is the linear one (the Cagan limit).  One
-    model call scores the b2 grid; the engine starts from two parabola
-    vertices around its best node (``_dexp_start``), which take it 3 rounds
-    on the benchmark inputs where the best node took 4-6.  The residuals are
-    the ones the engine scored at the final b2, kept by ``_lm`` as a further
-    item, so the fit makes no model call after the engine: 6 calls a fit on
-    those inputs, where evaluating them again made 7.  ``config`` is taken
-    for the fitters' common signature: p0 is always free.
+    model call scores the b2 grid; the engine starts from successive
+    parabola vertices around its best node (``_dexp_start``), which take it
+    1 round on the 40 benchmark inputs, where one bracket took it 3-4 and
+    the best node 4-6.  The residuals are the ones the engine scored at the
+    final b2, kept by ``_lm`` as a further item, so the fit makes no model
+    call after the engine: 6 calls a fit on those inputs (the grid, three
+    brackets of three b2, the engine's start and its one round).  ``config``
+    is taken for the fitters' common signature: p0 is always free.
     """
     t, p = _points(index, "double-exponential", 6)
     t0 = float(t[0])

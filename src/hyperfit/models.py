@@ -138,7 +138,7 @@ class RecursionParams:
         return cls(r0=r0, a=2.0 * dt * a1, gamma=gamma, dt=dt)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecursionResult:
     """Simulated growth rates r(t0 + k dt); truncated on overflow."""
 

@@ -107,7 +107,7 @@ OUTCOMES = ("converged_interior", "on_alpha_floor", "stalled", "out_of_box")
 _ON_FLOOR, _STALLED, _OUT_OF_BOX = range(1, len(OUTCOMES))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MCReport:
     """What one resampling run under ``config`` found around the ``direct`` fit.
 

@@ -236,7 +236,7 @@ def _frozen(values) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InflationSeries(_Epochs):
     """Per-period inflation rates i(t_k) at equally spaced epochs.
 
@@ -254,7 +254,7 @@ class InflationSeries(_Epochs):
                     "finite and > -1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceIndexSeries(_Epochs):
     """Log price index p(t_k) = ln P(t_k), as a read-only copy; ``index`` is P = exp(p).
 

@@ -304,6 +304,33 @@ class TestCmdMc:
         assert len(calls) == 1
         assert len(sweep_file.read_text().splitlines()) == 4
 
+    @pytest.mark.parametrize("sweep_m, resampled", [((), [0.05, 0.15]),
+                                                    (("--sweep-m", "30"), [0.05, 0.1, 0.15])])
+    def test_a_sweep_step_at_di_reuses_the_main_run(self, capsys, tmp_path, monkeypatch,
+                                                     sweep_m, resampled):
+        # At --di with the main run's m the sweep's row comes from the main
+        # report, with the bytes a run of its own writes.
+        runs = []
+        resample = montecarlo._resample
+
+        def spy(rates, mc, *args):
+            runs.append((rates, mc.di))
+            return resample(rates, mc, *args)
+
+        monkeypatch.setattr(montecarlo, "_resample", spy)
+        sweep_file = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "mc", PERU_CSV, "--di", "0.1", "--m", "20", "--seed", "5",
+                         "--sweep", "5:15:5", *sweep_m, "--sweep-out", str(sweep_file))
+        assert code == 0
+        assert [di for _, di in runs] == [0.1, *resampled]
+        monkeypatch.setattr(montecarlo, "_resample", resample)
+        own = montecarlo.sweep_error(runs[0][0], di_values=[0.05, 0.1, 0.15],
+                                     m=20 if not sweep_m else 30, seed=5)
+        rows = [",".join(map(repr, [r.config.di * 100.0,
+                                    *(r.params[k].std for k in ("tc", "alpha", "c0", "p0")),
+                                    r.sd_tc_rel_pct, r.sd_gamma_rel_pct])) for r in own]
+        assert sweep_file.read_text().splitlines()[1:] == rows
+
     def test_model_flag_is_fit_only(self, capsys, monkeypatch):
         # mc always fits the singular model; a --model it would ignore is a
         # usage error.

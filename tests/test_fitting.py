@@ -1043,16 +1043,18 @@ class TestFitDoubleExp:
                 yield build_price_index(r)
 
     @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
-    def test_direct_double_exp_fits_take_at_most_4_rounds(self):
+    def test_direct_double_exp_fits_take_1_round(self):
         # They leave large residuals under this model, so Gauss-Newton
         # curvature took up to 11 rounds and the secant slope from the best
-        # grid node up to 6 (mean 5.2); from the parabola start it takes 3.
+        # grid node up to 6 (mean 5.2); from one parabola bracket it took
+        # 3-4.  The three brackets start it within _FTOL of the minimum, so
+        # its first trial ends the row.
         rounds = []
         for index in self.forty_indexes():
             fit = fit_double_exp(index)
             assert fit.converged
             rounds.append(fit.iterations)
-        assert len(rounds) == 40 and np.mean(rounds) <= 3.5 and max(rounds) <= 4
+        assert len(rounds) == 40 and max(rounds) == 1
 
     @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
     def test_start_scores_no_higher_than_the_best_grid_node(self, monkeypatch):
@@ -1107,6 +1109,18 @@ class TestFitDoubleExp:
         np.testing.assert_allclose(asked[0], 2.3 * np.array([0.99, 1.0, 1.01]), rtol=1e-14)
         assert start == pytest.approx(2.3, rel=1e-14)
 
+    def test_each_bracket_is_its_half_width_around_the_vertex_before_it(self):
+        # On the same parabola every bracket is scored, each _BRACKETS[k]
+        # either side of a vertex at 2.3 up to rounding.
+        def f(b2):
+            return 1.0 + (b2 - 2.3) ** 2
+        score, asked = self.recorded(f)
+        fitting._dexp_start(self.NODES, f(self.NODES), score, 4.0)
+        assert len(asked) == len(fitting._BRACKETS) == 3
+        for bracket, h in zip(asked, fitting._BRACKETS):
+            np.testing.assert_allclose(bracket, 2.3 * np.array([1.0 - h, 1.0, 1.0 + h]),
+                                       rtol=1e-14)
+
     def test_second_bracket_above_the_best_node_keeps_the_node(self):
         score, asked = self.recorded(lambda b2: np.array([1.2, 1.1, 1.3]))
         assert fitting._dexp_start(self.NODES, self.SSR, score, 4.0) == 2.0
@@ -1117,13 +1131,41 @@ class TestFitDoubleExp:
         score, asked = self.recorded(lambda b2: np.array([0.9, 0.95, 0.8]))
         assert fitting._dexp_start(self.NODES, self.SSR, score, 4.0) == asked[0][2]
 
-    def test_second_bracket_falling_across_takes_its_vertex(self):
-        # The middle point is not the lowest, but the parabola opens upward,
-        # so the start is its vertex, beyond the bracket's low end.
+    def test_last_bracket_falling_across_takes_its_vertex(self):
+        # In every bracket the middle point is not the lowest, but the
+        # parabola opens upward and the low end ties the lowest point so
+        # far, so each next bracket is around the vertex, beyond the low
+        # end, and the start is the last bracket's vertex, beyond its low
+        # end.
         scores = [0.7, 0.8, 0.95]
         score, asked = self.recorded(lambda b2: np.array(scores))
         start = fitting._dexp_start(self.NODES, self.SSR, score, 4.0)
-        assert start == fitting._vertex(asked[0].tolist(), scores) < asked[0][0]
+        assert len(asked) == 3
+        for before, bracket in zip(asked, asked[1:]):
+            assert bracket[1] == fitting._vertex(before.tolist(), scores) < before[0]
+        assert start == fitting._vertex(asked[-1].tolist(), scores) < asked[-1][0]
+
+    def test_later_bracket_above_the_lowest_point_keeps_the_previous_vertex(self):
+        # The second bracket, around the first bracket's vertex, scores
+        # above the first bracket's middle, the lowest point so far: the
+        # start is that middle, the best node's vertex, and no third
+        # bracket is scored.
+        brackets = iter([np.array([0.9, 0.8, 0.95]), np.array([0.85, 0.81, 0.9])])
+        score, asked = self.recorded(lambda b2: next(brackets))
+        start = fitting._dexp_start(self.NODES, self.SSR, score, 4.0)
+        assert len(asked) == 2 and start == asked[0][1]
+        assert asked[1][1] == fitting._vertex(asked[0].tolist(), [0.9, 0.8, 0.95])
+
+    def test_later_bracket_is_held_at_b2_max(self):
+        # The first bracket's vertex is 3.9998, within 1e-4 of b2_max = 4,
+        # so the second bracket's top point is held at 4.  The third,
+        # 1e-6 either side of 3.9998, is not.
+        def f(b2):
+            return 1.0 + (b2 - 3.9998) ** 2
+        score, asked = self.recorded(f)
+        start = fitting._dexp_start(self.NODES, np.array([5.0, 4.0, 3.0, 2.0, 2.5]), score, 4.0)
+        assert asked[0][2] < 3.9 and asked[1][1] < 4.0 == asked[1][2]
+        assert asked[2][2] < 4.0 and start == pytest.approx(3.9998, rel=1e-12)
 
     def test_second_bracket_is_held_at_b2_max(self):
         # Tied with the top node, the best node's vertex is halfway to it,

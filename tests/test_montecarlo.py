@@ -18,11 +18,13 @@ from hyperfit.fitting import (
     _data_side,
     _sing_linearization,
     _sing_residuals,
+    fit_linear,
     fit_singular_rows,
     fit_singularity,
     tc_search_window,
 )
 from hyperfit.fixtures import PRESETS, episode, synthetic_rates
+from hyperfit.models import RecursionParams, simulate_recursion
 from hyperfit.montecarlo import (
     OUTCOMES,
     MCConfig,
@@ -1180,3 +1182,26 @@ class TestSweepError:
             span = rep.params["tc"].direct - float(rates.times()[0])
             rel[name] = rep.params["tc"].std / span
         assert rel["germany"] < rel["peru"]
+
+
+#: Each record that holds an array, built from fixed inputs: two calls give
+#: records of equal content.
+RECORDS = {
+    "InflationSeries": lambda: synthetic_rates(episode("peru")),
+    "PriceIndexSeries": lambda: build_price_index(synthetic_rates(episode("peru"))),
+    "FitResult": lambda: fit_linear(build_price_index(synthetic_rates(episode("peru")))),
+    "MCReport": lambda: run_mc(synthetic_rates(episode("peru")), mc_config=MCConfig(m=20, seed=3)),
+    "RecursionResult": lambda: simulate_recursion(
+        RecursionParams(r0=0.1, a=0.05, gamma=1.5, dt=1.0), 12),
+}
+
+
+@pytest.mark.parametrize("record", list(RECORDS))
+def test_records_compare_and_hash_by_identity(record):
+    # A record is equal only to itself, so == never asks an array for a
+    # truth value and a record can be hashed; digests.py's named values
+    # compare two runs.
+    a, b = RECORDS[record](), RECORDS[record]()
+    assert type(a).__name__ == record
+    assert a == a and (a == b) is False and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
