@@ -17,6 +17,10 @@ fit-direct inputs), this times per call, in milliseconds:
 - ``linear_ms`` (from ``ladder-*`` on): ``fitting.fit_linear``, a closed
   form, where reading the time axis and checking the input weigh most;
 - ``singularity_ms``: ``fitting.fit_singularity``, grid seed and refine;
+  from ``stencil-change`` on, the refine starts at finite-difference Newton
+  vertices around the best grid node (``fitting._sing_start``), five or six
+  more model calls of nine (tc, alpha), after which the engine mostly takes
+  1 round;
 - ``doubleexp_ms``: ``fitting.fit_double_exp``, b2 grid and refine; from
   ``parabola-*`` on, the refine starts at two parabola vertices around the
   best b2 node (``fitting._dexp_start``), one more model call of three b2;
@@ -25,12 +29,14 @@ fit-direct inputs), this times per call, in milliseconds:
 
 It also records, per case, the Levenberg-Marquardt rounds the fits take,
 ``FitResult.iterations`` summed over the case's inputs (p0 free): the
-counts ``singularity_rounds`` and ``doubleexp_rounds``; and, from
+counts ``singularity_rounds`` and ``doubleexp_rounds``; from
 ``dexpkeep-*`` on, ``doubleexp_calls``, the double-exponential model calls
 (calls of ``fitting._dexp_basis``: the grid, the parabola brackets and the
 engine's, and before ``dexpkeep-change`` one more for the final residuals),
-summed the same way.  They depend only on the tree and the seed, not on
-the machine.
+summed the same way; and from ``stencil-*`` on, ``singularity_calls``, the
+singular model calls (calls of ``fitting._sing_basis``: the grid, from
+``stencil-change`` on the stencils, the engine's and one more for the final
+residuals).  They depend only on the tree and the seed, not on the machine.
 
 Run it like ``mc_layers.py``, whose ``run_bench`` it shares, alternating the
 two trees:
@@ -115,12 +121,13 @@ def grid_args(tree, index) -> tuple:
     return (t, index.log_index, *window, None)
 
 
-def doubleexp_work(tree, indexes) -> dict[str, int]:
-    """LM rounds and model calls of ``tree``'s double-exponential fits of ``indexes``."""
+def fit_work(tree, indexes, model: str, fit: str, basis: str) -> dict[str, int]:
+    """LM rounds and model calls (calls of ``basis``) of ``tree``'s ``fit``
+    fits of ``indexes``, as ``<model>_rounds`` and ``<model>_calls``."""
     calls = []
-    with spied(tree.fitting, "_dexp_basis", lambda *_: calls.append(None)):
-        rounds = sum(tree.fitting.fit_double_exp(i).iterations for i in indexes)
-    return {"doubleexp_rounds": rounds, "doubleexp_calls": len(calls)}
+    with spied(tree.fitting, basis, lambda *_: calls.append(None)):
+        rounds = sum(getattr(tree.fitting, fit)(i).iterations for i in indexes)
+    return {f"{model}_rounds": rounds, f"{model}_calls": len(calls)}
 
 
 def time_case(name: str, seed: int, parent=None) -> dict:
@@ -141,10 +148,10 @@ def time_case(name: str, seed: int, parent=None) -> dict:
         times = {layer: per_call_ms({side: getattr(tree.fitting, fn)
                                      for side, tree in trees.items()}, args)
                  for layer, fn, args in layers}
-        values = {side: {layer: times[layer][side] for layer in times} | {
-            "singularity_rounds": sum(tree.fitting.fit_singularity(i).iterations
-                                      for i in indexes),
-        } | doubleexp_work(tree, indexes) for side, tree in trees.items()}
+        values = {side: {layer: times[layer][side] for layer in times}
+                  | fit_work(tree, indexes, "singularity", "fit_singularity", "_sing_basis")
+                  | fit_work(tree, indexes, "doubleexp", "fit_double_exp", "_dexp_basis")
+                  for side, tree in trees.items()}
     return values["change"] if parent is None else values
 
 

@@ -9,9 +9,12 @@ k the free parameters:
 The singular and double-exponential models are affine in (C0, p0) once
 their shape parameters are fixed, so one closed-form solve (``_project``)
 gives (C0, p0), pinned p0 or not, and the fits search the shape parameters
-alone (variable projection, Golub & Pereyra 1973): a coarse grid seeds one
-projected Levenberg-Marquardt engine (``_lm``), which refines (tc, alpha)
-or b2 and refits every Monte Carlo generation.  The grid, the refine and
+alone (variable projection, Golub & Pereyra 1973): a coarse grid, refined
+by a few derivative-free model calls (finite-difference Newton stencils in
+(tc, alpha), ``_sing_start``; parabola brackets in b2, ``_dexp_start``),
+starts one projected Levenberg-Marquardt engine (``_lm``) so close to the
+minimum that a direct fit mostly ends in its first round; the engine also
+refits every Monte Carlo generation.  The grid, the start, the refine and
 the refit call one residual function per model (``_sing_residuals``, or
 ``model`` in ``fit_double_exp``), which evaluates the model's basis from
 ``hyperfit.models`` (``_sing_basis`` with t0 = t[0], ``_dexp_basis``): the
@@ -324,9 +327,12 @@ def _lm(model, x0, lb, ub):
     benchmark inputs, started at the best b2 grid node, the slope took 4-6
     rounds (mean 5.2) where J^T J took 8-11 (mean 9.35).  For k = 2, three
     structured-secant variants tried on the (tc, alpha) fits each raised
-    the rounds: direct singular fits 4.62 -> 4.83 per fit with PSB sized
-    as in NL2SOL, and the Peru Monte Carlo refit 5.85 -> 6.50 per row with
-    it, 6.81 with SR1 and 7.26 unsized.
+    the rounds: the Peru Monte Carlo refit 5.85 -> 6.50 per row with PSB
+    sized as in NL2SOL, 6.81 with SR1 and 7.26 unsized, and direct singular
+    fits, then started at the best grid node, 4.62 -> 4.83 with PSB.  Those
+    now start from ``_sing_start``, within about ``_FTOL`` of the minimum,
+    and take 1.08 rounds on average (``fit_singularity``), so a curvature
+    update has little left to save there.
 
     The box [lb, ub] is per coordinate (equal bounds pin one) and kept by
     projection: a trial step is clipped onto it, and a coordinate on a bound
@@ -584,9 +590,25 @@ def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, seed: tuple[float, floa
     return (tc_lo + x[:, 0], a_lo + x[:, 1], c0, p0), ssr, converged, rounds
 
 
+def _sing_objective(t: np.ndarray, p: np.ndarray, pinned_p0: float | None):
+    """The singular fit's objective on a grid, as a function ``score(tc, alpha)``.
+
+    Given 1-D arrays of tc and alpha it returns, in one model call, the
+    objective at every (tc, alpha) of tc x alpha, tc the outer axis, with a
+    non-finite one (C0 <= 0) as inf.
+    """
+    y, shift = _data_side(p, pinned_p0)
+
+    def score(tc: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        ssr = _ssr(_sing_residuals(tc[:, None, None], alpha[:, None], t, y, shift,
+                                   pinned_p0 is None, False)[0])
+        return np.where(np.isfinite(ssr), ssr, np.inf)
+    return score
+
+
 @_FP_STATE
 def _sing_grid_seed(t, p, pinned_p0):
-    """Best (tc, alpha, c0, p0) over the initialization grid.
+    """Best (tc, alpha) over the initialization grid, and its objective.
 
     ``_GRID_TC`` tc nodes span ``tc_search_window(t)`` and ``_GRID_ALPHA``
     alpha nodes span ``_ALPHA_BOUNDS``, both spaced geometrically (tc in its
@@ -597,15 +619,98 @@ def _sing_grid_seed(t, p, pinned_p0):
     t_last = float(t[-1])
     tc_lo, tc_hi = tc_search_window(t)
     tc_nodes = t_last + _ladder(tc_lo - t_last, tc_hi - t_last, _GRID_TC)
-    resid, _, c0, p0 = _sing_residuals(tc_nodes[:, None, None], _ALPHA_NODES[:, None], t,
-                                       *_data_side(p, pinned_p0), pinned_p0 is None, False)
-    ssr = _ssr(resid)
-    finite = np.isfinite(ssr)
-    if not finite.any() or np.ptp(p) == 0.0:  # C0 of flat data is 0 up to rounding
+    ssr = _sing_objective(t, p, pinned_p0)(tc_nodes, _ALPHA_NODES)
+    if np.isinf(ssr).all() or np.ptp(p) == 0.0:  # C0 of flat data is 0 up to rounding
         raise FitError("singular model does not apply: no grid node gives C0 > 0 "
                        "(the log price index does not grow, as in flat or deflating data)")
-    i, j = np.unravel_index(np.argmin(np.where(finite, ssr, np.inf)), ssr.shape)
-    return float(tc_nodes[i]), float(_ALPHA_NODES[j]), float(c0[i, j]), float(p0[i, j])
+    i, j = np.unravel_index(np.argmin(ssr), ssr.shape)
+    return float(tc_nodes[i]), float(_ALPHA_NODES[j]), float(ssr[i, j])
+
+
+#: The least half-width of each successive stencil of ``_sing_start``, in
+#: the logarithms of tc - t_last and alpha (so about relative sizes), t_last
+#: the last epoch.  All lie below a grid cell: on the bundled episodes the
+#: grid spaces log(tc - t_last) 0.19-0.23 apart and log(alpha) 0.41.  Each
+#: is about the square of the one before, as the distance to the minimum
+#: shrinks under Newton steps.  The last is there twice: with it once, the
+#: noiseless fits of Zimbabwe and Yugoslavia (p0 free or pinned) ended up to
+#: 1e-6 from their minimum in log(tc - t_last), where they now end within
+#: 1e-11, and the engine keeps such a start.
+_STENCILS = (1e-1, 5e-3, 1e-4, 1e-6, 1e-7, 1e-7)
+
+
+def _newton_vertex(f: list) -> tuple[float, float] | None:
+    """The vertex, in half-widths from the middle, of the quadratic that
+    central differences fit to the objectives f of a 3 x 3 stencil, given
+    row by row with tc the outer axis: (-1, -1), (-1, 0), ..., (1, 1).
+
+    None unless every f is finite and the quadratic is positive definite.
+    """
+    if not math.isfinite(sum(f)):
+        return None
+    f_mm, f_m0, f_mp, f_0m, f_00, f_0p, f_pm, f_p0, f_pp = f
+    gx, gy = (f_p0 - f_m0) / 2.0, (f_0p - f_0m) / 2.0
+    hxx, hyy = f_p0 - 2.0 * f_00 + f_m0, f_0p - 2.0 * f_00 + f_0m
+    hxy = (f_pp - f_pm - f_mp + f_mm) / 4.0
+    det = hxx * hyy - hxy * hxy
+    if not (hxx > 0.0 and det > 0.0):
+        return None
+    return (hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det
+
+
+def _sing_start(seed: tuple[float, float], ssr: float, score, t_last: float,
+                lo: tuple[float, float], hi: tuple[float, float]) -> tuple[float, float]:
+    """The (tc, alpha) at which ``fit_singularity`` starts the engine.
+
+    ``seed`` is the best grid node and ``ssr`` the grid's objective there;
+    ``score`` is ``_sing_objective``'s, [lo, hi] the box and t_last the last
+    epoch.  Successive finite-difference Newton vertices
+    (``_newton_vertex``) refine the seed.  Each stencil is a 3 x 3 grid of
+    (tc, alpha) spaced h apart in log(tc - t_last) and log(alpha), scored in
+    one call, around the vertex before it (the seed first) and moved inward
+    just enough to lie in the box.  Its half-width h is the square of the
+    last vertex's step in those logarithms, about the distance that a Newton
+    step leaves, held between the stencil's entry in ``_STENCILS`` and the
+    half-width before it; after a stencil whose vertex was not taken it is
+    the entry.  A stencil's vertex is taken only when its quadratic is
+    positive definite, the vertex lies in the box and the stencil holds the
+    lowest point scored so far, the seed counting as scored; otherwise the
+    next, smaller stencil restarts from that lowest point, which is the
+    start if no stencil is left.  The loop ends early on a step below
+    ``_STENCILS[-1]``.  The last vertex is not scored.  The start nearly
+    always lies within the engine's ``_FTOL`` of the minimum, so the
+    engine's first trial ends the row at the start.
+    """
+    box = ((lo[0] - t_last, hi[0] - t_last), (lo[1], hi[1]))   # tc - t_last, alpha
+    start = low = seed
+    low_ssr = ssr
+    h, step = math.inf, 0.0                 # the seed is no vertex: the first entry
+    for least in _STENCILS:
+        h = max(least, min(h, step * step))
+        grow = math.exp(h)
+        # the middle, moved inward just enough that the stencil lies in the box
+        mid = [min(max(v, v_lo * grow), v_hi / grow)
+               for v, (v_lo, v_hi) in zip((start[0] - t_last, start[1]), box)]
+        tc = [max(t_last + mid[0] / grow, lo[0]), t_last + mid[0],
+              min(t_last + mid[0] * grow, hi[0])]           # held against rounding
+        alpha = [max(mid[1] / grow, lo[1]), mid[1], min(mid[1] * grow, hi[1])]
+        scores = score(np.array(tc), np.array(alpha)).ravel()
+        k = int(scores.argmin())
+        scores = scores.tolist()
+        u = None
+        if scores[k] <= low_ssr:
+            low, low_ssr = (tc[k // 3], alpha[k % 3]), scores[k]
+            u = _newton_vertex(scores)
+        # the box test in logarithms, so that a far vertex does not overflow
+        if u is None or not all(math.log(v_lo / m) <= h * ui <= math.log(v_hi / m)
+                                for ui, m, (v_lo, v_hi) in zip(u, mid, box)):
+            start, step = low, 0.0
+            continue
+        start = (t_last + mid[0] * math.exp(h * u[0]), mid[1] * math.exp(h * u[1]))
+        step = h * max(abs(u[0]), abs(u[1]))
+        if step < _STENCILS[-1]:
+            break
+    return start
 
 
 @_FP_STATE
@@ -619,6 +724,16 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
     by default: pinning it to the observed ln P(t0) fixes the curve at the
     first point and can bias tc, so that variant is opt-in via
     ``config.pin_p0``.
+
+    One model call scores the (tc, alpha) grid; the engine starts from
+    successive finite-difference Newton vertices around its best node
+    (``_sing_start``), one model call of nine points a stencil.  On the 80
+    inputs of the tests (each episode noiseless and with seven perturbations
+    at di = 0.1, p0 free and pinned) they take 4-6 stencils (mean 5.7), and
+    the engine then takes 1 round on 78 of them and 1.08 on average (at
+    most 5), where from the best node it took 4-6 (mean 5.14).  A fit so
+    makes about 9.8 model calls, where it made 8.1: the grid, the stencils,
+    the engine's start and its rounds, and one more for the final residuals.
     """
     config = config or FitConfig()
     t, p = _points(index, "singularity", 6)
@@ -630,9 +745,11 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
         )
     t0 = float(t[0])
     pinned = float(p[0]) if config.pin_p0 else None
-    tc_s, a_s, _, _ = _sing_grid_seed(t, p, pinned)
+    tc_s, a_s, ssr_s = _sing_grid_seed(t, p, pinned)
+    start = _sing_start((tc_s, a_s), ssr_s, _sing_objective(t, p, pinned), float(t[-1]),
+                        *zip(tc_search_window(t), _ALPHA_BOUNDS))
     (tc, alpha, c0, p0), _, converged, rounds = fit_singular_rows(
-        p[None, :], t, (tc_s, a_s), pinned_p0=pinned)
+        p[None, :], t, start, pinned_p0=pinned)
     params = SingularityParams(tc=float(tc[0]), alpha=float(alpha[0]), c0=float(c0[0]),
                                p0=float(p0[0]), t0=t0)
     # Evaluated again, not kept by the engine: keeping them would cost every Monte Carlo refit.
@@ -670,35 +787,39 @@ def _dexp_start(nodes: np.ndarray, ssr: np.ndarray, score, hi: float) -> float:
     (``_vertex``; Brent 1973) refine the best node (the first of equal
     ones): the first through it and its two neighbours, each next one
     through v (1 - h), v and v (1 + h), v the vertex before it and h the
-    next of ``_BRACKETS``, clipped at ``hi``.  A vertex is taken only when
-    its parabola opens upward and its bracket holds the lowest point scored
-    so far; otherwise the start is that point.  So a best node that is the
-    first (b2 = 0, the linear fit) or the last node, or that has a
-    non-finite neighbour, is the start.  The last vertex is not scored.
-    The grid spaces b2 about 30 % apart, and after the three brackets the
-    start nearly always lies within the engine's ``_FTOL`` of the minimum,
-    so the engine's first trial ends the row at the start.  On 2505 fits
-    (the five bundled episodes, noiseless and 100 perturbations each at di
-    0.05, 0.1, 0.25, 0.5 and 1) all 2327 starts off the grid scored below
-    the best node, so the engine, which never raises a row's objective,
-    ended below it too; 2322 of them took 1 round and 5 took 3.
+    next of ``_BRACKETS``, clipped at ``hi``.  A bracket's vertex is taken
+    only when its parabola opens upward and the bracket holds the lowest
+    point scored so far, the grid counting as scored; otherwise the next,
+    smaller bracket restarts from that lowest point, which is the start if
+    no bracket is left.  A best node that is the first (b2 = 0, the linear
+    fit) or the last node, or whose grid parabola has no vertex (a
+    non-finite neighbour, or a parabola that opens downward), is the start.
+    The last vertex is not scored.  The grid spaces b2 about 30 % apart,
+    and after the three brackets the start nearly always lies within the
+    engine's ``_FTOL`` of the minimum, so the engine's first trial ends the
+    row at the start.  On 2505 fits (the five bundled episodes, noiseless
+    and 100 perturbations each at di 0.05, 0.1, 0.25, 0.5 and 1;
+    ``benches/fit_gate.py``) 2497 took 1 round and 8 took 2.  Before the
+    restart, a start at the lowest point took 3-5 rounds on 177 of them.
     """
     best = int(np.argmin(ssr))
     low_b2, low_ssr = float(nodes[best]), float(ssr[best])
     if not 0 < best < len(nodes) - 1:
         return low_b2
     v = _vertex(nodes[best - 1:best + 2].tolist(), ssr[best - 1:best + 2].tolist())
+    if v is None:
+        return low_b2
     for h in _BRACKETS:
-        if v is None:
-            return low_b2
         bracket = np.minimum(v * np.array([1.0 - h, 1.0, 1.0 + h]), hi)
         scores = score(bracket)
         low = int(np.argmin(scores))
-        if not scores[low] <= low_ssr:
-            return low_b2
-        low_b2, low_ssr = float(bracket[low]), float(scores[low])
-        v = _vertex(bracket.tolist(), scores.tolist())
-    return low_b2 if v is None else v
+        v = None
+        if scores[low] <= low_ssr:
+            low_b2, low_ssr = float(bracket[low]), float(scores[low])
+            v = _vertex(bracket.tolist(), scores.tolist())
+        if v is None:
+            v = low_b2
+    return v
 
 
 @_FP_STATE
