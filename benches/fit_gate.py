@@ -16,6 +16,9 @@ and 2505 double-exponential fits a tree.  Per model it prints:
   parent's tc - t0; p0, a log price near 0, absolute), and the fits whose
   tc drifts by more than ``TC_DRIFT`` relative;
 - how many fits keep their objective and parameters bit for bit;
+- how many fits skip the engine on each tree (``FitResult.iterations`` 0:
+  the start passed the engine's stop test), and those skipped on the tree
+  that do not keep the parent's objective and parameters bit for bit;
 - how many fits end on a bound of their box on each tree, and those that
   end on one on only one tree.
 
@@ -26,8 +29,9 @@ Run it from the repository root with the tree under test first on the path:
 It imports the parent's ``hyperfit`` a second time, as ``hyperfit_parent``
 (``mc_layers.load_parent``), and builds each input's price index with each
 tree's own ``series`` module.  It exits with status 1 when a fit converges
-on the parent but not on the tree, or ends above the parent by more than
-``FTOL``.
+on the parent but not on the tree, ends above the parent by more than
+``FTOL``, or skips the engine on the tree without keeping the parent's
+objective and parameters bit for bit.
 """
 
 from __future__ import annotations
@@ -124,12 +128,17 @@ def compare(model: str, rows: list) -> bool:
     print(f"tc drift above {TC_DRIFT:g}: {len(tc_moved)} {tc_moved}")
     kept = sum(r["parent"][2:4] == r["change"][2:4] for r in rows)
     print(f"objective and parameters bit for bit: {kept}")
+    skipped = [sum(r[side][1] == 0 for r in rows) for side in ("parent", "change")]
+    moved_skips = [r["label"] for r in rows
+                   if r["change"][1] == 0 and r["parent"][2:4] != r["change"][2:4]]
+    print(f"engine skipped: parent {skipped[0]}, change {skipped[1]}; skipped on the change "
+          f"but not bit for bit: {len(moved_skips)} {moved_skips[:5]}")
     bound = [sum(r[side][4] for r in rows) for side in ("parent", "change")]
     moved = [(r["label"], r["parent"][4], r["change"][4]) for r in rows
              if r["parent"][4] != r["change"][4]]
     print(f"on a bound: parent {bound[0]}, change {bound[1]}; on one tree only "
           f"(parent, change): {len(moved)} {moved}")
-    return not lost and not above
+    return not lost and not above and not moved_skips
 
 
 def main() -> None:

@@ -27,6 +27,10 @@ fit-direct inputs), this times per call, in milliseconds:
   from ``bracket-change`` on, at four, three more model calls of three b2
   (``fitting._BRACKETS``), after which the engine takes 1 round.
 
+From ``certify-change`` on, both nonlinear fits score their start once
+more, without normal equations, and return it without running the engine
+when it passes the engine's stop test (``fitting._flat``).
+
 It also records, per case, the Levenberg-Marquardt rounds the fits take,
 ``FitResult.iterations`` summed over the case's inputs (p0 free): the
 counts ``singularity_rounds`` and ``doubleexp_rounds``; from
@@ -36,7 +40,10 @@ engine's, and before ``dexpkeep-change`` one more for the final residuals),
 summed the same way; and from ``stencil-*`` on, ``singularity_calls``, the
 singular model calls (calls of ``fitting._sing_basis``: the grid, from
 ``stencil-change`` on the stencils, the engine's and one more for the final
-residuals).  They depend only on the tree and the seed, not on the machine.
+residuals).  From ``certify-change`` on, a fit that skips the engine
+counts 0 rounds, and its calls are the grid, the brackets or stencils and
+the one scoring of its start.  They depend only on the tree and the seed,
+not on the machine.
 
 Run it like ``mc_layers.py``, whose ``run_bench`` it shares, alternating the
 two trees:

@@ -12,8 +12,10 @@ gives (C0, p0), pinned p0 or not, and the fits search the shape parameters
 alone (variable projection, Golub & Pereyra 1973): a coarse grid, refined
 by a few derivative-free model calls (finite-difference Newton stencils in
 (tc, alpha), ``_sing_start``; parabola brackets in b2, ``_dexp_start``),
-starts one projected Levenberg-Marquardt engine (``_lm``) so close to the
-minimum that a direct fit mostly ends in its first round; the engine also
+brings a direct fit so close to the minimum that its start mostly passes the
+stop test of the projected Levenberg-Marquardt engine (``_lm``) already: the
+fit then returns the start without running the engine, and otherwise the
+engine starts there and mostly ends in its first round.  The engine also
 refits every Monte Carlo generation.  The grid, the start, the refine and
 the refit call one residual function per model (``_sing_residuals``, or
 ``model`` in ``fit_double_exp``), which evaluates the model's basis from
@@ -134,15 +136,16 @@ class FitResult:
     sqrt(objective / (N - k)), k = ``n_free_params`` (inf when N <= k), so
     a published residue can be compared under either convention.  The
     nonlinear fits take the residuals from the closed-form (C0, p0) solve at
-    their final shape parameters, as the engine scored them, so a
-    double-exponential fit at b2 = 0 has the linear fit's residuals bit for
-    bit.
+    their final shape parameters, as the engine or the start's scoring
+    scored them, so a double-exponential fit at b2 = 0 has the linear fit's
+    residuals bit for bit.
     """
 
     params: LinearParams | DoubleExpParams | SingularityParams
     residuals: np.ndarray
     converged: bool
-    iterations: int                      # LM rounds run; 0 for closed forms
+    iterations: int                      # LM rounds run; 0 for closed forms, and 0 also
+                                         # when the start passes the engine's stop test
     p0_pinned: bool = False
 
     @property
@@ -190,7 +193,8 @@ def _project(g: np.ndarray, y: np.ndarray, shift, centre: bool, dg=None):
 
     (y, shift) come from ``_data_side``; with ``centre`` (p0 free) g is
     centred like y, which keeps the solve accurate when g is large against
-    its spread.  Returns (resid, normal, c0, p0), normal None without dg.
+    its spread.  Returns (resid, normal, c0, p0), normal None without dg,
+    else C-contiguous (rows, k, k) and (rows, k) arrays.
 
     Given dg/dx as (k, rows, n), normal is the engine's (J^T J, J^T resid)
     for Kaufman's Jacobian J (BIT 15 (1975) 49): C0 dg/dx less its part in
@@ -217,18 +221,22 @@ def _project(g: np.ndarray, y: np.ndarray, shift, centre: bool, dg=None):
         return resid, None, c0, p0
     if centre:
         dg -= (c_einsum("jik->ji", dg) / n)[..., None]
+    k, rows = len(dg), len(c0)
     b = c_einsum("jik,ik->ji", dg, g)
     a = b / den
     diag = _ssr(dg) - a * b
-    if len(dg) == 1:
-        jtj = diag[None]
-    else:                               # J^T J is symmetric: three products
+    grad = c_einsum("jik,ik->ji", dg, resid) - a * c_einsum("ik,ik->i", g, resid)
+    # each entry scaled into C-contiguous (rows, k, k) and (rows, k), which the engine gathers
+    jtj, jtr = np.empty((rows, k, k)), np.empty((rows, k))
+    c0_sq = c0 * c0
+    for i in range(k):
+        np.multiply(diag[i], c0_sq, out=jtj[:, i, i])
+        np.multiply(grad[i], c0, out=jtr[:, i])
+    if k == 2:                          # J^T J is symmetric: three products
         off = c_einsum("ik,ik->i", dg[0], dg[1]) - a[0] * b[1]
-        jtj = np.array([[diag[0], off], [off, diag[1]]])
-    jtr = c_einsum("jik,ik->ji", dg, resid) - a * c_einsum("ik,ik->i", g, resid)
-    jtj *= c0 * c0
-    jtr *= c0
-    return resid, (jtj.transpose(2, 0, 1), jtr.T), c0, p0
+        np.multiply(off, c0_sq, out=jtj[:, 0, 1])
+        jtj[:, 1, 0] = jtj[:, 0, 1]
+    return resid, (jtj, jtr), c0, p0
 
 
 def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: np.ndarray, free: np.ndarray,
@@ -330,9 +338,10 @@ def _lm(model, x0, lb, ub):
     the rounds: the Peru Monte Carlo refit 5.85 -> 6.50 per row with PSB
     sized as in NL2SOL, 6.81 with SR1 and 7.26 unsized, and direct singular
     fits, then started at the best grid node, 4.62 -> 4.83 with PSB.  Those
-    now start from ``_sing_start``, within about ``_FTOL`` of the minimum,
-    and take 1.08 rounds on average (``fit_singularity``), so a curvature
-    update has little left to save there.
+    now start from ``_sing_start``, within about ``_FTOL`` of the minimum:
+    half of them skip the engine and the rest take 1.15 rounds on average
+    (``fit_singularity``), so a curvature update has little left to save
+    there.
 
     The box [lb, ub] is per coordinate (equal bounds pin one) and kept by
     projection: a trial step is clipped onto it, and a coordinate on a bound
@@ -659,8 +668,10 @@ def _newton_vertex(f: list) -> tuple[float, float] | None:
 
 
 def _sing_start(seed: tuple[float, float], ssr: float, score, t_last: float,
-                lo: tuple[float, float], hi: tuple[float, float]) -> tuple[float, float]:
-    """The (tc, alpha) at which ``fit_singularity`` starts the engine.
+                lo: tuple[float, float], hi: tuple[float, float]):
+    """The (tc, alpha) at which ``fit_singularity`` starts, and the objective
+    that its last stencil scored at its middle when the loop ended on a small
+    step (else None).
 
     ``seed`` is the best grid node and ``ssr`` the grid's objective there;
     ``score`` is ``_sing_objective``'s, [lo, hi] the box and t_last the last
@@ -678,8 +689,7 @@ def _sing_start(seed: tuple[float, float], ssr: float, score, t_last: float,
     next, smaller stencil restarts from that lowest point, which is the
     start if no stencil is left.  The loop ends early on a step below
     ``_STENCILS[-1]``.  The last vertex is not scored.  The start nearly
-    always lies within the engine's ``_FTOL`` of the minimum, so the
-    engine's first trial ends the row at the start.
+    always lies within the engine's ``_FTOL`` of the minimum.
     """
     box = ((lo[0] - t_last, hi[0] - t_last), (lo[1], hi[1]))   # tc - t_last, alpha
     start = low = seed
@@ -709,8 +719,19 @@ def _sing_start(seed: tuple[float, float], ssr: float, score, t_last: float,
         start = (t_last + mid[0] * math.exp(h * u[0]), mid[1] * math.exp(h * u[1]))
         step = h * max(abs(u[0]), abs(u[1]))
         if step < _STENCILS[-1]:
-            break
-    return start
+            return start, scores[4]
+    return start, None
+
+
+def _flat(ssr: float, before: float) -> bool:
+    """``_lm``'s flat test on a step from objective ``before`` to ``ssr``:
+    ``ssr`` is finite and within ``_FTOL`` of ``before``, relative to ``ssr``.
+
+    A direct fit applies it to its start search's last step, from the last
+    bracket's or stencil's middle to the start, and returns a start that
+    passes without running the engine.
+    """
+    return math.isfinite(ssr) and abs(ssr - before) <= _FTOL * max(ssr, 1e-300)
 
 
 @_FP_STATE
@@ -725,15 +746,24 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
     first point and can bias tc, so that variant is opt-in via
     ``config.pin_p0``.
 
-    One model call scores the (tc, alpha) grid; the engine starts from
-    successive finite-difference Newton vertices around its best node
-    (``_sing_start``), one model call of nine points a stencil.  On the 80
-    inputs of the tests (each episode noiseless and with seven perturbations
-    at di = 0.1, p0 free and pinned) they take 4-6 stencils (mean 5.7), and
-    the engine then takes 1 round on 78 of them and 1.08 on average (at
-    most 5), where from the best node it took 4-6 (mean 5.14).  A fit so
-    makes about 9.8 model calls, where it made 8.1: the grid, the stencils,
-    the engine's start and its rounds, and one more for the final residuals.
+    One model call scores the (tc, alpha) grid, and successive
+    finite-difference Newton vertices around its best node (``_sing_start``),
+    one model call of nine points a stencil, give the start.  When the
+    stencils ended on a step below ``_STENCILS[-1]``, one more model call,
+    without normal equations, scores the start and gives the residuals and
+    (C0, p0) at it.  If that objective is within ``_FTOL`` of the last
+    stencil's middle (``_flat``: the engine's own flat test, applied to the
+    search's last step), the fit returns the start, converged, after 0
+    rounds; otherwise the engine runs from the start and the fit scores its
+    end once more for the residuals.  A skipped fit returns what the engine
+    would: on the 5010 singular fits of ``benches/fit_gate.py`` the 3104
+    that skip it keep the engine's bits, where without the small-step
+    condition 6 ended up to 4.4e-11 relative above them.  On the 80 inputs
+    of the tests (each episode noiseless and with seven perturbations at
+    di = 0.1, p0 free and pinned) they take 4-6 stencils (mean 5.7); 40
+    fits skip the engine and the others take 1.15 rounds on average (at
+    most 5), where from the best node they took 4-6 (mean 5.14).  A fit so
+    makes 8.95 model calls on average, 7-14.
     """
     config = config or FitConfig()
     t, p = _points(index, "singularity", 6)
@@ -746,16 +776,26 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
     t0 = float(t[0])
     pinned = float(p[0]) if config.pin_p0 else None
     tc_s, a_s, ssr_s = _sing_grid_seed(t, p, pinned)
-    start = _sing_start((tc_s, a_s), ssr_s, _sing_objective(t, p, pinned), float(t[-1]),
-                        *zip(tc_search_window(t), _ALPHA_BOUNDS))
-    (tc, alpha, c0, p0), _, converged, rounds = fit_singular_rows(
-        p[None, :], t, start, pinned_p0=pinned)
+    lo, hi = zip(tc_search_window(t), _ALPHA_BOUNDS)
+    start, before = _sing_start((tc_s, a_s), ssr_s, _sing_objective(t, p, pinned), float(t[-1]),
+                                lo, hi)
+    y, shift = _data_side(p[None, :], pinned)
+    converged, rounds = True, 0
+    if before is not None:
+        # the engine's start: offset from lo and held in the box, as fit_singular_rows does
+        offset = np.minimum(np.maximum(np.subtract(start, lo), 0.0), np.subtract(hi, lo))
+        tc, alpha = np.add(lo, offset)[:, None]
+        resid, _, c0, p0 = _sing_residuals(tc[:, None], alpha[:, None], t, y, shift,
+                                           pinned is None, False)
+    if before is None or not _flat(float(_ssr(resid[0])), before):
+        (tc, alpha, c0, p0), _, (converged,), (rounds,) = fit_singular_rows(
+            p[None, :], t, start, pinned_p0=pinned)
+        # Evaluated again: keeping them in the engine would cost every Monte Carlo refit.
+        resid, *_ = _sing_residuals(tc[:, None], alpha[:, None], t, y, shift, pinned is None,
+                                    False)
     params = SingularityParams(tc=float(tc[0]), alpha=float(alpha[0]), c0=float(c0[0]),
                                p0=float(p0[0]), t0=t0)
-    # Evaluated again, not kept by the engine: keeping them would cost every Monte Carlo refit.
-    resid, *_ = _sing_residuals(tc[:, None], alpha[:, None], t,
-                                *_data_side(p[None, :], pinned), pinned is None, False)
-    return FitResult(params, resid[0], converged=bool(converged[0]), iterations=int(rounds[0]),
+    return FitResult(params, resid[0], converged=bool(converged), iterations=int(rounds),
                      p0_pinned=config.pin_p0)
 
 
@@ -778,8 +818,9 @@ def _vertex(x: list, f: list) -> float | None:
     return x[1] - 0.5 * ((x[1] - x[0]) * a - (x[1] - x[2]) * b) / (a - b)
 
 
-def _dexp_start(nodes: np.ndarray, ssr: np.ndarray, score, hi: float) -> float:
-    """The b2 at which ``fit_double_exp`` starts the engine.
+def _dexp_start(nodes: np.ndarray, ssr: np.ndarray, score, hi: float):
+    """The b2 at which ``fit_double_exp`` starts, and the objective that its
+    last bracket scored at its middle (None when no bracket was scored).
 
     ``nodes`` are the b2 grid in ascending order, ``ssr`` their objectives
     and ``score`` gives the objectives of an array of b2 values in one call;
@@ -793,22 +834,22 @@ def _dexp_start(nodes: np.ndarray, ssr: np.ndarray, score, hi: float) -> float:
     smaller bracket restarts from that lowest point, which is the start if
     no bracket is left.  A best node that is the first (b2 = 0, the linear
     fit) or the last node, or whose grid parabola has no vertex (a
-    non-finite neighbour, or a parabola that opens downward), is the start.
-    The last vertex is not scored.  The grid spaces b2 about 30 % apart,
-    and after the three brackets the start nearly always lies within the
-    engine's ``_FTOL`` of the minimum, so the engine's first trial ends the
-    row at the start.  On 2505 fits (the five bundled episodes, noiseless
-    and 100 perturbations each at di 0.05, 0.1, 0.25, 0.5 and 1;
-    ``benches/fit_gate.py``) 2497 took 1 round and 8 took 2.  Before the
-    restart, a start at the lowest point took 3-5 rounds on 177 of them.
+    non-finite neighbour, or a parabola that opens downward), is the start,
+    and no bracket is scored.  The last vertex is not scored.  The grid
+    spaces b2 about 30 % apart, and after the three brackets the start
+    nearly always lies within the engine's ``_FTOL`` of the minimum.  On
+    2505 fits (the five bundled episodes, noiseless and 100 perturbations
+    each at di 0.05, 0.1, 0.25, 0.5 and 1; ``benches/fit_gate.py``) the
+    engine, run from the start, took 1 round on 2497 and 2 on 8.  Before
+    the restart, a start at the lowest point took 3-5 rounds on 177 of them.
     """
     best = int(np.argmin(ssr))
     low_b2, low_ssr = float(nodes[best]), float(ssr[best])
     if not 0 < best < len(nodes) - 1:
-        return low_b2
+        return low_b2, None
     v = _vertex(nodes[best - 1:best + 2].tolist(), ssr[best - 1:best + 2].tolist())
     if v is None:
-        return low_b2
+        return low_b2, None
     for h in _BRACKETS:
         bracket = np.minimum(v * np.array([1.0 - h, 1.0, 1.0 + h]), hi)
         scores = score(bracket)
@@ -819,7 +860,7 @@ def _dexp_start(nodes: np.ndarray, ssr: np.ndarray, score, hi: float) -> float:
             v = _vertex(bracket.tolist(), scores.tolist())
         if v is None:
             v = low_b2
-    return v
+    return v, float(scores[1])
 
 
 @_FP_STATE
@@ -828,14 +869,21 @@ def fit_double_exp(index: PriceIndexSeries, config: FitConfig | None = None) -> 
 
     The search runs over b2, with (C0, p0) in closed form and C0 of either
     sign.  At b2 = 0 the model is the linear one (the Cagan limit).  One
-    model call scores the b2 grid; the engine starts from successive
-    parabola vertices around its best node (``_dexp_start``), which take it
-    1 round on the 40 benchmark inputs, where one bracket took it 3-4 and
-    the best node 4-6.  The residuals are the ones the engine scored at the
-    final b2, kept by ``_lm`` as a further item, so the fit makes no model
-    call after the engine: 6 calls a fit on those inputs (the grid, three
-    brackets of three b2, the engine's start and its one round).  ``config``
-    is taken for the fitters' common signature: p0 is always free.
+    model call scores the b2 grid, and successive parabola vertices around
+    its best node (``_dexp_start``) give the start.  When a bracket was
+    scored, one more model call, without normal equations, scores the start
+    and gives the residuals and (C0, p0) at it; if that objective is within
+    ``_FTOL`` of the last bracket's middle (``_flat``), the fit returns the
+    start, converged, after 0 rounds, as the engine would: on the 2505
+    double-exponential fits of ``benches/fit_gate.py`` the 1671 that skip it
+    keep the engine's bits.  Otherwise the engine runs from the start, and
+    the residuals are the ones it scored at the final b2, kept by ``_lm`` as
+    a further item, so the fit makes no model call after the engine.  On the
+    40 benchmark inputs 31 fits skip the engine in 5 model calls (the grid,
+    three brackets of three b2 and the start) and 9 take 1 round in 7, where
+    one bracket took the engine 3-4 rounds and the best node 4-6.
+    ``config`` is taken for the fitters' common signature: p0 is always
+    free.
     """
     t, p = _points(index, "double-exponential", 6)
     t0 = float(t[0])
@@ -855,9 +903,14 @@ def fit_double_exp(index: PriceIndexSeries, config: FitConfig | None = None) -> 
         ssr = _ssr(model(b2[:, None], None, False)[0])
         return np.where(np.isfinite(ssr), ssr, np.inf)
 
-    start = _dexp_start(b2_nodes, score(b2_nodes), score, b2_hi)
-    v, _, converged, rounds, c0, p0, resid = _lm(model, np.array([[start]]), np.zeros(1),
-                                                 np.array([b2_hi]))
+    start, before = _dexp_start(b2_nodes, score(b2_nodes), score, b2_hi)
+    converged, rounds = True, 0
+    if before is not None:
+        v = np.array([[min(max(start, 0.0), b2_hi)]])   # held in the box, as the engine does
+        resid, _, c0, p0, _ = model(v, None, False)
+    if before is None or not _flat(float(_ssr(resid[0])), before):
+        v, _, (converged,), (rounds,), c0, p0, resid = _lm(
+            model, np.array([[start]]), np.zeros(1), np.array([b2_hi]))
     params = DoubleExpParams(p0=float(p0[0]), c0=float(c0[0]), b2=float(v[0, 0]), t0=t0)
-    return FitResult(params, resid[0], converged=bool(converged[0]), iterations=int(rounds[0]))
+    return FitResult(params, resid[0], converged=bool(converged), iterations=int(rounds))
 

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -125,7 +126,8 @@ class MCReport:
     the moments of tc, alpha, c0, p0 and gamma over the converged
     generations, in generation order, as do ``tc_skewness`` and
     ``tc_excess_kurtosis`` for tc; the flags and the relative spreads
-    derive from those.
+    derive from those.  ``snapshot`` gives a copy that keeps the counts,
+    moments and tc shape once read, for a reader of every statistic.
     """
 
     config: MCConfig
@@ -154,6 +156,7 @@ class MCReport:
         return {name: ParamStats(direct_value, *_population_moments(sample))
                 for name, (direct_value, sample) in values.items()}
 
+    @property
     def _tc_shape(self) -> tuple[float, float]:
         """Skewness and excess kurtosis of tc; both 0.0 when its spread is zero."""
         tc = self._in_moments()[0]
@@ -162,12 +165,12 @@ class MCReport:
     @property
     def tc_skewness(self) -> float:
         """Biased sample skewness of tc over the generations in the moments."""
-        return self._tc_shape()[0]
+        return self._tc_shape[0]
 
     @property
     def tc_excess_kurtosis(self) -> float:
         """Biased sample excess kurtosis of tc over the generations in the moments."""
-        return self._tc_shape()[1]
+        return self._tc_shape[1]
 
     @property
     def accepted(self) -> bool:
@@ -188,7 +191,7 @@ class MCReport:
     @property
     def gaussian_ok(self) -> bool:
         """The tc sample looks gaussian: |skewness| < 0.5 and |excess kurtosis| < 1."""
-        skew, kurt = self._tc_shape()
+        skew, kurt = self._tc_shape
         return bool(abs(skew) < 0.5 and abs(kurt) < 1.0)
 
     @property
@@ -202,6 +205,21 @@ class MCReport:
         """Std of the growth exponent gamma in percent of its direct value."""
         gamma = self.params["gamma"]
         return 100.0 * gamma.std / abs(gamma.direct)
+
+    def snapshot(self) -> MCReport:
+        """This report as one that computes ``outcome``, ``params`` and the tc
+        shape at their first read and keeps them, for a reader of every
+        statistic (``report.build_report``): read one by one, the flags
+        compute again the counts, moments and shape that they judge."""
+        return _Snapshot(*(getattr(self, field.name) for field in fields(self)))
+
+
+class _Snapshot(MCReport):
+    """``MCReport.snapshot``'s report: the same properties, each input kept once read."""
+
+    outcome = cached_property(MCReport.outcome.fget)
+    params = cached_property(MCReport.params.fget)
+    _tc_shape = cached_property(MCReport._tc_shape.fget)
 
 
 # ---------------------------------------------------------------------------

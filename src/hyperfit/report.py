@@ -125,6 +125,7 @@ def build_report(
         data["derived.tc_label"] = tc_label(params.tc, index)
 
     if mc is not None:
+        mc = mc.snapshot()                  # each statistic computed once
         data["mc.di"] = float(mc.config.di)
         data["mc.m"] = int(mc.config.m)
         data["mc.seed"] = int(mc.config.seed)

@@ -409,9 +409,9 @@ def damped_step_reference(jtj, jtr, lam, free, curv=None):
 
 def model_rows(k, rows, seed):
     """An engine model's (resid, (J^T J, J^T r), c0, p0) on ``rows`` random rows: the
-    singular model's for k = 2, the double-exponential one's for k = 1, with the
-    normal equations as the transposed views ``_project`` returns.  About a fifth
-    of the rows have a NaN datum, so everything of theirs is NaN."""
+    singular model's for k = 2, the double-exponential one's for k = 1, as
+    ``_project`` returns them.  About a fifth of the rows have a NaN datum, so
+    everything of theirs is NaN."""
     rng = np.random.default_rng(seed)
     t = np.arange(20.0)
     p = np.cumsum(rng.uniform(0.05, 0.5, (rows, 20)), axis=1)
@@ -428,8 +428,8 @@ def model_rows(k, rows, seed):
 @pytest.mark.parametrize("k", [1, 2])
 def test_damped_step_is_the_whole_array_form_bit_for_bit(k, rows):
     # Column by column, the step takes the same operations as on whole
-    # (rows, k) arrays: on _project's transposed views and on the contiguous
-    # rows the engine gathers, with held coordinates, NaN rows, damping over
+    # (rows, k) arrays: on _project's arrays and on the rows the engine
+    # gathers from them, with held coordinates, NaN rows, damping over
     # 27 decades, and with and without a curvature argument.
     rng = np.random.default_rng(10 * rows + k)
     _, (jtj, jtr), *_ = model_rows(k, rows, rows + k)
@@ -452,11 +452,12 @@ def test_row_moves_are_fancy_indexing_bit_for_bit(k, rows):
     # trial with take on their positions, and scatters them through
     # _row_items.  Each move gives the bytes of numpy's fancy indexing, on
     # (rows,), (rows, k), (rows, k, k) and (rows, n) arrays, from
-    # _project's transposed views as from contiguous arrays, NaN rows and
-    # a NaN with a payload included.
+    # _project's normal equations, which it returns C-contiguous, as from
+    # other arrays, NaN rows and a NaN with a payload included.
     rng = np.random.default_rng(10 * rows + k)
     m = rows + 7                            # the state also holds rows not in flight
     resid, (jtj_e, jtr_e), c0, p0 = model_rows(k, rows, rows + k)
+    assert jtj_e.flags.c_contiguous and jtr_e.flags.c_contiguous
     trial = rng.normal(size=(rows, k))
     trial[rng.random(rows) < 0.2] = np.uint64(0x7FF8_0000_0000_0001).view(np.float64)
     live = rng.permutation(m)[:rows]
@@ -471,6 +472,30 @@ def test_row_moves_are_fancy_indexing_bit_for_bit(k, rows):
         want[live[better]] = src[better]
         _row_items(state)[live[kb]] = _row_items(src.take(kb, axis=0))
         assert state.tobytes() == want.tobytes()
+
+
+def forty_indexes():
+    """Every episode, noiseless and with seven perturbations at di = 0.1: the
+    inputs of benches/digests.py."""
+    children = np.random.SeedSequence(1).spawn(7)
+    for name in PRESETS:
+        rates = synthetic_rates(episode(name))
+        for r in [rates] + [sample_generation(rates, 0.1, np.random.default_rng(child))
+                            for child in children]:
+            yield build_price_index(r)
+
+
+def recorded_starts(monkeypatch):
+    """The second values ``_sing_start`` and ``_dexp_start`` return, one per
+    call, as the fits call them."""
+    befores = []
+    for name in ("_sing_start", "_dexp_start"):
+        def spy(*args, start=getattr(fitting, name)):
+            found = start(*args)
+            befores.append(found[1])
+            return found
+        monkeypatch.setattr(fitting, name, spy)
+    return befores
 
 
 # ---------------------------------------------------------------------------
@@ -786,23 +811,64 @@ class TestFitSingularity:
 
     @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
     def test_most_direct_singular_fits_take_1_round(self):
-        # Every episode, noiseless and with seven perturbations at di = 0.1
-        # (the inputs of benches/digests.py), p0 free and pinned.  The
-        # stencils start most fits within ftol of the minimum, so the
-        # engine's first trial ends them (measured: 78 of 80, mean 1.075,
-        # at most 5, where from the best grid node they took 4-6, mean 5.14).
-        children = np.random.SeedSequence(1).spawn(7)
+        # forty_indexes, p0 free and pinned.  The stencils start most fits
+        # within ftol of the minimum: 40 end there without the engine, and
+        # its first trial ends 38 more (from the best grid node it took 4-6
+        # rounds, mean 5.14).
         rounds = []
-        for name in PRESETS:
-            rates = synthetic_rates(episode(name))
-            for r in [rates] + [sample_generation(rates, 0.1, np.random.default_rng(child))
-                                for child in children]:
-                for pin in (False, True):
-                    fit = fit_singularity(build_price_index(r), FitConfig(pin_p0=pin))
-                    assert fit.converged
-                    rounds.append(fit.iterations)
-        assert len(rounds) == 80 and rounds.count(1) >= 76
+        for index in forty_indexes():
+            for pin in (False, True):
+                fit = fit_singularity(index, FitConfig(pin_p0=pin))
+                assert fit.converged
+                rounds.append(fit.iterations)
+        assert len(rounds) == 80 and sum(r <= 1 for r in rounds) >= 76
         assert np.mean(rounds) <= 1.1 and max(rounds) <= 5
+        assert rounds.count(0) == 40
+
+    @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
+    def test_the_engine_keeps_every_engine_free_fit(self, monkeypatch):
+        # An engine-free fit of forty_indexes is the one the engine gives
+        # from its start, bit for bit, in 1 round; and restarted at the
+        # fit, the engine's first trial ends the row, which keeps the fit.
+        configs = (FitConfig(), FitConfig(pin_p0=True))
+        indexes = list(forty_indexes())
+        fits = [[fit_singularity(index, config) for config in configs] for index in indexes]
+        monkeypatch.setattr(fitting, "_flat", lambda ssr, before: False)
+        skipped = 0
+        for index, pair in zip(indexes, fits):
+            t, p = index.times(), index.log_index
+            for pin, fit in zip((False, True), pair):
+                if fit.iterations:
+                    continue
+                skipped += 1
+                run = fit_singularity(index, configs[pin])
+                assert run.iterations == 1 and run.params == fit.params
+                assert run.residuals.tobytes() == fit.residuals.tobytes()
+                q = fit.params
+                pinned = q.p0 if pin else None
+                (tc, alpha, c0, p0), ssr, converged, rounds = fitting.fit_singular_rows(
+                    p[None, :], t, (q.tc, q.alpha), pinned_p0=pinned)
+                assert fit.converged and converged[0] and rounds[0] == 1
+                assert (tc[0], alpha[0], c0[0], p0[0]) == (q.tc, q.alpha, q.c0, q.p0)
+                resid, *_ = _sing_residuals(tc[:, None], alpha[:, None], t,
+                                            *_data_side(p[None, :], pinned), not pin, False)
+                assert resid[0].tobytes() == fit.residuals.tobytes()
+                assert ssr[0] == _ssr(resid)[0]
+        assert skipped == 40
+
+    @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
+    def test_a_stencil_loop_not_ending_on_a_small_step_runs_the_engine(self, monkeypatch):
+        # 28 of the 80 fits of forty_indexes end their stencils without a
+        # step below the last entry; each runs the engine.
+        befores = recorded_starts(monkeypatch)
+        runs = 0
+        for index in forty_indexes():
+            for pin in (False, True):
+                fit = fit_singularity(index, FitConfig(pin_p0=pin))
+                if befores[-1] is None:
+                    assert fit.iterations >= 1
+                    runs += 1
+        assert runs == 28
 
     @pytest.mark.parametrize("pin, k", [(False, 4), (True, 3)])
     def test_one_fit_carries_both_residues(self, peru_params, pin, k):
@@ -868,7 +934,8 @@ class TestSingStart:
         return score, asked
 
     def start(self, seed, f, score, ssr=None):
-        """``_sing_start`` from ``seed``, whose grid objective is ``ssr`` or f's."""
+        """``_sing_start``'s (start, middle score) from ``seed``, whose grid
+        objective is ``ssr`` or f's."""
         if ssr is None:
             ssr = float(f(np.array([seed[0]]), np.array([seed[1]]))[0, 0])
         return fitting._sing_start(seed, ssr, score, self.T_LAST, self.LO, self.HI)
@@ -892,13 +959,15 @@ class TestSingStart:
         # Central differences fit a quadratic exactly: the first stencil's
         # vertex is the minimum, the second stencil is centred there and its
         # vertex moves by less than the last half-width, which ends the loop.
+        # With that small step it returns the second stencil's middle score.
         f = self.quadratic((4.0, 0.5))
         score, asked = self.recorded(f)
-        start = self.start((5.0, 0.6), f, score)
+        start, before = self.start((5.0, 0.6), f, score)
         assert len(asked) == 2
         assert self.middle(asked[0]) == (5.0, 0.6)
         assert self.middle(asked[1]) == pytest.approx((4.0, 0.5), rel=1e-12)
         assert start == pytest.approx((4.0, 0.5), rel=1e-12)
+        assert before == f(*asked[1])[1, 1]
 
     @pytest.mark.parametrize("seed, h", [
         ((5.0, 0.6), math.log(5.0 / 4.0) ** 2),     # the square of the first step
@@ -915,11 +984,13 @@ class TestSingStart:
     def test_a_stencil_that_is_not_positive_definite_restarts_from_its_lowest_point(self):
         # A saddle: no stencil has a vertex, so each next one, of its own
         # entry's half-width, is centred on the lowest point of the one
-        # before, and the start is the last one's lowest point.
+        # before, and the start is the last one's lowest point, with no
+        # middle score, as no step ended the loop.
         def f(tc, alpha):
             return 1.0 + np.log(tc / 4.0)[:, None] ** 2 - np.log(alpha / 0.5)[None, :] ** 2
         score, asked = self.recorded(f)
-        start = self.start((4.5, 0.5), f, score)
+        start, before = self.start((4.5, 0.5), f, score)
+        assert before is None
         assert len(asked) == len(fitting._STENCILS)
         for stencil, h in zip(asked, fitting._STENCILS):
             self.assert_spaced(stencil, h)
@@ -931,7 +1002,7 @@ class TestSingStart:
         # The grid's objective at the seed counts as scored: no stencil
         # point is below it, so every stencil restarts from the seed.
         score, asked = self.recorded(lambda tc, alpha: np.full((len(tc), len(alpha)), 1.0))
-        assert self.start((5.0, 0.6), None, score, ssr=0.5) == (5.0, 0.6)
+        assert self.start((5.0, 0.6), None, score, ssr=0.5) == ((5.0, 0.6), None)
         assert len(asked) == len(fitting._STENCILS)
         assert all(self.middle(stencil) == (5.0, 0.6) for stencil in asked)
 
@@ -942,7 +1013,7 @@ class TestSingStart:
         f = self.quadratic((4.0, 0.5))
         calls = iter([f, lambda tc, alpha: np.full((len(tc), len(alpha)), 2.0)])
         score, asked = self.recorded(lambda tc, alpha: next(calls, f)(tc, alpha))
-        start = self.start((5.0, 0.6), f, score)
+        start, _ = self.start((5.0, 0.6), f, score)
         assert self.middle(asked[1]) == pytest.approx((4.0, 0.5), rel=1e-12)
         assert self.middle(asked[2]) == self.lowest(asked[0], f)
         assert start == pytest.approx((4.0, 0.5), rel=1e-9)     # from 0.1 away
@@ -952,7 +1023,7 @@ class TestSingStart:
         # vertex is not taken, and the second is centred on its lowest point.
         f = self.quadratic((4.0, 10.0))
         score, asked = self.recorded(f)
-        start = self.start((4.0, 3.0), f, score)
+        start, _ = self.start((4.0, 3.0), f, score)
         assert self.middle(asked[1]) == self.lowest(asked[0], f)
         assert self.LO[1] <= start[1] <= self.HI[1]
 
@@ -963,7 +1034,7 @@ class TestSingStart:
             d = np.log(tc)[:, None] - np.log(alpha)[None, :] - math.log(8.0)
             return 1.0 + d ** 2 - 1e-3 * np.log(tc)[:, None] + 5e-7 * np.log(tc)[:, None] ** 2
         score, asked = self.recorded(f)
-        start = self.start((4.0, 0.5), f, score)
+        start, _ = self.start((4.0, 0.5), f, score)
         assert all(lo <= v <= hi for v, lo, hi in zip(start, self.LO, self.HI))
 
     @pytest.mark.parametrize("corner", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -975,7 +1046,7 @@ class TestSingStart:
         seed = tuple(bounds[side][i] for i, side in enumerate(corner))
         f = self.quadratic(tuple(v * (2.0 if side else 0.5) for v, side in zip(seed, corner)))
         score, asked = self.recorded(f)
-        start = self.start(seed, f, score)
+        start, _ = self.start(seed, f, score)
         for (tc, alpha), h in zip(asked, fitting._STENCILS):
             assert np.all((self.LO[0] <= tc) & (tc <= self.HI[0]))
             assert np.all((self.LO[1] <= alpha) & (alpha <= self.HI[1]))
@@ -1168,6 +1239,7 @@ class TestVariableProjection:
             return engine(model, x0, lb, ub)
 
         monkeypatch.setattr(fitting, "_lm", spy)
+        monkeypatch.setattr(fitting, "_flat", lambda ssr, before: False)  # every fit runs it
         fit_singularity(peru_index)
         fit_singularity(peru_index, FitConfig(pin_p0=True))
         fit_double_exp(peru_index)
@@ -1189,29 +1261,66 @@ class TestFitDoubleExp:
         assert fit.params.c0 == pytest.approx(0.1, rel=1e-5)
         assert fit.params.p0 == pytest.approx(0.2, rel=1e-5)
 
-    @staticmethod
-    def forty_indexes():
-        """The inputs of test_most_direct_singular_fits_take_1_round."""
-        children = np.random.SeedSequence(1).spawn(7)
-        for name in PRESETS:
-            rates = synthetic_rates(episode(name))
-            for r in [rates] + [sample_generation(rates, 0.1, np.random.default_rng(child))
-                                for child in children]:
-                yield build_price_index(r)
-
     @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
     def test_direct_double_exp_fits_take_1_round(self):
         # They leave large residuals under this model, so Gauss-Newton
         # curvature took up to 11 rounds and the secant slope from the best
         # grid node up to 6 (mean 5.2); from one parabola bracket it took
-        # 3-4.  The three brackets start it within _FTOL of the minimum, so
-        # its first trial ends the row.
+        # 3-4.  The three brackets start it within _FTOL of the minimum: 31
+        # fits end there without the engine, and its first trial ends the
+        # other 9.
         rounds = []
-        for index in self.forty_indexes():
+        for index in forty_indexes():
             fit = fit_double_exp(index)
             assert fit.converged
             rounds.append(fit.iterations)
-        assert len(rounds) == 40 and max(rounds) == 1
+        assert len(rounds) == 40 and max(rounds) <= 1
+        assert rounds.count(0) == 31
+
+    @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
+    def test_the_engine_keeps_every_engine_free_fit(self, monkeypatch):
+        # An engine-free fit of forty_indexes is the one the engine gives
+        # from its start, bit for bit, in 1 round; and restarted at the
+        # fit, the engine's first trial ends the row, which keeps the fit.
+        indexes = list(forty_indexes())
+        fits = [fit_double_exp(index) for index in indexes]
+        monkeypatch.setattr(fitting, "_flat", lambda ssr, before: False)
+        skipped = 0
+        for index, fit in zip(indexes, fits):
+            if fit.iterations:
+                continue
+            skipped += 1
+            run = fit_double_exp(index)
+            assert run.iterations == 1 and run.params == fit.params
+            assert run.residuals.tobytes() == fit.residuals.tobytes()
+            t, p = index.times(), index.log_index
+            x = t - t[0]
+            y, shift = _data_side(p, None)
+
+            def model(v, rows, with_jac):
+                h, dh = _dexp_basis(v, x, with_jac)
+                resid, normal, c0, p0 = _project(h, y, shift, True, dh)
+                return resid, normal, c0, p0, resid
+
+            q = fit.params
+            v, ssr, converged, rounds, c0, p0, resid = _lm(
+                model, np.array([[q.b2]]), np.zeros(1),
+                np.array([fitting._B2_SPAN_MAX / float(x[-1])]))
+            assert fit.converged and converged[0] and rounds[0] == 1
+            assert (v[0, 0], c0[0], p0[0]) == (q.b2, q.c0, q.p0)
+            assert resid[0].tobytes() == fit.residuals.tobytes()
+        assert skipped == 31
+
+    @pytest.mark.parametrize("p, b2", [(0.1 * np.arange(12.0), 0.0),
+                                       (1e-12 * np.expm1(3.0 * np.arange(12.0)), 20.0 / 11.0)],
+                             ids=["first node", "last node"])
+    def test_a_best_node_at_either_grid_end_runs_the_engine(self, p, b2, monkeypatch):
+        # Linear data are best at b2 = 0; data steeper than b2_max = 20 /
+        # span at the top node.  No bracket is scored, and the engine runs.
+        befores = recorded_starts(monkeypatch)
+        fit = fit_double_exp(PriceIndexSeries.from_log_index(yearly_epochs(1970, 1981), p))
+        assert befores == [None]
+        assert fit.converged and fit.iterations >= 1 and fit.params.b2 == b2
 
     @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
     def test_start_scores_no_higher_than_the_best_grid_node(self, monkeypatch):
@@ -1221,12 +1330,12 @@ class TestFitDoubleExp:
         dexp_start = fitting._dexp_start
 
         def spy(nodes, ssr, score, hi):
-            start = dexp_start(nodes, ssr, score, hi)
+            start, before = dexp_start(nodes, ssr, score, hi)
             seen.append((score(np.array([start]))[0], ssr.min(), ssr[0]))
-            return start
+            return start, before
 
         monkeypatch.setattr(fitting, "_dexp_start", spy)
-        for index in self.forty_indexes():
+        for index in forty_indexes():
             fit = fit_double_exp(index)
             start, best, linear = seen[-1]
             assert start <= best <= linear and fit.objective <= start
@@ -1248,23 +1357,25 @@ class TestFitDoubleExp:
     @pytest.mark.parametrize("best", [0, 4])
     def test_best_first_or_last_node_is_the_start(self, best):
         ssr = 1.0 + np.abs(self.NODES - self.NODES[best])
-        assert fitting._dexp_start(self.NODES, ssr, None, 4.0) == self.NODES[best]
+        assert fitting._dexp_start(self.NODES, ssr, None, 4.0) == (self.NODES[best], None)
 
     @pytest.mark.parametrize("side", [1, 3])
     def test_a_non_finite_neighbour_keeps_the_best_node(self, side):
         ssr = self.SSR.copy()
         ssr[side] = np.inf
-        assert fitting._dexp_start(self.NODES, ssr, None, 4.0) == 2.0
+        assert fitting._dexp_start(self.NODES, ssr, None, 4.0) == (2.0, None)
 
     def test_two_vertices_of_a_parabola(self):
         # Minimum at 2.3: the second bracket is 1 % either side of the first
-        # vertex, and both vertices are 2.3 up to rounding.
+        # vertex, and both vertices are 2.3 up to rounding.  With the start
+        # comes the last bracket's middle score.
         def f(b2):
             return 1.0 + (b2 - 2.3) ** 2
         score, asked = self.recorded(f)
-        start = fitting._dexp_start(self.NODES, f(self.NODES), score, 4.0)
+        start, before = fitting._dexp_start(self.NODES, f(self.NODES), score, 4.0)
         np.testing.assert_allclose(asked[0], 2.3 * np.array([0.99, 1.0, 1.01]), rtol=1e-14)
         assert start == pytest.approx(2.3, rel=1e-14)
+        assert before == f(asked[-1])[1]
 
     def test_each_bracket_is_its_half_width_around_the_vertex_before_it(self):
         # On the same parabola every bracket is scored, each _BRACKETS[k]
@@ -1282,7 +1393,7 @@ class TestFitDoubleExp:
         # Every bracket scores above the best node: each next one restarts
         # from the node, and the start is the node.
         score, asked = self.recorded(lambda b2: np.array([1.2, 1.1, 1.3]))
-        assert fitting._dexp_start(self.NODES, self.SSR, score, 4.0) == 2.0
+        assert fitting._dexp_start(self.NODES, self.SSR, score, 4.0) == (2.0, 1.1)
         assert len(asked) == len(fitting._BRACKETS)
         for bracket, h in zip(asked[1:], fitting._BRACKETS[1:]):
             assert bracket.tolist() == (2.0 * np.array([1.0 - h, 1.0, 1.0 + h])).tolist()
@@ -1295,7 +1406,7 @@ class TestFitDoubleExp:
             return 0.5 + (b2 - 2.0001) ** 2
         calls = iter([lambda b2: np.array([1.2, 1.1, 1.3])])
         score, asked = self.recorded(lambda b2: next(calls, f)(b2))
-        start = fitting._dexp_start(self.NODES, self.SSR, score, 4.0)
+        start, _ = fitting._dexp_start(self.NODES, self.SSR, score, 4.0)
         assert asked[1].tolist() == (2.0 * np.array([1.0 - 1e-4, 1.0, 1.0 + 1e-4])).tolist()
         assert asked[2][1] == pytest.approx(2.0001, rel=1e-12)
         assert start == pytest.approx(2.0001, rel=1e-12)
@@ -1305,7 +1416,8 @@ class TestFitDoubleExp:
         # restarts from the lowest point of the one before, and the start is
         # the last bracket's lowest point.
         score, asked = self.recorded(lambda b2: np.array([0.9, 0.95, 0.8]))
-        start = fitting._dexp_start(self.NODES, self.SSR, score, 4.0)
+        start, before = fitting._dexp_start(self.NODES, self.SSR, score, 4.0)
+        assert before == 0.95
         assert len(asked) == 3
         for before, bracket in zip(asked, asked[1:]):
             assert bracket[1] == before[2]
@@ -1319,7 +1431,7 @@ class TestFitDoubleExp:
         # end.
         scores = [0.7, 0.8, 0.95]
         score, asked = self.recorded(lambda b2: np.array(scores))
-        start = fitting._dexp_start(self.NODES, self.SSR, score, 4.0)
+        start, _ = fitting._dexp_start(self.NODES, self.SSR, score, 4.0)
         assert len(asked) == 3
         for before, bracket in zip(asked, asked[1:]):
             assert bracket[1] == fitting._vertex(before.tolist(), scores) < before[0]
@@ -1333,7 +1445,8 @@ class TestFitDoubleExp:
         brackets = iter([np.array([0.9, 0.8, 0.95]), np.array([0.85, 0.81, 0.9]),
                          np.array([0.83, 0.82, 0.84])])
         score, asked = self.recorded(lambda b2: next(brackets))
-        start = fitting._dexp_start(self.NODES, self.SSR, score, 4.0)
+        start, before = fitting._dexp_start(self.NODES, self.SSR, score, 4.0)
+        assert before == 0.82
         assert len(asked) == 3 and start == asked[0][1] == asked[2][1]
         assert asked[1][1] == fitting._vertex(asked[0].tolist(), [0.9, 0.8, 0.95])
 
@@ -1344,7 +1457,8 @@ class TestFitDoubleExp:
         def f(b2):
             return 1.0 + (b2 - 3.9998) ** 2
         score, asked = self.recorded(f)
-        start = fitting._dexp_start(self.NODES, np.array([5.0, 4.0, 3.0, 2.0, 2.5]), score, 4.0)
+        start, _ = fitting._dexp_start(self.NODES, np.array([5.0, 4.0, 3.0, 2.0, 2.5]), score,
+                                       4.0)
         assert asked[0][2] < 3.9 and asked[1][1] < 4.0 == asked[1][2]
         assert asked[2][2] < 4.0 and start == pytest.approx(3.9998, rel=1e-12)
 
@@ -1399,7 +1513,7 @@ class TestFitDoubleExp:
     @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
     def test_residuals_are_a_fresh_projection_at_the_final_b2(self):
         # The fit keeps the residuals the engine scored at its final b2.
-        for index in self.forty_indexes():
+        for index in forty_indexes():
             fit = fit_double_exp(index)
             t, p = index.times(), index.log_index
             h, _ = _dexp_basis(np.array([[fit.params.b2]]), t - t[0], False)
@@ -1407,6 +1521,9 @@ class TestFitDoubleExp:
             assert fit.residuals.tobytes() == resid[0].tobytes()
 
     def test_no_model_call_after_the_engine_returns(self, peru_index, monkeypatch):
+        # Noiseless Peru skips the engine, so its last model call scores the
+        # start; refused that, the fit runs the engine and makes no model
+        # call after it.
         calls = []
         basis, engine = fitting._dexp_basis, fitting._lm
 
@@ -1421,7 +1538,10 @@ class TestFitDoubleExp:
 
         monkeypatch.setattr(fitting, "_dexp_basis", basis_spy)
         monkeypatch.setattr(fitting, "_lm", engine_spy)
-        fit_double_exp(peru_index)
+        assert fit_double_exp(peru_index).iterations == 0
+        assert "engine returned" not in calls
+        monkeypatch.setattr(fitting, "_flat", lambda ssr, before: False)
+        assert fit_double_exp(peru_index).iterations == 1
         assert calls[-1] == "engine returned"
 
     @staticmethod

@@ -734,6 +734,29 @@ def test_a_changed_status_moves_params_on_the_next_read():
     assert rep.outcome["out_of_box"] == 1
 
 
+def test_a_snapshot_reads_as_its_report_and_computes_each_statistic_once(peru_rates,
+                                                                          monkeypatch):
+    # A report computes the moments (params) and the tc shape again for each
+    # flag that judges them; its snapshot, read twice over, once each, and
+    # so does build_report, which reads every statistic through one.
+    rng = np.random.default_rng(39)
+    rep = hand_report(rng.integers(0, len(OUTCOMES), 500), 1.0 + rng.gamma(2.0, size=(500, 4)),
+                      (3.0, 2.5, 2.0, 1.5))
+    names = ("outcome", "params", "tc_skewness", "tc_excess_kurtosis", "accepted",
+             "n_nonconverged", "unreliable", "gaussian_ok", "sd_tc_rel_pct", "sd_gamma_rel_pct")
+    reads = []
+    in_moments = MCReport._in_moments
+    monkeypatch.setattr(MCReport, "_in_moments", lambda self: reads.append(1) or in_moments(self))
+    snap = rep.snapshot()
+    values = [getattr(snap, name) for name in names * 2]
+    assert len(reads) == 2
+    assert values == [getattr(rep, name) for name in names * 2]
+    run = run_mc(peru_rates, FitConfig(), MCConfig(di=0.25, m=20, seed=1))
+    reads.clear()
+    build_report(run.direct, build_price_index(peru_rates), mc=run)
+    assert len(reads) == 2
+
+
 def test_a_report_stores_its_generations_read_only(peru_rates):
     assert [f.name for f in dataclasses.fields(MCReport)] == [
         "config", "direct", "refits", "status", "truncated_draws"]
@@ -989,14 +1012,15 @@ def test_zero_error_refits_return_the_direct_fit_bit_for_bit(monkeypatch):
     # direct fit sits): 120 runs.  Each refit starts at the direct fit and
     # returns its (tc, alpha, c0, p0) and SSR bit for bit, so the report
     # reads an exact zero spread, mean == direct and ratio 0 everywhere.
+    # The direct fit's own values come from its result, as most direct
+    # fits end without the engine.
     calls = []
-    fit_rows = fitting.fit_singular_rows
+    fit_rows = montecarlo.fit_singular_rows
 
     def spy(*args, **kwargs):
         calls.append(fit_rows(*args, **kwargs))
         return calls[-1]
 
-    monkeypatch.setattr(fitting, "fit_singular_rows", spy)     # the direct fit's call
     monkeypatch.setattr(montecarlo, "fit_singular_rows", spy)  # the refit's
     bounds = fitting._ALPHA_BOUNDS
     configs = ((False, bounds), (True, bounds), (False, (0.5, bounds[1])))  # (pin_p0, bounds)
@@ -1009,10 +1033,12 @@ def test_zero_error_refits_return_the_direct_fit_bit_for_bit(monkeypatch):
             for pin, alpha_bounds in configs:
                 monkeypatch.setattr(fitting, "_ALPHA_BOUNDS", alpha_bounds)
                 rep = run_mc(sample, FitConfig(pin_p0=pin), MCConfig(di=0.0, m=3, seed=1))
-                (direct, direct_ssr, *_), (refit, ssr, converged, _) = calls
+                (refit, ssr, converged, _), = calls
                 calls.clear()
+                q = rep.direct.params
+                direct = np.array([[q.tc], [q.alpha], [q.c0], [q.p0]])
                 assert np.array(refit).tobytes() == np.repeat(direct, 3, axis=1).tobytes()
-                assert ssr.tobytes() == np.repeat(direct_ssr, 3).tobytes()
+                assert ssr.tobytes() == np.repeat(rep.direct.objective, 3).tobytes()
                 assert converged.all()
                 for param in ("tc", "alpha", "c0", "p0"):
                     st = rep.params[param]
