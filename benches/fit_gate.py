@@ -15,7 +15,9 @@ and 2505 double-exponential fits a tree.  Per model it prints:
 - the largest parameter drift, relative to the parent's value (tc: to the
   parent's tc - t0; p0, a log price near 0, absolute), and the fits whose
   tc drifts by more than ``TC_DRIFT`` relative;
-- how many fits keep their objective and parameters bit for bit;
+- how many fits keep their objective and parameters bit for bit, how many
+  keep their residuals' bytes, and those that keep the first but not the
+  second;
 - how many fits skip the engine on each tree (``FitResult.iterations`` 0:
   the start passed the engine's stop test), and those skipped on the tree
   that do not keep the parent's objective and parameters bit for bit;
@@ -30,8 +32,9 @@ It imports the parent's ``hyperfit`` a second time, as ``hyperfit_parent``
 (``mc_layers.load_parent``), and builds each input's price index with each
 tree's own ``series`` module.  It exits with status 1 when a fit converges
 on the parent but not on the tree, ends above the parent by more than
-``FTOL``, or skips the engine on the tree without keeping the parent's
-objective and parameters bit for bit.
+``FTOL``, skips the engine on the tree without keeping the parent's
+objective and parameters bit for bit, or keeps the parent's objective and
+parameters bit for bit but not its residuals' bytes.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ def inputs(children: int):
 
 def fits(tree, rates) -> dict:
     """``tree``'s fits of ``rates``: {model: (converged, rounds, objective,
-    params, on_bound)}, the singular model under p0 free and pinned."""
+    params, on_bound, t0, residual bytes)}, the singular model under p0
+    free and pinned."""
     fitting = tree.fitting
     index = tree.series.build_price_index(rates)
     t = index.times()
@@ -87,7 +91,8 @@ def fits(tree, rates) -> dict:
         else:
             values = (p.tc, p.alpha, p.c0, p.p0)
             on_bound = p.tc in window or p.alpha in fitting._ALPHA_BOUNDS
-        out[model] = (r.converged, r.iterations, r.objective, values, on_bound, p.t0)
+        out[model] = (r.converged, r.iterations, r.objective, values, on_bound, p.t0,
+                      r.residuals.tobytes())
     return out
 
 
@@ -128,6 +133,11 @@ def compare(model: str, rows: list) -> bool:
     print(f"tc drift above {TC_DRIFT:g}: {len(tc_moved)} {tc_moved}")
     kept = sum(r["parent"][2:4] == r["change"][2:4] for r in rows)
     print(f"objective and parameters bit for bit: {kept}")
+    same_resid = sum(r["parent"][6] == r["change"][6] for r in rows)
+    moved_resid = [r["label"] for r in rows
+                   if r["parent"][2:4] == r["change"][2:4] and r["parent"][6] != r["change"][6]]
+    print(f"residual bytes kept: {same_resid}; objective and parameters bit for bit but "
+          f"not the residuals: {len(moved_resid)} {moved_resid[:5]}")
     skipped = [sum(r[side][1] == 0 for r in rows) for side in ("parent", "change")]
     moved_skips = [r["label"] for r in rows
                    if r["change"][1] == 0 and r["parent"][2:4] != r["change"][2:4]]
@@ -138,7 +148,7 @@ def compare(model: str, rows: list) -> bool:
              if r["parent"][4] != r["change"][4]]
     print(f"on a bound: parent {bound[0]}, change {bound[1]}; on one tree only "
           f"(parent, change): {len(moved)} {moved}")
-    return not lost and not above and not moved_skips
+    return not lost and not above and not moved_skips and not moved_resid
 
 
 def main() -> None:

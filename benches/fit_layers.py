@@ -29,7 +29,10 @@ fit-direct inputs), this times per call, in milliseconds:
 
 From ``certify-change`` on, both nonlinear fits score their start once
 more, without normal equations, and return it without running the engine
-when it passes the engine's stop test (``fitting._flat``).
+when it passes the engine's stop test (``fitting._flat``).  From
+``onerefine-change`` on, both do so through one step (``fitting._refine``),
+and the singular fit keeps the residuals the engine scored at its end, as
+the double-exponential fit does, instead of scoring that end once more.
 
 It also records, per case, the Levenberg-Marquardt rounds the fits take,
 ``FitResult.iterations`` summed over the case's inputs (p0 free): the
@@ -40,9 +43,10 @@ engine's, and before ``dexpkeep-change`` one more for the final residuals),
 summed the same way; and from ``stencil-*`` on, ``singularity_calls``, the
 singular model calls (calls of ``fitting._sing_basis``: the grid, from
 ``stencil-change`` on the stencils, the engine's and one more for the final
-residuals).  From ``certify-change`` on, a fit that skips the engine
-counts 0 rounds, and its calls are the grid, the brackets or stencils and
-the one scoring of its start.  They depend only on the tree and the seed,
+residuals; from ``onerefine-change`` on, no longer that last one).  From
+``certify-change`` on, a fit that skips the engine counts 0 rounds, and
+its calls are the grid, the brackets or stencils and the one scoring of
+its start.  They depend only on the tree and the seed,
 not on the machine.
 
 Run it like ``mc_layers.py``, whose ``run_bench`` it shares, alternating the

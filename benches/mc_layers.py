@@ -234,6 +234,12 @@ def summary(samples: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3, "n": len(samples)}
 
 
+def ratio(change: float, parent: float) -> float | None:
+    """change / parent, or None (JSON null) over a parent of 0, such as the
+    median rounds of a case whose fits all skip the engine."""
+    return change / parent if parent else None
+
+
 def run_bench(description: str, cases, time_case, settings: dict, default_out: Path,
               load_parent=None) -> None:
     """Command line of a layer bench: time every case, record under --label.
@@ -242,7 +248,8 @@ def run_bench(description: str, cases, time_case, settings: dict, default_out: P
     returns {layer: value} for one seed.  After one warm-up pass over the
     cases, ``--repeats`` seeds from ``--seed`` on are timed, appended under
     ``--label`` in ``--out``, and the summary of every label with samples
-    and every ``change_over_parent`` are recomputed.  Only the label family
+    and every ``change_over_parent`` are recomputed (``ratio``: null over a
+    parent median of 0).  Only the label family
     this call writes (``--label`` less a ``-parent`` or ``-change`` suffix,
     with and without either) keeps raw samples; the samples of other labels
     are dropped and their recorded summaries kept.  ``settings`` joins the Python,
@@ -309,7 +316,7 @@ def run_bench(description: str, cases, time_case, settings: dict, default_out: P
         for label, recorded in data["samples"].items()
     }
     data["change_over_parent"] = {
-        label: {name: {layer: change[name][layer]["median"] / parent[name][layer]["median"]
+        label: {name: {layer: ratio(change[name][layer]["median"], parent[name][layer]["median"])
                        for layer in parent[name] if layer in change[name]}
                 for name in parent}
         for label, change in data["summary"].items()

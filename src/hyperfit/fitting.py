@@ -13,21 +13,22 @@ alone (variable projection, Golub & Pereyra 1973): a coarse grid, refined
 by a few derivative-free model calls (finite-difference Newton stencils in
 (tc, alpha), ``_sing_start``; parabola brackets in b2, ``_dexp_start``),
 brings a direct fit so close to the minimum that its start mostly passes the
-stop test of the projected Levenberg-Marquardt engine (``_lm``) already: the
-fit then returns the start without running the engine, and otherwise the
-engine starts there and mostly ends in its first round.  The engine also
-refits every Monte Carlo generation.  The grid, the start, the refine and
-the refit call one residual function per model (``_sing_residuals``, or
-``model`` in ``fit_double_exp``), which evaluates the model's basis from
-``hyperfit.models`` (``_sing_basis`` with t0 = t[0], ``_dexp_basis``): the
-one coding of each formula, the one ``evaluate`` reads too, so a fit's
-residuals are the log index less ``evaluate`` at its parameters, up to the
-rounding of the (C0, p0) solve.  This module holds no model formula.  The
-engine takes each row's normal
-equations, which ``_project`` builds from a few inner products per row
-(Kaufman 1975) without forming the Jacobian.  Everything is deterministic
-for a given input and ``FitConfig``; grid ties are broken toward the smaller
-critical time.
+stop test of the projected Levenberg-Marquardt engine (``_lm``, Gauss-Newton
+for every k) already.  One step, ``_refine``, serves both direct fits: it
+returns such a start without running the engine, and otherwise the engine
+starts there and mostly ends in its first round.  The engine also refits
+every Monte Carlo generation (``fit_singular_rows``).  The grid, the start,
+the refine and the refit call one residual function per model
+(``_sing_residuals``, or ``model`` in ``fit_double_exp``), which evaluates
+the model's basis from ``hyperfit.models`` (``_sing_basis`` with t0 = t[0],
+``_dexp_basis``): the one coding of each formula, the one ``evaluate``
+reads too, so a fit's residuals are the log index less ``evaluate`` at its
+parameters, up to the rounding of the (C0, p0) solve.  This module holds no
+model formula.  The engine takes each row's normal equations, which
+``_project`` builds from a few inner products per row (Kaufman 1975)
+without forming the Jacobian.  Everything is deterministic for a given
+input and ``FitConfig``; grid ties are broken toward the smaller critical
+time.
 
 Trial points may overflow or divide by zero; the engine rejects their
 non-finite objectives and the grid skips them.  So every entry point that
@@ -239,28 +240,24 @@ def _project(g: np.ndarray, y: np.ndarray, shift, centre: bool, dg=None):
     return resid, (jtj, jtr), c0, p0
 
 
-def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: np.ndarray, free: np.ndarray,
-                 curv: np.ndarray | None = None):
-    """Per row, the step delta of (C + lam D) delta = J^T r on the free coordinates.
+def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: np.ndarray, free: np.ndarray):
+    """Per row, the step delta of (J^T J + lam D) delta = J^T r on the free coordinates.
 
-    C is ``curv`` (default J^T J) and D is diag(J^T J) floored at 1e-30; a
-    held coordinate (``free`` False) drops out of the system and gets
-    delta = 0.  Solved in closed form for k = 1 or 2, the only sizes the
-    engine serves, so no row pays for a LAPACK call, and one coordinate's
-    column at a time: at 1024 rows the same operations took 27 us on
-    strided and broadcast (rows, 2) arrays and take 17 us on 1-D columns
-    (2-vCPU VM, numpy 2.4), with the same bits.
+    D is diag(J^T J) floored at 1e-30; a held coordinate (``free`` False)
+    drops out of the system and gets delta = 0.  Solved in closed form for
+    k = 1 or 2, the only sizes the engine serves, so no row pays for a LAPACK
+    call, and one coordinate's column at a time: at 1024 rows the same
+    operations took 27 us on strided and broadcast (rows, 2) arrays and take
+    17 us on 1-D columns (2-vCPU VM, numpy 2.4), with the same bits.
     """
-    if curv is None:
-        curv = jtj
     b = np.where(free, jtr, 0.0)
     k = jtr.shape[1]
-    d = [np.where(free[:, i], curv[:, i, i] + lam * np.maximum(jtj[:, i, i], 1e-30), 1.0)
+    d = [np.where(free[:, i], jtj[:, i, i] + lam * np.maximum(jtj[:, i, i], 1e-30), 1.0)
          for i in range(k)]
     if k == 1:
         return b / d[0][:, None]
     b0, b1 = b[:, 0], b[:, 1]
-    off = np.where(free[:, 0] & free[:, 1], curv[:, 0, 1], 0.0)
+    off = np.where(free[:, 0] & free[:, 1], jtj[:, 0, 1], 0.0)
     det = d[0] * d[1] - off * off
     # coordinate i is d_j b_i - off b_j, j the other coordinate (Cramer's rule)
     step = np.empty_like(b)
@@ -322,26 +319,11 @@ def _lm(model, x0, lb, ub):
     many rows are in flight.  A step is only accepted when it does not raise
     the row's objective.
 
-    The step solves (C + lam D) delta = J^T r, D = diag(J^T J).  For k = 2
-    the curvature C is J^T J (Gauss-Newton).  For k = 1 it is the secant
-    slope of the row's gradient over its last accepted step s, y / s with
-    y = J^T r before the step - J^T r after it, while that slope is > 0,
-    and J^T J otherwise; the first round is Gauss-Newton, and a rejected
-    step keeps the slope.  This is the one-dimensional case of NL2SOL's
-    structured secant update (Dennis, Gay & Welsch, ACM TOMS 7 (1981) 348),
-    to which all its variants reduce.  The double-exponential fits of the
-    bundled episodes leave large residuals (SSR 5.6 to 391), under which
-    Gauss-Newton shrinks the b2 error only about 5x per round: on their 40
-    benchmark inputs, started at the best b2 grid node, the slope took 4-6
-    rounds (mean 5.2) where J^T J took 8-11 (mean 9.35).  For k = 2, three
-    structured-secant variants tried on the (tc, alpha) fits each raised
-    the rounds: the Peru Monte Carlo refit 5.85 -> 6.50 per row with PSB
-    sized as in NL2SOL, 6.81 with SR1 and 7.26 unsized, and direct singular
-    fits, then started at the best grid node, 4.62 -> 4.83 with PSB.  Those
-    now start from ``_sing_start``, within about ``_FTOL`` of the minimum:
-    half of them skip the engine and the rest take 1.15 rounds on average
-    (``fit_singularity``), so a curvature update has little left to save
-    there.
+    The step solves (J^T J + lam D) delta = J^T r, D = diag(J^T J), for
+    every k (Gauss-Newton): a direct fit starts within about ``_FTOL`` of its
+    minimum (``_sing_start``, ``_dexp_start``) and mostly skips the engine or
+    ends in its first round, before any accepted step a curvature update
+    could learn from, so no such update is left to pay for.
 
     The box [lb, ub] is per coordinate (equal bounds pin one) and kept by
     projection: a trial step is clipped onto it, and a coordinate on a bound
@@ -391,8 +373,6 @@ def _lm(model, x0, lb, ub):
     ssr = np.empty(m)
     jtj = np.empty((m, k, k))
     jtr = np.empty((m, k))
-    curv = np.empty((m, 1, 1)) if k == 1 else None  # the step's curvature, for k = 1
-    curv_at = None if curv is None else _row_items(curv)
     lam = np.full(m, 1e-3)
     converged = np.zeros(m, dtype=bool)
     rounds = np.zeros(m, dtype=int)
@@ -417,8 +397,7 @@ def _lm(model, x0, lb, ub):
             lo, hi = lb_rows[:s], ub_rows[:s]
             free = ~(((xa <= lo) & (g <= 0.0)) | ((xa >= hi) & (g >= 0.0)))
             lam_live = lam[live]
-            delta = _damped_step(jtj.take(live, axis=0), g, lam_live, free,
-                                 None if curv is None else curv.take(live, axis=0))
+            delta = _damped_step(jtj.take(live, axis=0), g, lam_live, free)
             trial = points = np.minimum(np.maximum(xa + delta, lo), hi)
             rounds_live = rounds[live] + 1
             rounds[live] = rounds_live
@@ -435,15 +414,12 @@ def _lm(model, x0, lb, ub):
             ssr[fresh], jtj[fresh], jtr[fresh] = ssr_e[s:], jtj_e[s:], jtr_e[s:]
             for keep, v in zip(kept, more):
                 keep[fresh] = v[s:]
-            if curv is not None:
-                curv[fresh] = jtj_e[s:]
 
         if s:
             ssr_new, ssr_old = ssr_e[:s], ssr[live]
             finite = np.isfinite(ssr_new)
             better = finite & (ssr_new <= ssr_old)
-            step = trial - xa
-            q = np.abs(step) / (np.abs(xa) + 1.0)     # k <= 2: columns 0 and -1 are all of q
+            q = np.abs(trial - xa) / (np.abs(xa) + 1.0)  # k <= 2: columns 0 and -1 are all of q
             step_small = np.maximum(q[:, 0], q[:, -1]) < _XTOL
             flat = finite & (np.abs(ssr_new - ssr_old) <= _FTOL * np.maximum(ssr_new, 1e-300))
             done = flat | (finite & step_small)
@@ -451,13 +427,10 @@ def _lm(model, x0, lb, ub):
 
             kb = better.nonzero()[0]        # the rows that take their trial, among live
             upd = live[kb]
-            jtj_u, jtr_u = jtj_e.take(kb, axis=0), jtr_e.take(kb, axis=0)
-            if curv is not None:            # the secant slope of the gradient, while > 0
-                slope = ((jtr.take(upd, axis=0) - jtr_u) / step.take(kb, axis=0))[:, :, None]
-                curv_at[upd] = _row_items(np.where(slope > 0.0, slope, jtj_u))
             x_at[upd] = _row_items(trial.take(kb, axis=0))
             ssr[upd] = ssr_e[kb]
-            jtj_at[upd], jtr_at[upd] = _row_items(jtj_u), _row_items(jtr_u)
+            jtj_at[upd] = _row_items(jtj_e.take(kb, axis=0))
+            jtr_at[upd] = _row_items(jtr_e.take(kb, axis=0))
             for keep_at, v in zip(kept_at, more):
                 keep_at[upd] = _row_items(v.take(kb, axis=0))
             lam[live] = np.where(better, np.maximum(lam_live * 0.3, 1e-12),
@@ -554,39 +527,37 @@ def _sing_linearization(t: np.ndarray, tc: float, alpha: float, centre: bool):
     return np.linalg.solve(pd @ pd.T, pd), w
 
 
-#: The upper bound of a fit not bounded above, in box widths from the box's
-#: lower edge: tc and alpha are held at most one box width beyond the box.
-#: Left unbounded, a row that heads away may spend all ``_MAX_ITER`` rounds
-#: out there, and the Monte Carlo moments exclude it if it ends outside.
-#: Not the box edge itself: some refits step out and come back (at di = 0.5,
-#: Peru to 1.133 box widths in tc and Zimbabwe to 1.034 in alpha), while
-#: none that ends inside the box has been seen to pass two.
+#: The upper bound of a Monte Carlo refit (``fit_singular_rows``), in box
+#: widths from the box's lower edge: tc and alpha are held at most one box
+#: width beyond the box.  Left unbounded, a row that heads away may spend all
+#: ``_MAX_ITER`` rounds out there, and the Monte Carlo moments exclude it if
+#: it ends outside.  Not the box edge itself: some refits step out and come
+#: back (at di = 0.5, Peru to 1.133 box widths in tc and Zimbabwe to 1.034 in
+#: alpha), while none that ends inside the box has been seen to pass two.
 _REACH_BOXES = 2.0
 
 
 @_FP_STATE
 def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, seed: tuple[float, float] | np.ndarray,
-                      bounded_above: bool = True, pinned_p0: float | None = None):
-    """Singular-model fits of every row of p_data from (tc, alpha) seeds.
+                      pinned_p0: float | None = None):
+    """The Monte Carlo refit: singular-model fits of every row of p_data from
+    (tc, alpha) seeds.
 
     ``seed`` is one (tc, alpha) pair for all rows, or an (m, 2) array of
     one pair per row.  The engine refines (tc, alpha); (C0, p0) are solved
     in closed form, p0 held at ``pinned_p0`` if given.  tc and alpha are
     held at or above the lower edges of ``tc_search_window(t)`` and
-    ``_ALPHA_BOUNDS``, and at or below the upper edges with
-    ``bounded_above``, or else at most one box width beyond them
-    (``_REACH_BOXES``); a seed outside those bounds starts on them.  A row
-    seeded at a converged fit of its data returns that fit bit for bit:
-    ``_lm`` keeps a start that its first trial ends, and the offset
-    tc - tc_lo is exact (Sterbenz's lemma, as tc < 2 tc_lo), so adding
-    tc_lo back gives the seed's tc, as adding a_lo gives its alpha.
-    Returns ((tc, alpha, c0, p0), ssr, converged, rounds), one array entry
-    per row.
+    ``_ALPHA_BOUNDS`` and at most one box width beyond the upper ones
+    (``_REACH_BOXES``), so a row that leaves the box is seen, not clamped at
+    its edge; a seed outside those bounds starts on them.  A row seeded at a
+    converged fit of its data returns that fit bit for bit: ``_lm`` keeps a
+    start that its first trial ends, and the offset tc - tc_lo is exact
+    (Sterbenz's lemma, as tc < 2 tc_lo), so adding tc_lo back gives the
+    seed's tc, as adding a_lo gives its alpha.  Returns ((tc, alpha, c0,
+    p0), ssr, converged, rounds), one array entry per row.
     """
     tc_lo, tc_hi = tc_search_window(t)
     a_lo, a_hi = _ALPHA_BOUNDS
-    box = np.array([tc_hi - tc_lo, a_hi - a_lo])
-    ub = box if bounded_above else _REACH_BOXES * box
     y, shift = _data_side(p_data, pinned_p0)
     x0 = np.empty((len(p_data), 2))
     x0[:] = np.asarray(seed, dtype=float) - (tc_lo, a_lo)
@@ -595,6 +566,7 @@ def fit_singular_rows(p_data: np.ndarray, t: np.ndarray, seed: tuple[float, floa
         return _sing_residuals(tc_lo + x[:, :1], a_lo + x[:, 1:], t, y.take(rows, axis=0),
                                shift[rows], pinned_p0 is None, with_jac)
 
+    ub = _REACH_BOXES * np.array([tc_hi - tc_lo, a_hi - a_lo])
     x, ssr, converged, rounds, c0, p0 = _lm(model, x0, np.zeros(2), ub)
     return (tc_lo + x[:, 0], a_lo + x[:, 1], c0, p0), ssr, converged, rounds
 
@@ -734,6 +706,31 @@ def _flat(ssr: float, before: float) -> bool:
     return math.isfinite(ssr) and abs(ssr - before) <= _FTOL * max(ssr, 1e-300)
 
 
+def _refine(model, start: tuple, before: float | None, hi: tuple):
+    """A direct fit's refine from ``start``: (x, c0, p0, resid, converged,
+    rounds), x the (1, k) end.
+
+    ``model`` is the fit's engine model (``_lm``) over offsets from the box's
+    lower edges, and its further items are (C0, p0, residuals); ``start`` is
+    the start and ``hi`` the box's upper edges, both in those offsets.  The
+    start is held in the box [0, hi] as ``_lm`` holds it, but in Python
+    floats and by comparisons, which cost less than numpy's clip or ``min``
+    and ``max``.  When the start search gave ``before`` (the objective of its
+    last bracket's or stencil's middle), one model call without normal
+    equations scores the start, which is returned, converged, after 0 rounds
+    if it passes ``_flat``; otherwise the engine runs from the start.  Either
+    way the residuals come from the last model call, at x, so no model call
+    follows the engine.
+    """
+    x = np.array([0.0 if v < 0.0 else v_hi if v > v_hi else v for v, v_hi in zip(start, hi)])[None]
+    if before is not None:
+        resid, _, c0, p0, _ = model(x, None, False)
+        if _flat(float(_ssr(resid[0])), before):
+            return x, c0, p0, resid, True, 0
+    x, _, (converged,), (rounds,), c0, p0, resid = _lm(model, x, np.zeros(len(hi)), np.array(hi))
+    return x, c0, p0, resid, converged, rounds
+
+
 @_FP_STATE
 def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) -> FitResult:
     """Fit the finite-time-singularity model to a log price index.
@@ -748,14 +745,15 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
 
     One model call scores the (tc, alpha) grid, and successive
     finite-difference Newton vertices around its best node (``_sing_start``),
-    one model call of nine points a stencil, give the start.  When the
-    stencils ended on a step below ``_STENCILS[-1]``, one more model call,
-    without normal equations, scores the start and gives the residuals and
-    (C0, p0) at it.  If that objective is within ``_FTOL`` of the last
-    stencil's middle (``_flat``: the engine's own flat test, applied to the
-    search's last step), the fit returns the start, converged, after 0
-    rounds; otherwise the engine runs from the start and the fit scores its
-    end once more for the residuals.  A skipped fit returns what the engine
+    one model call of nine points a stencil, give the start.  ``_refine``
+    takes it from there, on a model over the offsets (tc - tc_lo, alpha -
+    a_lo) from the box's lower edges, as ``fit_singular_rows`` searches:
+    when the stencils ended on a step below ``_STENCILS[-1]``, one more
+    model call, without normal equations, scores the start, and a start
+    within ``_FTOL`` of the last stencil's middle (``_flat``: the engine's
+    own flat test, applied to the search's last step) is returned,
+    converged, after 0 rounds; otherwise the engine runs from the start and
+    keeps the residuals at its end.  A skipped fit returns what the engine
     would: on the 5010 singular fits of ``benches/fit_gate.py`` the 3104
     that skip it keep the engine's bits, where without the small-step
     condition 6 ended up to 4.4e-11 relative above them.  On the 80 inputs
@@ -763,7 +761,7 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
     di = 0.1, p0 free and pinned) they take 4-6 stencils (mean 5.7); 40
     fits skip the engine and the others take 1.15 rounds on average (at
     most 5), where from the best node they took 4-6 (mean 5.14).  A fit so
-    makes 8.95 model calls on average, 7-14.
+    makes 8.45 model calls on average, 7-13.
     """
     config = config or FitConfig()
     t, p = _points(index, "singularity", 6)
@@ -773,28 +771,23 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
             "window; the singular model may be inappropriate",
             stacklevel=3,                   # past _FP_STATE's wrapper, to the caller
         )
-    t0 = float(t[0])
     pinned = float(p[0]) if config.pin_p0 else None
+    tc_lo, tc_hi = tc_search_window(t)
+    a_lo, a_hi = _ALPHA_BOUNDS
     tc_s, a_s, ssr_s = _sing_grid_seed(t, p, pinned)
-    lo, hi = zip(tc_search_window(t), _ALPHA_BOUNDS)
-    start, before = _sing_start((tc_s, a_s), ssr_s, _sing_objective(t, p, pinned), float(t[-1]),
-                                lo, hi)
+    (tc, alpha), before = _sing_start((tc_s, a_s), ssr_s, _sing_objective(t, p, pinned),
+                                      float(t[-1]), (tc_lo, a_lo), (tc_hi, a_hi))
     y, shift = _data_side(p[None, :], pinned)
-    converged, rounds = True, 0
-    if before is not None:
-        # the engine's start: offset from lo and held in the box, as fit_singular_rows does
-        offset = np.minimum(np.maximum(np.subtract(start, lo), 0.0), np.subtract(hi, lo))
-        tc, alpha = np.add(lo, offset)[:, None]
-        resid, _, c0, p0 = _sing_residuals(tc[:, None], alpha[:, None], t, y, shift,
-                                           pinned is None, False)
-    if before is None or not _flat(float(_ssr(resid[0])), before):
-        (tc, alpha, c0, p0), _, (converged,), (rounds,) = fit_singular_rows(
-            p[None, :], t, start, pinned_p0=pinned)
-        # Evaluated again: keeping them in the engine would cost every Monte Carlo refit.
-        resid, *_ = _sing_residuals(tc[:, None], alpha[:, None], t, y, shift, pinned is None,
-                                    False)
-    params = SingularityParams(tc=float(tc[0]), alpha=float(alpha[0]), c0=float(c0[0]),
-                               p0=float(p0[0]), t0=t0)
+
+    def model(x, rows, with_jac):
+        resid, normal, c0, p0 = _sing_residuals(tc_lo + x[:, :1], a_lo + x[:, 1:], t, y, shift,
+                                                pinned is None, with_jac)
+        return resid, normal, c0, p0, resid
+
+    x, c0, p0, resid, converged, rounds = _refine(
+        model, (tc - tc_lo, alpha - a_lo), before, (tc_hi - tc_lo, a_hi - a_lo))
+    params = SingularityParams(tc=tc_lo + float(x[0, 0]), alpha=a_lo + float(x[0, 1]),
+                               c0=float(c0[0]), p0=float(p0[0]), t0=float(t[0]))
     return FitResult(params, resid[0], converged=bool(converged), iterations=int(rounds),
                      p0_pinned=config.pin_p0)
 
@@ -870,15 +863,15 @@ def fit_double_exp(index: PriceIndexSeries, config: FitConfig | None = None) -> 
     The search runs over b2, with (C0, p0) in closed form and C0 of either
     sign.  At b2 = 0 the model is the linear one (the Cagan limit).  One
     model call scores the b2 grid, and successive parabola vertices around
-    its best node (``_dexp_start``) give the start.  When a bracket was
-    scored, one more model call, without normal equations, scores the start
-    and gives the residuals and (C0, p0) at it; if that objective is within
-    ``_FTOL`` of the last bracket's middle (``_flat``), the fit returns the
-    start, converged, after 0 rounds, as the engine would: on the 2505
-    double-exponential fits of ``benches/fit_gate.py`` the 1671 that skip it
-    keep the engine's bits.  Otherwise the engine runs from the start, and
-    the residuals are the ones it scored at the final b2, kept by ``_lm`` as
-    a further item, so the fit makes no model call after the engine.  On the
+    its best node (``_dexp_start``) give the start, and ``_refine`` takes it
+    from there, on the model over b2 itself (b2's lower edge is 0): when a
+    bracket was scored, one more model call, without normal equations,
+    scores the start, and a start within ``_FTOL`` of the last bracket's
+    middle (``_flat``) is returned, converged, after 0 rounds, as the engine
+    would return it: on the 2505 double-exponential fits of
+    ``benches/fit_gate.py`` the 1671 that skip it keep the engine's bits.
+    Otherwise the engine runs from the start and keeps the residuals at its
+    end, so the fit makes no model call after the engine.  On the
     40 benchmark inputs 31 fits skip the engine in 5 model calls (the grid,
     three brackets of three b2 and the start) and 9 take 1 round in 7, where
     one bracket took the engine 3-4 rounds and the best node 4-6.
@@ -904,13 +897,7 @@ def fit_double_exp(index: PriceIndexSeries, config: FitConfig | None = None) -> 
         return np.where(np.isfinite(ssr), ssr, np.inf)
 
     start, before = _dexp_start(b2_nodes, score(b2_nodes), score, b2_hi)
-    converged, rounds = True, 0
-    if before is not None:
-        v = np.array([[min(max(start, 0.0), b2_hi)]])   # held in the box, as the engine does
-        resid, _, c0, p0, _ = model(v, None, False)
-    if before is None or not _flat(float(_ssr(resid[0])), before):
-        v, _, (converged,), (rounds,), c0, p0, resid = _lm(
-            model, np.array([[start]]), np.zeros(1), np.array([b2_hi]))
+    v, c0, p0, resid, converged, rounds = _refine(model, (start,), before, (b2_hi,))
     params = DoubleExpParams(p0=float(p0[0]), c0=float(c0[0]), b2=float(v[0, 0]), t0=t0)
     return FitResult(params, resid[0], converged=bool(converged), iterations=int(rounds))
 

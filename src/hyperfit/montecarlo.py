@@ -532,7 +532,7 @@ def _resample(rates: InflationSeries, mc: MCConfig, direct: FitResult,
     # first rate carries no error, so all share the observed ln P(t0).
     starts = _refit_starts(p_data, index.log_index, t, dp, not pin)
     (tc, alpha, c0, p0), _, converged, _ = fit_singular_rows(
-        p_data, t, starts, bounded_above=False, pinned_p0=dp.p0 if pin else None)
+        p_data, t, starts, pinned_p0=dp.p0 if pin else None)
 
     # Each generation's class: out of the box before stalled before on the floor.
     status = np.zeros(mc.m, dtype=np.int8)

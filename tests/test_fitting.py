@@ -127,18 +127,22 @@ class TestEngine:
     def test_per_row_seeds(self):
         # An (m, 2) seed gives each row the bits it gets alone from its own
         # pair, and m copies of one pair give what the pair gives; a seed
-        # beyond the box starts on its edge.
+        # beyond the reach (one box width past the box) starts on its edge.
         t = np.arange(1970.0, 1982.0)
         p = np.stack([eval_singularity(SingularityParams(tc=tc, alpha=a, c0=0.5, p0=0.1,
                                                          t0=1970.0), t)
                       for tc, a in ((1984.0, 0.4), (1986.0, 0.8), (1983.0, 0.2))])
-        seeds = np.array([[1983.0, 0.3], [1990.0, 1.5], [2100.0, 9.0]])
+        seeds = np.array([[1983.0, 0.3], [1990.0, 1.5], [2100.0, 12.0]])
         rows = fitting.fit_singular_rows(p, t, seeds)
         for j, seed in enumerate(seeds):
             alone = fitting.fit_singular_rows(p[j:j + 1], t, tuple(seed))
             assert np.array(rows[0])[:, j].tobytes() == np.array(alone[0])[:, 0].tobytes()
             assert rows[3][j] == alone[3][0]
-        edge = fitting.fit_singular_rows(p[2:], t, (tc_search_window(t)[1], 5.0))
+        lo = np.array([tc_search_window(t)[0], fitting._ALPHA_BOUNDS[0]])
+        box = np.array([tc_search_window(t)[1], fitting._ALPHA_BOUNDS[1]]) - lo
+        reach = lo + fitting._REACH_BOXES * box     # (2002.5, 9.99), its offsets exact
+        assert np.all(reach < seeds[2])
+        edge = fitting.fit_singular_rows(p[2:], t, tuple(reach))
         assert np.array(rows[0])[:, 2].tobytes() == np.array(edge[0])[:, 0].tobytes()
         one = fitting.fit_singular_rows(p, t, (1983.0, 0.3))
         same = fitting.fit_singular_rows(p, t, np.tile([1983.0, 0.3], (3, 1)))
@@ -299,110 +303,39 @@ class TestEngine:
     def test_damped_step_matches_a_dense_solve(self, k):
         # The closed-form step against LAPACK on the same damped, masked
         # system: random SPD J^T J, damping over 15 decades, and about a
-        # third of the coordinates held; then the same with a second random
-        # SPD matrix as the curvature, still damped by diag(J^T J).  Column
-        # scales stay within a few fold: far apart, LAPACK's LU drifts from
-        # the exact solution by 1e-12 relative while the closed form stays
-        # within 1e-15.
+        # third of the coordinates held.  Column scales stay within a few
+        # fold: far apart, LAPACK's LU drifts from the exact solution by
+        # 1e-12 relative while the closed form stays within 1e-15.
         rng = np.random.default_rng(k)
         rows = 2000
-
-        def spd():
-            jac = rng.normal(size=(rows, 12, k)) * rng.lognormal(0.0, 0.5, size=(rows, 1, k))
-            return jac, np.einsum("ink,inl->ikl", jac, jac)
-
-        jac, jtj = spd()
+        jac = rng.normal(size=(rows, 12, k)) * rng.lognormal(0.0, 0.5, size=(rows, 1, k))
+        jtj = np.einsum("ink,inl->ikl", jac, jac)
         jtr = np.einsum("ink,in->ik", jac, rng.normal(size=(rows, 12)))
         lam = 10.0 ** rng.uniform(-12.0, 3.0, rows)
         free = rng.random((rows, k)) < 0.67
         d = np.einsum("ikk->ik", jtj)
-        for curv in (None, spd()[1]):
-            a = (jtj if curv is None else curv) + (
-                lam[:, None, None] * np.maximum(d, 1e-30)[:, None, :] * np.eye(k))
-            a = np.where(free[:, :, None] & free[:, None, :], a, np.eye(k))
-            want = np.linalg.solve(a, np.where(free, jtr, 0.0)[..., None])[..., 0]
-            got = _damped_step(jtj, jtr, lam, free, curv)
-            assert np.all(got[~free] == 0.0)
-            err = np.abs(got - want).max(axis=1)
-            assert np.all(err <= 1e-12 * np.abs(want).max(axis=1))
-
-    def test_secant_curvature_on_a_large_residual_fit(self):
-        # c exp(b x) against -3 log(1.15 - x), c projected out with
-        # Kaufman's Jacobian: the misfit leaves residuals under which
-        # Gauss-Newton converges only linearly in b.  With the secant slope
-        # of the gradient as its curvature the engine reaches the minimiser
-        # of the projected SSR in 7 rounds from b = 1; with J^T J it took 9
-        # and stopped 7.7e-9 (relative) short.  The reference is scipy's
-        # bounded Brent, run a second time on the offset from its first
-        # answer, because its tolerance includes sqrt(eps) |b|.
-        optimize = pytest.importorskip("scipy.optimize")
-        x = np.linspace(0.0, 1.0, 30)
-        y = -3.0 * np.log(1.15 - x)
-
-        def projected(b):
-            g = np.exp(np.multiply.outer(b, x))
-            c = g @ y / _ssr(g)
-            dg = x * g
-            jac = c[:, None] * (dg - (np.einsum("ik,ik->i", dg, g) / _ssr(g))[:, None] * g)
-            return y - c[:, None] * g, jac
-
-        def model(v, rows, with_jac):
-            r, jac = projected(v[:, 0])
-            return r, normal_eqs(r, jac[..., None])
-
-        def ssr(b):
-            return float(_ssr(projected(np.array([b]))[0])[0])
-
-        coarse = optimize.minimize_scalar(ssr, bounds=(0.0, 10.0), method="bounded",
-                                          options={"xatol": 1e-12}).x
-        offset = optimize.minimize_scalar(lambda u: ssr(coarse + u), bounds=(-1e-6, 1e-6),
-                                          method="bounded", options={"xatol": 1e-15}).x
-        b, _, converged, rounds = lm(model, np.array([[1.0]]), np.zeros(1), np.array([10.0]),
-                                     xtol=1e-9, ftol=1e-12)
-        assert converged[0] and rounds[0] <= 7
-        assert b[0, 0] == pytest.approx(coarse + offset, rel=1e-9)
-
-    def test_non_positive_secant_slope_falls_back_to_gauss_newton(self):
-        # SSR / 2 = sin(v)^2 / 2 from v = 1.4: the first step is accepted at
-        # -4.39 and the second at -0.68, across a hump of the SSR, so the
-        # secant slope between them is negative.  The engine then takes
-        # J^T J as the curvature, and every trial step points downhill (along
-        # J^T r at the row's current v); with the negative slope the third
-        # step went uphill to -10.2 and the row took 14 rounds.
-        trials = []
-
-        def model(v, rows, with_jac):
-            trials.append(float(v[0, 0]))
-            r, jac = -np.sin(v), np.cos(v)
-            return r, (jac[:, :, None] * jac[:, None, :], jac * r)
-
-        v, _, converged, rounds = lm(model, np.array([[1.4]]), np.full(1, -np.inf),
-                                     np.full(1, np.inf))
-        assert converged[0] and rounds[0] <= 8 and abs(v[0, 0]) < 1e-12
-        current = trials[0]
-        for trial in trials[1:]:
-            assert (trial - current) * -np.sin(current) * np.cos(current) > 0.0
-            if np.sin(trial) ** 2 <= np.sin(current) ** 2:
-                current = trial
+        a = jtj + lam[:, None, None] * np.maximum(d, 1e-30)[:, None, :] * np.eye(k)
+        a = np.where(free[:, :, None] & free[:, None, :], a, np.eye(k))
+        want = np.linalg.solve(a, np.where(free, jtr, 0.0)[..., None])[..., 0]
+        got = _damped_step(jtj, jtr, lam, free)
+        assert np.all(got[~free] == 0.0)
+        err = np.abs(got - want).max(axis=1)
+        assert np.all(err <= 1e-12 * np.abs(want).max(axis=1))
 
 
 # ---------------------------------------------------------------------------
 # The engine's row moves and step, bit for bit against the (rows, k) forms
 # ---------------------------------------------------------------------------
 
-def damped_step_reference(jtj, jtr, lam, free, curv=None):
+def damped_step_reference(jtj, jtr, lam, free):
     """The damped step as numpy solves it on whole (rows, k) arrays, in one
     expression per quantity: the form ``_damped_step`` computes column by column."""
     d = np.einsum("ikk->ik", jtj)
-    if curv is None:
-        curv, c = jtj, d
-    else:
-        c = np.einsum("ikk->ik", curv)
-    d = np.where(free, c + lam[:, None] * np.maximum(d, 1e-30), 1.0)
+    d = np.where(free, d + lam[:, None] * np.maximum(d, 1e-30), 1.0)
     b = np.where(free, jtr, 0.0)
     if jtj.shape[-1] == 1:
         return b / d
-    off = np.where(free[:, 0] & free[:, 1], curv[:, 0, 1], 0.0)
+    off = np.where(free[:, 0] & free[:, 1], jtj[:, 0, 1], 0.0)
     det = d[:, 0] * d[:, 1] - off * off
     return (d[:, ::-1] * b - off[:, None] * b[:, ::-1]) / det[:, None]
 
@@ -429,20 +362,18 @@ def model_rows(k, rows, seed):
 def test_damped_step_is_the_whole_array_form_bit_for_bit(k, rows):
     # Column by column, the step takes the same operations as on whole
     # (rows, k) arrays: on _project's arrays and on the rows the engine
-    # gathers from them, with held coordinates, NaN rows, damping over
-    # 27 decades, and with and without a curvature argument.
+    # gathers from them, with held coordinates, NaN rows and damping over
+    # 27 decades.
     rng = np.random.default_rng(10 * rows + k)
     _, (jtj, jtr), *_ = model_rows(k, rows, rows + k)
     lam = 10.0 ** rng.uniform(-12.0, 15.0, rows)
     free = rng.random((rows, k)) < 0.7
-    slope = rng.normal(size=(rows, k, k))
     gathered = jtj.take(np.arange(rows), axis=0), jtr.take(np.arange(rows), axis=0)
     for a, b in ((jtj, jtr), gathered):
-        for curv in (None, slope, np.where(slope > 0.0, slope, a)):
-            want = damped_step_reference(a, b, lam, free, curv)
-            got = _damped_step(a, b, lam, free, curv)
-            assert got.shape == want.shape == (rows, k)
-            assert got.tobytes() == want.tobytes()
+        want = damped_step_reference(a, b, lam, free)
+        got = _damped_step(a, b, lam, free)
+        assert got.shape == want.shape == (rows, k)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("rows", [0, 1, 1024])
@@ -1520,29 +1451,36 @@ class TestFitDoubleExp:
             resid, *_ = _project(h, *_data_side(p, None), True)
             assert fit.residuals.tobytes() == resid[0].tobytes()
 
-    def test_no_model_call_after_the_engine_returns(self, peru_index, monkeypatch):
-        # Noiseless Peru skips the engine, so its last model call scores the
-        # start; refused that, the fit runs the engine and makes no model
-        # call after it.
+    @pytest.mark.parametrize("fit, basis, rounds", [(fit_double_exp, "_dexp_basis", 0),
+                                                    (fit_singularity, "_sing_basis", 1)],
+                             ids=["doubleexp", "singularity"])
+    def test_no_model_call_after_the_engine_returns(self, peru_index, monkeypatch, fit, basis,
+                                                    rounds):
+        # Noiseless Peru skips the double-exponential engine, so its last
+        # model call scores the start, and the singular fit runs 1 round;
+        # refused the skip, each fit runs the engine and makes no model call
+        # after it.
         calls = []
-        basis, engine = fitting._dexp_basis, fitting._lm
+        model, engine = getattr(fitting, basis), fitting._lm
 
         def basis_spy(*args):
             calls.append("model call")
-            return basis(*args)
+            return model(*args)
 
         def engine_spy(*args):
             result = engine(*args)
             calls.append("engine returned")
             return result
 
-        monkeypatch.setattr(fitting, "_dexp_basis", basis_spy)
+        monkeypatch.setattr(fitting, basis, basis_spy)
         monkeypatch.setattr(fitting, "_lm", engine_spy)
-        assert fit_double_exp(peru_index).iterations == 0
-        assert "engine returned" not in calls
+        assert fit(peru_index).iterations == rounds
+        assert calls[-1] == ("engine returned" if rounds else "model call")
+        assert calls.count("engine returned") == (rounds > 0)
+        calls.clear()
         monkeypatch.setattr(fitting, "_flat", lambda ssr, before: False)
-        assert fit_double_exp(peru_index).iterations == 1
-        assert calls[-1] == "engine returned"
+        assert fit(peru_index).iterations == 1
+        assert calls.count("engine returned") == 1 and calls[-1] == "engine returned"
 
     @staticmethod
     def two_branch_basis(b2, x, with_jac):

@@ -508,8 +508,7 @@ def refit(p_data, index, direct, config):
     t = index.times()
     starts = montecarlo._refit_starts(p_data, index.log_index, t, direct, not config.pin_p0)
     (tc, alpha, c0, p0), ssr, converged, _ = fit_singular_rows(
-        p_data, t, starts, bounded_above=False,
-        pinned_p0=direct.p0 if config.pin_p0 else None)
+        p_data, t, starts, pinned_p0=direct.p0 if config.pin_p0 else None)
     return tc, alpha, c0, p0, ssr, converged
 
 

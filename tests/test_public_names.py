@@ -4,8 +4,9 @@ class, is referenced somewhere a user's path reaches.
 
 A reference is a ``Name``, an ``Attribute`` or an imported name, outside
 the name's own definition, in another ``src/hyperfit`` module, the same
-module, ``benches/`` or ``perfbench/``; a method or property is reached
-only as an ``Attribute`` of its name.  ``__init__.py`` (which only
+module, ``benches/`` or ``perfbench/``; a method is reached only as an
+``Attribute`` of its name, and a property only as one that is not the
+function of a call.  ``__init__.py`` (which only
 re-exports) and ``tests/`` do not count: a name that only its own tests
 call serves no command, workload or module.
 """
@@ -49,9 +50,40 @@ COUNTED = SOURCES + sorted((ROOT / "benches").glob("*.py")) + sorted(
     (ROOT / "perfbench").glob("*.py"))
 
 
-def attributes(node: ast.AST) -> Counter:
-    """How often a subtree reads each attribute name."""
-    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+def attributes(node: ast.AST, calls: bool = True) -> Counter:
+    """How often a subtree reads each attribute name; without ``calls``, only
+    the reads that are not the function of a call."""
+    called = set() if calls else {id(sub.func) for sub in ast.walk(node)
+                                  if isinstance(sub, ast.Call)}
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and id(sub) not in called)
+
+
+def is_property(member: ast.FunctionDef) -> bool:
+    """Whether a method is decorated as a (cached) property."""
+    return any(isinstance(d, ast.Name) and d.id in ("property", "cached_property")
+               for d in member.decorator_list)
+
+
+def unread_members(trees: dict, sources: list) -> list[str]:
+    """``module.Class.member`` of each public method and property of a public
+    class in ``sources`` that no tree of ``trees`` reads outside the member
+    itself: a method through any attribute of its name, a property only
+    through one that is not the function of a call (``OUTCOMES.index(...)``
+    calls a tuple's method, it does not read a property ``index``)."""
+    reads = {calls: sum((attributes(tree, calls) for tree in trees.values()), Counter())
+             for calls in (True, False)}
+    unread = []
+    for path in sources:
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for member in cls.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    calls = not is_property(member)
+                    if reads[calls][member.name] == attributes(member, calls)[member.name]:
+                        unread.append(f"{path.stem}.{cls.name}.{member.name}")
+    return sorted(unread)
 
 
 def test_every_public_name_has_a_caller():
@@ -71,12 +103,22 @@ def test_every_public_name_has_a_caller():
 
 def test_every_public_member_has_a_caller():
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in COUNTED}
-    reads = sum((attributes(tree) for tree in trees.values()), Counter())
-    unused = sorted(
-        f"{path.stem}.{cls.name}.{member.name}"
-        for path in SOURCES for cls in trees[path].body
-        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
-        for member in cls.body
-        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
-        and reads[member.name] == attributes(member)[member.name])
-    assert unused == sorted(KEEP_MEMBERS)
+    assert unread_members(trees, SOURCES) == sorted(KEEP_MEMBERS)
+
+
+def test_a_property_called_as_a_method_stays_unread():
+    # A call of another object's method of the same name reads no property;
+    # a plain attribute does, and a call reads a method.
+    source = Path("series.py")
+    cls = ast.parse(
+        "class Series:\n"
+        "    @property\n"
+        "    def index(self):\n"
+        "        return 1\n"
+        "    def period(self):\n"
+        "        return 2\n")
+    for caller, unread in (("OUTCOMES.index('stalled')\nx.period()", ["series.Series.index"]),
+                           ("x.index", ["series.Series.period"]),
+                           ("x.index(0)\nx.period", ["series.Series.index"])):
+        trees = {source: cls, Path("montecarlo.py"): ast.parse(caller)}
+        assert unread_members(trees, [source]) == unread, caller
