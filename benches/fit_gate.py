@@ -18,9 +18,15 @@ and 2505 double-exponential fits a tree.  Per model it prints:
 - how many fits keep their objective and parameters bit for bit, how many
   keep their residuals' bytes, and those that keep the first but not the
   second;
+- how many fits start where the parent starts (the start ``_refine`` is
+  given, bit for bit);
 - how many fits skip the engine on each tree (``FitResult.iterations`` 0:
-  the start passed the engine's stop test), and those skipped on the tree
-  that do not keep the parent's objective and parameters bit for bit;
+  the start passed the engine's stop test), those skipped on the tree from
+  the parent's start that do not keep the parent's objective and parameters
+  bit for bit, and those skipped on the tree that are not, bit for bit
+  (objective, parameters and residual bytes), the tree's own fit with the
+  skip refused (``_flat`` patched to refuse), which runs the engine from the
+  same start: that is what a skip claims;
 - how many fits end on a bound of their box on each tree, and those that
   end on one on only one tree.
 
@@ -32,9 +38,12 @@ It imports the parent's ``hyperfit`` a second time, as ``hyperfit_parent``
 (``mc_layers.load_parent``), and builds each input's price index with each
 tree's own ``series`` module.  It exits with status 1 when a fit converges
 on the parent but not on the tree, ends above the parent by more than
-``FTOL``, skips the engine on the tree without keeping the parent's
-objective and parameters bit for bit, or keeps the parent's objective and
-parameters bit for bit but not its residuals' bytes.
+``FTOL``, skips the engine on the tree from the parent's start without
+keeping the parent's objective and parameters bit for bit, skips the engine
+without being its own fit with the skip refused, or keeps the parent's
+objective and parameters bit for bit but not its residuals' bytes.  Both
+trees must have ``fitting._refine``, the one step from start to end of
+both direct fits.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ import argparse
 import sys
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +60,7 @@ import numpy as np
 import hyperfit
 from hyperfit.fixtures import PRESETS, episode, synthetic_rates
 from hyperfit.montecarlo import sample_generation
-from mc_layers import load_parent
+from mc_layers import load_parent, spied
 
 DI = (0.05, 0.1, 0.25, 0.5, 1.0)
 SEED = 5
@@ -70,20 +80,45 @@ def inputs(children: int):
                     rates, di, np.random.default_rng(child))
 
 
+@contextmanager
+def skip_refused(fitting):
+    """Within the block, ``fitting``'s direct fits never skip the engine."""
+    flat = fitting._flat
+    fitting._flat = lambda ssr, before: False
+    try:
+        yield
+    finally:
+        fitting._flat = flat
+
+
+def bits(r) -> tuple:
+    """A fit's objective, parameters and residual bytes."""
+    return r.objective, r.params, r.residuals.tobytes()
+
+
 def fits(tree, rates) -> dict:
     """``tree``'s fits of ``rates``: {model: (converged, rounds, objective,
-    params, on_bound, t0, residual bytes)}, the singular model under p0
-    free and pinned."""
+    params, on_bound, t0, residual bytes, start, kept)}, the singular model
+    under p0 free and pinned; start is the start ``_refine`` was given, and
+    kept, for a fit that skips the engine, whether it has the bits of the
+    fit with the skip refused (else None)."""
     fitting = tree.fitting
     index = tree.series.build_price_index(rates)
     t = index.times()
     window = fitting.tc_search_window(t)
     out = {}
+    starts = []
     for model, fit in (("singularity", lambda: fitting.fit_singularity(index)),
                        ("singularity pinned", lambda: fitting.fit_singularity(
                            index, fitting.FitConfig(pin_p0=True))),
                        ("doubleexp", lambda: fitting.fit_double_exp(index))):
-        r = fit()
+        # spied calls hook(seconds, result, model, start, before, hi)
+        with spied(fitting, "_refine", lambda *call: starts.append(call[3])):
+            r = fit()
+        kept = None
+        if r.iterations == 0:
+            with skip_refused(fitting):
+                kept = bits(fit()) == bits(r)
         p = r.params
         if model == "doubleexp":
             values = (p.b2, p.c0, p.p0)
@@ -92,7 +127,7 @@ def fits(tree, rates) -> dict:
             values = (p.tc, p.alpha, p.c0, p.p0)
             on_bound = p.tc in window or p.alpha in fitting._ALPHA_BOUNDS
         out[model] = (r.converged, r.iterations, r.objective, values, on_bound, p.t0,
-                      r.residuals.tobytes())
+                      r.residuals.tobytes(), starts[-1], kept)
     return out
 
 
@@ -138,17 +173,21 @@ def compare(model: str, rows: list) -> bool:
                    if r["parent"][2:4] == r["change"][2:4] and r["parent"][6] != r["change"][6]]
     print(f"residual bytes kept: {same_resid}; objective and parameters bit for bit but "
           f"not the residuals: {len(moved_resid)} {moved_resid[:5]}")
+    same_start = [r["parent"][7] == r["change"][7] for r in rows]
+    print(f"start kept bit for bit: {sum(same_start)}")
     skipped = [sum(r[side][1] == 0 for r in rows) for side in ("parent", "change")]
-    moved_skips = [r["label"] for r in rows
-                   if r["change"][1] == 0 and r["parent"][2:4] != r["change"][2:4]]
+    moved_skips = [r["label"] for r, same in zip(rows, same_start)
+                   if same and r["change"][1] == 0 and r["parent"][2:4] != r["change"][2:4]]
+    unkept = [r["label"] for r in rows if r["change"][8] is False]
     print(f"engine skipped: parent {skipped[0]}, change {skipped[1]}; skipped on the change "
-          f"but not bit for bit: {len(moved_skips)} {moved_skips[:5]}")
+          f"from the parent's start but not bit for bit: {len(moved_skips)} {moved_skips[:5]}; "
+          f"not the change's fit with the skip refused: {len(unkept)} {unkept[:5]}")
     bound = [sum(r[side][4] for r in rows) for side in ("parent", "change")]
     moved = [(r["label"], r["parent"][4], r["change"][4]) for r in rows
              if r["parent"][4] != r["change"][4]]
     print(f"on a bound: parent {bound[0]}, change {bound[1]}; on one tree only "
           f"(parent, change): {len(moved)} {moved}")
-    return not lost and not above and not moved_skips and not moved_resid
+    return not lost and not above and not moved_skips and not unkept and not moved_resid
 
 
 def main() -> None:

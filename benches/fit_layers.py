@@ -18,14 +18,13 @@ fit-direct inputs), this times per call, in milliseconds:
   form, where reading the time axis and checking the input weigh most;
 - ``singularity_ms``: ``fitting.fit_singularity``, grid seed and refine;
   from ``stencil-change`` on, the refine starts at finite-difference Newton
-  vertices around the best grid node (``fitting._sing_start``), five or six
-  more model calls of nine (tc, alpha), after which the engine mostly takes
-  1 round;
+  vertices around the best grid node, five or six more model calls of nine
+  (tc, alpha), after which the engine mostly takes 1 round;
 - ``doubleexp_ms``: ``fitting.fit_double_exp``, b2 grid and refine; from
   ``parabola-*`` on, the refine starts at two parabola vertices around the
-  best b2 node (``fitting._dexp_start``), one more model call of three b2;
-  from ``bracket-change`` on, at four, three more model calls of three b2
-  (``fitting._BRACKETS``), after which the engine takes 1 round.
+  best b2 node, one more model call of three b2; from ``bracket-change`` on,
+  at four, three more model calls of three b2 at fixed relative
+  half-widths, after which the engine takes 1 round.
 
 From ``certify-change`` on, both nonlinear fits score their start once
 more, without normal equations, and return it without running the engine
@@ -33,13 +32,22 @@ when it passes the engine's stop test (``fitting._flat``).  From
 ``onerefine-change`` on, both do so through one step (``fitting._refine``),
 and the singular fit keeps the residuals the engine scored at its end, as
 the double-exponential fit does, instead of scoring that end once more.
+From ``onestart-change`` on, both fits start through one search
+(``fitting._stencil_start``): the singular one as before, and the
+double-exponential one by stencils in log(b2), the best node and its two
+neighbours being the first, with half-widths set by the last Newton step
+as in the singular search, so it mostly takes three more model calls of
+three b2 and then skips the engine.  From ``onestart-change`` on, too, both
+fits' scores map a non-finite objective to inf in one ufunc (``np.fmin``),
+and ``_sing_grid_seed`` reads its best node off the flattened objective.
 
 It also records, per case, the Levenberg-Marquardt rounds the fits take,
 ``FitResult.iterations`` summed over the case's inputs (p0 free): the
 counts ``singularity_rounds`` and ``doubleexp_rounds``; from
 ``dexpkeep-*`` on, ``doubleexp_calls``, the double-exponential model calls
-(calls of ``fitting._dexp_basis``: the grid, the parabola brackets and the
-engine's, and before ``dexpkeep-change`` one more for the final residuals),
+(calls of ``fitting._dexp_basis``: the grid, the brackets or stencils and
+the engine's, and before ``dexpkeep-change`` one more for the final
+residuals),
 summed the same way; and from ``stencil-*`` on, ``singularity_calls``, the
 singular model calls (calls of ``fitting._sing_basis``: the grid, from
 ``stencil-change`` on the stencils, the engine's and one more for the final

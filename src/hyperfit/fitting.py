@@ -11,7 +11,7 @@ their shape parameters are fixed, so one closed-form solve (``_project``)
 gives (C0, p0), pinned p0 or not, and the fits search the shape parameters
 alone (variable projection, Golub & Pereyra 1973): a coarse grid, refined
 by a few derivative-free model calls (finite-difference Newton stencils in
-(tc, alpha), ``_sing_start``; parabola brackets in b2, ``_dexp_start``),
+log(tc - t_last) and log(alpha) or in log(b2), one search: ``_stencil_start``),
 brings a direct fit so close to the minimum that its start mostly passes the
 stop test of the projected Levenberg-Marquardt engine (``_lm``, Gauss-Newton
 for every k) already.  One step, ``_refine``, serves both direct fits: it
@@ -321,7 +321,7 @@ def _lm(model, x0, lb, ub):
 
     The step solves (J^T J + lam D) delta = J^T r, D = diag(J^T J), for
     every k (Gauss-Newton): a direct fit starts within about ``_FTOL`` of its
-    minimum (``_sing_start``, ``_dexp_start``) and mostly skips the engine or
+    minimum (``_stencil_start``) and mostly skips the engine or
     ends in its first round, before any accepted step a curvature update
     could learn from, so no such update is left to pay for.
 
@@ -575,15 +575,15 @@ def _sing_objective(t: np.ndarray, p: np.ndarray, pinned_p0: float | None):
     """The singular fit's objective on a grid, as a function ``score(tc, alpha)``.
 
     Given 1-D arrays of tc and alpha it returns, in one model call, the
-    objective at every (tc, alpha) of tc x alpha, tc the outer axis, with a
-    non-finite one (C0 <= 0) as inf.
+    objective at every (tc, alpha) of tc x alpha, flattened with tc the
+    outer axis, with a non-finite one (C0 <= 0) as inf.
     """
     y, shift = _data_side(p, pinned_p0)
 
     def score(tc: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         ssr = _ssr(_sing_residuals(tc[:, None, None], alpha[:, None], t, y, shift,
-                                   pinned_p0 is None, False)[0])
-        return np.where(np.isfinite(ssr), ssr, np.inf)
+                                   pinned_p0 is None, False)[0]).ravel()
+        return np.fmin(ssr, np.inf)         # NaN (C0 <= 0) as inf
     return score
 
 
@@ -604,31 +604,39 @@ def _sing_grid_seed(t, p, pinned_p0):
     if np.isinf(ssr).all() or np.ptp(p) == 0.0:  # C0 of flat data is 0 up to rounding
         raise FitError("singular model does not apply: no grid node gives C0 > 0 "
                        "(the log price index does not grow, as in flat or deflating data)")
-    i, j = np.unravel_index(np.argmin(ssr), ssr.shape)
-    return float(tc_nodes[i]), float(_ALPHA_NODES[j]), float(ssr[i, j])
+    k = int(ssr.argmin())
+    i, j = divmod(k, len(_ALPHA_NODES))
+    return float(tc_nodes[i]), float(_ALPHA_NODES[j]), float(ssr[k])
 
 
-#: The least half-width of each successive stencil of ``_sing_start``, in
-#: the logarithms of tc - t_last and alpha (so about relative sizes), t_last
-#: the last epoch.  All lie below a grid cell: on the bundled episodes the
-#: grid spaces log(tc - t_last) 0.19-0.23 apart and log(alpha) 0.41.  Each
-#: is about the square of the one before, as the distance to the minimum
-#: shrinks under Newton steps.  The last is there twice: with it once, the
-#: noiseless fits of Zimbabwe and Yugoslavia (p0 free or pinned) ended up to
-#: 1e-6 from their minimum in log(tc - t_last), where they now end within
-#: 1e-11, and the engine keeps such a start.
+#: The least half-width of each successive stencil of ``_stencil_start``,
+#: in the logarithms of its coordinates (so about relative sizes): tc -
+#: t_last and alpha, t_last the last epoch, or b2.  All lie below a grid
+#: cell: on the bundled episodes the grid spaces log(tc - t_last) 0.19-0.23
+#: apart, log(alpha) 0.41 and log(b2) 0.27.  Each is about the square of the
+#: one before, as the distance to the minimum shrinks under Newton steps.
+#: The last is there twice: with it once, the noiseless singular fits of
+#: Zimbabwe and Yugoslavia (p0 free or pinned) ended up to 1e-6 from their
+#: minimum in log(tc - t_last), where they now end within 1e-11, and the
+#: engine keeps such a start.
 _STENCILS = (1e-1, 5e-3, 1e-4, 1e-6, 1e-7, 1e-7)
 
 
-def _newton_vertex(f: list) -> tuple[float, float] | None:
+def _stencil_vertex(f: list) -> tuple | None:
     """The vertex, in half-widths from the middle, of the quadratic that
-    central differences fit to the objectives f of a 3 x 3 stencil, given
-    row by row with tc the outer axis: (-1, -1), (-1, 0), ..., (1, 1).
+    central differences fit to the objectives f of a stencil: 3 points
+    (-1, 0, 1) in one coordinate, where it is the parabola through them, or
+    3 x 3 points in two, given row by row with the first coordinate the outer
+    axis: (-1, -1), (-1, 0), ..., (1, 1).
 
     None unless every f is finite and the quadratic is positive definite.
     """
     if not math.isfinite(sum(f)):
         return None
+    if len(f) == 3:
+        f_m, f_0, f_p = f
+        hxx = f_p - 2.0 * f_0 + f_m
+        return ((f_m - f_p) / 2.0 / hxx,) if hxx > 0.0 else None
     f_mm, f_m0, f_mp, f_0m, f_00, f_0p, f_pm, f_p0, f_pp = f
     gx, gy = (f_p0 - f_m0) / 2.0, (f_0p - f_0m) / 2.0
     hxx, hyy = f_p0 - 2.0 * f_00 + f_m0, f_0p - 2.0 * f_00 + f_0m
@@ -639,59 +647,79 @@ def _newton_vertex(f: list) -> tuple[float, float] | None:
     return (hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det
 
 
-def _sing_start(seed: tuple[float, float], ssr: float, score, t_last: float,
-                lo: tuple[float, float], hi: tuple[float, float]):
-    """The (tc, alpha) at which ``fit_singularity`` starts, and the objective
-    that its last stencil scored at its middle when the loop ended on a small
-    step (else None).
+def _stencil_start(seed: tuple, ssr: float, score, origin: tuple, lo: tuple, hi: tuple,
+                   first: tuple | None = None):
+    """The point at which a direct fit starts, and the objective that its
+    last stencil scored at its middle when the loop ended on a small step
+    (else None).
 
-    ``seed`` is the best grid node and ``ssr`` the grid's objective there;
-    ``score`` is ``_sing_objective``'s, [lo, hi] the box and t_last the last
-    epoch.  Successive finite-difference Newton vertices
-    (``_newton_vertex``) refine the seed.  Each stencil is a 3 x 3 grid of
-    (tc, alpha) spaced h apart in log(tc - t_last) and log(alpha), scored in
-    one call, around the vertex before it (the seed first) and moved inward
-    just enough to lie in the box.  Its half-width h is the square of the
-    last vertex's step in those logarithms, about the distance that a Newton
-    step leaves, held between the stencil's entry in ``_STENCILS`` and the
-    half-width before it; after a stencil whose vertex was not taken it is
-    the entry.  A stencil's vertex is taken only when its quadratic is
-    positive definite, the vertex lies in the box and the stencil holds the
-    lowest point scored so far, the seed counting as scored; otherwise the
-    next, smaller stencil restarts from that lowest point, which is the
-    start if no stencil is left.  The loop ends early on a step below
-    ``_STENCILS[-1]``.  The last vertex is not scored.  The start nearly
-    always lies within the engine's ``_FTOL`` of the minimum.
+    The search runs over k = 1 or 2 coordinates, each in the logarithm of its
+    offset from ``origin``: log(tc - t_last) and log(alpha) for the singular
+    fit, log(b2) for the double-exponential one.  ``seed`` is the best grid
+    node and ``ssr`` the grid's objective there; [lo, hi] is the box, whose
+    lower edge may lie on the origin (b2 = 0, log 0 = -inf), and
+    ``score(*axes)`` returns, in one model call, the objectives at every point
+    of the product of k axes, flattened with the first axis outer and
+    non-finite as inf.  Successive finite-difference Newton vertices
+    (``_stencil_vertex``) refine the seed.  Each stencil takes 3 points a
+    coordinate, spaced h apart in its logarithm, around the vertex before it
+    (the seed first) and moved inward just enough to lie in the box.  Its
+    half-width h is the square of the last vertex's step in those logarithms,
+    about the distance that a Newton step leaves, held between the stencil's
+    entry in ``_STENCILS`` and the half-width before it; after a stencil whose
+    vertex was not taken it is the entry.  ``first``, (h, axes, scores), is a
+    first stencil around the seed that the grid has scored already, in place of
+    the one at ``_STENCILS[0]``.  A stencil's vertex is taken only when its
+    quadratic is positive definite, the vertex lies in the box and the stencil
+    holds the lowest point scored so far, the seed counting as scored;
+    otherwise the next, smaller stencil restarts from that lowest point, which
+    is the start if no stencil is left.  The loop ends early on a step below
+    ``_STENCILS[-1]``.  The last vertex is not scored.  The start nearly always
+    lies within the engine's ``_FTOL`` of the minimum.
     """
-    box = ((lo[0] - t_last, hi[0] - t_last), (lo[1], hi[1]))   # tc - t_last, alpha
+    # per coordinate: its origin, its box, and its box in offsets from the origin
+    edges = [(o, a, b, a - o, b - o) for o, a, b in zip(origin, lo, hi)]
+    k = len(seed)
     start = low = seed
     low_ssr = ssr
     h, step = math.inf, 0.0                 # the seed is no vertex: the first entry
     for least in _STENCILS:
-        h = max(least, min(h, step * step))
-        grow = math.exp(h)
-        # the middle, moved inward just enough that the stencil lies in the box
-        mid = [min(max(v, v_lo * grow), v_hi / grow)
-               for v, (v_lo, v_hi) in zip((start[0] - t_last, start[1]), box)]
-        tc = [max(t_last + mid[0] / grow, lo[0]), t_last + mid[0],
-              min(t_last + mid[0] * grow, hi[0])]           # held against rounding
-        alpha = [max(mid[1] / grow, lo[1]), mid[1], min(mid[1] * grow, hi[1])]
-        scores = score(np.array(tc), np.array(alpha)).ravel()
-        k = int(scores.argmin())
-        scores = scores.tolist()
+        if first:
+            (h, axes, scores), first = first, None
+            mid = [axis[1] - o for axis, o in zip(axes, origin)]
+        else:
+            h = max(least, min(h, step * step))
+            grow = math.exp(h)
+            mid, axes = [], []
+            for v, (o, a, b, v_lo, v_hi) in zip(start, edges):
+                # the middle, moved inward just enough that the stencil lies in the box
+                m = min(max(v - o, v_lo * grow), v_hi / grow)
+                mid.append(m)
+                # held in the box against rounding
+                axes.append([max(o + m / grow, a), o + m, min(o + m * grow, b)])
+            scores = score(*map(np.array, axes)).tolist()
+        j = scores.index(min(scores))
         u = None
-        if scores[k] <= low_ssr:
-            low, low_ssr = (tc[k // 3], alpha[k % 3]), scores[k]
-            u = _newton_vertex(scores)
-        # the box test in logarithms, so that a far vertex does not overflow
-        if u is None or not all(math.log(v_lo / m) <= h * ui <= math.log(v_hi / m)
-                                for ui, m, (v_lo, v_hi) in zip(u, mid, box)):
+        if scores[j] <= low_ssr:
+            low = (axes[0][j],) if k == 1 else (axes[0][j // 3], axes[1][j % 3])
+            low_ssr = scores[j]
+            u = _stencil_vertex(scores)
+        vertex, step = [], 0.0              # step: the vertex's largest move, h |u|
+        for ui, m, (o, _, _, v_lo, v_hi) in zip(u or (), mid, edges):
+            # the box test in logarithms, so that a far vertex does not overflow;
+            # a lower edge on the origin (b2 = 0) lies at log 0 = -inf
+            x = h * ui
+            if not ((v_lo <= 0.0 or math.log(v_lo / m) <= x) and x <= math.log(v_hi / m)):
+                break
+            vertex.append(o + m * math.exp(x))
+            if abs(x) > step:
+                step = abs(x)
+        if len(vertex) < k:                 # no vertex, or one outside the box
             start, step = low, 0.0
             continue
-        start = (t_last + mid[0] * math.exp(h * u[0]), mid[1] * math.exp(h * u[1]))
-        step = h * max(abs(u[0]), abs(u[1]))
+        start = tuple(vertex)
         if step < _STENCILS[-1]:
-            return start, scores[4]
+            return start, scores[len(scores) // 2]
     return start, None
 
 
@@ -700,8 +728,8 @@ def _flat(ssr: float, before: float) -> bool:
     ``ssr`` is finite and within ``_FTOL`` of ``before``, relative to ``ssr``.
 
     A direct fit applies it to its start search's last step, from the last
-    bracket's or stencil's middle to the start, and returns a start that
-    passes without running the engine.
+    stencil's middle to the start, and returns a start that passes without
+    running the engine.
     """
     return math.isfinite(ssr) and abs(ssr - before) <= _FTOL * max(ssr, 1e-300)
 
@@ -716,11 +744,11 @@ def _refine(model, start: tuple, before: float | None, hi: tuple):
     start is held in the box [0, hi] as ``_lm`` holds it, but in Python
     floats and by comparisons, which cost less than numpy's clip or ``min``
     and ``max``.  When the start search gave ``before`` (the objective of its
-    last bracket's or stencil's middle), one model call without normal
-    equations scores the start, which is returned, converged, after 0 rounds
-    if it passes ``_flat``; otherwise the engine runs from the start.  Either
-    way the residuals come from the last model call, at x, so no model call
-    follows the engine.
+    last stencil's middle), one model call without normal equations scores
+    the start, which is returned, converged, after 0 rounds if it passes
+    ``_flat``; otherwise the engine runs from the start.  Either way the
+    residuals come from the last model call, at x, so no model call follows
+    the engine.
     """
     x = np.array([0.0 if v < 0.0 else v_hi if v > v_hi else v for v, v_hi in zip(start, hi)])[None]
     if before is not None:
@@ -744,8 +772,9 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
     ``config.pin_p0``.
 
     One model call scores the (tc, alpha) grid, and successive
-    finite-difference Newton vertices around its best node (``_sing_start``),
-    one model call of nine points a stencil, give the start.  ``_refine``
+    finite-difference Newton vertices around its best node
+    (``_stencil_start``), one model call of nine points a stencil, give the
+    start.  ``_refine``
     takes it from there, on a model over the offsets (tc - tc_lo, alpha -
     a_lo) from the box's lower edges, as ``fit_singular_rows`` searches:
     when the stencils ended on a step below ``_STENCILS[-1]``, one more
@@ -775,8 +804,8 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
     tc_lo, tc_hi = tc_search_window(t)
     a_lo, a_hi = _ALPHA_BOUNDS
     tc_s, a_s, ssr_s = _sing_grid_seed(t, p, pinned)
-    (tc, alpha), before = _sing_start((tc_s, a_s), ssr_s, _sing_objective(t, p, pinned),
-                                      float(t[-1]), (tc_lo, a_lo), (tc_hi, a_hi))
+    (tc, alpha), before = _stencil_start((tc_s, a_s), ssr_s, _sing_objective(t, p, pinned),
+                                         (float(t[-1]), 0.0), (tc_lo, a_lo), (tc_hi, a_hi))
     y, shift = _data_side(p[None, :], pinned)
 
     def model(x, rows, with_jac):
@@ -796,87 +825,31 @@ def fit_singularity(index: PriceIndexSeries, config: FitConfig | None = None) ->
 # Double-exponential model
 # ---------------------------------------------------------------------------
 
-#: Half-widths of the brackets of ``_dexp_start``, each relative to its middle b2.
-_BRACKETS = (1e-2, 1e-4, 1e-6)
-
-
-def _vertex(x: list, f: list) -> float | None:
-    """The vertex of the parabola through three points (x, f), x ascending.
-
-    None unless every f is finite and the parabola opens upward.
-    """
-    a, b = (x[1] - x[0]) * (f[1] - f[2]), (x[1] - x[2]) * (f[1] - f[0])
-    if not (math.isfinite(f[0] + f[1] + f[2]) and a < b):
-        return None
-    return x[1] - 0.5 * ((x[1] - x[0]) * a - (x[1] - x[2]) * b) / (a - b)
-
-
-def _dexp_start(nodes: np.ndarray, ssr: np.ndarray, score, hi: float):
-    """The b2 at which ``fit_double_exp`` starts, and the objective that its
-    last bracket scored at its middle (None when no bracket was scored).
-
-    ``nodes`` are the b2 grid in ascending order, ``ssr`` their objectives
-    and ``score`` gives the objectives of an array of b2 values in one call;
-    both give a non-finite objective as inf.  Successive parabola vertices
-    (``_vertex``; Brent 1973) refine the best node (the first of equal
-    ones): the first through it and its two neighbours, each next one
-    through v (1 - h), v and v (1 + h), v the vertex before it and h the
-    next of ``_BRACKETS``, clipped at ``hi``.  A bracket's vertex is taken
-    only when its parabola opens upward and the bracket holds the lowest
-    point scored so far, the grid counting as scored; otherwise the next,
-    smaller bracket restarts from that lowest point, which is the start if
-    no bracket is left.  A best node that is the first (b2 = 0, the linear
-    fit) or the last node, or whose grid parabola has no vertex (a
-    non-finite neighbour, or a parabola that opens downward), is the start,
-    and no bracket is scored.  The last vertex is not scored.  The grid
-    spaces b2 about 30 % apart, and after the three brackets the start
-    nearly always lies within the engine's ``_FTOL`` of the minimum.  On
-    2505 fits (the five bundled episodes, noiseless and 100 perturbations
-    each at di 0.05, 0.1, 0.25, 0.5 and 1; ``benches/fit_gate.py``) the
-    engine, run from the start, took 1 round on 2497 and 2 on 8.  Before
-    the restart, a start at the lowest point took 3-5 rounds on 177 of them.
-    """
-    best = int(np.argmin(ssr))
-    low_b2, low_ssr = float(nodes[best]), float(ssr[best])
-    if not 0 < best < len(nodes) - 1:
-        return low_b2, None
-    v = _vertex(nodes[best - 1:best + 2].tolist(), ssr[best - 1:best + 2].tolist())
-    if v is None:
-        return low_b2, None
-    for h in _BRACKETS:
-        bracket = np.minimum(v * np.array([1.0 - h, 1.0, 1.0 + h]), hi)
-        scores = score(bracket)
-        low = int(np.argmin(scores))
-        v = None
-        if scores[low] <= low_ssr:
-            low_b2, low_ssr = float(bracket[low]), float(scores[low])
-            v = _vertex(bracket.tolist(), scores.tolist())
-        if v is None:
-            v = low_b2
-    return v, float(scores[1])
-
-
 @_FP_STATE
 def fit_double_exp(index: PriceIndexSeries, config: FitConfig | None = None) -> FitResult:
     """Fit the double-exponential model over (b2, C0, p0) with b2 >= 0.
 
     The search runs over b2, with (C0, p0) in closed form and C0 of either
     sign.  At b2 = 0 the model is the linear one (the Cagan limit).  One
-    model call scores the b2 grid, and successive parabola vertices around
-    its best node (``_dexp_start``) give the start, and ``_refine`` takes it
-    from there, on the model over b2 itself (b2's lower edge is 0): when a
-    bracket was scored, one more model call, without normal equations,
-    scores the start, and a start within ``_FTOL`` of the last bracket's
-    middle (``_flat``) is returned, converged, after 0 rounds, as the engine
-    would return it: on the 2505 double-exponential fits of
-    ``benches/fit_gate.py`` the 1671 that skip it keep the engine's bits.
-    Otherwise the engine runs from the start and keeps the residuals at its
-    end, so the fit makes no model call after the engine.  On the
-    40 benchmark inputs 31 fits skip the engine in 5 model calls (the grid,
-    three brackets of three b2 and the start) and 9 take 1 round in 7, where
-    one bracket took the engine 3-4 rounds and the best node 4-6.
-    ``config`` is taken for the fitters' common signature: p0 is always
-    free.
+    model call scores the b2 grid, geometric but for its first node, b2 = 0.
+    Its best node and that node's two neighbours are a stencil in log(b2),
+    and successive finite-difference Newton vertices from there
+    (``_stencil_start``), one model call of three b2 a stencil, give the
+    start.  A best node at either grid end is the start itself, and one next
+    to b2 = 0, which makes no stencil with its neighbours, starts the search
+    alone.  ``_refine`` takes the start from there, on the model over b2
+    itself (b2's lower edge is 0): when the stencils ended on a step below
+    ``_STENCILS[-1]``, one more model call, without normal equations, scores
+    the start, and a start within ``_FTOL`` of the last stencil's middle
+    (``_flat``) is returned, converged, after 0 rounds, as the engine would
+    return it: on the 2505 double-exponential fits of ``benches/fit_gate.py``
+    the 2499 that skip it keep the engine's bits (the others start at a grid
+    end).  Otherwise the engine runs from the start and keeps the residuals
+    at its end, so the fit makes no model call after the engine.  On the 40
+    benchmark inputs every fit skips the engine in 5 model calls (the grid,
+    three stencils and the start), where three fixed brackets in b2 left 9
+    fits to the engine.  ``config`` is taken for the fitters' common
+    signature: p0 is always free.
     """
     t, p = _points(index, "double-exponential", 6)
     t0 = float(t[0])
@@ -893,11 +866,18 @@ def fit_double_exp(index: PriceIndexSeries, config: FitConfig | None = None) -> 
         return resid, normal, c0, p0, resid
 
     def score(b2):
-        ssr = _ssr(model(b2[:, None], None, False)[0])
-        return np.where(np.isfinite(ssr), ssr, np.inf)
+        return np.fmin(_ssr(model(b2[:, None], None, False)[0]), np.inf)  # NaN as inf
 
-    start, before = _dexp_start(b2_nodes, score(b2_nodes), score, b2_hi)
-    v, c0, p0, resid, converged, rounds = _refine(model, (start,), before, (b2_hi,))
+    ssr = score(b2_nodes)
+    best = int(ssr.argmin())
+    if 0 < best < _GRID_B2 - 1:
+        # the node and its neighbours are a stencil in log b2, but next to b2 = 0
+        b2, f = b2_nodes[best - 1:best + 2].tolist(), ssr[best - 1:best + 2].tolist()
+        first = None if best == 1 else (math.log(b2[2] / b2[1]), [b2], f)
+        start, before = _stencil_start((b2[1],), f[1], score, (0.0,), (0.0,), (b2_hi,), first)
+    else:                                   # a grid end is the start
+        start, before = (float(b2_nodes[best]),), None
+    v, c0, p0, resid, converged, rounds = _refine(model, start, before, (b2_hi,))
     params = DoubleExpParams(p0=float(p0[0]), c0=float(c0[0]), b2=float(v[0, 0]), t0=t0)
     return FitResult(params, resid[0], converged=bool(converged), iterations=int(rounds))
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -417,16 +418,17 @@ def forty_indexes():
 
 
 def recorded_starts(monkeypatch):
-    """The second values ``_sing_start`` and ``_dexp_start`` return, one per
-    call, as the fits call them."""
-    befores = []
-    for name in ("_sing_start", "_dexp_start"):
-        def spy(*args, start=getattr(fitting, name)):
-            found = start(*args)
-            befores.append(found[1])
-            return found
-        monkeypatch.setattr(fitting, name, spy)
-    return befores
+    """The (start, before) that each direct fit hands ``_refine``: its start,
+    in offsets from the box's lower edges, and the last stencil's middle
+    score, or None; one pair per fit, as the fits call it."""
+    starts = []
+    refine = fitting._refine
+
+    def spy(model, start, before, hi):
+        starts.append((start, before))
+        return refine(model, start, before, hi)
+    monkeypatch.setattr(fitting, "_refine", spy)
+    return starts
 
 
 # ---------------------------------------------------------------------------
@@ -791,12 +793,12 @@ class TestFitSingularity:
     def test_a_stencil_loop_not_ending_on_a_small_step_runs_the_engine(self, monkeypatch):
         # 28 of the 80 fits of forty_indexes end their stencils without a
         # step below the last entry; each runs the engine.
-        befores = recorded_starts(monkeypatch)
+        starts = recorded_starts(monkeypatch)
         runs = 0
         for index in forty_indexes():
             for pin in (False, True):
                 fit = fit_singularity(index, FitConfig(pin_p0=pin))
-                if befores[-1] is None:
+                if starts[-1][1] is None:
                     assert fit.iterations >= 1
                     runs += 1
         assert runs == 28
@@ -837,15 +839,17 @@ class TestFitSingularity:
 
 
 class TestSingStart:
-    # _sing_start on synthetic objectives of (tc, alpha), t_last = 0, so
-    # log(tc - t_last) is log(tc): the box is tc in [1, 20], alpha in [0.01, 5].
+    # _stencil_start in two coordinates, as fit_singularity calls it, on
+    # synthetic objectives of (tc, alpha), t_last = 0, so log(tc - t_last)
+    # is log(tc): the box is tc in [1, 20], alpha in [0.01, 5].
     T_LAST, LO, HI = 0.0, (1.0, 0.01), (20.0, 5.0)
     SPACING = np.array([-1.0, 0.0, 1.0])
 
     @staticmethod
     def quadratic(optimum, ssr_min=1.0):
         """A positive definite quadratic in (log tc, log alpha), least at
-        ``optimum``, as ``_sing_start``'s score: over the grid tc x alpha."""
+        ``optimum``, over the grid tc x alpha (``recorded`` flattens it into
+        ``_stencil_start``'s score)."""
         z_tc, z_alpha = np.log(optimum)
 
         def f(tc, alpha):
@@ -855,21 +859,21 @@ class TestSingStart:
 
     @staticmethod
     def recorded(f):
-        """f as ``_sing_start``'s score, and the list of the stencils it is
-        asked, each as its (tc, alpha) arrays."""
+        """f as ``_stencil_start``'s score, flattened, and the list of the
+        stencils it is asked, each as its (tc, alpha) arrays."""
         asked = []
 
         def score(tc, alpha):
             asked.append((tc.copy(), alpha.copy()))
-            return f(tc, alpha)
+            return f(tc, alpha).ravel()
         return score, asked
 
     def start(self, seed, f, score, ssr=None):
-        """``_sing_start``'s (start, middle score) from ``seed``, whose grid
-        objective is ``ssr`` or f's."""
+        """``_stencil_start``'s (start, middle score) from ``seed``, whose
+        grid objective is ``ssr`` or f's."""
         if ssr is None:
             ssr = float(f(np.array([seed[0]]), np.array([seed[1]]))[0, 0])
-        return fitting._sing_start(seed, ssr, score, self.T_LAST, self.LO, self.HI)
+        return fitting._stencil_start(seed, ssr, score, (self.T_LAST, 0.0), self.LO, self.HI)
 
     @staticmethod
     def middle(stencil):
@@ -1197,16 +1201,23 @@ class TestFitDoubleExp:
         # They leave large residuals under this model, so Gauss-Newton
         # curvature took up to 11 rounds and the secant slope from the best
         # grid node up to 6 (mean 5.2); from one parabola bracket it took
-        # 3-4.  The three brackets start it within _FTOL of the minimum: 31
-        # fits end there without the engine, and its first trial ends the
-        # other 9.
+        # 3-4.  The stencils start it within _FTOL of the minimum.
         rounds = []
         for index in forty_indexes():
             fit = fit_double_exp(index)
             assert fit.converged
             rounds.append(fit.iterations)
         assert len(rounds) == 40 and max(rounds) <= 1
-        assert rounds.count(0) == 31
+
+    @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
+    def test_every_direct_double_exp_fit_skips_the_engine(self):
+        # All 40 fits of forty_indexes, eight per episode, end at their
+        # start.  Three fixed brackets in b2 left 9 of them to the engine:
+        # all eight of Yugoslavia and one of Germany.
+        skipped = Counter()
+        for index, name in zip(forty_indexes(), np.repeat(list(PRESETS), 8)):
+            skipped[name] += fit_double_exp(index).iterations == 0
+        assert skipped == dict.fromkeys(PRESETS, 8)
 
     @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
     def test_the_engine_keeps_every_engine_free_fit(self, monkeypatch):
@@ -1240,44 +1251,98 @@ class TestFitDoubleExp:
             assert fit.converged and converged[0] and rounds[0] == 1
             assert (v[0, 0], c0[0], p0[0]) == (q.b2, q.c0, q.p0)
             assert resid[0].tobytes() == fit.residuals.tobytes()
-        assert skipped == 31
+        assert skipped == 40
 
     @pytest.mark.parametrize("p, b2", [(0.1 * np.arange(12.0), 0.0),
                                        (1e-12 * np.expm1(3.0 * np.arange(12.0)), 20.0 / 11.0)],
                              ids=["first node", "last node"])
     def test_a_best_node_at_either_grid_end_runs_the_engine(self, p, b2, monkeypatch):
         # Linear data are best at b2 = 0; data steeper than b2_max = 20 /
-        # span at the top node.  No bracket is scored, and the engine runs.
-        befores = recorded_starts(monkeypatch)
+        # span at the top node.  That node is the start: no stencil is
+        # scored, and the engine runs.
+        starts = recorded_starts(monkeypatch)
+        monkeypatch.setattr(fitting, "_stencil_start", None)      # never called
         fit = fit_double_exp(PriceIndexSeries.from_log_index(yearly_epochs(1970, 1981), p))
-        assert befores == [None]
+        assert starts == [((b2,), None)]
         assert fit.converged and fit.iterations >= 1 and fit.params.b2 == b2
+
+    @pytest.mark.parametrize("best", [0, 4])
+    def test_best_first_or_last_node_is_the_start(self, best, monkeypatch):
+        # The grid-end rule does not depend on the grid's size: on five b2
+        # nodes, the same data are best at node 0 (b2 = 0) or node 4
+        # (b2_max), and that node is the start, with no stencil scored.
+        p, b2 = {0: (0.1 * np.arange(12.0), 0.0),
+                 4: (1e-12 * np.expm1(3.0 * np.arange(12.0)), 20.0 / 11.0)}[best]
+        monkeypatch.setattr(fitting, "_GRID_B2", 5)
+        starts = recorded_starts(monkeypatch)
+        monkeypatch.setattr(fitting, "_stencil_start", None)      # never called
+        fit = fit_double_exp(PriceIndexSeries.from_log_index(yearly_epochs(1970, 1981), p))
+        assert starts == [((b2,), None)]
+        assert fit.converged and fit.iterations >= 1 and fit.params.b2 == b2
+
+    def test_a_best_node_next_to_b2_zero_starts_at_the_first_entry(self, monkeypatch):
+        # Noiseless data at the b2 node next to b2 = 0, which is no stencil
+        # in log b2 with its neighbours: the search starts from the node
+        # alone, at _STENCILS[0], and the fit ends at the data's b2.
+        t = np.arange(1970.0, 1982.0)
+        b2 = 1e-4 / 11.0                            # the node next to 0, span 11
+        p = eval_double_exp(DoubleExpParams(p0=0.1, c0=0.5, b2=b2, t0=1970.0), t)
+        calls = []
+        stencil_start = fitting._stencil_start
+
+        def spy(seed, ssr, score, *box_and_first):
+            def scored(b2s):
+                calls.append(b2s)
+                return score(b2s)
+            calls.append((seed, box_and_first))
+            return stencil_start(seed, ssr, scored, *box_and_first)
+
+        monkeypatch.setattr(fitting, "_stencil_start", spy)
+        fit = fit_double_exp(PriceIndexSeries.from_log_index(yearly_epochs(1970, 1981), p))
+        seed, box_and_first = calls[0]
+        assert seed == (b2,) and box_and_first[-1] is None
+        np.testing.assert_allclose(np.log(calls[1] / b2), fitting._STENCILS[0] * self.SPACING,
+                                   rtol=0, atol=1e-14)
+        assert fit.converged and fit.params.b2 == pytest.approx(b2, rel=1e-7)
 
     @pytest.mark.filterwarnings("ignore:log price index is not strictly increasing")
     def test_start_scores_no_higher_than_the_best_grid_node(self, monkeypatch):
         # Scores of the start, the best grid node and the b2 = 0 node (the
         # linear fit), per fit.
         seen = []
-        dexp_start = fitting._dexp_start
+        stencil_start = fitting._stencil_start
 
-        def spy(nodes, ssr, score, hi):
-            start, before = dexp_start(nodes, ssr, score, hi)
-            seen.append((score(np.array([start]))[0], ssr.min(), ssr[0]))
+        def spy(seed, ssr, score, *box_and_first):
+            start, before = stencil_start(seed, ssr, score, *box_and_first)
+            seen.append((score(np.array(start))[0], ssr, score(np.array([0.0]))[0]))
             return start, before
 
-        monkeypatch.setattr(fitting, "_dexp_start", spy)
+        monkeypatch.setattr(fitting, "_stencil_start", spy)
         for index in forty_indexes():
             fit = fit_double_exp(index)
             start, best, linear = seen[-1]
             assert start <= best <= linear and fit.objective <= start
+        assert len(seen) == 40
 
-    # _dexp_start on a grid of five b2 nodes.
-    NODES = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    # _stencil_start in log b2 (k = 1), as fit_double_exp calls it: from the
+    # best of five b2 nodes, geometric but for b2 = 0 (half-width log 2), the
+    # node and its two neighbours being the first stencil, scored already.
+    # A bracket, in the names below, is such a stencil of three b2.
+    NODES = np.array([0.0, 1.0, 2.0, 4.0, 8.0])
     SSR = np.array([3.0, 2.0, 1.0, 1.5, 3.0])
+    HI = 8.0
+    SPACING = np.array([-1.0, 0.0, 1.0])
+
+    def b2_start(self, ssr, score, best=2):
+        """``_stencil_start``'s (start, middle score) from node ``best``."""
+        first = (math.log(2.0), [self.NODES[best - 1:best + 2].tolist()],
+                 ssr[best - 1:best + 2].tolist())
+        return fitting._stencil_start((self.NODES[best],), float(ssr[best]), score, (0.0,),
+                                      (0.0,), (self.HI,), first)
 
     @staticmethod
     def recorded(f):
-        """f as ``_dexp_start``'s score, and the list of the b2 arrays it is asked."""
+        """f as ``_stencil_start``'s score, and the list of the b2 arrays it is asked."""
         asked = []
 
         def score(b2):
@@ -1285,121 +1350,153 @@ class TestFitDoubleExp:
             return f(b2)
         return score, asked
 
-    @pytest.mark.parametrize("best", [0, 4])
-    def test_best_first_or_last_node_is_the_start(self, best):
-        ssr = 1.0 + np.abs(self.NODES - self.NODES[best])
-        assert fitting._dexp_start(self.NODES, ssr, None, 4.0) == (self.NODES[best], None)
+    def assert_spaced(self, b2, h):
+        """The stencil is h apart in log b2."""
+        np.testing.assert_allclose(np.log(b2 / b2[1]), h * self.SPACING, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("side", [1, 3])
     def test_a_non_finite_neighbour_keeps_the_best_node(self, side):
+        # The grid's stencil has no vertex: the next stencil, at its own
+        # entry, restarts from the best node, here the minimum, where its
+        # vertex ends the search with that stencil's middle score.
         ssr = self.SSR.copy()
         ssr[side] = np.inf
-        assert fitting._dexp_start(self.NODES, ssr, None, 4.0) == (2.0, None)
+        score, asked = self.recorded(lambda b2: 1.0 + np.log(b2 / 2.0) ** 2)
+        (start,), before = self.b2_start(ssr, score)
+        assert len(asked) == 1 and asked[0][1] == 2.0
+        self.assert_spaced(asked[0], fitting._STENCILS[1])
+        assert start == pytest.approx(2.0, rel=1e-12) and before == 1.0
 
     def test_two_vertices_of_a_parabola(self):
-        # Minimum at 2.3: the second bracket is 1 % either side of the first
-        # vertex, and both vertices are 2.3 up to rounding.  With the start
-        # comes the last bracket's middle score.
+        # A parabola in log b2, least at 2.3: the grid's stencil has its
+        # vertex there, up to rounding; the next stencil, around it, is
+        # spaced the square of that step apart, and its vertex ends the
+        # search, with the stencil's middle score.
         def f(b2):
-            return 1.0 + (b2 - 2.3) ** 2
+            return 1.0 + np.log(b2 / 2.3) ** 2
         score, asked = self.recorded(f)
-        start, before = fitting._dexp_start(self.NODES, f(self.NODES), score, 4.0)
-        np.testing.assert_allclose(asked[0], 2.3 * np.array([0.99, 1.0, 1.01]), rtol=1e-14)
+        (start,), before = self.b2_start(np.concatenate(([np.inf], f(self.NODES[1:]))), score)
+        assert len(asked) == 1
+        assert asked[0][1] == pytest.approx(2.3, rel=1e-14)
+        self.assert_spaced(asked[0], math.log(2.3 / 2.0) ** 2)
         assert start == pytest.approx(2.3, rel=1e-14)
         assert before == f(asked[-1])[1]
 
     def test_each_bracket_is_its_half_width_around_the_vertex_before_it(self):
-        # On the same parabola every bracket is scored, each _BRACKETS[k]
-        # either side of a vertex at 2.3 up to rounding.
+        # Not a parabola in log b2, so it takes several stencils: each is
+        # centred on the vertex before it, at the square of that vertex's
+        # step, held between its entry and the half-width before it.
         def f(b2):
-            return 1.0 + (b2 - 2.3) ** 2
+            return np.cosh(np.log(b2 / 2.3))
         score, asked = self.recorded(f)
-        fitting._dexp_start(self.NODES, f(self.NODES), score, 4.0)
-        assert len(asked) == len(fitting._BRACKETS) == 3
-        for bracket, h in zip(asked, fitting._BRACKETS):
-            np.testing.assert_allclose(bracket, 2.3 * np.array([1.0 - h, 1.0, 1.0 + h]),
-                                       rtol=1e-14)
+        self.b2_start(np.concatenate(([np.inf], f(self.NODES[1:]))), score)
+        assert len(asked) >= 2
+        h_before, middle, scores = math.log(2.0), 2.0, f(self.NODES[1:4])
+        for b2, least in zip(asked, fitting._STENCILS[1:]):
+            (u,) = fitting._stencil_vertex(scores.tolist())
+            step = h_before * abs(u)
+            h = max(least, min(h_before, step * step))
+            assert b2[1] == pytest.approx(middle * math.exp(h_before * u), rel=1e-15)
+            self.assert_spaced(b2, h)
+            h_before, middle, scores = h, b2[1], f(b2)
 
     def test_second_bracket_above_the_best_node_keeps_the_node(self):
-        # Every bracket scores above the best node: each next one restarts
-        # from the node, and the start is the node.
+        # Every stencil scores above the best node: each next one restarts
+        # from the node, the start is the node, and no small step ended the
+        # search.
         score, asked = self.recorded(lambda b2: np.array([1.2, 1.1, 1.3]))
-        assert fitting._dexp_start(self.NODES, self.SSR, score, 4.0) == (2.0, 1.1)
-        assert len(asked) == len(fitting._BRACKETS)
-        for bracket, h in zip(asked[1:], fitting._BRACKETS[1:]):
-            assert bracket.tolist() == (2.0 * np.array([1.0 - h, 1.0, 1.0 + h])).tolist()
+        assert self.b2_start(self.SSR, score) == ((2.0,), None)
+        assert len(asked) == len(fitting._STENCILS) - 1
+        for b2, h in zip(asked[1:], fitting._STENCILS[2:]):
+            assert b2[1] == 2.0
+            self.assert_spaced(b2, h)
 
     def test_first_bracket_above_the_best_node_restarts_from_it(self):
-        # The 1 % bracket around the grid's vertex scores above the best
-        # node; the 1e-4 bracket restarts from the node, on a parabola whose
-        # minimum is 5e-5 from it, and its vertex is the minimum.
+        # The first stencil scored, around the grid's vertex, lies above the
+        # best node; the next restarts from the node at its own entry, 1e-4,
+        # on a parabola in log b2 whose minimum is 5e-5 from it, and its
+        # vertex is the minimum.
         def f(b2):
-            return 0.5 + (b2 - 2.0001) ** 2
+            return 0.5 + np.log(b2 / 2.0001) ** 2
         calls = iter([lambda b2: np.array([1.2, 1.1, 1.3])])
         score, asked = self.recorded(lambda b2: next(calls, f)(b2))
-        start, _ = fitting._dexp_start(self.NODES, self.SSR, score, 4.0)
-        assert asked[1].tolist() == (2.0 * np.array([1.0 - 1e-4, 1.0, 1.0 + 1e-4])).tolist()
+        (start,), _ = self.b2_start(self.SSR, score)
+        assert asked[1][1] == 2.0
+        self.assert_spaced(asked[1], fitting._STENCILS[2])
         assert asked[2][1] == pytest.approx(2.0001, rel=1e-12)
         assert start == pytest.approx(2.0001, rel=1e-12)
 
     def test_second_bracket_with_the_middle_highest_starts_at_its_lowest_point(self):
-        # The parabola opens downward: no vertex, so each next bracket
+        # The parabola opens downward: no vertex, so each next stencil
         # restarts from the lowest point of the one before, and the start is
-        # the last bracket's lowest point.
+        # the last one's lowest point.
         score, asked = self.recorded(lambda b2: np.array([0.9, 0.95, 0.8]))
-        start, before = fitting._dexp_start(self.NODES, self.SSR, score, 4.0)
-        assert before == 0.95
-        assert len(asked) == 3
-        for before, bracket in zip(asked, asked[1:]):
-            assert bracket[1] == before[2]
+        (start,), before = self.b2_start(self.SSR, score)
+        assert before is None
+        assert len(asked) == len(fitting._STENCILS) - 1
+        for before, b2 in zip(asked, asked[1:]):
+            assert b2[1] == before[2]
         assert start == asked[-1][2]
 
     def test_last_bracket_falling_across_takes_its_vertex(self):
-        # In every bracket the middle point is not the lowest, but the
+        # In every stencil the middle point is not the lowest, but the
         # parabola opens upward and the low end ties the lowest point so
-        # far, so each next bracket is around the vertex, beyond the low
-        # end, and the start is the last bracket's vertex, beyond its low
-        # end.
+        # far, so each next stencil is around the vertex, 2.5 half-widths
+        # below its middle, beyond the low end, and the start is the last
+        # stencil's vertex, beyond its low end.
         scores = [0.7, 0.8, 0.95]
         score, asked = self.recorded(lambda b2: np.array(scores))
-        start, _ = fitting._dexp_start(self.NODES, self.SSR, score, 4.0)
-        assert len(asked) == 3
-        for before, bracket in zip(asked, asked[1:]):
-            assert bracket[1] == fitting._vertex(before.tolist(), scores) < before[0]
-        assert start == fitting._vertex(asked[-1].tolist(), scores) < asked[-1][0]
+        (start,), before = self.b2_start(self.SSR, score)
+        (u,) = fitting._stencil_vertex(scores)
+        assert u == pytest.approx(-2.5, rel=1e-14)
+        assert len(asked) == len(fitting._STENCILS) - 1 and before is None
+        for before, b2 in zip(asked, asked[1:] + [np.array([start] * 3)]):
+            assert b2[1] < before[0]
+            assert b2[1] == pytest.approx(before[1] * (before[0] / before[1]) ** 2.5, rel=1e-12)
 
     def test_later_bracket_above_the_lowest_point_keeps_the_previous_vertex(self):
-        # The second bracket, around the first bracket's vertex, scores
-        # above the first bracket's middle, the lowest point so far, and so
-        # does the third, which restarts from that middle: the start is
-        # that middle, the best node's vertex.
-        brackets = iter([np.array([0.9, 0.8, 0.95]), np.array([0.85, 0.81, 0.9]),
-                         np.array([0.83, 0.82, 0.84])])
-        score, asked = self.recorded(lambda b2: next(brackets))
-        start, before = fitting._dexp_start(self.NODES, self.SSR, score, 4.0)
-        assert before == 0.82
-        assert len(asked) == 3 and start == asked[0][1] == asked[2][1]
-        assert asked[1][1] == fitting._vertex(asked[0].tolist(), [0.9, 0.8, 0.95])
+        # The second stencil, around the first one's vertex, scores above
+        # the first stencil's middle, the lowest point so far, and so does
+        # each later one, which restarts from that middle: the start is that
+        # middle, the grid's vertex.
+        stencils = iter([np.array([0.9, 0.8, 0.95]), np.array([0.85, 0.81, 0.9])])
+        score, asked = self.recorded(lambda b2: next(stencils, np.array([0.83, 0.82, 0.84])))
+        (start,), before = self.b2_start(self.SSR, score)
+        assert before is None
+        assert len(asked) == len(fitting._STENCILS) - 1
+        assert start == asked[0][1] == asked[2][1] == asked[-1][1]
+        (u,) = fitting._stencil_vertex([0.9, 0.8, 0.95])
+        assert asked[1][1] == pytest.approx(asked[0][1] * (asked[0][2] / asked[0][1]) ** u,
+                                            rel=1e-12)
 
     def test_later_bracket_is_held_at_b2_max(self):
-        # The first bracket's vertex is 3.9998, within 1e-4 of b2_max = 4,
-        # so the second bracket's top point is held at 4.  The third,
-        # 1e-6 either side of 3.9998, is not.
+        # A parabola in log b2 least at 7.9998, 2.5e-5 below b2_max = 8:
+        # a stencil that would cross b2_max is moved inward just enough,
+        # keeping its spacing, so its top point is b2_max, and the start is
+        # the minimum.
         def f(b2):
-            return 1.0 + (b2 - 3.9998) ** 2
+            return 1.0 + np.log(b2 / 7.9998) ** 2
         score, asked = self.recorded(f)
-        start, _ = fitting._dexp_start(self.NODES, np.array([5.0, 4.0, 3.0, 2.0, 2.5]), score,
-                                       4.0)
-        assert asked[0][2] < 3.9 and asked[1][1] < 4.0 == asked[1][2]
-        assert asked[2][2] < 4.0 and start == pytest.approx(3.9998, rel=1e-12)
+        (start,), _ = self.b2_start(np.array([5.0, 4.0, 3.0, 2.0, 2.5]), score, best=3)
+        held = [b2 for b2 in asked if b2[2] == pytest.approx(self.HI, rel=1e-15)]
+        assert held and all(b2[2] <= self.HI for b2 in asked)
+        for b2 in held:
+            self.assert_spaced(b2, math.log(b2[1] / b2[0]))
+        assert start == pytest.approx(7.9998, rel=1e-12)
 
-    def test_second_bracket_is_held_at_b2_max(self):
-        # Tied with the top node, the best node's vertex is halfway to it,
-        # within 1 % of the top node, the grid's b2_max.
-        score, asked = self.recorded(lambda b2: np.array([1.0, 0.9, 0.95]))
-        fitting._dexp_start(np.array([0.0, 1.0, 3.95, 4.0]), np.array([3.0, 2.0, 1.0, 1.0]),
-                            score, 4.0)
-        assert asked[0][1] == 3.975 and asked[0][2] == 4.0
+    def test_a_stencil_near_b2_max_is_moved_inward(self):
+        # Searched from a node alone (as next to b2 = 0) at 7.5, with the
+        # minimum beyond b2_max = 8: the first stencil, 0.1 either side in
+        # log b2, is moved inward so that its top point is b2_max, and no
+        # stencil leaves [0, b2_max].
+        score, asked = self.recorded(lambda b2: 1.0 + np.log(b2 / 16.0) ** 2)
+        (start,), _ = fitting._stencil_start((7.5,), 1.0 + math.log(7.5 / 16.0) ** 2, score,
+                                             (0.0,), (0.0,), (self.HI,))
+        assert asked[0][1] == self.HI / math.exp(fitting._STENCILS[0])
+        assert asked[0][2] == pytest.approx(self.HI, rel=1e-15)
+        self.assert_spaced(asked[0], fitting._STENCILS[0])
+        assert all(np.all((0.0 <= b2) & (b2 <= self.HI)) for b2 in asked)
+        assert 0.0 <= start <= self.HI
 
     def test_correct_model_wins_on_singular_data(self, peru_index):
         sing = fit_singularity(peru_index)
